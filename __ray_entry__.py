@@ -2358,8 +2358,8 @@ def q_incremental_violations(sf_dir: str):
     the rows the new snapshot added or changed (snapshot_diff → delta
     keys broadcast → one filtered check pass over snapshot B). The
     delta key set is small by design (that is what makes incremental
-    runs cheap); a large delta should switch to the bloom/anti-join
-    referential strategy instead of the broadcast."""
+    runs cheap); a large delta should switch to a shuffle anti-join,
+    as the referential check does, instead of the broadcast."""
     from data_linter_ray.functions.diff import snapshot_diff
 
     a, b = _orders_snapshots(sf_dir)

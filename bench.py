@@ -325,24 +325,6 @@ def single_run(args) -> dict:
         "queries": queries,
         "sf": sf,
         "num_cpus": args.cpus,
-        # Round-5 recorded value = the PRE-REGISTERED campaign on the
-        # round-5 DRIVER box (the box BENCH_r05.json comes from): the
-        # protocol (one GRAFT_SCALING_REPEATS=9 run, plain median of
-        # the nine per-round ratios, recorded whatever it lands at,
-        # superseding any previous-box value) was committed to
-        # BASELINE.md (commit 4c58f26) BEFORE the campaign launched.
-        # It landed at 0.824 — an unconditioned plain median, no
-        # selection of any kind, every round disclosed below and in
-        # the BASELINE.md round-5 continuation ledger. The earlier
-        # boxes' campaigns (0.777 with 0.786/0.793 null-job probes;
-        # 0.757 round-4 all-campaign median) remain disclosed in
-        # BASELINE.md; reproduce the attribution probes any time with
-        # tools/scaling_probes.py.
-        "scaling_efficiency_recorded": 0.824,
-        "scaling_round_efficiencies": [
-            0.804, 0.865, 0.803, 0.844, 0.849, 0.771, 0.832, 0.784, 0.824,
-        ],
-        "scaling_pair_recorded": "pre-registered unconditioned 9-round campaign (r5 driver box, commit 4c58f26 pre-registration): 2cpu peak 557154 docs/s vs 8cpu peak 1836493 docs/s, 64M docs, fresh interleaved processes; plain median 0.824, all rounds disclosed, no selection",
     }
 
 

@@ -809,7 +809,7 @@ def verify_candidates_jaccard(
     intersection. The candidate set is never collected on the driver;
     only when it is small is its distinct id set broadcast to prune the
     corpus before shingling (mirrors the referential
-    BROADCAST_ROW_THRESHOLD pattern, stages/referential.py:26).
+    BROADCAST_ROW_THRESHOLD pattern, stages/referential.py).
 
     Returns a Dataset (id_a, id_b, jaccard) for pairs ≥ threshold.
     Set semantics match :func:`ngram_jaccard` (both-empty → 1.0) up to

@@ -16,8 +16,8 @@ map_batches instead of a shuffle join") gets a first-class operator:
 * ``strategy="auto"`` — broadcast when the right side's estimated
   decoded size (plan metadata only, ``exchange._estimated_bytes``)
   fits ``broadcast_threshold_bytes``, else shuffle. Mirrors the
-  referential checker's BROADCAST_ROW_THRESHOLD dispatch
-  (stages/referential.py).
+  broadcast-vs-shuffle choice ``validate_dataset`` makes for
+  referential checks (BROADCAST_ROW_THRESHOLD, stages/referential.py).
 
 Reference provenance: the reference joins file-lists to table configs
 driver-side (reference validation.py); this generalizes the engine's
@@ -208,8 +208,8 @@ def semi_join(
     match — SQL IN semantics). The right side is reduced to its
     distinct keys per batch and broadcast once; bounded by the key
     domain, the same rule as the referential broadcast
-    (stages/referential.py — use its bloom strategy for unbounded
-    domains)."""
+    (stages/referential.py, whose pre-aggregated shuffle anti-join is
+    the pattern for unbounded domains)."""
     return _filter_join(left, right, on, right_on, "left semi")
 
 

@@ -104,7 +104,7 @@ def knn_brute_force(
 #: path; above it, the IVF bucketed path (no driver materialization, no
 #: O(n²) matmul) is selected automatically — the same size-dispatch
 #: pattern as referential's BROADCAST_ROW_THRESHOLD
-#: (stages/referential.py:26).
+#: (stages/referential.py).
 BROADCAST_CORPUS_THRESHOLD = 100_000
 
 

@@ -885,6 +885,10 @@ def mannwhitney_u(
     (:func:`_two_group_value_parts`); each bucket needs only its own
     sorted distinct values plus its two scalar count offsets.
 
+    Null values, float NaN payloads (excluded like nulls — see
+    :func:`_two_group_value_parts`) and rows in neither group are
+    excluded.
+
     → 1-row DataFrame(n_a, n_b, u_a, u_b); u_a + u_b = n_a·n_b.
     """
     from data_linter_ray.exchange import exchange_map_groups, exchange_width
@@ -1399,6 +1403,9 @@ def spearman_corr(
     Per-batch products use int64 while ``4n² < 2^62`` (n < 1.5·10⁹)
     and arbitrary-precision object arrays beyond.
 
+    Pairwise deletion: a row is dropped when either value is null or a
+    float NaN payload (NaN is excluded like null).
+
     → 1-row DataFrame(n, rho).
     """
     import pyarrow.compute as pc
@@ -1618,6 +1625,9 @@ def kendall_tau(
     ``c``/``d`` are emitted as int64 (exact while pair counts stay
     below 2^63, i.e. n ≲ 4·10⁹ — beyond that widen the output lanes).
 
+    Pairwise deletion: a row is dropped when either value is null or a
+    float NaN payload (NaN is excluded like null).
+
     → 1-row DataFrame(n, c, d, tau_b).
     """
     import pyarrow.compute as pc
@@ -1807,8 +1817,9 @@ def joint_histogram(
     """Exact joint (2D) equi-depth histogram — the dependence heatmap
     behind "where does the mass sit?" profiling. Bin boundaries are
     each column's exact ``quantile_disc`` cut points over the
-    PAIRWISE-DELETED rows (both columns non-null — the same rows the
-    counts run on, so the oracle reproduces the boundaries);
+    PAIRWISE-DELETED rows (both columns non-null and not NaN — the
+    same rows the counts run on, so the oracle reproduces the
+    boundaries);
     membership is ``bin = #{boundaries ≤ v}`` (the PSI convention).
     Counts are exact int64; only non-empty cells are emitted (SQL
     GROUP BY parity).
@@ -1915,6 +1926,9 @@ def ks_per_group(
     (value, group, n) count combiner, per-(bucket, group) totals →
     driver prefix offsets (P·G ints), one range exchange emitting G
     local sups per bucket.
+
+    Null values and float NaN payloads are excluded (NaN like null),
+    as are rows whose group is null.
 
     → DataFrame(group, n, ks), sorted by group.
     """

@@ -145,8 +145,10 @@ class ColumnSpec:
             "drift",
             "span_constraints",
         ):
+            # compare with the field default, not falsiness: minimum=0,
+            # maximum=0 and nullable=False are real checks
             v = getattr(self, k)
-            if v not in (None, False):
+            if v != self.__dataclass_fields__[k].default:
                 out[k] = v
         if self.min_length is not None:
             out["minLength"] = self.min_length

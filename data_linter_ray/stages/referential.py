@@ -1,15 +1,16 @@
 """Referential-integrity check (north-rule extension).
 
-FK column ⊆ PK set of a reference table. Two physical strategies
-(SURVEY.md §2.4, §7.3):
+FK column ⊆ PK set of a reference table. ``validate_dataset`` picks one
+of two physical paths per reference (SURVEY.md §2.4, §7.3):
 
-- **broadcast** (default for small dimension tables): the distinct PK set
-  is collected once, ``ray.put`` into the object store, and every check
-  task reads it zero-copy for a vectorized ``pc.is_in`` — no shuffle, and
-  the set ships to each node once rather than per batch.
-- **shuffle** (large dimensions): a hash-partitioned anti-join expressed as
-  union-of-tagged-partials → ``groupby(key).aggregate`` — both sides are
-  pre-aggregated per batch first so only (key, count/flag) pairs shuffle.
+- **broadcast** (dimension tables up to ``BROADCAST_ROW_THRESHOLD``
+  rows): the distinct PK set is collected once, ``ray.put`` into the
+  object store, and :class:`_BroadcastAntiJoin` runs inside the fused
+  check pass as a vectorized ``pc.is_in`` — no shuffle, and the set
+  ships to each node once rather than per batch.
+- **shuffle** (larger dimensions): a hash-bucketed anti-join over a
+  union of tagged partials — both sides are pre-aggregated per batch
+  first so only (key, count/flag) pairs enter the exchange.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from ray.data import Dataset
 from data_linter_ray.checks import REFERENTIAL_TEST
 from data_linter_ray.stages.checker import VIOLATION_SCHEMA, _stringify
 
-# dimension tables smaller than this (rows) are broadcast
+# dimension tables of at most this many rows are broadcast
 BROADCAST_ROW_THRESHOLD = 10_000_000
 
 
@@ -99,7 +100,7 @@ def referential_violations_broadcast(
 def referential_violations_shuffle(
     ds: Dataset, fk: str, ref_ds: Dataset, pk: str
 ) -> Dataset:
-    """Shuffle strategy: pre-aggregated tagged union → groupby anti-join.
+    """Shuffle strategy: pre-aggregated tagged union → bucketed anti-join.
 
     Emits (key, n) violations — row-level addressing would need a second
     join; at dimension sizes that force this path, key-level reporting is
@@ -156,146 +157,3 @@ def referential_violations_shuffle(
         )
 
     return exchange_map_groups(tagged, "_bucket", num_buckets, dangling)
-
-
-def referential_violations(
-    ds: Dataset,
-    fk: str,
-    ref_ds: Dataset,
-    pk: str,
-    id_column: str | None = None,
-    broadcast_threshold: int = BROADCAST_ROW_THRESHOLD,
-    strategy: str = "auto",
-) -> Dataset:
-    """Pick the physical strategy.
-
-    ``auto``: broadcast below ``broadcast_threshold`` dimension rows
-    (parquet metadata count — no scan), shuffle anti-join above.
-    ``bloom``: force :func:`referential_violations_bloom`. Measured
-    honestly: at single-node scale the pre-aggregated shuffle WINS
-    (1.5 s vs 2.6 s on 4M facts × 1M dim keys, identical outputs) —
-    only (key, count) pairs shuffle, so the exchange is already tiny.
-    Bloom pays a build pass and earns it back only when the distinct-
-    key volume itself strains the exchange (10⁸-10⁹⁺ keys: the bloom
-    is ~1.2 GB where the exact key set is not broadcastable) or when
-    one built filter is reused across many fact scans — which is why
-    it is an explicit strategy, not the auto default. ``broadcast`` /
-    ``shuffle`` force those paths."""
-    if strategy == "bloom":
-        return referential_violations_bloom(ds, fk, ref_ds, pk)
-    if strategy == "broadcast":
-        return referential_violations_broadcast(ds, fk, ref_ds, pk, id_column)
-    if strategy == "shuffle":
-        return referential_violations_shuffle(ds, fk, ref_ds, pk)
-    if strategy != "auto":
-        raise ValueError(f"unknown strategy: {strategy!r}")
-    if ref_ds.count() <= broadcast_threshold:
-        return referential_violations_broadcast(ds, fk, ref_ds, pk, id_column)
-    return referential_violations_shuffle(ds, fk, ref_ds, pk)
-
-
-def build_pk_bloom(ref_ds: Dataset, pk: str, fpr: float = 0.01):
-    """Distributed Bloom build over the dimension's PK column: one
-    partial bloom per BLOCK (batch_size=None), partials emitted as
-    bytes (retry-safe, mergeable OR) and folded on the driver via a
-    streaming OR — the driver holds exactly one bloom (~1.2 GB per 10⁹
-    keys at 1% fpr), never the key set."""
-    import numpy as np
-
-    from data_linter_ray.state.bloom import BloomFilter
-    from data_linter_ray.state.sketches import hash_array
-
-    n = ref_ds.count()
-    geometry = BloomFilter.from_capacity(n, fpr)
-
-    def partial(t: pa.Table) -> pa.Table:
-        bf = BloomFilter(geometry.m, geometry.k)
-        bf.add_hashes(hash_array(t[pk].combine_chunks().drop_null()))
-        return pa.table({"bloom": pa.array([bf.to_bytes()], pa.large_binary())})
-
-    acc = BloomFilter(geometry.m, geometry.k)
-    for b in (
-        ref_ds.select_columns([pk])
-        .map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .iter_batches(batch_format="pyarrow", batch_size=None)
-    ):
-        for raw in b["bloom"].to_pylist():
-            acc.merge(BloomFilter.from_bytes(raw))
-    return acc
-
-
-def referential_violations_bloom(
-    ds: Dataset, fk: str, ref_ds: Dataset, pk: str, fpr: float = 0.01
-) -> Dataset:
-    """EXACT referential check with a Bloom pre-filter — the scale path
-    for dimensions too big for the exact broadcast key set.
-
-    A Bloom filter has no false negatives, so any fk hash the filter
-    rejects is a CERTAIN violation (emitted immediately, key-level
-    pre-aggregated, no shuffle). Only the "maybe" rows — true matches
-    plus an ``fpr`` sliver of false positives — continue into the exact
-    shuffle anti-join, shrinking its input to ~fpr × the clean volume.
-    Result equals :func:`referential_violations_shuffle` exactly."""
-    import ray
-
-    from data_linter_ray.state.bloom import BloomFilter
-    from data_linter_ray.state.sketches import hash_array
-
-    bloom_ref = ray.put(build_pk_bloom(ref_ds, pk, fpr).to_bytes())
-
-    def split(t: pa.Table) -> pa.Table:
-        bf = BloomFilter.from_bytes(
-            ray.get(bloom_ref) if isinstance(bloom_ref, ray.ObjectRef) else bloom_ref
-        )
-        col = t[fk].combine_chunks().drop_null()
-        vc = col.value_counts()
-        keys = vc.field("values")
-        maybe = bf.contains_hashes(hash_array(keys))
-        return pa.table(
-            {
-                "key": keys,
-                "n_fk": pc.cast(vc.field("counts"), pa.int64()),
-                "maybe": pa.array(maybe),
-            }
-        )
-
-    tagged = ds.select_columns([fk]).map_batches(
-        split, batch_format="pyarrow"
-    ).materialize()
-
-    # definite violations: bloom-rejected keys, pre-aggregated per batch;
-    # dedupe across batches with one tiny groupby (violating keys only)
-    definite = tagged.map_batches(
-        lambda t: t.filter(pc.invert(t["maybe"])).select(["key"]),
-        batch_format="pyarrow",
-    )
-    # maybe rows re-enter the exact anti-join as a (key-level) fact side
-    maybe_keys = tagged.map_batches(
-        # list-form rename: the dict form is silently iterated as keys
-        # (= no-op) on this pyarrow version
-        lambda t: t.filter(t["maybe"]).select(["key"]).rename_columns([fk]),
-        batch_format="pyarrow",
-    )
-    exact = referential_violations_shuffle(maybe_keys, fk, ref_ds, pk)
-
-    def to_viol(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.Table.from_arrays(
-            [
-                pa.nulls(n, pa.string()),
-                pa.array([fk] * n, pa.string()),
-                pa.array([REFERENTIAL_TEST] * n, pa.string()),
-                _stringify(t["key"].combine_chunks()),
-            ],
-            schema=VIOLATION_SCHEMA,
-        )
-
-    from ray.data.aggregate import Count
-
-    definite_v = (
-        definite.groupby("key")
-        .aggregate(Count(alias_name="_n"))
-        .drop_columns(["_n"])
-        .map_batches(to_viol, batch_format="pyarrow")
-    )
-    return definite_v.union(exact)

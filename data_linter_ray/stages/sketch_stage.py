@@ -2,16 +2,16 @@
 
 Pipeline shape (SURVEY.md §2.3, §7 step 7):
 
-    ds ──► map_batches(SketchPartials, concurrency=(min,max))   # actor pool
+    ds ──► map_batches(SketchPartials)       # one task per block
               emits ONE partial-sketch row per (batch, column)
-       ──► groupby("column").map_groups(merge)                  # KB-sized shuffle
+       ──► iter_batches on the driver         # fold KB-sized partials
        ──► per-column merged sketch → drift verdict vs baseline
 
-The actor pool holds the compiled column plan (built once per actor in
-``__init__``); per-batch partials are *emitted as data*, never
-accumulated in actor state, so Ray task retries cannot double-count
-(SURVEY.md §7.4). Partial sketches are a few KB — the merge shuffle is
-negligible next to the scan.
+The callable holds the compiled column plan; per-batch partials are
+*emitted as data*, never accumulated in worker state, so Ray task
+retries cannot double-count (SURVEY.md §7.4). t-digest, KLL and HLL
+are mergeable summaries, so combining the partials is a plain fold —
+a few KB per batch, negligible next to the scan.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ SKETCH_SCHEMA = pa.schema(
         ("column", pa.string()),
         ("kind", pa.string()),  # "tdigest" | "kll" | "hll"
         ("payload", pa.binary()),
-        ("n", pa.int64()),
     ]
 )
 
@@ -37,7 +36,7 @@ DEFAULT_QUANTILES = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
 
 
 class SketchPartials:
-    """Actor-pool callable: per batch, one t-digest partial per numeric
+    """map_batches callable: per batch, one t-digest partial per numeric
     column and one HLL partial per key column."""
 
     def __init__(
@@ -59,7 +58,7 @@ class SketchPartials:
         self.kll_k = kll_k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        cols, kinds, payloads, ns = [], [], [], []
+        cols, kinds, payloads = [], [], []
         for c in self.numeric_cols:
             arr = batch[c].to_numpy(zero_copy_only=False).astype(np.float64)
             if self.quantile_sketch == "kll":
@@ -70,54 +69,23 @@ class SketchPartials:
             cols.append(c)
             kinds.append(self.quantile_sketch)
             payloads.append(sk.to_bytes())
-            ns.append(len(arr))
         for c in self.key_cols:
             hll = HyperLogLog(self.hll_p)
             hll.add_hashes(hash_array(batch[c]))
             cols.append(c)
             kinds.append("hll")
             payloads.append(hll.to_bytes())
-            ns.append(batch.num_rows)
         return pa.Table.from_arrays(
             [
                 pa.array(cols, pa.string()),
                 pa.array(kinds, pa.string()),
                 pa.array(payloads, pa.binary()),
-                pa.array(ns, pa.int64()),
             ],
             schema=SKETCH_SCHEMA,
         )
 
 
-def _merge_group(df):
-    """map_groups fn: fold all partials of one (column, kind) group."""
-    import pandas as pd
-
-    if len(df) == 0:
-        # pin the empty-group output schema — an untyped empty block
-        # downgrades the downstream dataset schema to <empty> (mixed
-        # block schemas warning) and can bite later consumers
-        return pd.DataFrame(
-            {
-                "column": pd.Series([], dtype=object),
-                "kind": pd.Series([], dtype=object),
-                "payload": pd.Series([], dtype=object),
-                "n": pd.Series([], dtype="int64"),
-            }
-        )
-    kind = df["kind"].iloc[0]
-    cls = {"tdigest": TDigest, "kll": KLL, "hll": HyperLogLog}[kind]
-    acc = cls.from_bytes(df["payload"].iloc[0])
-    for b in df["payload"].iloc[1:]:
-        acc.merge(cls.from_bytes(b))
-    return pd.DataFrame(
-        {
-            "column": [df["column"].iloc[0]],
-            "kind": [kind],
-            "payload": [acc.to_bytes()],
-            "n": [int(df["n"].sum())],
-        }
-    )
+_SKETCH_CLASSES = {"tdigest": TDigest, "kll": KLL, "hll": HyperLogLog}
 
 
 def compute_sketches(
@@ -125,8 +93,6 @@ def compute_sketches(
     numeric_cols: list[str],
     key_cols: list[str] | None = None,
     *,
-    concurrency=None,
-    batch_size: int | None = None,
     quantile_sketch: str = "tdigest",
 ) -> dict[str, dict]:
     """Run the sketch stage; returns {column: {"tdigest": TDigest}} /
@@ -135,31 +101,22 @@ def compute_sketches(
     numeric columns (both named by the north star)."""
     key_cols = key_cols or []
     needed = sorted(set(numeric_cols) | set(key_cols))
-    kwargs: dict = {"batch_format": "pyarrow"}
-    if concurrency is not None:
-        kwargs["concurrency"] = concurrency
-    if batch_size is not None:
-        kwargs["batch_size"] = batch_size
     partials = ds.select_columns(needed).map_batches(
         SketchPartials(numeric_cols, key_cols, quantile_sketch=quantile_sketch),
-        **kwargs,
+        batch_format="pyarrow",
     )
-    # partials are KB-sized rows (one per batch × column): collapse to a
-    # single partition before the merge groupby so the sort never emits
-    # empty partitions (the executor logs an empty-schema warning per
-    # empty map_groups block and downgrades the dataset schema). At 100
-    # TB the partial count is n_batches × n_cols — still MB-scale.
-    merged = (
-        partials.repartition(1)
-        .groupby(["column", "kind"])
-        .map_groups(_merge_group, batch_format="pandas")
-    )
+    # one partial row per (batch, column): fold them as they stream in
     out: dict[str, dict] = {}
-    cls_by_kind = {"tdigest": TDigest, "kll": KLL, "hll": HyperLogLog}
-    for row in merged.take_all():
-        entry = out.setdefault(row["column"], {})
-        entry[row["kind"]] = cls_by_kind[row["kind"]].from_bytes(row["payload"])
-        entry[f"n_{row['kind']}"] = row["n"]
+    for b in partials.iter_batches(batch_format="pyarrow", batch_size=None):
+        for col, kind, raw in zip(
+            b["column"].to_pylist(), b["kind"].to_pylist(), b["payload"].to_pylist()
+        ):
+            sk = _SKETCH_CLASSES[kind].from_bytes(raw)
+            entry = out.setdefault(col, {})
+            if kind in entry:
+                entry[kind].merge(sk)
+            else:
+                entry[kind] = sk
     return out
 
 
@@ -171,16 +128,14 @@ def save_baselines(sketches: dict[str, dict], path: str) -> str:
 
     from data_linter_ray import fs
 
-    out: dict = {}
-    for col, entry in sketches.items():
-        e: dict = {}
-        if "tdigest" in entry:
-            e["tdigest"] = base64.b64encode(entry["tdigest"].to_bytes()).decode()
-        if "kll" in entry:
-            e["kll"] = base64.b64encode(entry["kll"].to_bytes()).decode()
-        if "hll" in entry:
-            e["hll"] = base64.b64encode(entry["hll"].to_bytes()).decode()
-        out[col] = e
+    out = {
+        col: {
+            kind: base64.b64encode(sk.to_bytes()).decode()
+            for kind, sk in entry.items()
+            if kind in _SKETCH_CLASSES
+        }
+        for col, entry in sketches.items()
+    }
     fs.write_text(path, json.dumps(out))
     return path
 
@@ -192,17 +147,14 @@ def load_baselines(path: str) -> dict[str, dict]:
     from data_linter_ray import fs
 
     raw = json.loads(fs.read_text(path))
-    out: dict[str, dict] = {}
-    for col, e in raw.items():
-        entry: dict = {}
-        if "tdigest" in e:
-            entry["tdigest"] = TDigest.from_bytes(base64.b64decode(e["tdigest"]))
-        if "kll" in e:
-            entry["kll"] = KLL.from_bytes(base64.b64decode(e["kll"]))
-        if "hll" in e:
-            entry["hll"] = HyperLogLog.from_bytes(base64.b64decode(e["hll"]))
-        out[col] = entry
-    return out
+    return {
+        col: {
+            kind: _SKETCH_CLASSES[kind].from_bytes(base64.b64decode(b64))
+            for kind, b64 in e.items()
+            if kind in _SKETCH_CLASSES
+        }
+        for col, e in raw.items()
+    }
 
 
 @dataclass
@@ -245,22 +197,17 @@ def drift_check(
     ds: Dataset,
     baselines: dict[str, dict],
     *,
-    numeric_cols: list[str] | None = None,
-    key_cols: list[str] | None = None,
     threshold: float = 0.1,
-    concurrency=None,
 ) -> list[DriftResult]:
-    """Compare the dataset's sketches to stored baseline sketches."""
-    numeric_cols = numeric_cols or [
-        c for c, v in baselines.items() if "tdigest" in v or "kll" in v
-    ]
-    key_cols = key_cols or [c for c, v in baselines.items() if "hll" in v]
+    """Compare the dataset's sketches to stored baseline sketches, over
+    every column the baselines name."""
+    numeric_cols = [c for c, v in baselines.items() if "tdigest" in v or "kll" in v]
+    key_cols = [c for c, v in baselines.items() if "hll" in v]
     wants_kll = any("kll" in v for v in baselines.values())
     current = compute_sketches(
         ds,
         numeric_cols,
         key_cols,
-        concurrency=concurrency,
         quantile_sketch="kll" if wants_kll else "tdigest",
     )
     results: list[DriftResult] = []

@@ -2,8 +2,8 @@
 
 Exact duplicate detection on a key column with two-level aggregation to
 keep the shuffle small: a per-batch local ``value_counts`` combiner first
-(so only (key, partial_count) pairs — not rows — enter the all-to-all
-exchange), then a global ``groupby(key).sum``. This is the explicit
+(so only (key, partial_count) pairs — not rows — enter the int-hash
+bucketed exchange), then a per-bucket sum. This is the explicit
 partial-aggregation pattern SURVEY.md §2.5 calls for; skewed/hot keys cost
 only one small row per (batch, key) on the map side, which is itself the
 salting: the pre-aggregate bounds any single key's shuffle fan-in to the
@@ -19,18 +19,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
 
-from data_linter_ray.checks import UNIQUE_TEST
-from data_linter_ray.exchange import MIN_PARTITIONS, exchange_map_groups, exchange_width
-from data_linter_ray.stages.checker import VIOLATION_SCHEMA, _stringify
-
+from data_linter_ray.exchange import exchange_map_groups
 
 DEFAULT_BUCKETS = 64
-# pre-aggregated (key, n) rows are tiny — coalesce before the exchange so
-# the sort-partition machinery handles a few fat blocks instead of one
-# per input block (measured 5× faster). Exchange width now derives from
-# input size (exchange.exchange_width); this name stays as the floor
-# alias for back-compat.
-SHUFFLE_PARTITIONS = MIN_PARTITIONS
 
 
 def _local_counts(key: str, num_buckets: int):
@@ -72,22 +63,3 @@ def duplicate_keys(ds: Dataset, key: str, num_buckets: int = DEFAULT_BUCKETS) ->
         return s[s["n"] > 1]
 
     return exchange_map_groups(pre, "_bucket", num_buckets, find_dups)
-
-
-def uniqueness_violations(ds: Dataset, key: str) -> Dataset:
-    """Duplicate keys reshaped to the long violation-row format
-    (row_ref = the duplicated key, value = duplicate count)."""
-
-    def to_violations(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        return pa.Table.from_arrays(
-            [
-                _stringify(t[key].combine_chunks()),
-                pa.array([key] * n, type=pa.string()),
-                pa.array([UNIQUE_TEST] * n, type=pa.string()),
-                _stringify(t["n"].combine_chunks()),
-            ],
-            schema=VIOLATION_SCHEMA,
-        )
-
-    return duplicate_keys(ds, key).map_batches(to_violations, batch_format="pyarrow")

@@ -289,12 +289,6 @@ def documents_schema():
     )
 
 
-def write_fixture(path: str, num_rows: int) -> str:
-    """Materialize a deterministic fixture to partitioned parquet."""
-    documents_dataset(num_rows).write_parquet(path)
-    return path
-
-
 def add_edited_reference(t: pa.Table) -> pa.Table:
     """Append a ``spans_reference`` copy with seeded edits: docs whose
     doc_id ends in "00" get their first span's media_ref swapped —

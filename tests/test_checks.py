@@ -221,3 +221,37 @@ def test_dispatch_full():
     )
     got = checks.applicable_tests(spec, pa.int64())
     assert got == [checks.MIN_MAX_TEST, checks.ENUM_TEST, checks.NULLABLE_TEST]
+
+
+def test_column_spec_round_trip_keeps_zero_and_false_bounds():
+    """minimum=0, maximum=0 and nullable=False are checks, not defaults:
+    a schema dict round trip (also the one the result's metadata setter
+    does) must keep them and the checks they switch on."""
+    from data_linter_ray.metadata import TableSchema
+    from data_linter_ray.result import ValidatorResult
+
+    schema = TableSchema(
+        name="t",
+        columns=[
+            ColumnSpec(name="lo", type="int64", minimum=0, nullable=False),
+            ColumnSpec(name="hi", type="float64", maximum=0.0),
+            ColumnSpec(name="plain", type="string"),
+        ],
+    )
+    d = schema.to_dict()
+    assert d["columns"][0] == {
+        "name": "lo", "type": "int64", "nullable": False, "minimum": 0,
+    }
+    assert d["columns"][1] == {"name": "hi", "type": "float64", "maximum": 0.0}
+    assert d["columns"][2] == {"name": "plain", "type": "string"}
+    assert TableSchema.from_dict(d) == schema
+
+    res = ValidatorResult()
+    res.metadata = d
+    back = TableSchema.from_dict(res.metadata)
+    assert checks.applicable_tests(back.column("lo"), pa.int64()) == [
+        checks.MIN_MAX_TEST, checks.NULLABLE_TEST,
+    ]
+    assert checks.applicable_tests(back.column("hi"), pa.float64()) == [
+        checks.MIN_MAX_TEST,
+    ]

@@ -137,6 +137,31 @@ def test_drift_stage_end_to_end(ray_session, sf_dir):
     assert any(not r.valid for r in results)
 
 
+def test_compute_sketches_driver_fold_matches_one_pass(ray_session):
+    """The driver folds one partial per (batch, column) across blocks,
+    an empty block included: HLL registers equal a one-pass HLL over
+    every key, and the merged t-digest carries every row's weight."""
+    import pyarrow as pa
+    import ray.data
+
+    from data_linter_ray.stages.sketch_stage import compute_sketches
+
+    rng = np.random.RandomState(5)
+    parts = [
+        pa.table({"v": rng.normal(0, 1, n), "k": rng.randint(0, 5_000, n)})
+        for n in (3_000, 0, 4_500)
+    ]
+    ds = ray.data.from_arrow(parts)
+    assert ds.num_blocks() == 3
+
+    sk = compute_sketches(ds, ["v"], ["k"])
+    one_pass = HyperLogLog(12)
+    one_pass.add_hashes(hash_array(pa.concat_tables(parts)["k"]))
+    assert (sk["k"]["hll"].registers == one_pass.registers).all()
+    assert sk["v"]["tdigest"].count == 7_500
+    assert set(sk["v"]) == {"tdigest"} and set(sk["k"]) == {"hll"}
+
+
 def test_kll_rank_accuracy():
     """KLL normalized rank error stays well within the k=200 bound on a
     skewed distribution streamed in chunks."""

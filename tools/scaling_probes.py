@@ -100,6 +100,10 @@ def _child_scan(cpus: int, n_docs: int) -> None:
     ray.shutdown()
 
 
+PROBES = {"compute": _child_compute, "scan": _child_scan}
+USAGE = "usage: scaling_probes.py {compute,scan} | --child {compute,scan} CPUS N_DOCS"
+
+
 def _run_once(kind: str, cpus: int, n_docs: int) -> float:
     out = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--child", kind,
@@ -111,11 +115,15 @@ def _run_once(kind: str, cpus: int, n_docs: int) -> float:
 
 
 def main() -> None:
-    if len(sys.argv) >= 2 and sys.argv[1] == "--child":
-        kind, cpus, n_docs = sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
-        (_child_compute if kind == "compute" else _child_scan)(cpus, n_docs)
+    child = len(sys.argv) >= 2 and sys.argv[1] == "--child"
+    args = sys.argv[2:] if child else sys.argv[1:]
+    kind = args[0] if args else "compute"
+    if kind not in PROBES or (child and len(args) != 3):
+        print(USAGE, file=sys.stderr)
+        sys.exit(2)
+    if child:
+        PROBES[kind](int(args[1]), int(args[2]))
         return
-    kind = sys.argv[1] if len(sys.argv) > 1 else "compute"
     n_docs = COMPUTE_DOCS if kind == "compute" else SCAN_DOCS
     lo, hi = PAIR
     if kind == "compute":
