@@ -101,162 +101,6 @@ def run_headline(n_docs: int) -> dict:
     }
 
 
-QUERY_NAMES = [
-    "run_summary",
-    "run_summary_csv",
-    "span_text_dedup",
-    "c4_clean_documents",
-    "span_stats",
-    "doc_texts",
-    "media_ref_counts",
-    "span_kind_mix",
-    "verdict_summary",
-    "minmax_violations",
-    "date_format_violations",
-    "unique_violations",
-    "ref_violations",
-    "span_verdicts",
-    "token_stats",
-    "quality_stats",
-    "normalized_documents",
-    "vocabulary",
-    "duplicate_sentences",
-    "exact_dedup",
-    "minhash_dedup",
-    "dedup_groups",
-    "jaccard_pairs",
-    "fingerprints_modp",
-    "simhash_dedup",
-    "knn",
-    "embedding_near_dups",
-    "quantized_embeddings",
-    "events_summary",
-    "orders_by_nation",
-    "events_windowed",
-    "events_hopping",
-    "asof_purchases",
-    "range_events",
-    "session_stats",
-    "profile",
-    "clean_documents",
-    "lineitem_verdict",
-    "star_ref_check",
-    "drift",
-    "media_features",
-    "audio_features",
-    "top_users",
-    "heavy_users",
-    "weighted_sample",
-    "dominant_lang",
-    "out_of_order_events",
-    "source_lang_entropy",
-    "collocations",
-    "compacted_events",
-    "length_quartiles",
-    "source_overlap",
-    "value_histogram",
-    "best_docs_per_lang",
-    "deduped_documents",
-    "events_per_user_cap",
-    "pii_scan",
-    "redacted_documents",
-    "pack_offsets",
-    "contaminated_docs",
-    "value_outliers",
-    "split_assignment",
-    "fd_violations",
-    "value_rank",
-    "tfidf_terms",
-    "repetition_stats",
-    "value_quantiles",
-    "profile_drift",
-    "user_event_deltas",
-    "funnel_stages",
-    "lineitem_rollup",
-    "user_event_pivot",
-    "fuzzy_name_pairs",
-    "snapshot_diff",
-    "grouped_quantiles",
-    "bm25_topk",
-    "value_iqr_outliers",
-    "fuzzy_entities",
-    "overlap_pairs",
-    "incremental_violations",
-    "big_spenders",
-    "customers_no_orders",
-    "corpus_mixture",
-    "entity_union",
-    "apply_changes",
-    "embedding_clusters",
-    "value_percent_rank",
-    "lineitem_corr",
-    "value_percentiles_cont",
-    "customer_order_activity",
-    "user_retention",
-    "lm_scores",
-    "user_value_rolling",
-    "grouped_percentiles_cont",
-    "value_winsorized",
-    "event_type_reach",
-    "nearest_reference",
-    "document_chunks",
-    "lineitem_check_violations",
-    "deduped_chunks",
-    "event_props_stats",
-    "value_mad",
-    "event_transitions",
-    "users_both_halves",
-    "users_first_half_only",
-    "enum_violations",
-    "pattern_violations",
-    "length_violations",
-    "customer_acctbal_violations",
-    "orders_summary",
-    "langid",
-    "fingerprints",
-    "span_equality",
-    "label_centroids",
-    "gopher_filter",
-    "daily_active_users",
-    "events_candidate_keys",
-    "rolling_anomalies",
-    "source_quality",
-    "lineitem_unpivot",
-    "lineitem_cube",
-    "segment_price_trend",
-    "trailing_hour_load",
-    "daily_value_snapshot",
-    "price_benford",
-    "null_cooccurrence",
-    "value_distribution_ks",
-    "event_segment_chisq",
-    "value_psi",
-    "value_gini",
-    "value_mannwhitney",
-    "price_quantity_spearman",
-    "value_user_kendall",
-    "event_segment_mi",
-    "event_segment_cramers_v",
-    "value_autocorr",
-    "price_quantity_heatmap",
-    "segment_drift_ks",
-    "vocab_zipf_slope",
-    "source_dup_rate",
-    "event_basket_lift",
-    "price_by_quantity_quartiles",
-    "weekly_drift_ks",
-    "funnel_conversion",
-    "value_sla_verdicts",
-    "weekly_active_users",
-    "session_duration_quartiles",
-    "source_pareto",
-    "source_freshness",
-    "value_cusum_alarms",
-    "grouped_value_mad",
-    "gap_quartiles",
-]
-
-
 def consume(obj) -> int:
     from ray.data import Dataset
 
@@ -274,13 +118,10 @@ def run_queries(sf_dir: str) -> dict[str, float]:
     # ~5s of cold-start that belongs to the session, not the operator
     ray.data.range(10_000).map_batches(lambda b: b, batch_format="pyarrow").count()
 
-    qs = entrymod.queries()
     out = {}
-    for name in QUERY_NAMES:
-        if name not in qs:
-            continue
+    for name, query in entrymod.queries().items():
         t0 = time.monotonic()
-        consume(qs[name](sf_dir))
+        consume(query(sf_dir))
         out[name] = round(time.monotonic() - t0, 3)
     return out
 
@@ -416,6 +257,9 @@ def main() -> int:
         result["n_queries"] = len(queries)
         result["queries_total_seconds"] = round(sum(queries.values()), 1)
     result["queries"] = {}
+    # the box this ran on: runs from different boxes are not one series
+    result["cpu_count"] = os.cpu_count()
+    result["cpu_affinity"] = len(os.sched_getaffinity(0))
     print(json.dumps(result))
     return 0
 

@@ -127,10 +127,10 @@ def keyed_scatter_gather(
 
     With ``skip_empty=True`` the scatter side also returns a per-
     partition row-count vector (one extra tiny return per scatter task,
-    the ``_split_preagg_block`` P+1 pattern); the driver folds the
-    counts and schedules reduce tasks ONLY for non-empty partitions, so
-    ``reduce_fn`` never sees empty input and needs no pinned empty
-    schema. An all-empty exchange returns an empty zero-column dataset.
+    like the counts dict of validate's ``_fold_block_group``); the driver
+    folds the counts and schedules reduce tasks ONLY for non-empty
+    partitions, so ``reduce_fn`` never sees empty input and needs no
+    pinned empty schema. An all-empty exchange returns an empty zero-column dataset.
 
     Width scaling: blocks are grouped so at most ~2P scatter tasks run,
     each returning P objects — object-count is O(P²), fine at the

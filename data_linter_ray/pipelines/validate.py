@@ -4,12 +4,10 @@ Equivalent of using the reference's ``PandasValidator`` directly
 (``/root/reference/data_linter/validators/pandas_validator.py:30-96``,
 README.md:114-134), re-expressed Ray-Data-first:
 
-    ds (Arrow blocks) ──► map_batches(BatchChecker)  ──► violation rows ─┐
-        │                                                                ├─► counts
-        ├─► uniqueness shuffle check (per `unique` columns) ─────────────┤    (small
-        └─► referential broadcast/shuffle check (per `references`) ──────┘   groupby)
-                                                           │
-                                       ValidatorResult nested verdict dict
+    ds ─► map_batches(_FusedChecker: every per-batch check) ─► materialized
+    stream ─► one raw-task pass over its blocks: counts, row count, sample
+    heads, uniqueness hash buckets ─► uniqueness reduce ─┐
+    ds ─► referential shuffle (oversized dims only) ─────┴─► ValidatorResult
 
 Only *aggregated counts* and (optionally) bounded violation samples ever
 reach the driver; the violation row Dataset itself stays distributed and is
@@ -170,35 +168,30 @@ def _keep_violations(t: pa.Table) -> pa.Table:
     return sub.select(["row_ref", "column", "test", "value"])
 
 
-def _fold_count_partials(mat: Dataset) -> tuple[dict, int]:
-    """Driver-side fold of the (tiny) kind-1 count rows."""
-    import pyarrow.compute as pc
-
-    def only_counts(t: pa.Table) -> pa.Table:
-        return t.filter(pc.equal(t["kind"], 1)).select(["column", "test", "n"])
-
-    counts: dict[tuple[str, str], int] = {}
-    row_count = 0
-    for row in mat.map_batches(only_counts, batch_format="pyarrow").take_all():
-        key = (row["column"], row["test"])
-        if key == (ROWS_KEY, ROWS_KEY):
-            row_count += row["n"]
-        else:
-            counts[key] = counts.get(key, 0) + row["n"]
-    return counts, row_count
+def _heads(t: pa.Table, n: int) -> pa.Table:
+    """The first ``n`` rows of each (column, test) of a violation table,
+    in table order; ``n == 0`` keeps every row."""
+    if n == 0 or t.num_rows <= n:
+        return t
+    keys = t.select(["column", "test"]).to_pandas()
+    rank = keys.groupby(["column", "test"], sort=False, dropna=False).cumcount()
+    return t.filter(pa.array(rank.to_numpy() < n))
 
 
-def _split_preagg_block(num_parts: int, unique_cols: list[str], *blocks):
-    """Ray task: hash-partition a group of blocks' pre-agg rows into
-    num_parts (col_code, h, n) int matrices — the map side of the manual
-    exchange — AND fold the blocks' kind-1 count partials (piggybacked
-    here so the verdict-count fold costs no extra pass over the stream).
-    Takes blocks as *args (so Ray dereferences the refs) to keep task/ref
-    count bounded. Returns num_parts matrices + one counts dict."""
+def _fold_block_group(num_parts: int, n: Optional[int], *blocks):
+    """Ray task: the one pass over a group of stream blocks (as *args, so
+    Ray dereferences the refs). Returns ``num_parts`` (col_code, h, n) int
+    matrices — kind-2 pre-agg rows by hash bucket, the map side of the
+    uniqueness exchange — then the kind-1 count partials as one dict, then
+    the first ``n`` kind-0 violation rows per (column, test) (or None)."""
     import numpy as np
     import pyarrow.compute as pc
 
-    block = pa.concat_tables(blocks) if len(blocks) > 1 else blocks[0]
+    # Ray Data passes empty blocks through map_batches WITHOUT calling
+    # the UDF, so an empty block keeps the input's schema (no "kind")
+    block = pa.concat_tables(
+        [b for b in blocks if b.num_rows] or [INTERNAL_SCHEMA.empty_table()]
+    )
 
     counts_tbl = block.filter(pc.equal(block["kind"], 1))
     counts: dict[tuple[str, str], int] = {}
@@ -208,10 +201,13 @@ def _split_preagg_block(num_parts: int, unique_cols: list[str], *blocks):
         counts_tbl["n"].to_pylist(),
     ):
         counts[(c, t)] = counts.get((c, t), 0) + n_
+    heads = None if n is None else _heads(_keep_violations(block), n)
+    if not num_parts:
+        return counts, heads
 
     sub = block.filter(pc.equal(block["kind"], 2))
     h = sub["h"].to_numpy(zero_copy_only=False)
-    n = sub["n"].to_numpy(zero_copy_only=False)
+    cnt = sub["n"].to_numpy(zero_copy_only=False)
     col_code = (
         sub["cc"].to_numpy(zero_copy_only=False).astype(np.int64)
         if len(h)
@@ -219,12 +215,45 @@ def _split_preagg_block(num_parts: int, unique_cols: list[str], *blocks):
     )
     bucket = (h.astype(np.uint64) % np.uint64(num_parts)).astype(np.int64)
     order = np.argsort(bucket, kind="stable")
-    hb, nb, cb, bb = h[order], n[order], col_code[order], bucket[order]
+    hb, nb, cb, bb = h[order], cnt[order], col_code[order], bucket[order]
     bounds = np.searchsorted(bb, np.arange(num_parts + 1))
     return tuple(
         np.stack([cb[bounds[i] : bounds[i + 1]], hb[bounds[i] : bounds[i + 1]], nb[bounds[i] : bounds[i + 1]]])
         for i in range(num_parts)
-    ) + (counts,)
+    ) + (counts, heads)
+
+
+def _block_refs(ds: Dataset) -> list:
+    return [r for bundle in ds.iter_internal_ref_bundles() for r in bundle.block_refs]
+
+
+def _fold_count_partials(
+    mat: Dataset, unique_cols: list[str], n: Optional[int]
+) -> tuple[dict, int, list, list]:
+    """The single pass over the materialized stream: ~2×P
+    :func:`_fold_block_group` tasks. Returns ({(column, test): n},
+    row_count, per-bucket lists of bucket refs (none without
+    ``unique_cols``), one violation-head ref per task)."""
+    import ray
+
+    from data_linter_ray.exchange import exchange_width
+
+    P = exchange_width(mat)
+    num_parts = P if unique_cols else 0
+    fold_task = ray.remote(_fold_block_group).options(num_returns=num_parts + 2)
+    block_refs = _block_refs(mat)
+    group = max(1, len(block_refs) // (2 * P))
+    outs = [
+        fold_task.remote(num_parts, n, *block_refs[i : i + group])
+        for i in range(0, len(block_refs), group)
+    ]
+    counts: dict[tuple[str, str], int] = {}
+    for d in ray.get([o[-2] for o in outs]):
+        for k, v in d.items():
+            counts[k] = counts.get(k, 0) + v
+    row_count = counts.pop((ROWS_KEY, ROWS_KEY), 0)
+    buckets = list(zip(*(o[:-2] for o in outs)))
+    return counts, row_count, buckets, [o[-1] for o in outs]
 
 
 def _detect_bucket(cap: int, n_cols: int, *parts):
@@ -263,6 +292,8 @@ def _report_block(block: pa.Table, dup_h):
     """Ray task: recover key strings for duplicated hashes from one block."""
     import pyarrow.compute as pc
 
+    if not block.num_rows:  # may carry the input's schema, see _fold_block_group
+        return block
     sub = block.filter(
         pc.and_(
             pc.equal(block["kind"], 2),
@@ -300,10 +331,11 @@ UNIQUE_REPORT_CAP = 1_000_000
 
 
 def _uniqueness_from_preagg(
-    mat: Dataset, unique_cols: list[str]
-) -> tuple[Dataset, dict, dict, int, bool]:
-    """Global duplicate detection over the kind-2 pre-aggregates, as a
-    MANUAL hash exchange with raw Ray tasks.
+    mat: Dataset, buckets: list[tuple], unique_cols: list[str]
+) -> tuple[Dataset, dict, bool]:
+    """Global duplicate detection over the kind-2 pre-aggregates that
+    :func:`_fold_count_partials` hash-partitioned into ``buckets`` — the
+    reduce side of a MANUAL hash exchange with raw Ray tasks.
 
     Rationale (measured, Ray 2.49 local): Ray Data's sort-based
     ``groupby().map_groups`` costs ~1ms per *output group row* here —
@@ -322,74 +354,43 @@ def _uniqueness_from_preagg(
     Driver memory is bounded: the verdict COUNTS are always exact
     (folded vectorized inside the reduce tasks), but the duplicate-key
     REPORT rows are capped at the ``UNIQUE_REPORT_CAP`` most-duplicated
-    keys overall — the 5th return value flags truncation (mirrors the
+    keys overall — the 3rd return value flags truncation (mirrors the
     similarity ops' ``truncated`` convention; full violation detail for
     such adversarial inputs lives in the sunk parquet, not the driver).
 
     Returns (violation rows Dataset, {(col, unique_test): n},
-    fold_counts, row_count, report_truncated)."""
+    report_truncated)."""
     import numpy as np
     import ray
     import ray.data as rd
 
-    from data_linter_ray.exchange import exchange_width
-
-    P = exchange_width(mat)
-    split_task = ray.remote(_split_preagg_block)
     detect_task = ray.remote(_detect_bucket)
     report_task = ray.remote(_report_block)
     finalize_task = ray.remote(_finalize_unique_violations)
 
-    block_refs = [
-        r for bundle in mat.iter_internal_ref_bundles() for r in bundle.block_refs
-    ]
-    # group blocks so split-task (and returned-ref) count stays ~2×P
-    group = max(1, len(block_refs) // (2 * P))
-    block_groups = [
-        block_refs[i : i + group] for i in range(0, len(block_refs), group)
-    ]
-    per_block = [
-        split_task.options(num_returns=P + 1).remote(P, unique_cols, *g)
-        for g in block_groups
-    ]
-    cap_per_bucket = max(1, UNIQUE_REPORT_CAP // P)
-    detect_refs = [
-        detect_task.remote(cap_per_bucket, len(unique_cols), *[pb[p] for pb in per_block])
-        for p in range(P)
-    ]
-    # fold the piggybacked count partials (last return of each split task)
-    fold_counts: dict[tuple[str, str], int] = {}
-    for d in ray.get([pb[P] for pb in per_block]):
-        for k, v in d.items():
-            fold_counts[k] = fold_counts.get(k, 0) + v
-    dup_parts = ray.get(detect_refs)
-
-    row_count = fold_counts.pop((ROWS_KEY, ROWS_KEY), 0)
+    cap = max(1, UNIQUE_REPORT_CAP // max(1, len(buckets)))
+    dup_parts = ray.get(
+        [detect_task.remote(cap, len(unique_cols), *refs) for refs in buckets]
+    )
 
     counts: dict[tuple[str, str], int] = {}
     total_per_col = np.zeros(len(unique_cols), dtype=np.int64)
     dup_n: dict[tuple[str, int], int] = {}
     for m, col_counts in dup_parts:
         total_per_col += col_counts
-        for code, h, n in m.T:  # bounded by cap_per_bucket per bucket
+        for code, h, n in m.T:  # bounded by the per-bucket cap
             dup_n[(unique_cols[int(code)], int(h))] = int(n)
     for i, col in enumerate(unique_cols):
         if total_per_col[i]:
             counts[(col, checks.UNIQUE_TEST)] = int(total_per_col[i])
     truncated = len(dup_n) < int(total_per_col.sum())
     if not dup_n:
-        return (
-            rd.from_arrow(VIOLATION_SCHEMA.empty_table()),
-            counts,
-            fold_counts,
-            row_count,
-            truncated,
-        )
+        return rd.from_arrow(VIOLATION_SCHEMA.empty_table()), counts, truncated
 
     dup_h = pa.array(np.array([h for (_, h) in dup_n], dtype=np.int64))
-    hit_refs = [report_task.remote(b, dup_h) for b in block_refs]
+    hit_refs = [report_task.remote(b, dup_h) for b in _block_refs(mat)]
     final_ref = finalize_task.remote(dup_n, unique_cols, *hit_refs)
-    return rd.from_arrow_refs([final_ref]), counts, fold_counts, row_count, truncated
+    return rd.from_arrow_refs([final_ref]), counts, truncated
 
 
 @dataclass
@@ -464,16 +465,10 @@ def validate_dataset(
             # equivalent: per-row Bernoulli at an oversampled fraction,
             # capped to exactly row_limit — no driver materialization,
             # no shuffle. Deterministic under sample_seed.
-            # Row count from PLAN METADATA when the input is a pure
-            # file read (parquet footer counts — free); only unknown
-            # sources pay the counting execution.
-            total = None
-            try:
-                total = ds._meta_count()
-            except Exception:
-                total = None
-            if total is None:
-                total = ds.count()
+            # Dataset.count() answers from plan metadata when the input
+            # is a pure file read (parquet footer counts — free); only
+            # unknown sources pay the counting execution.
+            total = ds.count()
             if total > row_limit:
                 frac = min(1.0, (row_limit / total) * 1.25)
                 ds = ds.random_sample(frac, seed=sample_seed).limit(row_limit)
@@ -561,11 +556,10 @@ def validate_dataset(
     # --- single-scan execution ------------------------------------------
     # ONE materialized pass produces a mixed stream (violation rows +
     # per-batch count partials + uniqueness pre-aggregates); everything
-    # downstream — verdict counts, row count, the uniqueness exchange —
-    # runs over that bounded stream, never re-scanning the input. This
-    # collapsed ~8 sub-executions (each with ~1s fixed planning/startup
-    # cost) into 1 big + 2 tiny, which is what makes 8→32 CPU scaling
-    # track compute instead of overhead.
+    # downstream — verdict counts, row count, value samples, the
+    # uniqueness exchange — runs over that bounded stream, never
+    # re-scanning the input, and ONE raw-task pass over its blocks
+    # (_fold_count_partials) feeds all of it.
     mat = checked.map_batches(
         _FusedChecker(fused, unique_cols), batch_format="pyarrow"
     ).materialize()
@@ -573,17 +567,16 @@ def validate_dataset(
     violation_parts: list[Dataset] = [
         mat.map_batches(_keep_violations, batch_format="pyarrow")
     ]
+    counts, row_count, buckets, heads = _fold_count_partials(
+        mat, unique_cols, log_verbosity
+    )
     unique_truncated = False
     if unique_cols:
-        # one manual exchange does dup detection AND the count fold
-        # (partials piggyback on the split tasks — no extra pass)
-        uniq_viol, uniq_counts, counts, row_count, unique_truncated = (
-            _uniqueness_from_preagg(mat, unique_cols)
+        uniq_viol, uniq_counts, unique_truncated = _uniqueness_from_preagg(
+            mat, buckets, unique_cols
         )
         violation_parts.append(uniq_viol)
         counts.update(uniq_counts)
-    else:
-        counts, row_count = _fold_count_partials(mat)
     for fk, (target, pk) in shuffle_refs.items():
         from data_linter_ray.stages.referential import referential_violations_shuffle
 
@@ -626,7 +619,8 @@ def validate_dataset(
 
     samples: dict[tuple[str, str], tuple[list, list]] = {}
     if log_verbosity is not None and counts:
-        samples = _collect_samples(violations, log_verbosity)
+        # violation_parts[0] is the stream's kind-0 view: the fold took its heads
+        samples = _collect_samples(heads, violation_parts[1:], log_verbosity)
 
     _build_response(
         response, plan, schema, counts, row_count, samples, log_verbosity,
@@ -641,37 +635,41 @@ def validate_dataset(
     )
 
 
-#: driver-safety ceiling for log_verbosity=0 ("all" samples, reference
-#: semantics): the collected sample rows are capped here so a pathological
-#: run can't materialize an unbounded violation set on the driver. Full
-#: violation rows are always available in the sunk parquet regardless.
+#: driver-safety ceiling on sample rows kept by the driver merge; it
+#: binds for log_verbosity=0 ("all" samples, reference semantics) so a
+#: pathological run can't materialize an unbounded violation set on the
+#: driver. Full violation rows are always available in the sunk parquet.
 SAMPLE_ALL_CAP = 1_000_000
 
 
 def _collect_samples(
-    violations: Dataset, n: int
+    heads: list, others: list[Dataset], n: int
 ) -> dict[tuple[str, str], tuple[list, list]]:
-    """Per-(column,test) bounded samples of (row_ref, value).
+    """Per-(column,test) bounded samples of (row_ref, value): a driver
+    merge of the stream's violation heads, then of :func:`_heads` of each
+    block of the ``others`` violation Datasets, fetched one at a time.
+    n == 0 means "all" (reference semantics); at most SAMPLE_ALL_CAP rows
+    are kept, so the driver holds the cap plus one fetched head."""
+    import ray
 
-    n == 0 means "all" (reference semantics), capped at SAMPLE_ALL_CAP
-    rows on the driver.
-    """
-    import pandas as pd
-
-    def head(g: "pd.DataFrame") -> "pd.DataFrame":
-        return g if n == 0 else g.head(n)
-
-    sampled = violations.groupby(["column", "test"]).map_groups(
-        head, batch_format="pandas"
-    )
-    if n == 0:
-        sampled = sampled.limit(SAMPLE_ALL_CAP)
+    head_task = ray.remote(_heads)
+    refs = heads + [head_task.remote(b, n) for ds in others for b in _block_refs(ds)]
     out: dict[tuple[str, str], tuple[list, list]] = {}
-    for row in sampled.take_all():
-        key = (row["column"], row["test"])
-        refs, vals = out.setdefault(key, ([], []))
-        refs.append(row["row_ref"])
-        vals.append(row["value"])
+    kept = 0
+    for ref in refs:
+        t = ray.get(ref)
+        if not t.num_rows:
+            continue
+        for c, test, r, v in zip(
+            *(t[k].to_pylist() for k in ("column", "test", "row_ref", "value"))
+        ):
+            if kept >= SAMPLE_ALL_CAP:
+                return out
+            rs, vs = out.setdefault((c, test), ([], []))
+            if not n or len(rs) < n:
+                rs.append(r)
+                vs.append(v)
+                kept += 1
     return out
 
 

@@ -290,3 +290,94 @@ def test_split_valid_rows(ray_session, sf_dir):
     v1 = split_valid_rows(docs, schema)[0].to_pandas()
     v2 = split_valid_rows(docs, schema, materialize=True)[0].to_pandas()
     assert len(v1) == len(v2)
+
+
+def _with_unique(schema: TableSchema, name: str) -> TableSchema:
+    return TableSchema(
+        name=schema.name,
+        columns=schema.columns + [ColumnSpec(name=name, type="string", unique=True)],
+    )
+
+
+def test_empty_block_with_unique_column(ray_session, simple_schema, tmp_path):
+    """An empty input block keeps the input's schema through the fused
+    pass; a unique column must not make the stream fold choke on it."""
+    import pyarrow.parquet as pq
+
+    t = table([5, 15, 25], ["cat", "dog", "cow"]).append_column(
+        "k", pa.array(["a", "b", "a"])
+    )
+    schema = _with_unique(simple_schema, "k")
+    full = tmp_path / "full"
+    full.mkdir()
+    pq.write_table(t, full / "part-0.parquet")
+    with_empty = tmp_path / "with_empty"
+    with_empty.mkdir()
+    pq.write_table(t, with_empty / "part-0.parquet")
+    pq.write_table(t.slice(0, 0), with_empty / "part-1.parquet")
+
+    want = validate_dataset(ray.data.read_parquet(str(full)), schema)
+    got = validate_dataset(ray.data.read_parquet(str(with_empty)), schema)
+    assert got.counts == want.counts
+    assert got.counts[("k", "unique_test")] == 1
+    assert got.row_count == want.row_count == 3
+
+
+def test_samples_first_n_across_blocks(ray_session, simple_schema):
+    """≥3 blocks, each with more than n violations of one (column, test):
+    exactly n samples come back, every one a violating value."""
+    blocks = [
+        table([10 + b, 100 + b, 200 + b, 300 + b, 400 + b], ["cat"] * 5)
+        for b in range(3)
+    ]
+    res = validate_dataset(ray.data.from_arrow(blocks), simple_schema, log_verbosity=3)
+    assert res.counts[("my_int", "min_max_test")] == 12
+    t = res.response.get_result()["my_int"]["min_max_test"]
+    assert len(t["unexpected_values_sample"]) == 3
+    assert len(t["unexpected_index_sample"]) == 3
+    assert all(int(v) > 20 for v in t["unexpected_values_sample"])
+
+
+def test_unique_test_gets_samples(ray_session):
+    schema = TableSchema(
+        name="t", columns=[ColumnSpec(name="doc_id", type="string", unique=True)]
+    )
+    t = pa.table({"doc_id": ["a", "b", "a", "c", "a", "b"]})
+    res = validate_dataset(make_ds(t), schema, id_column="doc_id", log_verbosity=5)
+    u = res.response.get_result()["doc_id"]["unique_test"]
+    samples = dict(zip(u["unexpected_index_sample"], u["unexpected_values_sample"]))
+    assert samples == {"a": "3", "b": "2"}
+
+
+def test_sample_all_cap_enforced_on_driver(ray_session, simple_schema, monkeypatch):
+    """log_verbosity=0 ("all") keeps at most SAMPLE_ALL_CAP sample rows."""
+    from data_linter_ray.pipelines import validate as vmod
+
+    monkeypatch.setattr(vmod, "SAMPLE_ALL_CAP", 4)
+    blocks = [table([1, 2, 3, 30], ["cow", "cow", "cat", "pig"]) for _ in range(3)]
+    res = validate_dataset(ray.data.from_arrow(blocks), simple_schema, log_verbosity=0)
+    assert res.counts == {("my_int", "min_max_test"): 12, ("animal", "enum_test"): 9}
+    r = res.response.get_result()
+    kept = sum(
+        len(r[c][test].get("unexpected_values_sample", []))
+        for c, test in res.counts
+    )
+    assert kept == 4
+
+
+def test_counts_same_with_and_without_unique_column(ray_session, simple_schema):
+    """One count path: adding a unique column changes no other count
+    and not the row count."""
+    blocks = [
+        table([5, 15, 25, 18], ["cat", "dog", "cow", "cat"]).append_column(
+            "k", pa.array([f"k{b}", f"k{b}", "x", f"y{b}"])
+        )
+        for b in range(3)
+    ]
+    ds = ray.data.from_arrow(blocks)
+    plain = validate_dataset(ds, simple_schema, allow_unexpected_data=True)
+    uniq = validate_dataset(ds, _with_unique(simple_schema, "k"))
+    assert plain.counts == {("my_int", "min_max_test"): 6, ("animal", "enum_test"): 3}
+    assert {k: v for k, v in uniq.counts.items() if k[1] != "unique_test"} == plain.counts
+    assert uniq.counts[("k", "unique_test")] == 4
+    assert uniq.row_count == plain.row_count == 12
