@@ -16,9 +16,13 @@ size using PLAN METADATA ONLY — it never executes the dataset:
 * a derived, un-executed dataset contributes 0 (its provenance is the
   caller's responsibility: pass the SOURCE dataset too).
 
-Width = ceil(estimated_bytes / TARGET_PARTITION_BYTES), floored at
-``MIN_PARTITIONS`` so small inputs still spread across the node.
-Override precedence: explicit ``override`` argument >
+Width = ceil(estimated_bytes / TARGET_PARTITION_BYTES), floored at the
+caller's ``floor``. Most callers take the default ``MIN_PARTITIONS`` so
+small inputs still spread across the node. The validation stream's fold
+and uniqueness exchange pass ``floor=cluster_cpus()`` instead: its work
+is one task per block group and per partition, so partitions beyond the
+CPU count only add tasks and objects (a 1-CPU box gets P = 1, a 32-CPU
+node P = 32). Override precedence: explicit ``override`` argument >
 ``DATA_LINTER_RAY_SHUFFLE_PARTITIONS`` env var > derivation.
 """
 
@@ -27,7 +31,8 @@ from __future__ import annotations
 import math
 import os
 
-#: floor — small inputs still fan out across one node's cores
+#: default floor — small inputs still fan out across one node's cores
+#: (the validation stream floors at the cluster's CPU count instead)
 MIN_PARTITIONS = 32
 #: target decoded bytes per exchange partition (≈1 GiB: fits a worker
 #: heap with headroom for the per-partition pandas merge)
@@ -52,6 +57,17 @@ def exchange_width(*datasets, override: int | None = None, floor: int | None = N
     return max(lo, math.ceil(total / TARGET_PARTITION_BYTES))
 
 
+def cluster_cpus() -> int:
+    """CPU count of the running Ray cluster, at least 1 (8 when Ray is
+    not initialised)."""
+    try:
+        import ray
+
+        return max(1, int(ray.cluster_resources().get("CPU", 8)))
+    except Exception:
+        return 8
+
+
 def join_width(*datasets, override: int | None = None) -> int:
     """Partition count for Ray Data's HASH JOIN (``Dataset.join``).
 
@@ -65,13 +81,7 @@ def join_width(*datasets, override: int | None = None) -> int:
     count, and is capped at the cluster CPUs."""
     if override:
         return int(override)
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        cpus = 8
-    return max(2, min(exchange_width(*datasets, floor=2), cpus))
+    return max(2, min(exchange_width(*datasets, floor=2), cluster_cpus()))
 
 
 def _estimated_bytes(ds) -> int:

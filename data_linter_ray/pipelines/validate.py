@@ -229,31 +229,32 @@ def _block_refs(ds: Dataset) -> list:
 
 def _fold_count_partials(
     mat: Dataset, unique_cols: list[str], n: Optional[int]
-) -> tuple[dict, int, list, list]:
-    """The single pass over the materialized stream: ~2×P
-    :func:`_fold_block_group` tasks. Returns ({(column, test): n},
-    row_count, per-bucket lists of bucket refs (none without
-    ``unique_cols``), one violation-head ref per task)."""
+) -> tuple[dict, int, list, list, list]:
+    """The single pass over the materialized stream: one
+    :func:`_fold_block_group` task per group of ~1/(2×P) of its blocks,
+    P = the exchange width floored at the cluster's CPU count (the bytes
+    derivation still widens P for streams past ~1 GiB per partition).
+    Returns ({(column, test): n}, row_count, the block groups (lists of
+    block refs), per-bucket lists of bucket refs (none without
+    ``unique_cols``), one violation-head ref per group)."""
     import ray
 
-    from data_linter_ray.exchange import exchange_width
+    from data_linter_ray.exchange import cluster_cpus, exchange_width
 
-    P = exchange_width(mat)
+    P = exchange_width(mat, floor=cluster_cpus())
     num_parts = P if unique_cols else 0
     fold_task = ray.remote(_fold_block_group).options(num_returns=num_parts + 2)
     block_refs = _block_refs(mat)
-    group = max(1, len(block_refs) // (2 * P))
-    outs = [
-        fold_task.remote(num_parts, n, *block_refs[i : i + group])
-        for i in range(0, len(block_refs), group)
-    ]
+    size = max(1, len(block_refs) // (2 * P))
+    groups = [block_refs[i : i + size] for i in range(0, len(block_refs), size)]
+    outs = [fold_task.remote(num_parts, n, *g) for g in groups]
     counts: dict[tuple[str, str], int] = {}
     for d in ray.get([o[-2] for o in outs]):
         for k, v in d.items():
             counts[k] = counts.get(k, 0) + v
     row_count = counts.pop((ROWS_KEY, ROWS_KEY), 0)
     buckets = list(zip(*(o[:-2] for o in outs)))
-    return counts, row_count, buckets, [o[-1] for o in outs]
+    return counts, row_count, groups, buckets, [o[-1] for o in outs]
 
 
 def _detect_bucket(cap: int, n_cols: int, *parts):
@@ -288,19 +289,24 @@ def _detect_bucket(cap: int, n_cols: int, *parts):
     return np.stack([dup_code, dup_h, dup_n]), col_counts
 
 
-def _report_block(block: pa.Table, dup_h):
-    """Ray task: recover key strings for duplicated hashes from one block."""
+def _report_block(dup_h, *blocks):
+    """Ray task: recover key strings for duplicated hashes from one fold
+    block group (the blocks as *args, as in :func:`_fold_block_group`)."""
     import pyarrow.compute as pc
 
-    if not block.num_rows:  # may carry the input's schema, see _fold_block_group
-        return block
-    sub = block.filter(
-        pc.and_(
-            pc.equal(block["kind"], 2),
-            pc.fill_null(pc.is_in(block["h"], value_set=dup_h), False),
-        )
+    # an empty block may carry the input's schema, see _fold_block_group
+    blocks = [b for b in blocks if b.num_rows] or [INTERNAL_SCHEMA.empty_table()]
+    return pa.concat_tables(
+        [
+            b.filter(
+                pc.and_(
+                    pc.equal(b["kind"], 2),
+                    pc.fill_null(pc.is_in(b["h"], value_set=dup_h), False),
+                )
+            ).select(["cc", "value", "h"])
+            for b in blocks
+        ]
     )
-    return sub.select(["cc", "value", "h"])
 
 
 def _finalize_unique_violations(dup_n: dict, unique_cols: list[str], *hit_tables):
@@ -331,11 +337,14 @@ UNIQUE_REPORT_CAP = 1_000_000
 
 
 def _uniqueness_from_preagg(
-    mat: Dataset, buckets: list[tuple], unique_cols: list[str]
+    groups: list[list], buckets: list[tuple], unique_cols: list[str]
 ) -> tuple[Dataset, dict, bool]:
     """Global duplicate detection over the kind-2 pre-aggregates that
     :func:`_fold_count_partials` hash-partitioned into ``buckets`` — the
-    reduce side of a MANUAL hash exchange with raw Ray tasks.
+    reduce side of a MANUAL hash exchange with raw Ray tasks: one detect
+    task per bucket (P of them), then, only if a key is duplicated, one
+    :func:`_report_block` task per fold block group in ``groups`` and one
+    finalize task.
 
     Rationale (measured, Ray 2.49 local): Ray Data's sort-based
     ``groupby().map_groups`` costs ~1ms per *output group row* here —
@@ -353,9 +362,10 @@ def _uniqueness_from_preagg(
 
     Driver memory is bounded: the verdict COUNTS are always exact
     (folded vectorized inside the reduce tasks), but the duplicate-key
-    REPORT rows are capped at the ``UNIQUE_REPORT_CAP`` most-duplicated
-    keys overall — the 3rd return value flags truncation (mirrors the
-    similarity ops' ``truncated`` convention; full violation detail for
+    REPORT rows are capped at ``UNIQUE_REPORT_CAP`` keys overall (each
+    of the P buckets keeps its cap/P most-duplicated keys, so the global
+    cap holds at any width) — the 3rd return value flags truncation
+    (mirrors the similarity ops' ``truncated`` convention; full detail for
     such adversarial inputs lives in the sunk parquet, not the driver).
 
     Returns (violation rows Dataset, {(col, unique_test): n},
@@ -388,7 +398,7 @@ def _uniqueness_from_preagg(
         return rd.from_arrow(VIOLATION_SCHEMA.empty_table()), counts, truncated
 
     dup_h = pa.array(np.array([h for (_, h) in dup_n], dtype=np.int64))
-    hit_refs = [report_task.remote(b, dup_h) for b in _block_refs(mat)]
+    hit_refs = [report_task.remote(dup_h, *g) for g in groups]
     final_ref = finalize_task.remote(dup_n, unique_cols, *hit_refs)
     return rd.from_arrow_refs([final_ref]), counts, truncated
 
@@ -567,13 +577,13 @@ def validate_dataset(
     violation_parts: list[Dataset] = [
         mat.map_batches(_keep_violations, batch_format="pyarrow")
     ]
-    counts, row_count, buckets, heads = _fold_count_partials(
+    counts, row_count, groups, buckets, heads = _fold_count_partials(
         mat, unique_cols, log_verbosity
     )
     unique_truncated = False
     if unique_cols:
         uniq_viol, uniq_counts, unique_truncated = _uniqueness_from_preagg(
-            mat, buckets, unique_cols
+            groups, buckets, unique_cols
         )
         violation_parts.append(uniq_viol)
         counts.update(uniq_counts)

@@ -65,22 +65,29 @@ class _BroadcastAntiJoin:
 
 
 def distinct_key_set(ref_ds: Dataset | pa.Array, pk: str) -> pa.Array:
-    """Distinct PK values as one Arrow array (two-level: per-block unique
-    first, so only uniques reach the driver). Accepts a precomputed
-    pa.Array passthrough so callers can skip the scan entirely."""
+    """Distinct PK values (a null counts once) as one Arrow array: a
+    driver fold of per-block ``unique()`` results as the blocks arrive,
+    so the driver holds about the distinct set and no all-to-all
+    aggregate runs. Accepts a precomputed pa.Array passthrough so callers
+    can skip the scan entirely."""
     if isinstance(ref_ds, (pa.Array, pa.ChunkedArray)):
         return ref_ds if isinstance(ref_ds, pa.Array) else ref_ds.combine_chunks()
-    distinct = (
-        ref_ds.select_columns([pk])
-        .map_batches(
-            lambda t: pa.Table.from_arrays(
-                [t[pk].combine_chunks().unique()], names=[pk]
-            ),
-            batch_format="pyarrow",
-        )
-        .unique(pk)
-    )
-    return pa.array(distinct, type=ref_ds.schema().base_schema.field(pk).type)
+    parts: list[pa.Array] = []
+    held = 0
+    for t in ref_ds.select_columns([pk]).iter_batches(
+        batch_size=None, batch_format="pyarrow"
+    ):
+        parts.append(t[pk].unique())
+        held += len(parts[-1])
+        # re-dedupe once the pending block uniques outgrow the folded
+        # set: the driver holds ~2x the distinct set plus one block, and
+        # the re-hashing stays linear in the values read
+        if len(parts) > 1 and held > 2 * len(parts[0]):
+            parts = [pa.concat_arrays(parts).unique()]
+            held = len(parts[0])
+    if not parts:
+        return pa.array([], type=ref_ds.schema().base_schema.field(pk).type)
+    return parts[0] if len(parts) == 1 else pa.concat_arrays(parts).unique()
 
 
 def referential_violations_broadcast(

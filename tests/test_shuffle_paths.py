@@ -311,3 +311,23 @@ def test_bloom_filter_properties():
 
     rt = BloomFilter.from_bytes(bf.to_bytes())
     assert rt.m == bf.m and rt.k == bf.k and (rt.bits == bf.bits).all()
+
+
+def test_distinct_key_set_folds_blocks_on_driver(ray_session):
+    """Per-block uniques folded on the driver: a duplicate spanning blocks
+    counts once, a null is kept once, the column type is preserved, and
+    the pa.Array passthrough is untouched."""
+    from data_linter_ray.stages.referential import distinct_key_set
+
+    blocks = [
+        pa.table({"id": pa.array(v, pa.string())})
+        for v in (["a"], ["b", None, "a"], ["b", None, "c"], [])
+    ]
+    got = distinct_key_set(ray.data.from_arrow(blocks), "id")
+    assert isinstance(got, pa.Array) and got.type == pa.string()
+    assert len(got) == 4
+    assert set(got.to_pylist()) == {"a", "b", "c", None}
+    arr = pa.array([1, 2, 2])
+    assert distinct_key_set(arr, "id") is arr
+    empty = ray.data.from_arrow(pa.table({"id": pa.array([], pa.int32())}))
+    assert distinct_key_set(empty, "id").type == pa.int32()

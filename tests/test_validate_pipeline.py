@@ -381,3 +381,98 @@ def test_counts_same_with_and_without_unique_column(ray_session, simple_schema):
     assert {k: v for k, v in uniq.counts.items() if k[1] != "unique_test"} == plain.counts
     assert uniq.counts[("k", "unique_test")] == 4
     assert uniq.row_count == plain.row_count == 12
+
+
+def _spanning_dup_blocks(n_blocks: int) -> list:
+    """``n_blocks`` blocks with min_max/enum violations and a unique column
+    ``k`` whose duplicates span the first and last blocks (different fold
+    groups at any width) plus one within-block duplicate."""
+    blocks = []
+    for b in range(n_blocks):
+        keys = [f"b{b}r{r}" for r in range(4)]
+        if b in (0, n_blocks - 1):
+            keys[0] = "d0"
+        if b in (1, n_blocks // 2):
+            keys[1] = "d1"
+        if b == 2:
+            keys[2] = keys[3] = "w"
+        blocks.append(
+            table([5 + b, 15, 25 + b, 18], ["cat", "cow", "dog", f"pig{b}"]).append_column(
+                "k", pa.array(keys)
+            )
+        )
+    return blocks
+
+
+def test_validate_width_invariant(ray_session, simple_schema, monkeypatch):
+    """The stream's fold/exchange width is a knob, not a semantic: widths
+    1, 3 and 32 give the same counts, row count, truncation flag,
+    violation rows and value samples."""
+    from data_linter_ray.exchange import ENV_VAR
+
+    schema = _with_unique(simple_schema, "k")
+    ds = ray.data.from_arrow(_spanning_dup_blocks(8))
+    outs = []
+    for width in ("1", "3", "32"):
+        monkeypatch.setenv(ENV_VAR, width)
+        res = validate_dataset(ds, schema, id_column="k", log_verbosity=2)
+        viol = sorted(
+            res.violations.to_pandas().itertuples(index=False, name=None),
+            key=lambda r: tuple(map(str, r)),
+        )
+        outs.append(
+            (res.counts, res.row_count, res.unique_report_truncated, viol,
+             res.response.get_result())
+        )
+    counts, row_count, truncated, viol, _ = outs[0]
+    assert counts[("k", "unique_test")] == 3
+    assert row_count == 32 and truncated is False
+    assert ("d0", "k", "unique_test", "2") in viol
+    assert outs[1] == outs[0]
+    assert outs[2] == outs[0]
+
+
+def test_stream_width_is_cluster_cpus(ray_session, simple_schema, monkeypatch, tmp_path):
+    """A small stream's fold/exchange width is the cluster's CPU count (4
+    in the test session), not MIN_PARTITIONS, and the duplicate report
+    runs one task per fold block group, not one per stream block."""
+    from data_linter_ray import exchange
+    from data_linter_ray.pipelines import validate as vmod
+
+    monkeypatch.delenv(exchange.ENV_VAR, raising=False)
+    widths: list[int] = []
+    width_fn = exchange.exchange_width
+
+    def record_width(*a, **kw):
+        widths.append(width_fn(*a, **kw))
+        return widths[-1]
+
+    folds: list[tuple[int, int]] = []
+    fold_fn = vmod._fold_count_partials
+
+    def record_fold(mat, *a):
+        out = fold_fn(mat, *a)
+        folds.append((mat.num_blocks(), len(out[2])))
+        return out
+
+    report_fn = vmod._report_block
+    marks = str(tmp_path)
+
+    def marked_report(*a):
+        import os
+        import uuid
+
+        open(os.path.join(marks, uuid.uuid4().hex), "w").close()
+        return report_fn(*a)
+
+    monkeypatch.setattr(exchange, "exchange_width", record_width)
+    monkeypatch.setattr(vmod, "_fold_count_partials", record_fold)
+    monkeypatch.setattr(vmod, "_report_block", marked_report)
+    res = validate_dataset(
+        ray.data.from_arrow(_spanning_dup_blocks(20)), _with_unique(simple_schema, "k")
+    )
+    assert res.counts[("k", "unique_test")] == 3
+    assert widths == [int(ray.cluster_resources()["CPU"])] == [4]
+    [(n_blocks, n_groups)] = folds
+    assert n_blocks == 20 and n_groups == 10  # ~2 groups per partition
+    assert len(list(tmp_path.iterdir())) == n_groups
