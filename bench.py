@@ -247,13 +247,14 @@ def main() -> int:
     p.add_argument("--n-docs", type=int, default=None)
     args = p.parse_args()
     result = scaling_run(args) if args.scaling else single_run(args)
-    # The driver tail-captures stdout and parses the LAST line as JSON;
-    # round 3's single giant line (143 per-query timings) got its head
-    # truncated and parsed as null.  Emit the bulky per-query map on its
-    # own line FIRST, then a short (<500 byte) summary as the last line.
+    # Callers that keep only a bounded tail of stdout parse the LAST line
+    # as JSON: one short ``query <name> <seconds>`` line per query (a
+    # single JSON map of them outgrew such a tail), then a short summary
+    # as the last line.
     queries = result.pop("queries", {})
     if queries:
-        print(json.dumps({"per_query_seconds": queries, "sf": result.get("sf")}))
+        for name, secs in queries.items():
+            print(f"query {name} {secs}")
         result["n_queries"] = len(queries)
         result["queries_total_seconds"] = round(sum(queries.values()), 1)
     result["queries"] = {}

@@ -109,19 +109,32 @@ def _estimated_bytes(ds) -> int:
     return total * DECODE_INFLATION
 
 
+def split_by_partition(t, part, num_partitions: int) -> list:
+    """Split table ``t`` by the int64 partition vector ``part`` (values
+    in [0, num_partitions)): a stable argsort, then one slice per
+    partition, so partition i holds the rows with ``part == i`` in table
+    order. The scatter side of every manual exchange."""
+    import numpy as np
+    import pyarrow as pa
+
+    order = np.argsort(part, kind="stable")
+    bounds = np.searchsorted(part[order], np.arange(num_partitions + 1))
+    st = t.take(pa.array(order))
+    return [st.slice(bounds[i], bounds[i + 1] - bounds[i]) for i in range(num_partitions)]
+
+
 def keyed_scatter_gather(
     mat,
     part_col: str,
     num_partitions: int,
     reduce_fn,
     *,
-    skip_empty: bool = False,
     empty_schema=None,
 ):
     """Manual hash exchange: scatter a MATERIALIZED dataset's blocks by
     an int64 partition column in [0, num_partitions), gather each
-    partition in one reduce task, return the reduced blocks as a new
-    Dataset (``from_arrow_refs`` — nothing lands on the driver).
+    non-empty partition in one reduce task, return the reduced blocks as
+    a new Dataset (``from_arrow_refs`` — nothing lands on the driver).
 
     Why not ``groupby(part_col).map_groups``: Ray Data's sort-based
     groupby samples key values to pick reduce boundaries; any key
@@ -131,16 +144,12 @@ def keyed_scatter_gather(
     exchange is deterministic: partition i IS key i. All tasks are pure
     functions of their inputs, so lineage-based retry holds.
 
-    ``reduce_fn(part_index, table) -> table`` runs once per partition
-    and MUST return a consistently-typed table even for empty input
-    (pin the schema — mixed block schemas bite downstream consumers).
-
-    With ``skip_empty=True`` the scatter side also returns a per-
-    partition row-count vector (one extra tiny return per scatter task,
-    like the counts dict of validate's ``_fold_block_group``); the driver
-    folds the counts and schedules reduce tasks ONLY for non-empty
-    partitions, so ``reduce_fn`` never sees empty input and needs no
-    pinned empty schema. An all-empty exchange returns an empty zero-column dataset.
+    ``reduce_fn(part_index, table) -> table`` runs once per NON-EMPTY
+    partition: each scatter task also returns its per-partition row
+    counts (one tiny extra return), the driver folds them and schedules
+    reduce tasks only where rows landed, so ``reduce_fn`` never sees
+    empty input. An all-empty exchange returns
+    ``empty_schema.empty_table()`` (a zero-column table without it).
 
     Width scaling: blocks are grouped so at most ~2P scatter tasks run,
     each returning P objects — object-count is O(P²), fine at the
@@ -163,59 +172,31 @@ def keyed_scatter_gather(
         # the reduce side regardless, so skip empty inputs wholesale.
         tables = [t for t in tables if t.num_rows]
         if not tables:
-            out = [pa.table({})] * P
-            if skip_empty:
-                out.append(np.zeros(P, np.int64))
-            return out[0] if len(out) == 1 else tuple(out)
+            return tuple([pa.table({})] * P) + (np.zeros(P, np.int64),)
         t = tables[0] if len(tables) == 1 else pa.concat_tables(tables)
         pv = t[part_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(pv, kind="stable")
-        st = t.take(pa.array(order))
-        bounds = np.searchsorted(pv[order], np.arange(P + 1))
-        out = [st.slice(bounds[i], bounds[i + 1] - bounds[i]) for i in range(P)]
-        if skip_empty:
-            out.append(np.diff(bounds).astype(np.int64))
-        return out[0] if len(out) == 1 else tuple(out)
+        out = split_by_partition(t, pv, P)
+        return tuple(out) + (np.array([p.num_rows for p in out], np.int64),)
 
     def _reduce(i, *parts):
-        parts = [p for p in parts if p.num_rows]
-        if not parts:
-            merged = None
-        elif len(parts) == 1:
-            merged = parts[0]
-        else:
-            merged = pa.concat_tables(parts)
-        return reduce_fn(i, merged)
+        return reduce_fn(i, pa.concat_tables([p for p in parts if p.num_rows]))
 
-    scatter_task = ray.remote(_scatter)
+    scatter_task = ray.remote(_scatter).options(num_returns=P + 1)
     reduce_task = ray.remote(_reduce)
 
     block_refs = [
         r for bundle in mat.iter_internal_ref_bundles() for r in bundle.block_refs
     ]
-    if not block_refs:
-        if skip_empty:
-            return rd.from_arrow(
-                empty_schema.empty_table() if empty_schema is not None else pa.table({})
-            )
-        return rd.from_arrow_refs([reduce_task.remote(0)])
     # group blocks so scatter-task (and returned-ref) count stays ~2×P
     group = max(1, len(block_refs) // (2 * P))
     groups = [block_refs[i : i + group] for i in range(0, len(block_refs), group)]
-    n_ret = P + 1 if skip_empty else P
-    per_block = [
-        scatter_task.options(num_returns=n_ret).remote(*g) if n_ret > 1
-        else [scatter_task.remote(*g)]
-        for g in groups
-    ]
-    live = range(P)
-    if skip_empty:
-        counts = np.sum(ray.get([pb[P] for pb in per_block]), axis=0)
-        live = [p for p in range(P) if counts[p] > 0]
-        if not live:
-            return rd.from_arrow(
-                empty_schema.empty_table() if empty_schema is not None else pa.table({})
-            )
+    per_block = [scatter_task.remote(*g) for g in groups]
+    counts = np.sum([np.zeros(P, np.int64)] + ray.get([pb[P] for pb in per_block]), axis=0)
+    live = [p for p in range(P) if counts[p] > 0]
+    if not live:
+        return rd.from_arrow(
+            empty_schema.empty_table() if empty_schema is not None else pa.table({})
+        )
     reduced = [
         reduce_task.remote(p, *[pb[p] for pb in per_block]) for p in live
     ]
@@ -250,6 +231,5 @@ def exchange_map_groups(
 
     mat = ds if type(ds).__name__ == "MaterializedDataset" else ds.materialize()
     return keyed_scatter_gather(
-        mat, part_col, num_partitions, reduce, skip_empty=True,
-        empty_schema=empty_schema,
+        mat, part_col, num_partitions, reduce, empty_schema=empty_schema
     )

@@ -87,9 +87,7 @@ def retention_matrix(
             }
         )
 
-    def reduce_cell_counts(i: int, t: pa.Table | None) -> pa.Table:
-        if t is None or t.num_rows == 0:
-            return _PART_SCHEMA.empty_table()
+    def reduce_cell_counts(i: int, t: pa.Table) -> pa.Table:
         df = t.select(["u", "p"]).to_pandas().drop_duplicates()
         cohort = df.groupby("u", sort=False)["p"].transform("min")
         cells = (
@@ -105,7 +103,9 @@ def retention_matrix(
         .map_batches(pair_partial, batch_format="pyarrow")
         .materialize()
     )
-    parts = keyed_scatter_gather(mat, "_part", P, reduce_cell_counts)
+    parts = keyed_scatter_gather(
+        mat, "_part", P, reduce_cell_counts, empty_schema=_PART_SCHEMA
+    )
     out = (
         pa.concat_tables(parts.iter_batches(batch_format="pyarrow", batch_size=None))
         .to_pandas()

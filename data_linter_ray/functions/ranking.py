@@ -130,9 +130,7 @@ def global_rank(
         ]
     )
 
-    def rank_part(i: int, g: pa.Table | None) -> pa.Table:
-        if g is None or g.num_rows == 0:
-            return out_schema.empty_table()
+    def rank_part(i: int, g: pa.Table) -> pa.Table:
         base = sb_base[i]
         v = g[value_col].to_numpy(zero_copy_only=False)
         sv = np.sort(v, kind="stable")
@@ -147,4 +145,4 @@ def global_rank(
         )
 
     mat = bucketed.map_batches(with_super, batch_format="pyarrow").materialize()
-    return keyed_scatter_gather(mat, "_sb", n_sb, rank_part)
+    return keyed_scatter_gather(mat, "_sb", n_sb, rank_part, empty_schema=out_schema)

@@ -5,13 +5,16 @@ Equivalent of using the reference's ``PandasValidator`` directly
 README.md:114-134), re-expressed Ray-Data-first:
 
     ds ─► map_batches(_FusedChecker: every per-batch check) ─► materialized
-    stream ─► one raw-task pass over its blocks: counts, row count, sample
-    heads, uniqueness hash buckets ─► uniqueness reduce ─┐
-    ds ─► referential shuffle (oversized dims only) ─────┴─► ValidatorResult
+    stream ─► one raw-task pass over its blocks (_fold_block_group): counts,
+    row count, sample heads, kind-2 rows split into P hash buckets ─► one
+    reduce per bucket (_detect_bucket): duplicate-key rows, counts, heads ─┐
+    ds ─► referential shuffle (oversized dims only) ───────────────────────┴─►
+    ValidatorResult
 
 Only *aggregated counts* and (optionally) bounded violation samples ever
-reach the driver; the violation row Dataset itself stays distributed and is
-returned for the caller to sink with ``write_parquet``.
+reach the driver; the violation row Dataset itself — the duplicate-key rows
+included — stays distributed and is returned for the caller to sink with
+``write_parquet``.
 """
 
 from __future__ import annotations
@@ -178,14 +181,18 @@ def _heads(t: pa.Table, n: int) -> pa.Table:
     return t.filter(pa.array(rank.to_numpy() < n))
 
 
-def _fold_block_group(num_parts: int, n: Optional[int], *blocks):
-    """Ray task: the one pass over a group of stream blocks (as *args, so
-    Ray dereferences the refs). Returns ``num_parts`` (col_code, h, n) int
-    matrices — kind-2 pre-agg rows by hash bucket, the map side of the
-    uniqueness exchange — then the kind-1 count partials as one dict, then
-    the first ``n`` kind-0 violation rows per (column, test) (or None)."""
+def _fold_block_group(num_parts: int, n: Optional[int], group: int, *blocks):
+    """Ray task: the one pass over fold group ``group`` of the stream's
+    blocks (as *args, so Ray dereferences the refs). Returns
+    ``num_parts`` tables of the kind-2 pre-agg rows by hash bucket — the
+    map side of the uniqueness exchange: (cc, h, n, value, pos), ``pos``
+    being the row's stream position ``group << 40 | row index in the
+    group`` — then the kind-1 count partials as one dict, then the first
+    ``n`` kind-0 violation rows per (column, test) (or None)."""
     import numpy as np
     import pyarrow.compute as pc
+
+    from data_linter_ray.exchange import split_by_partition
 
     # Ray Data passes empty blocks through map_batches WITHOUT calling
     # the UDF, so an empty block keeps the input's schema (no "kind")
@@ -205,22 +212,12 @@ def _fold_block_group(num_parts: int, n: Optional[int], *blocks):
     if not num_parts:
         return counts, heads
 
-    sub = block.filter(pc.equal(block["kind"], 2))
+    rows = np.flatnonzero(block["kind"].to_numpy(zero_copy_only=False) == 2)
+    sub = block.take(pa.array(rows)).select(["cc", "h", "n", "value"])
+    sub = sub.append_column("pos", pa.array((group << 40) | rows.astype(np.int64)))
     h = sub["h"].to_numpy(zero_copy_only=False)
-    cnt = sub["n"].to_numpy(zero_copy_only=False)
-    col_code = (
-        sub["cc"].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(h)
-        else np.zeros(0, dtype=np.int64)
-    )
     bucket = (h.astype(np.uint64) % np.uint64(num_parts)).astype(np.int64)
-    order = np.argsort(bucket, kind="stable")
-    hb, nb, cb, bb = h[order], cnt[order], col_code[order], bucket[order]
-    bounds = np.searchsorted(bb, np.arange(num_parts + 1))
-    return tuple(
-        np.stack([cb[bounds[i] : bounds[i + 1]], hb[bounds[i] : bounds[i + 1]], nb[bounds[i] : bounds[i + 1]]])
-        for i in range(num_parts)
-    ) + (counts, heads)
+    return tuple(split_by_partition(sub, bucket, num_parts)) + (counts, heads)
 
 
 def _block_refs(ds: Dataset) -> list:
@@ -229,14 +226,14 @@ def _block_refs(ds: Dataset) -> list:
 
 def _fold_count_partials(
     mat: Dataset, unique_cols: list[str], n: Optional[int]
-) -> tuple[dict, int, list, list, list]:
+) -> tuple[dict, int, list, list]:
     """The single pass over the materialized stream: one
     :func:`_fold_block_group` task per group of ~1/(2×P) of its blocks,
     P = the exchange width floored at the cluster's CPU count (the bytes
     derivation still widens P for streams past ~1 GiB per partition).
-    Returns ({(column, test): n}, row_count, the block groups (lists of
-    block refs), per-bucket lists of bucket refs (none without
-    ``unique_cols``), one violation-head ref per group)."""
+    Returns ({(column, test): n}, row_count, per-bucket tuples of bucket
+    refs in group order (none without ``unique_cols``), one violation-head
+    ref per group)."""
     import ray
 
     from data_linter_ray.exchange import cluster_cpus, exchange_width
@@ -246,105 +243,75 @@ def _fold_count_partials(
     fold_task = ray.remote(_fold_block_group).options(num_returns=num_parts + 2)
     block_refs = _block_refs(mat)
     size = max(1, len(block_refs) // (2 * P))
-    groups = [block_refs[i : i + size] for i in range(0, len(block_refs), size)]
-    outs = [fold_task.remote(num_parts, n, *g) for g in groups]
+    # at least one group, so an empty stream still yields P buckets
+    outs = [
+        fold_task.remote(num_parts, n, gi, *block_refs[i : i + size])
+        for gi, i in enumerate(range(0, max(1, len(block_refs)), size))
+    ]
     counts: dict[tuple[str, str], int] = {}
     for d in ray.get([o[-2] for o in outs]):
         for k, v in d.items():
             counts[k] = counts.get(k, 0) + v
     row_count = counts.pop((ROWS_KEY, ROWS_KEY), 0)
     buckets = list(zip(*(o[:-2] for o in outs)))
-    return counts, row_count, groups, buckets, [o[-1] for o in outs]
+    return counts, row_count, buckets, [o[-1] for o in outs]
 
 
-def _detect_bucket(cap: int, n_cols: int, *parts):
-    """Ray task: reduce side — sum counts per (col_code, h); keep n>1.
+def _detect_bucket(unique_cols: list[str], n: Optional[int], cap: int, *parts):
+    """Ray task: the reduce side of the uniqueness exchange — sum ``n``
+    per (cc, h) over one bucket's parts (in group order) and keep the
+    keys seen more than once. Returns three things:
 
-    Returns ``(m, col_counts)``: ``col_counts`` is the EXACT number of
-    duplicated keys per column in this bucket (feeds the verdict counts),
-    while ``m`` — the (code, h, n) triples shipped back to the driver for
-    the duplicate-key report — is capped at the ``cap`` most-duplicated
-    keys (ties broken by hash for determinism).  This bounds the driver
-    fold on adversarial inputs where #duplicated keys ~ corpus size."""
+    * the bucket's violation rows (:data:`VIOLATION_SCHEMA`: ``row_ref``
+      = the key, ``value`` = its row count), ordered by first sight;
+    * the exact number of duplicated keys per unique column;
+    * with ``n`` set, the first ``n`` of those rows per column (all of
+      them, at most ``cap``, for ``n == 0``) with their stream ``pos``,
+      so the driver's samples are the first duplicated keys in stream
+      order at any width; None otherwise."""
     import numpy as np
-
-    nonempty = [p for p in parts if p.size]
-    if not nonempty:
-        return np.zeros((3, 0), dtype=np.int64), np.zeros(n_cols, dtype=np.int64)
-    m = np.concatenate(nonempty, axis=1)
-    code, h, n = m[0], m[1], m[2]
-    order = np.lexsort((h, code))
-    code, h, n = code[order], h[order], n[order]
-    boundary = np.empty(len(h), dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (h[1:] != h[:-1]) | (code[1:] != code[:-1])
-    idx = np.flatnonzero(boundary)
-    sums = np.add.reduceat(n, idx)
-    dup = sums > 1
-    dup_code, dup_h, dup_n = code[idx][dup], h[idx][dup], sums[dup]
-    col_counts = np.bincount(dup_code, minlength=n_cols).astype(np.int64)
-    if len(dup_h) > cap:
-        top = np.lexsort((dup_h, -dup_n))[:cap]
-        dup_code, dup_h, dup_n = dup_code[top], dup_h[top], dup_n[top]
-    return np.stack([dup_code, dup_h, dup_n]), col_counts
-
-
-def _report_block(dup_h, *blocks):
-    """Ray task: recover key strings for duplicated hashes from one fold
-    block group (the blocks as *args, as in :func:`_fold_block_group`)."""
     import pyarrow.compute as pc
 
-    # an empty block may carry the input's schema, see _fold_block_group
-    blocks = [b for b in blocks if b.num_rows] or [INTERNAL_SCHEMA.empty_table()]
-    return pa.concat_tables(
-        [
-            b.filter(
-                pc.and_(
-                    pc.equal(b["kind"], 2),
-                    pc.fill_null(pc.is_in(b["h"], value_set=dup_h), False),
-                )
-            ).select(["cc", "value", "h"])
-            for b in blocks
-        ]
-    )
-
-
-def _finalize_unique_violations(dup_n: dict, unique_cols: list[str], *hit_tables):
-    """Ray task: dedupe hits per (column, h) → violation rows table."""
-    import pyarrow as pa
-
-    tbl = pa.concat_tables([t for t in hit_tables if t.num_rows])
-    if tbl.num_rows == 0:
-        return VIOLATION_SCHEMA.empty_table()
-    df = tbl.to_pandas().drop_duplicates(subset=["cc", "h"])
-    names = [unique_cols[int(c)] for c in df["cc"]]
-    ns = [dup_n.get((c, h), 0) for c, h in zip(names, df["h"])]
-    return pa.table(
+    t = pa.concat_tables(parts)
+    code = t["cc"].to_numpy(zero_copy_only=False).astype(np.int64)
+    h = t["h"].to_numpy(zero_copy_only=False)
+    # stable: rows arrive in stream order, so each key's first row is its
+    # first sight
+    order = np.lexsort((h, code))
+    code, h = code[order], h[order]
+    boundary = np.ones(len(h), dtype=bool)
+    boundary[1:] = (h[1:] != h[:-1]) | (code[1:] != code[:-1])
+    idx = np.flatnonzero(boundary)
+    sums = np.add.reduceat(t["n"].to_numpy(zero_copy_only=False)[order], idx)
+    dup = sums > 1
+    first, sums, code = order[idx][dup], sums[dup], code[idx][dup]
+    by_sight = np.argsort(first)
+    first, sums, code = first[by_sight], sums[by_sight], code[by_sight]
+    t = t.take(pa.array(first))
+    viol = pa.table(
         {
-            "row_ref": pa.array(df["value"], pa.string()),
-            "column": pa.array(names, pa.string()),
-            "test": pa.array([checks.UNIQUE_TEST] * len(df), pa.string()),
-            "value": pa.array([str(x) for x in ns], pa.string()),
+            "row_ref": t["value"],
+            "column": pa.array(unique_cols, pa.string()).take(pa.array(code)),
+            "test": pa.repeat(pa.scalar(checks.UNIQUE_TEST), t.num_rows),
+            "value": pc.cast(pa.array(sums), pa.string()),
+            "pos": t["pos"],
         }
-    ).cast(VIOLATION_SCHEMA)
-
-
-#: ceiling on duplicate keys materialized on the driver for the
-#: uniqueness REPORT (the top-N most-duplicated keys are reported; the
-#: per-column verdict counts remain exact regardless). Keeps driver
-#: memory fixed on adversarial inputs where most keys are duplicated.
-UNIQUE_REPORT_CAP = 1_000_000
+    )
+    head = None if n is None else _heads(viol, n)
+    if n == 0:
+        head = head.slice(0, cap)
+    col_counts = np.bincount(code, minlength=len(unique_cols)).astype(np.int64)
+    return viol.drop_columns(["pos"]).cast(VIOLATION_SCHEMA), col_counts, head
 
 
 def _uniqueness_from_preagg(
-    groups: list[list], buckets: list[tuple], unique_cols: list[str]
-) -> tuple[Dataset, dict, bool]:
+    buckets: list[tuple], unique_cols: list[str], n: Optional[int]
+) -> tuple[Dataset, dict, Optional[pa.Table]]:
     """Global duplicate detection over the kind-2 pre-aggregates that
     :func:`_fold_count_partials` hash-partitioned into ``buckets`` — the
-    reduce side of a MANUAL hash exchange with raw Ray tasks: one detect
-    task per bucket (P of them), then, only if a key is duplicated, one
-    :func:`_report_block` task per fold block group in ``groups`` and one
-    finalize task.
+    reduce side of a MANUAL hash exchange with raw Ray tasks: one
+    :func:`_detect_bucket` task per bucket (P of them), whose violation
+    rows become the returned Dataset without reaching the driver.
 
     Rationale (measured, Ray 2.49 local): Ray Data's sort-based
     ``groupby().map_groups`` costs ~1ms per *output group row* here —
@@ -354,53 +321,36 @@ def _uniqueness_from_preagg(
     (SURVEY.md §2 "raw Ray tasks only where the Dataset API can't
     express the semantics" — here it can't express it *efficiently*).
 
-    Exchange payload is (col_code, h, n) int64 triples — never key
-    strings; key strings for the duplicate report are recovered from the
-    already-materialized stream by a broadcast filter pass. 64-bit key
-    hashing: collision probability stays negligible below ~10^9 distinct
-    keys per column; swap in a 128-bit hash beyond that.
+    Exchange payload is the kind-2 rows themselves — (cc, h, n) plus
+    the key string and stream position — so the reduce emits the report
+    rows directly. 64-bit key hashing: collision probability stays
+    negligible below ~10^9 distinct keys per column; swap in a 128-bit
+    hash beyond that.
 
-    Driver memory is bounded: the verdict COUNTS are always exact
-    (folded vectorized inside the reduce tasks), but the duplicate-key
-    REPORT rows are capped at ``UNIQUE_REPORT_CAP`` keys overall (each
-    of the P buckets keeps its cap/P most-duplicated keys, so the global
-    cap holds at any width) — the 3rd return value flags truncation
-    (mirrors the similarity ops' ``truncated`` convention; full detail for
-    such adversarial inputs lives in the sunk parquet, not the driver).
-
-    Returns (violation rows Dataset, {(col, unique_test): n},
-    report_truncated)."""
+    The driver holds per-column count vectors and, only with ``n`` set,
+    the detect tasks' bounded sample heads (merged into stream order);
+    no per-key state. Returns (violation rows Dataset, {(col,
+    unique_test): n}, the sample head table or None)."""
     import numpy as np
     import ray
     import ray.data as rd
 
-    detect_task = ray.remote(_detect_bucket)
-    report_task = ray.remote(_report_block)
-    finalize_task = ray.remote(_finalize_unique_violations)
-
-    cap = max(1, UNIQUE_REPORT_CAP // max(1, len(buckets)))
-    dup_parts = ray.get(
-        [detect_task.remote(cap, len(unique_cols), *refs) for refs in buckets]
-    )
-
-    counts: dict[tuple[str, str], int] = {}
-    total_per_col = np.zeros(len(unique_cols), dtype=np.int64)
-    dup_n: dict[tuple[str, int], int] = {}
-    for m, col_counts in dup_parts:
-        total_per_col += col_counts
-        for code, h, n in m.T:  # bounded by the per-bucket cap
-            dup_n[(unique_cols[int(code)], int(h))] = int(n)
-    for i, col in enumerate(unique_cols):
-        if total_per_col[i]:
-            counts[(col, checks.UNIQUE_TEST)] = int(total_per_col[i])
-    truncated = len(dup_n) < int(total_per_col.sum())
-    if not dup_n:
-        return rd.from_arrow(VIOLATION_SCHEMA.empty_table()), counts, truncated
-
-    dup_h = pa.array(np.array([h for (_, h) in dup_n], dtype=np.int64))
-    hit_refs = [report_task.remote(dup_h, *g) for g in groups]
-    final_ref = finalize_task.remote(dup_n, unique_cols, *hit_refs)
-    return rd.from_arrow_refs([final_ref]), counts, truncated
+    P = len(buckets)
+    detect_task = ray.remote(_detect_bucket).options(num_returns=3)
+    outs = [
+        detect_task.remote(unique_cols, n, max(1, SAMPLE_ALL_CAP // P), *refs)
+        for refs in buckets
+    ]
+    total_per_col = np.sum(ray.get([o[1] for o in outs]), axis=0)
+    counts = {
+        (col, checks.UNIQUE_TEST): int(total_per_col[i])
+        for i, col in enumerate(unique_cols)
+        if total_per_col[i]
+    }
+    head = None
+    if n is not None:
+        head = pa.concat_tables(ray.get([o[2] for o in outs])).sort_by("pos")
+    return rd.from_arrow_refs([o[0] for o in outs]), counts, head
 
 
 @dataclass
@@ -409,9 +359,6 @@ class TableValidationResult:
     violations: Optional[Dataset]
     row_count: int = 0
     counts: dict = field(default_factory=dict)  # (column, test) -> n_violations
-    #: True when the duplicate-key REPORT rows were capped at
-    #: UNIQUE_REPORT_CAP (counts stay exact; see _uniqueness_from_preagg)
-    unique_report_truncated: bool = False
 
     @property
     def valid(self) -> bool:
@@ -577,25 +524,27 @@ def validate_dataset(
     violation_parts: list[Dataset] = [
         mat.map_batches(_keep_violations, batch_format="pyarrow")
     ]
-    counts, row_count, groups, buckets, heads = _fold_count_partials(
+    counts, row_count, buckets, heads = _fold_count_partials(
         mat, unique_cols, log_verbosity
     )
-    unique_truncated = False
     if unique_cols:
-        uniq_viol, uniq_counts, unique_truncated = _uniqueness_from_preagg(
-            groups, buckets, unique_cols
+        uniq_viol, uniq_counts, uniq_head = _uniqueness_from_preagg(
+            buckets, unique_cols, log_verbosity
         )
         violation_parts.append(uniq_viol)
         counts.update(uniq_counts)
+        if uniq_head is not None:
+            heads.append(uniq_head)
+    ref_parts: list[Dataset] = []
     for fk, (target, pk) in shuffle_refs.items():
         from data_linter_ray.stages.referential import referential_violations_shuffle
 
         part = referential_violations_shuffle(ds, fk, target, pk).materialize()
         counts[(fk, checks.REFERENTIAL_TEST)] = part.count()
-        violation_parts.append(part)
+        ref_parts.append(part)
 
     violations = violation_parts[0]
-    for part in violation_parts[1:]:
+    for part in violation_parts[1:] + ref_parts:
         violations = violations.union(part)
     counts = {k: v for k, v in counts.items() if v}
 
@@ -629,8 +578,8 @@ def validate_dataset(
 
     samples: dict[tuple[str, str], tuple[list, list]] = {}
     if log_verbosity is not None and counts:
-        # violation_parts[0] is the stream's kind-0 view: the fold took its heads
-        samples = _collect_samples(heads, violation_parts[1:], log_verbosity)
+        # the fold and the uniqueness reduce already took their heads
+        samples = _collect_samples(heads, ref_parts, log_verbosity)
 
     _build_response(
         response, plan, schema, counts, row_count, samples, log_verbosity,
@@ -641,7 +590,6 @@ def validate_dataset(
         violations=violations,
         row_count=row_count,
         counts=counts,
-        unique_report_truncated=unique_truncated,
     )
 
 
@@ -656,10 +604,12 @@ def _collect_samples(
     heads: list, others: list[Dataset], n: int
 ) -> dict[tuple[str, str], tuple[list, list]]:
     """Per-(column,test) bounded samples of (row_ref, value): a driver
-    merge of the stream's violation heads, then of :func:`_heads` of each
-    block of the ``others`` violation Datasets, fetched one at a time.
-    n == 0 means "all" (reference semantics); at most SAMPLE_ALL_CAP rows
-    are kept, so the driver holds the cap plus one fetched head."""
+    merge of ``heads`` (violation-head tables or refs to them: the
+    stream's, then the uniqueness reduce's), then of :func:`_heads` of
+    each block of the ``others`` violation Datasets, fetched one at a
+    time. n == 0 means "all" (reference semantics); at most
+    SAMPLE_ALL_CAP rows are kept, so the driver holds the cap plus one
+    fetched head."""
     import ray
 
     head_task = ray.remote(_heads)
@@ -667,7 +617,7 @@ def _collect_samples(
     out: dict[tuple[str, str], tuple[list, list]] = {}
     kept = 0
     for ref in refs:
-        t = ray.get(ref)
+        t = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
         if not t.num_rows:
             continue
         for c, test, r, v in zip(

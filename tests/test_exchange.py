@@ -33,7 +33,7 @@ def test_partition_isolation_and_coverage(ray_session):
         )
 
     out = (
-        keyed_scatter_gather(mat, "_part", 5, reduce_fn, skip_empty=True)
+        keyed_scatter_gather(mat, "_part", 5, reduce_fn)
         .to_pandas()
         .sort_values("part")
     )
@@ -56,7 +56,7 @@ def test_skip_empty_partitions_never_reach_reduce(ray_session):
         assert tbl is not None and tbl.num_rows > 0
         return pa.table({"part": pa.array([i], pa.int64())})
 
-    out = keyed_scatter_gather(mat, "_part", 5, reduce_fn, skip_empty=True).to_pandas()
+    out = keyed_scatter_gather(mat, "_part", 5, reduce_fn).to_pandas()
     assert sorted(out["part"]) == [0, 4]
 
 
@@ -65,7 +65,6 @@ def test_width_one(ray_session):
     out = keyed_scatter_gather(
         mat, "_part", 1,
         lambda i, t: pa.table({"n": pa.array([t.num_rows], pa.int64())}),
-        skip_empty=True,
     ).to_pandas()
     assert out["n"].tolist() == [50]
 
@@ -73,9 +72,7 @@ def test_width_one(ray_session):
 def test_all_empty_returns_empty_dataset(ray_session):
     t = pa.table({"v": pa.array([], pa.int64()), "_part": pa.array([], pa.int64())})
     mat = ray.data.from_arrow(t).materialize()
-    out = keyed_scatter_gather(
-        mat, "_part", 4, lambda i, t: t, skip_empty=True
-    )
+    out = keyed_scatter_gather(mat, "_part", 4, lambda i, t: t)
     assert out.count() == 0
 
 

@@ -119,17 +119,26 @@ def test_uniqueness(ray_session):
     viol = res.violations.to_pandas()
     dup = dict(zip(viol["row_ref"], viol["value"]))
     assert dup == {"a": "3", "b": "2"}
-    assert res.unique_report_truncated is False
 
 
-def test_uniqueness_report_cap_heavy_skew(ray_session, monkeypatch):
+def test_uniqueness_null_keys_count_as_one_duplicate(ray_session):
+    """Pinned policy: nulls in a unique column compare EQUAL, so two nulls
+    are one duplicated key with a null ``row_ref`` (SQL UNIQUE would treat
+    them as distinct; changing that is an explicit policy decision)."""
+    schema = TableSchema(
+        name="t", columns=[ColumnSpec(name="k", type="string", unique=True)]
+    )
+    res = validate_dataset(make_ds(pa.table({"k": ["a", None, None, "b"]})), schema)
+    assert res.counts == {("k", "unique_test"): 1}
+    viol = list(res.violations.to_pandas().itertuples(index=False, name=None))
+    assert viol == [(None, "k", "unique_test", "2")]
+
+
+def test_uniqueness_heavy_skew_reports_every_key(ray_session):
     """Adversarial skew: 1M rows where EVERY key is duplicated (500k
-    duplicated keys). With the report cap forced low the driver fold
-    stays fixed-size — counts remain exact, report rows are the top-N
-    most-duplicated keys, and the truncation flag is raised."""
+    duplicated keys). The reduce tasks emit every duplicated key with its
+    exact count, and no per-key state reaches the driver."""
     import numpy as np
-
-    from data_linter_ray.pipelines import validate as vmod
 
     n = 1_000_000
     schema = TableSchema(
@@ -138,23 +147,21 @@ def test_uniqueness_report_cap_heavy_skew(ray_session, monkeypatch):
 
     def gen(batch):
         i = batch["id"].to_numpy()
-        # key j appears twice, except key 0 which appears 4 times (the
-        # top-duplicated key the capped report must keep)
+        # key j appears twice, except key 0 which appears 4 times
         k = np.where(i < 4, 0, i // 2)
         return pa.table({"k": pa.array(np.char.add("k", k.astype("U7")))})
 
     ds = ray.data.range(n, override_num_blocks=16).map_batches(
         gen, batch_format="pyarrow"
     )
-    monkeypatch.setattr(vmod, "UNIQUE_REPORT_CAP", 1_000)
     res = validate_dataset(ds, schema, id_column="k")
     assert not res.valid
-    assert res.counts[("k", "unique_test")] == n // 2 - 1  # exact, uncapped
-    assert res.unique_report_truncated is True
+    assert res.counts[("k", "unique_test")] == n // 2 - 1
     viol = res.violations.to_pandas()
-    assert 0 < len(viol) <= 1_000 + 64  # ≤ cap + one per-bucket remainder
-    top = dict(zip(viol["row_ref"], viol["value"]))
-    assert top["k0"] == "4"  # most-duplicated key survives the cap
+    assert len(viol) == n // 2 - 1
+    got = dict(zip(viol["row_ref"], viol["value"]))
+    assert got.pop("k0") == "4"
+    assert got == {f"k{j}": "2" for j in range(2, n // 2)}
 
 
 def test_uniqueness_more_than_128_columns(ray_session):
@@ -406,8 +413,8 @@ def _spanning_dup_blocks(n_blocks: int) -> list:
 
 def test_validate_width_invariant(ray_session, simple_schema, monkeypatch):
     """The stream's fold/exchange width is a knob, not a semantic: widths
-    1, 3 and 32 give the same counts, row count, truncation flag,
-    violation rows and value samples."""
+    1, 3 and 32 give the same counts, row count, violation rows and value
+    samples."""
     from data_linter_ray.exchange import ENV_VAR
 
     schema = _with_unique(simple_schema, "k")
@@ -420,14 +427,13 @@ def test_validate_width_invariant(ray_session, simple_schema, monkeypatch):
             res.violations.to_pandas().itertuples(index=False, name=None),
             key=lambda r: tuple(map(str, r)),
         )
-        outs.append(
-            (res.counts, res.row_count, res.unique_report_truncated, viol,
-             res.response.get_result())
-        )
-    counts, row_count, truncated, viol, _ = outs[0]
+        outs.append((res.counts, res.row_count, viol, res.response.get_result()))
+    counts, row_count, viol, result = outs[0]
     assert counts[("k", "unique_test")] == 3
-    assert row_count == 32 and truncated is False
+    assert row_count == 32
     assert ("d0", "k", "unique_test", "2") in viol
+    # samples are the first duplicated keys in stream order
+    assert result["k"]["unique_test"]["unexpected_index_sample"] == ["d0", "d1"]
     assert outs[1] == outs[0]
     assert outs[2] == outs[0]
 
@@ -435,7 +441,7 @@ def test_validate_width_invariant(ray_session, simple_schema, monkeypatch):
 def test_stream_width_is_cluster_cpus(ray_session, simple_schema, monkeypatch, tmp_path):
     """A small stream's fold/exchange width is the cluster's CPU count (4
     in the test session), not MIN_PARTITIONS, and the duplicate report
-    runs one task per fold block group, not one per stream block."""
+    reduce runs one detect task per partition."""
     from data_linter_ray import exchange
     from data_linter_ray.pipelines import validate as vmod
 
@@ -452,22 +458,22 @@ def test_stream_width_is_cluster_cpus(ray_session, simple_schema, monkeypatch, t
 
     def record_fold(mat, *a):
         out = fold_fn(mat, *a)
-        folds.append((mat.num_blocks(), len(out[2])))
+        folds.append((mat.num_blocks(), len(out[2][0])))  # refs per bucket
         return out
 
-    report_fn = vmod._report_block
+    detect_fn = vmod._detect_bucket
     marks = str(tmp_path)
 
-    def marked_report(*a):
+    def marked_detect(*a):
         import os
         import uuid
 
         open(os.path.join(marks, uuid.uuid4().hex), "w").close()
-        return report_fn(*a)
+        return detect_fn(*a)
 
     monkeypatch.setattr(exchange, "exchange_width", record_width)
     monkeypatch.setattr(vmod, "_fold_count_partials", record_fold)
-    monkeypatch.setattr(vmod, "_report_block", marked_report)
+    monkeypatch.setattr(vmod, "_detect_bucket", marked_detect)
     res = validate_dataset(
         ray.data.from_arrow(_spanning_dup_blocks(20)), _with_unique(simple_schema, "k")
     )
@@ -475,4 +481,4 @@ def test_stream_width_is_cluster_cpus(ray_session, simple_schema, monkeypatch, t
     assert widths == [int(ray.cluster_resources()["CPU"])] == [4]
     [(n_blocks, n_groups)] = folds
     assert n_blocks == 20 and n_groups == 10  # ~2 groups per partition
-    assert len(list(tmp_path.iterdir())) == n_groups
+    assert len(list(tmp_path.iterdir())) == widths[0]
