@@ -221,9 +221,12 @@ class RunConfig:
         return cls.from_dict(yaml.safe_load(fs.read_text(path)))
 
 
-def load_and_validate_config(source: str | dict) -> RunConfig:
+def load_and_validate_config(source: str | dict | RunConfig) -> RunConfig:
     """YAML path or dict → validated RunConfig (reference
-    ``load_and_validate_config``, validation.py:64-77)."""
+    ``load_and_validate_config``, validation.py:64-77). A RunConfig is
+    returned unchanged."""
+    if isinstance(source, RunConfig):
+        return source
     if isinstance(source, dict):
         return RunConfig.from_dict(source)
     return RunConfig.from_yaml(source)

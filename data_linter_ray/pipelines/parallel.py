@@ -61,8 +61,7 @@ def para_run_init(
 ) -> list[str]:
     """Phase 1: match files, bin-pack, stage one sub-config per bin under
     ``{log}/data_linter_temporary_fs/configs/{i}/``. Returns the bin dirs."""
-    if not isinstance(config, RunConfig):
-        config = load_and_validate_config(config)
+    config = load_and_validate_config(config)
     store = open_status_store(config)
     store.clear()
 
@@ -92,8 +91,7 @@ def para_run_validation(bin_index: int, config: Union[str, dict, RunConfig]) -> 
     """Phase 2 (×N, safely concurrent): validate the units of one bin.
     A worker whose bin folder doesn't exist no-ops (reference
     validation.py:694-695)."""
-    if not isinstance(config, RunConfig):
-        config = load_and_validate_config(config)
+    config = load_and_validate_config(config)
     d = fs.join(_temp_configs_root(config), str(bin_index))
     names = fs.listdir(d)
     if not names:
@@ -110,8 +108,7 @@ def para_collect_all_status(
     config: Union[str, dict, RunConfig], *, raise_on_failure: bool | None = None
 ) -> RunResult:
     """Phase 3: collect every worker's committed manifests and route."""
-    if not isinstance(config, RunConfig):
-        config = load_and_validate_config(config)
+    config = load_and_validate_config(config)
     return collect_phase(
         config, open_status_store(config), raise_on_failure=raise_on_failure
     )
@@ -122,8 +119,7 @@ def para_collect_all_logs(config: Union[str, dict, RunConfig]) -> dict:
     (reference para_collect_all_logs, validation.py:738-775)."""
     from data_linter_ray.log_explorer import summary_of_all_tables
 
-    if not isinstance(config, RunConfig):
-        config = load_and_validate_config(config)
+    config = load_and_validate_config(config)
     summary = summary_of_all_tables(config)
     fs.delete_dir(_temp_configs_root(config))
     return summary

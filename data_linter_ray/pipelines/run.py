@@ -6,9 +6,10 @@ Re-creates the reference's ``run_validation``
 
   1. load + validate config
   2. match land files to tables (J1 matcher semantics, validation.py:147-209)
-  3. per (table, file): read → ingest-normalize/cast → validate_dataset
-     (all Ray-parallel inside); violations sunk to partitioned parquet;
-     a UnitManifest committed atomically per unit (checkpoint unit)
+  3. per (table, file): ``validate_unit`` reads (ingest-normalize/cast),
+     runs validate_dataset (all Ray-parallel inside) and sinks violations
+     to partitioned parquet; a UnitManifest committed atomically per unit
+     (checkpoint unit)
   4. routing: all-pass → pass path; ``all-must-pass`` + any fail → ALL
      files to fail path and a final ValueError (validation.py:547-557,
      :635-642); else per-file pass/fail. Optional delete-on-pass.
@@ -133,6 +134,42 @@ def open_status_store(config: RunConfig) -> ManifestStore:
     )
 
 
+def validate_unit(
+    table: str,
+    source_path: str,
+    paths: str | list[str],
+    schema: TableSchema,
+    violations_root: str,
+    table_params: dict | None = None,
+    **validate_kwargs,
+) -> UnitManifest:
+    """Read, validate and sink one checkpoint unit — a land file or a
+    group of table fragments — and return its uncommitted manifest.
+
+    ``paths`` are read through :func:`read_table_dataset`; extra
+    ``validate_kwargs`` pass through to :func:`validate_dataset`. When
+    any test fails, the violation rows go to
+    ``{violations_root}/{manifest.key()}``. Errors propagate: each caller
+    keeps its own failure policy."""
+    t0 = time.monotonic()
+    res = validate_dataset(
+        read_table_dataset(paths, schema, table_params), schema, **validate_kwargs
+    )
+    m = UnitManifest(
+        table=table,
+        source_path=source_path,
+        valid=res.valid,
+        row_count=res.row_count,
+        counts={f"{c}::{t}": n for (c, t), n in res.counts.items()},
+        response=res.response.get_result(),
+    )
+    if res.violations is not None and res.counts:
+        m.violations_path = fs.join(violations_root, m.key())
+        fs.write_parquet_uri(res.violations, m.violations_path)
+    m.duration_s = time.monotonic() - t0
+    return m
+
+
 def run_validation(
     config: dict | str | RunConfig,
     *,
@@ -145,8 +182,7 @@ def run_validation(
     main_log_path = None
     try:
         log.info("Loading config")
-        if not isinstance(config, RunConfig):
-            config = load_and_validate_config(config)
+        config = load_and_validate_config(config)
         main_log_path = runlog.get_main_log_path(config.log_base_path)
 
         store = open_status_store(config)
@@ -217,99 +253,66 @@ def validate_phase(
             if log:
                 log.info("Linting %s (%s)", name, path)
             t0 = time.monotonic()
-            if config.validator_engine == "parquet":
-                # schema-only conformance (reference ParquetValidator path)
-                from data_linter_ray.stages.schema_conformance import (
-                    validate_parquet_schema,
-                )
-
-                try:
-                    resp = validate_parquet_schema(path, schema)
-                except Exception as e:  # noqa: BLE001
-                    resp = None
-                    m = UnitManifest(
-                        table=name,
-                        source_path=path,
-                        valid=False,
-                        response={
-                            "valid": False,
-                            "parse_data": {"valid": False, "traceback": repr(e)},
-                        },
-                        duration_s=time.monotonic() - t0,
+            try:
+                if config.validator_engine == "parquet":
+                    # schema-only conformance (reference ParquetValidator path)
+                    from data_linter_ray.stages.schema_conformance import (
+                        validate_parquet_schema,
                     )
-                if resp is not None:
+
+                    resp = validate_parquet_schema(path, schema)
                     m = UnitManifest(
                         table=name,
                         source_path=path,
                         valid=resp.valid,
                         response=resp.get_result(),
-                        duration_s=time.monotonic() - t0,
                     )
-                store.commit(m)
-                continue
-            try:
-                ds = read_table_dataset(path, schema, tc.table_params())
-                drift_baselines = None
-                if tc.drift_baseline and fs.exists(tc.drift_baseline):
-                    from data_linter_ray.stages.sketch_stage import load_baselines
+                else:
+                    drift_baselines = None
+                    if tc.drift_baseline and fs.exists(tc.drift_baseline):
+                        from data_linter_ray.stages.sketch_stage import load_baselines
 
-                    drift_baselines = load_baselines(tc.drift_baseline)
-                res = validate_dataset(
-                    ds,
-                    schema,
-                    id_column=tc.id_column,
-                    ref_tables=ref_tables,
-                    allow_missing_cols=tc.allow_missing_cols,
-                    allow_unexpected_data=tc.allow_unexpected_data,
-                    row_limit=(
-                        tc.row_limit
-                        if tc.row_limit is not None
-                        else engine_params.get("row-limit")
-                    ),
-                    row_sample=engine_params.get("row-sample", "head"),
-                    sample_seed=engine_params.get("sample-seed"),
-                    log_verbosity=(
-                        tc.log_verbosity
-                        if tc.log_verbosity is not None
-                        else engine_params.get("log-verbosity")
-                    ),
-                    drift_baselines=drift_baselines,
-                    drift_threshold=tc.drift_threshold,
-                )
-                viol_path = None
-                if res.violations is not None and res.counts:
-                    viol_path = fs.join(
-                        log_root, "violations", name, probe.key()
-                    )
-                    fs.write_parquet_uri(res.violations, viol_path)
-                if tc.profile:
-                    # column-stats profile per unit → one small JSON in
-                    # the log area (the partials fold is KB-scale; this
-                    # re-reads the unit with the profiler's own pruned
-                    # scan, keeping the validation pass untouched)
-                    import json as _json
-
-                    from data_linter_ray.functions.profile import profile_dataset
-
-                    prof = profile_dataset(
-                        read_table_dataset(path, schema, tc.table_params())
-                    ).to_pylist()
-                    fs.write_text(
-                        fs.join(
-                            log_root, "profiles", name, probe.key() + ".json"
+                        drift_baselines = load_baselines(tc.drift_baseline)
+                    m = validate_unit(
+                        name,
+                        path,
+                        path,
+                        schema,
+                        fs.join(log_root, "violations", name),
+                        tc.table_params(),
+                        id_column=tc.id_column,
+                        ref_tables=ref_tables,
+                        allow_missing_cols=tc.allow_missing_cols,
+                        allow_unexpected_data=tc.allow_unexpected_data,
+                        row_limit=(
+                            tc.row_limit
+                            if tc.row_limit is not None
+                            else engine_params.get("row-limit")
                         ),
-                        _json.dumps(prof, indent=1),
+                        row_sample=engine_params.get("row-sample", "head"),
+                        sample_seed=engine_params.get("sample-seed"),
+                        log_verbosity=(
+                            tc.log_verbosity
+                            if tc.log_verbosity is not None
+                            else engine_params.get("log-verbosity")
+                        ),
+                        drift_baselines=drift_baselines,
+                        drift_threshold=tc.drift_threshold,
                     )
-                m = UnitManifest(
-                    table=name,
-                    source_path=path,
-                    valid=res.valid,
-                    row_count=res.row_count,
-                    counts={f"{c}::{t}": n for (c, t), n in res.counts.items()},
-                    response=res.response.get_result(),
-                    violations_path=viol_path,
-                    duration_s=time.monotonic() - t0,
-                )
+                    if tc.profile:
+                        # column-stats profile per unit → one small JSON in
+                        # the log area (the partials fold is KB-scale; this
+                        # re-reads the unit with the profiler's own pruned
+                        # scan, keeping the validation pass untouched)
+                        from data_linter_ray.functions.profile import profile_dataset
+
+                        prof = profile_dataset(
+                            read_table_dataset(path, schema, tc.table_params())
+                        ).to_pylist()
+                        fs.write_text(
+                            fs.join(log_root, "profiles", name, m.key() + ".json"),
+                            json.dumps(prof, indent=1),
+                        )
             except Exception as e:  # noqa: BLE001 — reference
                 # captures ALL validation exceptions as a failed table test
                 # (pandas_validator.py:65-82), never aborting the run
@@ -321,8 +324,8 @@ def validate_phase(
                         "valid": False,
                         "parse_data": {"valid": False, "traceback": repr(e)},
                     },
-                    duration_s=time.monotonic() - t0,
                 )
+            m.duration_s = time.monotonic() - t0
             store.commit(m)
 
 

@@ -8,25 +8,26 @@ fragments), per the north rule: "writes per-partition lineage manifests
 checkpoint".
 
 ``validate_table_checkpointed`` lists the table's fragments, groups
-them into partitions, validates each partition as its own bounded Ray
-Data pipeline (the full fused single-scan checker from
-``validate_dataset``), sinks that partition's violation rows to
-``{out}/violations/{unit}`` and atomically commits a UnitManifest with
-metrics (rows, per-test counts, duration, violations path). A re-run
-with ``resume=True`` (the default) skips every committed partition, so
-a killed job continues where it stopped. The final verdict is the fold
-of all partition manifests.
+them into partitions and hands each partition to
+:func:`~data_linter_ray.pipelines.run.validate_unit` — the same unit
+body ``run_validation`` runs per land file: one bounded Ray Data
+pipeline (the full fused single-scan checker from ``validate_dataset``)
+whose violation rows are sunk to ``{out}/violations/{unit}``. Each unit
+atomically commits a UnitManifest with metrics (rows, per-test counts,
+duration, violations path). A re-run with ``resume=True`` (the default)
+skips every committed partition, so a killed job continues where it
+stopped. The final verdict is the fold of all partition manifests.
 
 All paths may be local or ``s3://``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from data_linter_ray import fs
 from data_linter_ray.metadata import TableSchema
+from data_linter_ray.pipelines.run import validate_unit
 from data_linter_ray.state.manifest import ManifestStore, UnitManifest
 
 
@@ -69,12 +70,9 @@ def validate_table_checkpointed(
     ``fragments_per_unit`` — fragments per checkpoint unit: large enough
     to amortize per-pipeline fixed cost, small enough that re-doing one
     unit after a crash is cheap (at 100 TB, ~hundreds of MB–GB per unit).
-    Extra ``validate_kwargs`` pass through to :func:`validate_dataset`.
+    Extra ``validate_kwargs`` pass through to :func:`validate_dataset`
+    via :func:`validate_unit`.
     """
-    import ray.data
-
-    from data_linter_ray.pipelines.validate import validate_dataset
-
     files = [
         f
         for f in fs.list_files(input_path)
@@ -89,7 +87,7 @@ def validate_table_checkpointed(
         store.clear()
 
     validated = 0
-    for i, unit_files in enumerate(units):
+    for unit_files in units:
         # the unit key is content-addressed on the fragment list, so a
         # re-listed input maps stably onto committed manifests
         probe = UnitManifest(
@@ -97,28 +95,16 @@ def validate_table_checkpointed(
         )
         if resume and store.exists(probe):
             continue
-        t0 = time.monotonic()
-        res = validate_dataset(
-            ray.data.read_parquet(unit_files),
-            schema,
-            id_column=id_column,
-            ref_tables=ref_tables,
-            **validate_kwargs,
-        )
-        viol_path = None
-        if res.violations is not None and res.counts:
-            viol_path = fs.join(out_root, "violations", probe.key())
-            fs.write_parquet_uri(res.violations, viol_path)
         store.commit(
-            UnitManifest(
-                table=table_name,
-                source_path=probe.source_path,
-                valid=res.valid,
-                row_count=res.row_count,
-                counts={f"{c}::{t}": n for (c, t), n in res.counts.items()},
-                response=res.response.get_result(),
-                violations_path=viol_path,
-                duration_s=time.monotonic() - t0,
+            validate_unit(
+                table_name,
+                probe.source_path,
+                unit_files,
+                schema,
+                fs.join(out_root, "violations"),
+                id_column=id_column,
+                ref_tables=ref_tables,
+                **validate_kwargs,
             )
         )
         validated += 1

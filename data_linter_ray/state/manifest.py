@@ -11,8 +11,10 @@ exists, so a killed job continues from the last committed unit.
 The store root may be a local directory or an ``s3://`` URI; all I/O
 goes through :mod:`data_linter_ray.fs`.
 
-A "unit" is one (table, file) validation; the manifest records verdict,
-counts, row count, output paths, and timing.
+A "unit" is one (table, file) validation in ``run_validation`` or one
+(table, fragment group) in ``validate_table_checkpointed``; both run
+``pipelines.run.validate_unit``. The manifest records verdict, counts,
+row count, output paths, and timing.
 """
 
 from __future__ import annotations

@@ -27,22 +27,18 @@ from data_linter_ray.validators import get_validator  # noqa: F401
 def match_files_in_land_to_config(config) -> dict:
     """Reference-named matcher (validation.py:147-209): takes a config
     (dict/path/RunConfig), returns {table: [matched files]}."""
-    from data_linter_ray.config import RunConfig
     from data_linter_ray.pipelines.run import list_land_files, match_files_to_tables
 
-    if not isinstance(config, RunConfig):
-        config = load_and_validate_config(config)
+    config = load_and_validate_config(config)
     return match_files_to_tables(list_land_files(config.land_base_path), config)
 
 
 def validate_data(config, *, resume: bool = False) -> None:
     """Reference-named validate phase (validation.py:390-447): validates
     all matched units into the status area without routing."""
-    from data_linter_ray.config import RunConfig
     from data_linter_ray.pipelines.run import open_status_store
 
-    if not isinstance(config, RunConfig):
-        config = load_and_validate_config(config)
+    config = load_and_validate_config(config)
     store = open_status_store(config)
     if not resume:
         store.clear()
@@ -52,11 +48,9 @@ def validate_data(config, *, resume: bool = False) -> None:
 
 def collect_all_status(config, *, raise_on_failure: bool | None = None) -> RunResult:
     """Reference-named collect phase (validation.py:498-649)."""
-    from data_linter_ray.config import RunConfig
     from data_linter_ray.pipelines.run import open_status_store
 
-    if not isinstance(config, RunConfig):
-        config = load_and_validate_config(config)
+    config = load_and_validate_config(config)
     return collect_phase(
         config, open_status_store(config), raise_on_failure=raise_on_failure
     )

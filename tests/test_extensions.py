@@ -371,6 +371,7 @@ def test_parquet_engine_in_run(ray_session, tmp_path):
     land.mkdir()
     pq.write_table(pa.table({"a": pa.array([1], pa.int64()), "b": ["x"], "c": [1.0]}), land / "t1.parquet")
     pq.write_table(pa.table({"a": pa.array([1], pa.int32()), "b": ["x"], "c": [1.0]}), land / "t1_bad.parquet")
+    (land / "t1_corrupt.parquet").write_bytes(b"not a parquet file")
     cfg = {
         "land-base-path": str(land) + "/",
         "pass-base-path": str(tmp_path / "pass") + "/",
@@ -383,6 +384,12 @@ def test_parquet_engine_in_run(ray_session, tmp_path):
     assert not res.all_tables_passed
     assert os.path.exists(tmp_path / "pass" / "t1" / "t1.parquet")
     assert os.path.exists(tmp_path / "fail" / "t1" / "t1_bad.parquet")
+    # an unreadable file is a failed unit, not an aborted run
+    assert os.path.exists(tmp_path / "fail" / "t1" / "t1_corrupt.parquet")
+    (corrupt,) = [m for m in res.manifests if m.source_path.endswith("t1_corrupt.parquet")]
+    assert not corrupt.valid
+    assert corrupt.response["parse_data"]["valid"] is False
+    assert corrupt.response["parse_data"]["traceback"]
 
 
 # ---------------- drift in pipeline -------------------------------------

@@ -150,3 +150,50 @@ def test_table_checkpoint_incremental_append(ray_session, tmp_path):
     )
     assert second.partitions_validated == 2  # only the new fragments
     assert second.partitions_total == 4 and second.row_count == 2000
+
+
+def test_run_and_table_paths_produce_the_same_unit(ray_session, tmp_path):
+    """A land file validated by ``run_validation`` and the same file as a
+    one-fragment unit of ``validate_table_checkpointed`` run one unit
+    body, so their manifests carry the same verdict, rows, counts and
+    response."""
+    from data_linter_ray.metadata import TableSchema
+    from data_linter_ray.pipelines.table import validate_table_checkpointed
+
+    meta = {
+        "name": "t1",
+        "columns": [
+            {"name": "a", "type": "int64", "minimum": 0, "maximum": 100, "nullable": False},
+            {"name": "s", "type": "string", "pattern": "^x", "enum": ["x1", "x2", "y"]},
+        ],
+    }
+    t = pa.table(
+        {
+            "a": pa.array([5, 150, None, 7, -1], pa.int64()),
+            "s": pa.array(["x1", "y", "x2", None, "z"], pa.string()),
+        }
+    )
+    land, frags = tmp_path / "land", tmp_path / "frags"
+    land.mkdir()
+    frags.mkdir()
+    pq.write_table(t, land / "t1_0.parquet")
+    pq.write_table(t, frags / "t1_0.parquet")
+
+    run = run_validation(
+        {
+            "land-base-path": str(land) + "/",
+            "pass-base-path": str(tmp_path / "pass") + "/",
+            "fail-base-path": str(tmp_path / "fail") + "/",
+            "log-base-path": str(tmp_path / "log") + "/",
+            "tables": {"t1": {"metadata": meta}},
+        }
+    )
+    table = validate_table_checkpointed(
+        str(frags), TableSchema.from_dict(meta), str(tmp_path / "out"),
+        table_name="t1", fragments_per_unit=1,
+    )
+    (a,), (b,) = run.manifests, table.manifests
+    assert not a.valid and a.counts  # the fixture has violations
+    assert (a.valid, a.row_count, a.counts, a.response) == (
+        b.valid, b.row_count, b.counts, b.response
+    )

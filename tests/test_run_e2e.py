@@ -470,6 +470,8 @@ def test_config_schema_shape_errors(tmp_path):
     # valid config still loads (underscore aliases included)
     ok = load_and_validate_config({**base, "all_must_pass": True})
     assert ok.all_must_pass
+    # an already-loaded RunConfig passes through unchanged
+    assert load_and_validate_config(ok) is ok
 
 
 def test_orc_and_feather_sources_roundtrip(ray_session, tmp_path):

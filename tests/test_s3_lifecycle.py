@@ -196,6 +196,36 @@ def test_s3_resume_skips_committed_units(ray_session, moto_s3, tmp_path):
     assert res2.all_tables_passed
 
 
+def test_validate_table_checkpointed_on_s3(ray_session, moto_s3):
+    """Fragment-group units on an all-S3 table: fragments are read with
+    the resolved S3 filesystem, manifests and violations land on S3, and
+    a second call resumes with nothing left to validate."""
+    import io
+
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    from data_linter_ray import synth
+    from data_linter_ray.pipelines.table import validate_table_checkpointed
+
+    inp, out = "s3://land/tblckpt/", "s3://log-bkt/tblckpt/out"
+    for i in range(2):
+        buf = io.BytesIO()
+        pq.write_table(
+            synth.make_documents_batch({"id": np.arange(i * 500, (i + 1) * 500)}), buf
+        )
+        fs.write_bytes(fs.join(inp, f"frag-{i}.parquet"), buf.getvalue())
+    kw = dict(id_column="doc_id", fragments_per_unit=1)
+    first = validate_table_checkpointed(inp, synth.documents_schema(), out, **kw)
+    assert first.partitions_validated == 2 and first.row_count == 1000
+    assert all(
+        m.violations_path.startswith("s3://") for m in first.manifests if m.counts
+    )
+    again = validate_table_checkpointed(inp, synth.documents_schema(), out, **kw)
+    assert again.partitions_validated == 0
+    assert again.counts == first.counts and again.row_count == 1000
+
+
 def test_write_parquet_uri_distributed(ray_session, moto_s3):
     """Datasink path: a multi-block Dataset lands as multiple parquet
     objects that read back identical."""
