@@ -22,8 +22,11 @@ small inputs still spread across the node. The validation stream's fold
 and uniqueness exchange pass ``floor=cluster_cpus()`` instead: its work
 is one task per block group and per partition, so partitions beyond the
 CPU count only add tasks and objects (a 1-CPU box gets P = 1, a 32-CPU
-node P = 32). Override precedence: explicit ``override`` argument >
-``DATA_LINTER_RAY_SHUFFLE_PARTITIONS`` env var > derivation.
+node P = 32). This module is the only place a keyed-exchange width is
+decided: no operator takes a width argument. The one setting is the
+``DATA_LINTER_RAY_SHUFFLE_PARTITIONS`` env var, which replaces the
+derivation for every exchange (:func:`join_width` still caps it at the
+cluster's CPUs).
 """
 
 from __future__ import annotations
@@ -43,10 +46,8 @@ DECODE_INFLATION = 4
 ENV_VAR = "DATA_LINTER_RAY_SHUFFLE_PARTITIONS"
 
 
-def exchange_width(*datasets, override: int | None = None, floor: int | None = None) -> int:
+def exchange_width(*datasets, floor: int | None = None) -> int:
     """Partition count for a manual hash exchange over ``datasets``."""
-    if override:
-        return int(override)
     env = os.environ.get(ENV_VAR)
     if env:
         return int(env)
@@ -68,7 +69,7 @@ def cluster_cpus() -> int:
         return 8
 
 
-def join_width(*datasets, override: int | None = None) -> int:
+def join_width(*datasets) -> int:
     """Partition count for Ray Data's HASH JOIN (``Dataset.join``).
 
     Unlike the manual task-based exchanges, the hash join schedules one
@@ -79,8 +80,6 @@ def join_width(*datasets, override: int | None = None) -> int:
     is 2, not MIN_PARTITIONS: width grows with DATA
     (:func:`exchange_width` bytes derivation), never with the idle CPU
     count, and is capped at the cluster CPUs."""
-    if override:
-        return int(override)
     return max(2, min(exchange_width(*datasets, floor=2), cluster_cpus()))
 
 

@@ -48,12 +48,11 @@ def retention_matrix(
     ts_col: str,
     *,
     period_s: int = 604800,
-    num_partitions: int | None = None,
 ) -> pd.DataFrame:
     """→ DataFrame(cohort_period, period, n_users), sorted; periods are
     ``epoch_seconds // period_s`` (epoch weeks by default). Null users
     and null timestamps are excluded."""
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
     period_us = np.int64(period_s) * np.int64(1_000_000)
 
     user_t = ds.schema().base_schema.field(user_col).type
@@ -106,8 +105,10 @@ def retention_matrix(
     parts = keyed_scatter_gather(
         mat, "_part", P, reduce_cell_counts, empty_schema=_PART_SCHEMA
     )
+    # all-null input lands no rows: the empty partial keeps the columns typed
+    tables = list(parts.iter_batches(batch_format="pyarrow", batch_size=None))
     out = (
-        pa.concat_tables(parts.iter_batches(batch_format="pyarrow", batch_size=None))
+        pa.concat_tables(tables or [_PART_SCHEMA.empty_table()])
         .to_pandas()
         .groupby(["cohort_period", "period"], as_index=False)["n"]
         .sum()
@@ -124,7 +125,6 @@ def windowed_active_counts(
     time_col: str,
     *,
     window_days: int = 7,
-    num_partitions: int | None = None,
 ):
     """EXACT rolling N-day active entities per day (WAU/MAU): for every
     calendar day in the observed span, the number of distinct keys with
@@ -156,7 +156,7 @@ def windowed_active_counts(
     from data_linter_ray.exchange import exchange_map_groups, exchange_width
     from data_linter_ray.state.sketches import hash_array
 
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
     N = int(window_days)
 
     def pair_partial(t: pa.Table) -> pa.Table:

@@ -474,7 +474,6 @@ def dedup_components(
     pairs: Dataset,
     mode: str = "auto",
     max_iters: int = 50,
-    num_partitions: int | None = None,
 ) -> Dataset:
     """Near-dup pairs → (doc_id, component_id) with component_id = min
     doc id in the connected component. The standard dedup completion
@@ -513,7 +512,7 @@ def dedup_components(
 
     from data_linter_ray.exchange import join_width
 
-    P = num_partitions or join_width(pairs)
+    P = join_width(pairs)
     # symmetric edge list (src, dst)
     edges = pairs.map_batches(
         lambda t: pa.table(
@@ -799,7 +798,6 @@ def verify_candidates_jaccard(
     id_col: str = "doc_id",
     threshold: float = 0.8,
     ngram: int = 3,
-    num_partitions: int | None = None,
 ) -> Dataset:
     """Exact n-gram Jaccard verification of candidate pairs, distributed.
 
@@ -889,12 +887,12 @@ def verify_candidates_jaccard(
     # vectorized pass. (Ray's hash join drops the right-side key column.)
     from data_linter_ray.exchange import join_width
 
-    num_partitions = num_partitions or join_width(candidates)
+    P = join_width(candidates)
     j1 = candidates.join(
-        sets, "inner", num_partitions, on=("id_a",), right_on=("did",)
+        sets, "inner", P, on=("id_a",), right_on=("did",)
     ).rename_columns({"sh": "sh_a"})
     j2 = j1.join(
-        sets, "inner", num_partitions, on=("id_b",), right_on=("did",)
+        sets, "inner", P, on=("id_b",), right_on=("did",)
     ).rename_columns({"sh": "sh_b"})
 
     def jac(t: pa.Table) -> pa.Table:

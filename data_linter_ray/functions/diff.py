@@ -36,13 +36,12 @@ def snapshot_diff(
     ds_b: Dataset,
     key: str,
     compare_cols: list[str],
-    num_partitions: int | None = None,
 ) -> Dataset:
     """→ Dataset (key, status, changed_cols): status ∈ {'added',
     'removed', 'changed'}; ``changed_cols`` is the comma-joined sorted
     list of differing compare columns for 'changed' rows, null
     otherwise. Equality is null-safe (null == null)."""
-    P = num_partitions or exchange_width(ds_a, ds_b)
+    P = exchange_width(ds_a, ds_b)
     cols = [key] + list(compare_cols)
     key_type = ds_a.schema().base_schema.field(key).type
     ordered = sorted(compare_cols)

@@ -67,7 +67,6 @@ def apply_changes(
     key: str,
     seq_col: str,
     op_col: str = "op",
-    num_partitions: int | None = None,
 ) -> Dataset:
     """Apply an upsert/delete changelog to a base snapshot → the final
     table (MERGE INTO semantics):
@@ -87,7 +86,7 @@ def apply_changes(
     types = {
         c: base.schema().base_schema.field(c).type for c in [key] + payload
     }
-    P = num_partitions or exchange_width(base, changes)
+    P = exchange_width(base, changes)
 
     def pad(side: int):
         def f(t: pa.Table) -> pa.Table:

@@ -166,12 +166,11 @@ def fuzzy_key_pairs(
     id_col: str,
     name_col: str,
     max_bucket: int = 4096,
-    num_partitions: int | None = None,
 ) -> Dataset:
     """All (id_a < id_b) pairs whose ``name_col`` values are within
     Levenshtein distance 1 → Dataset (id_a, id_b, name_a, name_b,
     dist, truncated). Null ids/names are excluded."""
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
 
     def variants(t: pa.Table) -> pa.Table:
         t = t.drop_null()

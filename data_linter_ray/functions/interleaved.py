@@ -193,14 +193,13 @@ def media_ref_counts(
     ds: Dataset,
     spans_col: str = "spans",
     min_refs: int = 1,
-    num_partitions: int | None = None,
 ) -> Dataset:
     """Corpus-wide media-asset usage → ``(media_ref, n_refs)`` for refs
     appearing ≥ ``min_refs`` times (hot-asset discovery, orphan-asset
     diffing against the catalog). Two-level count: per-batch distinct
     (ref, partial) combiner → ref-hash partitioned sum — a hot asset
     costs one row per batch through the exchange, never one per span."""
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
 
     def local_counts(t: pa.Table) -> pa.Table:
         flat, _parents, _lengths = _flat(t, spans_col)

@@ -44,7 +44,6 @@ def equi_join(
     right_on: tuple[str, ...] | None = None,
     how: str = "inner",
     strategy: str = "auto",
-    num_partitions: int | None = None,
     broadcast_threshold_bytes: int = BROADCAST_JOIN_THRESHOLD_BYTES,
 ) -> Dataset:
     """Inner / left-outer / right-outer / full-outer equi-join.
@@ -78,7 +77,7 @@ def equi_join(
         return left.join(
             right,
             how,
-            num_partitions or join_width(left, right),
+            join_width(left, right),
             on=on,
             right_on=right_on,
         )

@@ -65,12 +65,11 @@ def train_unigram_counts(
     text_col: str = "text",
     *,
     vocab_size: int | None = None,
-    num_partitions: int | None = None,
 ) -> tuple[pd.DataFrame, int]:
     """→ (DataFrame(token, c), total token count T). With
     ``vocab_size`` the frame holds the global top-V tokens by
     (count desc, token asc); T always counts EVERY token."""
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
 
     def local_counts(t: pa.Table) -> pa.Table:
         flat, _ = _doc_tokens(t, text_col)
@@ -121,16 +120,13 @@ def unigram_logprob(
     *,
     vocab_size: int | None = None,
     alpha: float = 0.5,
-    num_partitions: int | None = None,
 ) -> Dataset:
     """→ (id_col, n_tokens, mean_logprob) for every document with at
     least one token (empty/null text emits nothing, matching the SQL
     token-join). ``mean_logprob = Σ_distinct-tok tf·ln(c/T) / dl``;
     out-of-vocabulary tokens (only possible with ``vocab_size``) score
     ``ln(alpha/T)``."""
-    vocab, T = train_unigram_counts(
-        ds, text_col, vocab_size=vocab_size, num_partitions=num_partitions
-    )
+    vocab, T = train_unigram_counts(ds, text_col, vocab_size=vocab_size)
     if T == 0:
         return ray.data.from_arrow(
             pa.schema(

@@ -89,9 +89,7 @@ def _profile_batch(t: pa.Table, columns: list[str], hll_p: int) -> pa.Table:
     )
 
 
-def top_values(
-    ds: Dataset, column: str, k: int = 10, num_partitions: int | None = None
-) -> "pa.Table":
+def top_values(ds: Dataset, column: str, k: int = 10) -> "pa.Table":
     """Exact top-k most frequent values of one column → arrow table
     (value, n) ordered by n desc, value asc (deterministic ties).
 
@@ -104,7 +102,7 @@ def top_values(
 
     from data_linter_ray.exchange import exchange_map_groups, exchange_width
 
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
 
     def local_counts(t: pa.Table) -> pa.Table:
         vc = t[column].drop_null().value_counts()

@@ -63,11 +63,13 @@ def global_rank(
         ray.data.aggregate.Min(value_col), ray.data.aggregate.Max(value_col)
     )
     lo, hi = lohi[f"min({value_col})"], lohi[f"max({value_col})"]
+    # an all-null column has no min/max; its rows are dropped below anyway
+    lo, hi = (0.0, 0.0) if lo is None else (float(lo), float(hi))
     K = n_buckets or max(exchange_width(ds), 64)
-    width = (float(hi) - float(lo)) / K or 1.0
+    width = (hi - lo) / K or 1.0
 
     def bucket_of(v: np.ndarray) -> np.ndarray:
-        b = np.floor((v - float(lo)) / width).astype(np.int64)
+        b = np.floor((v - lo) / width).astype(np.int64)
         return np.clip(b, 0, K - 1)
 
     def with_bucket(t: pa.Table) -> pa.Table:

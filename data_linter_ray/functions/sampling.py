@@ -39,7 +39,6 @@ def sample_per_key(
     n: int,
     order_col: str,
     columns: list[str] | None = None,
-    num_partitions: int | None = None,
 ) -> Dataset:
     """Keep the ``n`` rows with smallest ``order_col`` per ``key_col``.
 
@@ -49,7 +48,7 @@ def sample_per_key(
     per-batch top-n combiner, then one key-hash exchange with a final
     per-key top-n."""
     cols = sorted(set([key_col, order_col] + (columns or [])))
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
 
     def local_topn(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t[key_col]))
@@ -82,7 +81,6 @@ def group_topk(
     k: int,
     tie_col: str | None = None,
     columns: list[str] | None = None,
-    num_partitions: int | None = None,
 ) -> Dataset:
     """Keep the ``k`` rows with LARGEST ``value_col`` per ``key_col``
     ("best examples per category"), ties broken by ascending
@@ -92,7 +90,7 @@ def group_topk(
     combiner → key-hash exchange → final per-key top-k."""
     tie = tie_col or value_col
     cols = sorted(set([key_col, value_col, tie] + (columns or [])))
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
 
     def topk(df: pd.DataFrame) -> pd.DataFrame:
         return (

@@ -270,7 +270,6 @@ def verify_candidates_cosine(
     threshold: float = 0.95,
     id_col: str = "vec_id",
     emb_col: str = "embedding",
-    num_partitions: int | None = None,
 ) -> Dataset:
     """Exact cosine verification of candidate (id_a, id_b) pairs.
 
@@ -316,7 +315,7 @@ def verify_candidates_cosine(
 
         return candidates.map_batches(verify, batch_format="pyarrow")
 
-    P = num_partitions or join_width(candidates)
+    P = join_width(candidates)
 
     # Acero hash joins reject list-typed payload columns (same
     # constraint dedup's shingle sets hit) — ship each NORMALIZED

@@ -38,7 +38,12 @@ def corr_matrix(
     """→ DataFrame(col_x, col_y, n, corr) for every unordered pair
     (col_x < col_y lexicographically), Pearson correlation with SQL
     pairwise-null deletion. Pairs with zero variance on either side
-    (or n == 0) emit NaN, matching SQL ``corr``."""
+    (or n == 0) emit NaN, matching SQL ``corr``.
+
+    NaN policy: a non-null NaN payload is deleted pairwise exactly like
+    a null (the partial masks on ``isnan`` after nulls decode to NaN),
+    so it neither counts in ``n`` nor reaches the sums. SQL ``corr``
+    differs here: a NaN input makes its pair's result NaN."""
     cols = sorted(cols)
     C = len(cols)
     pairs = [(i, j) for i in range(C) for j in range(i + 1, C)]
@@ -90,8 +95,6 @@ def group_count_distinct(
     ds: Dataset,
     group_col: str,
     value_col: str,
-    *,
-    num_partitions: int | None = None,
 ) -> pd.DataFrame:
     """Exact ``count(DISTINCT value) GROUP BY group`` — the reach /
     cardinality report. Scale shape (same as cohort retention): per
@@ -110,7 +113,7 @@ def group_count_distinct(
     from data_linter_ray.exchange import exchange_map_groups, exchange_width
     from data_linter_ray.state.sketches import hash_array
 
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
 
     def pair_partial(t: pa.Table) -> pa.Table:
         t = t.select([group_col, value_col]).drop_null()
@@ -168,8 +171,6 @@ def group_mode(
     ds: Dataset,
     group_col: str,
     value_col: str,
-    *,
-    num_partitions: int | None = None,
 ) -> pd.DataFrame:
     """Exact per-group mode (most frequent value, deterministic
     smallest-value tie-break) — the dominant-category report a curation
@@ -192,7 +193,7 @@ def group_mode(
     from data_linter_ray.exchange import exchange_map_groups, exchange_width
     from data_linter_ray.state.sketches import hash_array
 
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
 
     count_partial = _group_value_count_partial(group_col, value_col, P)
 
@@ -228,7 +229,6 @@ def group_entropy(
     value_col: str,
     *,
     round_to: int = 9,
-    num_partitions: int | None = None,
 ) -> pd.DataFrame:
     """Shannon entropy (nats) of the ``value_col`` distribution within
     each group — the mixture-diversity report of a curation pipeline
@@ -251,7 +251,7 @@ def group_entropy(
     from data_linter_ray.exchange import exchange_map_groups, exchange_width
     from data_linter_ray.state.sketches import hash_array
 
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
 
     count_partial = _group_value_count_partial(group_col, value_col, P)
 
@@ -293,8 +293,6 @@ def group_entropy(
 def candidate_keys(
     ds: Dataset,
     cols: list[str],
-    *,
-    num_partitions: int | None = None,
 ) -> pd.DataFrame:
     """Key discovery: for each candidate column, its distinct count vs
     the table's row count and whether it is a unique key
@@ -316,7 +314,7 @@ def candidate_keys(
     from data_linter_ray.exchange import exchange_map_groups, exchange_width
     from data_linter_ray.state.sketches import hash_array
 
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
 
     def partials(t: pa.Table) -> pa.Table:
         outs = {"col": [], "h": [], "h2": [], "_part": []}
@@ -399,7 +397,6 @@ def source_vocab_overlap(
     ds,
     group_col: str = "source",
     text_col: str = "text",
-    num_partitions: int | None = None,
 ) -> pd.DataFrame:
     """Pairwise vocabulary Jaccard between groups (corpus-provenance
     similarity: which sources speak the same language?): for every
@@ -426,7 +423,7 @@ def source_vocab_overlap(
     from data_linter_ray.exchange import exchange_map_groups, exchange_width
     from data_linter_ray.state.sketches import hash_array
 
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
 
     def pair_partial(t: pa.Table) -> pa.Table:
         from data_linter_ray.functions.text import flat_tokens
@@ -588,7 +585,6 @@ def group_regression(
     y_col: str,
     *,
     round_to: int | None = None,
-    num_partitions: int | None = None,
 ) -> pd.DataFrame:
     """Per-group simple linear regression (y on x) — the trend report
     (e.g. price sensitivity per segment, score drift per source):
@@ -604,6 +600,12 @@ def group_regression(
     never the raw pairs). Rows with a null group / x / y are excluded
     (SQL ``regr_*`` pairwise deletion).
 
+    NaN policy: a non-null NaN x or y is NOT deleted, and it does not
+    make the result NaN either. The row counts in ``n`` while the
+    skip-NaN pandas sums drop its NaN terms, so the group is fitted as
+    if that value were 0.0 (SQL ``regr_*`` returns NaN for the group).
+    Filter NaN upstream when that matters.
+
     Float parity: the oracle evaluates the SAME closed-form expression
     over SQL SUM aggregates, so only sum fold order differs —
     ``round_to`` (6 dp in the oracle query) lands both sides on the
@@ -616,7 +618,7 @@ def group_regression(
     from data_linter_ray.functions.timeseries import _schema_types
     from data_linter_ray.state.sketches import hash_array
 
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
     g_type = _schema_types(ds)[group_col]
 
     def partial(t: pa.Table) -> pa.Table:
@@ -865,8 +867,6 @@ def mannwhitney_u(
     group_col: str,
     group_a,
     group_b,
-    *,
-    num_partitions: int | None = None,
 ) -> pd.DataFrame:
     """EXACT Mann–Whitney U statistic (Wilcoxon rank-sum) between two
     groups' value distributions — the nonparametric "is one group
@@ -893,7 +893,7 @@ def mannwhitney_u(
     """
     from data_linter_ray.exchange import exchange_map_groups, exchange_width
 
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
     parts, offs, n_a, n_b = _two_group_value_parts(
         ds, value_col, group_col, group_a, group_b, P
     )
@@ -929,8 +929,6 @@ def ks_two_sample(
     group_col: str,
     group_a,
     group_b,
-    *,
-    num_partitions: int | None = None,
 ) -> pd.DataFrame:
     """EXACT two-sample Kolmogorov–Smirnov statistic between the value
     distributions of two groups — the distribution-drift test
@@ -969,7 +967,7 @@ def ks_two_sample(
     """
     from data_linter_ray.exchange import exchange_map_groups, exchange_width
 
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
     parts, offs, n_a, n_b = _two_group_value_parts(
         ds, value_col, group_col, group_a, group_b, P
     )
@@ -1227,7 +1225,6 @@ def gini(
     value_col: str,
     *,
     scale: int = 100,
-    num_partitions: int | None = None,
 ) -> pd.DataFrame:
     """EXACT Gini coefficient of a value column — the concentration /
     inequality monitor ("is 1% of users generating 90% of the value?",
@@ -1259,7 +1256,7 @@ def gini(
     )
     from data_linter_ray.state.sketches import TDigest
 
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
 
     def to_cents(t: pa.Table) -> pa.Table:
         v = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -1379,8 +1376,6 @@ def spearman_corr(
     ds: Dataset,
     x_col: str,
     y_col: str,
-    *,
-    num_partitions: int | None = None,
 ) -> pd.DataFrame:
     """EXACT Spearman rank correlation (Pearson over average ranks,
     the standard tie convention) — the monotonic-association monitor
@@ -1412,7 +1407,7 @@ def spearman_corr(
 
     from data_linter_ray.exchange import exchange_width
 
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
 
     def pick(t: pa.Table) -> pa.Table:
         t = t.select([x_col, y_col]).drop_null()
@@ -1590,8 +1585,6 @@ def kendall_tau(
     ds: Dataset,
     x_col: str,
     y_col: str,
-    *,
-    num_partitions: int | None = None,
 ) -> pd.DataFrame:
     """EXACT Kendall τ-b — concordant/discordant pair counts with the
     standard tie corrections, computed WITHOUT enumerating the O(n²)
@@ -1635,7 +1628,7 @@ def kendall_tau(
     from data_linter_ray.exchange import exchange_map_groups, exchange_width
     from data_linter_ray.state.sketches import TDigest
 
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
 
     def pick(t: pa.Table) -> pa.Table:
         t = t.select([x_col, y_col]).drop_null()
@@ -1906,7 +1899,6 @@ def ks_per_group(
     group_col: str,
     *,
     max_groups: int = 64,
-    num_partitions: int | None = None,
 ) -> pd.DataFrame:
     """Per-group drift table: for EVERY group, the exact KS sup
     distance between the group's value distribution and the POOLED
@@ -1937,7 +1929,7 @@ def ks_per_group(
     from data_linter_ray.exchange import exchange_map_groups, exchange_width
     from data_linter_ray.state.sketches import TDigest
 
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
 
     def pick(t: pa.Table) -> pa.Table:
         t = t.select([value_col, group_col]).drop_null()
@@ -2049,8 +2041,6 @@ def cooccurrence_lift(
     ds: Dataset,
     basket_col: str,
     item_col: str,
-    *,
-    num_partitions: int | None = None,
 ) -> pd.DataFrame:
     """Market-basket co-occurrence with LIFT — "which items appear in
     the same basket more often than independence predicts?" (event
@@ -2079,7 +2069,7 @@ def cooccurrence_lift(
     from data_linter_ray.exchange import exchange_map_groups, exchange_width
     from data_linter_ray.state.sketches import hash_array
 
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
 
     def pair_partial(t: pa.Table) -> pa.Table:
         t = t.select([basket_col, item_col]).drop_null()

@@ -371,7 +371,6 @@ def token_doc_frequency(
     ds: Dataset,
     text_col: str = "text",
     min_df: int = 1,
-    num_partitions: int | None = None,
 ) -> Dataset:
     """Corpus document frequency per token → (token, df) rows with
     df ≥ ``min_df`` (vocabulary building / stop-word discovery).
@@ -387,7 +386,7 @@ def token_doc_frequency(
     from data_linter_ray.exchange import exchange_map_groups, exchange_width
     from data_linter_ray.state.sketches import hash_array
 
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
 
     def local_df(t: pa.Table) -> pa.Table:
         text = t[text_col]
@@ -432,7 +431,6 @@ def duplicate_sentences(
     text_col: str = "text",
     min_docs: int = 2,
     sep: str = ". ",
-    num_partitions: int | None = None,
 ) -> Dataset:
     """Cross-document duplicate sentences → (sentence, n_docs) for
     units appearing in ≥ ``min_docs`` documents — the C4-style
@@ -449,7 +447,7 @@ def duplicate_sentences(
     from data_linter_ray.exchange import exchange_map_groups, exchange_width
     from data_linter_ray.state.sketches import hash_array
 
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
 
     def local(t: pa.Table) -> pa.Table:
         text = t[text_col]
@@ -489,7 +487,6 @@ def tfidf_top_terms(
     id_col: str = "doc_id",
     text_col: str = "text",
     k: int = 3,
-    num_partitions: int | None = None,
 ) -> Dataset:
     """Top-``k`` TF-IDF terms per document → (id_col, term, rank, tf,
     df); score = tf · ln(N/df), ties broken by term ascending.
@@ -510,9 +507,7 @@ def tfidf_top_terms(
     import ray
 
     n_docs = ds.count()
-    df_tbl = token_doc_frequency(
-        ds, text_col=text_col, num_partitions=num_partitions
-    )
+    df_tbl = token_doc_frequency(ds, text_col=text_col)
     df_map: dict[str, int] = {}
     for b in df_tbl.iter_batches(batch_format="pyarrow"):
         df_map.update(zip(b["token"].to_pylist(), b["df"].to_pylist()))
@@ -637,7 +632,6 @@ def overlap_pairs(
     min_shared: int = 3,
     max_df: int = 50,
     hash: str = "fast",
-    num_partitions: int | None = None,
 ) -> Dataset:
     """MOSS-style document-overlap detection (Schleimer/Wilkerson/Aiken
     SIGMOD 2003 §1; Manber 1994): pairs of documents sharing at least
@@ -660,7 +654,7 @@ def overlap_pairs(
 
     from data_linter_ray.exchange import exchange_map_groups, exchange_width
 
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
     fps = with_modp_fingerprints(
         ds, id_col=id_col, text_col=text_col, k=k, mod_p=mod_p, hash=hash
     )
@@ -886,7 +880,6 @@ def bigram_collocations(
     text_col: str = "text",
     min_count: int = 2,
     round_to: int = 9,
-    num_partitions: int | None = None,
     vocab_limit: int = 5_000_000,
 ):
     """Consecutive-token bigram collocations with pointwise mutual
@@ -917,7 +910,7 @@ def bigram_collocations(
     from data_linter_ray.exchange import exchange_map_groups, exchange_width
     from data_linter_ray.state.sketches import hash_array
 
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
 
     def _tokens(t: pa.Table):
         return flat_tokens(t[text_col])

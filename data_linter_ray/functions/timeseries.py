@@ -46,7 +46,6 @@ def asof_join(
     right_suffix: str = "_r",
     allow_exact_matches: bool = True,
     right_dedupe_agg: dict | None = None,
-    num_partitions: int | None = None,
 ) -> Dataset:
     """As-of join ``left`` to ``right`` on time column ``on`` within key
     ``by``. Returns left rows + the matched right row's payload columns
@@ -58,10 +57,10 @@ def asof_join(
     key hash, so this is exact and saves the caller a whole
     groupby-exchange.
 
-    ``num_partitions`` sizes the exchange; the default derives from the
-    inputs' file sizes (``exchange.exchange_width``: ≈ decoded bytes /
-    1 GiB, floored at 32). These operators carry FULL rows through the
-    exchange, so per-partition memory ≈ (|left|+|right|) / P."""
+    ``exchange.exchange_width`` sizes the exchange from the inputs' file
+    sizes (≈ decoded bytes / 1 GiB, floored at 32). These operators
+    carry FULL rows through the exchange, so per-partition memory ≈
+    (|left|+|right|) / P."""
     def _arrow_types(schema) -> dict:
         base = schema.base_schema
         if isinstance(base, pa.Schema):
@@ -81,7 +80,7 @@ def asof_join(
     r_out = {c: c + right_suffix if c in l_types_all else c for c in r_payload}
     l_types = {c: l_types_all[c] for c in l_payload}
     r_types = {c: r_types_all[c] for c in r_payload}
-    P = num_partitions or exchange_width(left, right)
+    P = exchange_width(left, right)
 
     def pad(side: int):
         def f(t: pa.Table) -> pa.Table:
@@ -209,7 +208,6 @@ def range_join(
     by: str,
     right_suffix: str = "_r",
     post=None,
-    num_partitions: int | None = None,
     cross_limit: int = RANGE_JOIN_CROSS_LIMIT,
 ) -> Dataset:
     """Interval (range) join: pair each left row with every right row of
@@ -240,7 +238,7 @@ def range_join(
     l_payload = [c for c in l_types_all if c != by]
     r_payload = [c for c in r_types_all if c != by]
     r_out = {c: c + right_suffix if c in l_types_all else c for c in r_payload}
-    P = num_partitions or exchange_width(left, right)
+    P = exchange_width(left, right)
 
     def pad(side: int):
         def f(t: pa.Table) -> pa.Table:
@@ -321,7 +319,6 @@ def sessionize(
     by: str,
     gap,
     agg: dict | None = None,
-    num_partitions: int | None = None,
 ) -> Dataset:
     """Session windows (gap-based): consecutive same-key rows whose time
     gap exceeds ``gap`` start a new session — the classic
@@ -334,7 +331,7 @@ def sessionize(
     ({out_col: (src_col, fn)}).
     """
 
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
 
     def add_part(t: pa.Table) -> pa.Table:
         h = pd.util.hash_pandas_object(
@@ -371,7 +368,6 @@ def resample_ffill(
     start,
     stop,
     step_us: int,
-    num_partitions: int | None = None,
 ) -> Dataset:
     """Regularize an irregular per-key series onto a shared time grid
     with forward fill (the gap-fill / feature-snapshot operator):
@@ -396,7 +392,7 @@ def resample_ffill(
     rows — each partition emits only its own keys' slab, so the
     materialized grid never concentrates on one node.
     """
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
     sch = _schema_types(ds)
     key_t = sch[key]
     start64 = np.datetime64(start, "ns").astype(np.int64)

@@ -54,7 +54,6 @@ def keyed_window(
     order: str,
     tie: str,
     max_col: str | None = None,
-    num_partitions: int | None = None,
 ) -> Dataset:
     """Per-key ordered window functions in one pass:
 
@@ -70,7 +69,7 @@ def keyed_window(
     stay bit-exact against the SQL oracle. Rows with null key / order /
     tie are dropped (mirrored by the oracle's WHERE clause).
     """
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
     cols = [key, order, tie] + ([max_col] if max_col else [])
     types = {c: ds.schema().base_schema.field(c).type for c in cols}
 
@@ -124,7 +123,6 @@ def funnel(
     order: str,
     type_col: str,
     stages: list[str],
-    num_partitions: int | None = None,
 ) -> Dataset:
     """Ordered funnel: for each key, the first time it completes each
     stage STRICTLY AFTER completing the previous one (the classic
@@ -138,7 +136,7 @@ def funnel(
     i-1's per-key threshold, keep rows with ``order`` strictly greater,
     then a C-speed groupby-min — no Python row loops. Rows with null
     key / order are excluded (oracle mirrors)."""
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
     cols = [key, order, type_col]
     key_type = ds.schema().base_schema.field(key).type
 
@@ -181,7 +179,6 @@ def keyed_rolling(
     *,
     window: int = 5,
     scale: int = 100,
-    num_partitions: int | None = None,
 ) -> Dataset:
     """Per-key ROWS-frame rolling aggregates (the feature-engineering
     staple): for every row, over the ``window`` rows ending at it
@@ -202,7 +199,7 @@ def keyed_rolling(
     position); null VALUES keep their row in the frame but contribute
     nothing — SQL window-aggregate semantics. One key-hash exchange,
     pandas C rolling kernels per partition."""
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
     cols = [key, order, tie, value]
     sch = ds.schema().base_schema
     key_t, tie_t = sch.field(key).type, sch.field(tie).type
@@ -255,7 +252,6 @@ def time_rolling(
     *,
     window_us: int = 3_600_000_000,
     scale: int = 100,
-    num_partitions: int | None = None,
 ) -> Dataset:
     """Per-key TIME-based (RANGE-frame) rolling aggregates: for every
     row, over all of the key's rows with ``ts`` in
@@ -289,7 +285,7 @@ def time_rolling(
     differences. Rows with null key / ts are dropped (no frame
     position); null values keep their row but contribute nothing.
     """
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
     cols = [key, ts, tie, value]
     from data_linter_ray.functions.timeseries import _schema_types
 
@@ -360,7 +356,6 @@ def transition_counts(
     order: str,
     type_col: str,
     tie: str | None = None,
-    num_partitions: int | None = None,
 ) -> Dataset:
     """Markov transition matrix over per-key ordered event streams:
     (from_type, to_type, n) counts of consecutive event-type pairs
@@ -376,7 +371,7 @@ def transition_counts(
     """
     from ray.data.aggregate import Sum
 
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
     cols = [c for c in [key, order, tie, type_col] if c is not None]
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
@@ -401,7 +396,6 @@ def sequence_order_violations(
     key: str,
     seq: str,
     ts: str,
-    num_partitions: int | None = None,
 ) -> Dataset:
     """Rows whose ``ts`` REGRESSES below the per-key running maximum
     when ordered by ``seq`` — the out-of-order-arrival / clock-skew
@@ -423,7 +417,7 @@ def sequence_order_violations(
     ``ts`` must be a tz-naive timestamp or a plain numeric column
     (tz-aware columns reach pandas as object arrays — normalize to
     UTC-naive upstream)."""
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
     cols = [key, seq, ts]
     types = {c: ds.schema().base_schema.field(c).type for c in cols}
 
@@ -486,7 +480,6 @@ def collapse_repeats(
     key: str,
     seq: str,
     value_cols: list[str],
-    num_partitions: int | None = None,
 ) -> Dataset:
     """Drop rows whose ``value_cols`` ALL equal the previous row's
     (same key, ``seq`` order) — run-length compaction of repeated
@@ -502,7 +495,7 @@ def collapse_repeats(
     Scale shape: the module's ONE coarse key-hash exchange; inside each
     partition a mergesort by (key, seq) + vectorized shifted compare —
     no per-row Python, no driver materialization."""
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
     cols = [key, seq] + list(value_cols)
     types = {c: ds.schema().base_schema.field(c).type for c in cols}
 
@@ -542,7 +535,6 @@ def lag_correlation(
     *,
     lag: int = 1,
     round_to: int | None = None,
-    num_partitions: int | None = None,
 ) -> "pd.DataFrame":
     """Pooled lag-k autocorrelation of a per-key ordered series — the
     "is this signal sticky?" monitor (event values per user, scores
@@ -564,7 +556,7 @@ def lag_correlation(
 
     → 1-row DataFrame(n_pairs, corr).
     """
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
     cols = [key, order, tie, value]
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
@@ -615,7 +607,6 @@ def cusum_alarms(
     slack_cents: int = 0,
     threshold_cents: int,
     scale: int = 100,
-    num_partitions: int | None = None,
 ) -> Dataset:
     """Per-key one-sided CUSUM drift alarms — the classic sequential
     changepoint detector ("this user's / shard's values have run above
@@ -638,7 +629,7 @@ def cusum_alarms(
 
     → Dataset(key, tie, order, cusum_cents) — alarm rows only.
     """
-    P = num_partitions or exchange_width(ds)
+    P = exchange_width(ds)
     cols = [key, order, tie, value]
     from data_linter_ray.functions.timeseries import _schema_types
 

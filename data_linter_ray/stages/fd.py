@@ -11,10 +11,11 @@ Scale shape — the engine's standard two-level exchange (same pattern
 as stages/uniqueness.py): a per-batch DISTINCT-pair combiner first, so
 only (det, dep) distinct pairs — never rows — enter the all-to-all
 exchange (a hot determinant costs at most one row per distinct dep per
-batch); pairs are bucketed by a 64-bit determinant hash so the global
-exchange moves small integers; each bucket then re-distincts and
-counts dependent values vectorized in pandas. No driver-side
-collection: returns a Dataset of violating keys.
+batch); pairs are bucketed by a 64-bit determinant hash into
+``exchange_width(ds)`` buckets so the global exchange moves small
+integers; each bucket then re-distincts and counts dependent values
+vectorized in pandas. No driver-side collection: returns a Dataset of
+violating keys.
 
 Null semantics match SQL ``count(DISTINCT dep) .. GROUP BY det WHERE
 det IS NOT NULL``: null determinants are excluded (a null key
@@ -30,14 +31,11 @@ from ray.data import Dataset
 
 from data_linter_ray.exchange import exchange_map_groups, exchange_width
 
-DEFAULT_BUCKETS = 64
 
-
-def fd_violations(
-    ds: Dataset, det: str, dep: str, num_buckets: int = DEFAULT_BUCKETS
-) -> Dataset:
+def fd_violations(ds: Dataset, det: str, dep: str) -> Dataset:
     """→ Dataset of ``(det, n_values)`` rows where the determinant maps
     to ``n_values ≥ 2`` distinct non-null dependent values."""
+    P = exchange_width(ds)
 
     def local_pairs(t: pa.Table) -> pa.Table:
         from data_linter_ray.state.sketches import hash_array
@@ -49,7 +47,7 @@ def fd_violations(
         pairs = t.group_by([det, dep]).aggregate([])
         h = hash_array(pairs[det].combine_chunks())
         return pairs.append_column(
-            "_bucket", pa.array((h % num_buckets).astype(np.int64))
+            "_bucket", pa.array((h % P).astype(np.int64))
         )
 
     pre = ds.select_columns([det, dep]).map_batches(
@@ -65,4 +63,4 @@ def fd_violations(
         )
         return s[s["n_values"] > 1]
 
-    return exchange_map_groups(pre, "_bucket", num_buckets, find)
+    return exchange_map_groups(pre, "_bucket", P, find)

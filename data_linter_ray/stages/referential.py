@@ -117,12 +117,14 @@ def referential_violations_shuffle(
     import numpy as np
     import pandas as pd
 
-    num_buckets = 64
+    from data_linter_ray.exchange import exchange_map_groups, exchange_width
+
+    P = exchange_width(ds, ref_ds)
 
     def bucket_of(vals: pa.Array) -> pa.Array:
         from data_linter_ray.state.sketches import hash_array
 
-        return pa.array((hash_array(vals) % num_buckets).astype(np.int64))
+        return pa.array((hash_array(vals) % P).astype(np.int64))
 
     def fk_partials(t: pa.Table) -> pa.Table:
         vc = t[fk].combine_chunks().drop_null().value_counts()
@@ -140,8 +142,6 @@ def referential_violations_shuffle(
              pa.array([1] * len(k), type=pa.int64()), bucket_of(k)],
             names=["key", "n_fk", "has_pk", "_bucket"],
         )
-
-    from data_linter_ray.exchange import exchange_map_groups
 
     tagged = ds.select_columns([fk]).map_batches(
         fk_partials, batch_format="pyarrow"
@@ -163,4 +163,4 @@ def referential_violations_shuffle(
             }
         )
 
-    return exchange_map_groups(tagged, "_bucket", num_buckets, dangling)
+    return exchange_map_groups(tagged, "_bucket", P, dangling)

@@ -8,6 +8,8 @@ import pyarrow as pa
 import pytest
 import ray
 
+from data_linter_ray import exchange
+
 
 def _oracle_check(name: str, sf_dir: str, tables=("events",)):
     import __ray_entry__ as e
@@ -700,7 +702,7 @@ def test_value_percent_rank_vs_duckdb(ray_session, sf_dir):
     _oracle_check("value_percent_rank", sf_dir)
 
 
-def test_sequence_order_violations_exact(ray_session):
+def test_sequence_order_violations_exact(ray_session, monkeypatch):
     """Rows flagged iff ts < per-key running max in seq order; first
     row of a key never flags; equal ts never flags (strict <); exact
     across exchange widths."""
@@ -744,14 +746,15 @@ def test_sequence_order_violations_exact(ray_session):
     assert got.loc[0, "prev_max_ts"] == pd.Timestamp(mk(25))
     assert got.loc[1, "prev_max_ts"] == pd.Timestamp(mk(40))
 
+    monkeypatch.setenv(exchange.ENV_VAR, "2")
     got2 = (
-        sequence_order_violations(ds, "k", "s", "ts", num_partitions=2)
+        sequence_order_violations(ds, "k", "s", "ts")
         .to_pandas().sort_values(["k", "s"]).reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(got, got2)
 
 
-def test_collapse_repeats_exact(ray_session):
+def test_collapse_repeats_exact(ray_session, monkeypatch):
     """Consecutive equal values collapse (null==null included), any
     change survives, first-of-key always survives; exact across
     widths."""
@@ -782,8 +785,9 @@ def test_collapse_repeats_exact(ray_session):
     assert list(zip(got["k"], got["s"])) == [
         (1, 1), (1, 3), (1, 5), (2, 1), (2, 3), (3, 1)
     ]
+    monkeypatch.setenv(exchange.ENV_VAR, "2")
     got2 = (
-        collapse_repeats(ds, "k", "s", ["v"], num_partitions=2)
+        collapse_repeats(ds, "k", "s", ["v"])
         .to_pandas().sort_values(["k", "s"]).reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(got, got2)
@@ -829,7 +833,7 @@ def test_batch3_query_oracle_pairs(ray_session, sf_dir, name, tables):
     _oracle_check(name, sf_dir, tables=tables)
 
 
-def test_time_rolling_crafted_peers_and_bounds(ray_session):
+def test_time_rolling_crafted_peers_and_bounds(ray_session, monkeypatch):
     """RANGE-frame semantics on a crafted stream: peers at an equal
     timestamp share one frame (including LATER peers in tie order),
     the window bound is inclusive, and an all-null-value frame emits
@@ -849,9 +853,10 @@ def test_time_rolling_crafted_peers_and_bounds(ray_session):
             "v": [1.0, 2.0, 4.0, 8.0, None, 16.0],
         }
     )
+    monkeypatch.setenv(exchange.ENV_VAR, "2")
     got = (
         time_rolling(ray.data.from_pandas(df), "k", "ts", "i", "v",
-                     window_us=3_600_000_000, num_partitions=2)
+                     window_us=3_600_000_000)
         .to_pandas().sort_values(["k", "i"]).reset_index(drop=True)
     )
     # row i=1: frame {1.0} → 100; rows i=2,3 are PEERS: both frames
@@ -863,7 +868,7 @@ def test_time_rolling_crafted_peers_and_bounds(ray_session):
     assert got["roll_n"].tolist() == [1, 3, 3, 3, 0, 1]
 
 
-def test_time_rolling_numeric_axis_same_unit(ray_session):
+def test_time_rolling_numeric_axis_same_unit(ray_session, monkeypatch):
     """A plain numeric µs-epoch order column is compared against
     window_us in the SAME unit (no ×1000 ns rescale): results equal
     the timestamp-typed run on identical instants."""
@@ -879,14 +884,15 @@ def test_time_rolling_numeric_axis_same_unit(ray_session):
         }
     )
     df_dt = df.assign(ts_us=pd.to_datetime(us, unit="us"))
+    monkeypatch.setenv(exchange.ENV_VAR, "2")
     got_num = (
         time_rolling(ray.data.from_pandas(df), "k", "ts_us", "i", "v",
-                     window_us=3_600_000_000, num_partitions=2)
+                     window_us=3_600_000_000)
         .to_pandas().sort_values(["k", "i"]).reset_index(drop=True)
     )
     got_dt = (
         time_rolling(ray.data.from_pandas(df_dt), "k", "ts_us", "i", "v",
-                     window_us=3_600_000_000, num_partitions=2)
+                     window_us=3_600_000_000)
         .to_pandas().sort_values(["k", "i"]).reset_index(drop=True)
     )
     assert got_num["roll_sum_cents"].tolist()[:4] == [100, 700, 700, 1400]
@@ -918,7 +924,7 @@ def test_time_rolling_band_blocks_equal(ray_session, sf_dir):
     pd.testing.assert_frame_equal(base, small)
 
 
-def test_resample_ffill_crafted(ray_session):
+def test_resample_ffill_crafted(ray_session, monkeypatch):
     """Forward fill on a crafted series: NULL before the key's first
     observation, last-tie collapse at duplicate timestamps, selection-
     exact values, and the multi-block band path agrees."""
@@ -936,12 +942,14 @@ def test_resample_ffill_crafted(ray_session):
         }
     )
 
+    monkeypatch.setenv(exchange.ENV_VAR, "2")
+
     def run():
         return (
             T.resample_ffill(
                 ray.data.from_pandas(df), key="k", time_col="ts", tie="i",
                 value="v", start="2024-01-01", stop="2024-01-05",
-                step_us=86_400_000_000, num_partitions=2,
+                step_us=86_400_000_000,
             )
             .to_pandas().sort_values(["k", "ts"]).reset_index(drop=True)
         )
@@ -991,6 +999,28 @@ def test_group_regression_all_null_empty(ray_session):
     assert list(out.columns) == ["g", "n", "slope", "intercept", "r2"]
 
 
+def test_group_regression_nan_payload_pinned(ray_session):
+    """Pins today's NaN policy: a non-null NaN x is not deleted. Its row
+    counts in n while the skip-NaN sums drop its terms, so group q is
+    fitted as if that x were 0.0 (SQL ``regr_*`` would return NaN)."""
+    from data_linter_ray.functions.stats import group_regression
+
+    nan = float("nan")
+    t = pa.table(
+        {
+            "g": ["p", "p", "p", "q", "q", "q"],
+            "x": pa.array([1.0, 2.0, 3.0, 1.0, nan, 3.0]),
+            "y": pa.array([2.0, 4.0, 6.0, 1.0, 2.0, 3.0]),
+        }
+    )
+    out = group_regression(ray.data.from_arrow(t), "g", "x", "y", round_to=9)
+    assert out["n"].tolist() == [3, 3]
+    # q with x = (1, 0, 3): slope 6/14, intercept (6 - 4·slope)/3, r² 3/7
+    assert out["slope"].tolist() == [2.0, round(6 / 14, 9)]
+    assert out["intercept"].tolist() == [0.0, round(10 / 7, 9)]
+    assert out["r2"].tolist() == [1.0, round(3 / 7, 9)]
+
+
 def test_null_cooccurrence_exact(ray_session):
     from data_linter_ray.functions.profile import null_cooccurrence
 
@@ -1012,7 +1042,7 @@ def test_ks_two_sample_oracle(ray_session, sf_dir):
     _oracle_check("value_distribution_ks", sf_dir, tables=("events",))
 
 
-def test_ks_two_sample_crafted(ray_session):
+def test_ks_two_sample_crafted(ray_session, monkeypatch):
     """KS on a crafted pair with ties and a known sup: group a =
     {1,1,2,3}, group b = {2,3,3,4}. CDF steps at v∈{1,2,3,4}:
     F_a = .5,.75,1,1 / F_b = 0,.25,.75,1 → sup = .5 at v=1; identical
@@ -1028,9 +1058,8 @@ def test_ks_two_sample_crafted(ray_session):
     out = ks_two_sample(ray.data.from_pandas(df), "v", "g", "a", "b")
     assert (out["n_a"][0], out["n_b"][0]) == (4, 4)
     assert out["ks"][0] == 0.5
-    out2 = ks_two_sample(
-        ray.data.from_pandas(df), "v", "g", "a", "b", num_partitions=3
-    )
+    monkeypatch.setenv(exchange.ENV_VAR, "3")
+    out2 = ks_two_sample(ray.data.from_pandas(df), "v", "g", "a", "b")
     pd.testing.assert_frame_equal(out, out2)
     empty = ks_two_sample(ray.data.from_pandas(df), "v", "g", "a", "nope")
     assert empty["n_b"][0] == 0 and pd.isna(empty["ks"][0])
@@ -1156,7 +1185,7 @@ def test_gini_oracle(ray_session, sf_dir):
     _oracle_check("value_gini", sf_dir, tables=("events",))
 
 
-def test_gini_crafted(ray_session):
+def test_gini_crafted(ray_session, monkeypatch):
     """Closed-form checks: perfect equality → 0; one holder of all
     value among n → (n-1)/n; width invariance; null exclusion."""
     from data_linter_ray.functions.stats import gini
@@ -1168,7 +1197,8 @@ def test_gini_crafted(ray_session):
     onehot = pd.DataFrame({"v": [0.0] * 9 + [10.0]})
     out = gini(ray.data.from_pandas(onehot), "v")
     assert out["gini"][0] == (10 - 1) / 10
-    out2 = gini(ray.data.from_pandas(onehot), "v", num_partitions=3)
+    monkeypatch.setenv(exchange.ENV_VAR, "3")
+    out2 = gini(ray.data.from_pandas(onehot), "v")
     pd.testing.assert_frame_equal(out, out2)
 
 
@@ -1176,7 +1206,7 @@ def test_mannwhitney_oracle(ray_session, sf_dir):
     _oracle_check("value_mannwhitney", sf_dir, tables=("events",))
 
 
-def test_mannwhitney_crafted(ray_session):
+def test_mannwhitney_crafted(ray_session, monkeypatch):
     """Textbook case with ties: a={1,2,2}, b={2,3}. Average ranks:
     1→1, run of three 2s at positions 2-4 → avg 3, 3→5.
     R_a = 1+3+3 = 7 → U_a = 7 - 3·4/2 = 1; U_b = 6 - 1 = 5.
@@ -1189,9 +1219,8 @@ def test_mannwhitney_crafted(ray_session):
     out = mannwhitney_u(ray.data.from_pandas(df), "v", "g", "a", "b")
     assert (out["n_a"][0], out["n_b"][0]) == (3, 2)
     assert out["u_a"][0] == 1.0 and out["u_b"][0] == 5.0
-    out2 = mannwhitney_u(
-        ray.data.from_pandas(df), "v", "g", "a", "b", num_partitions=3
-    )
+    monkeypatch.setenv(exchange.ENV_VAR, "3")
+    out2 = mannwhitney_u(ray.data.from_pandas(df), "v", "g", "a", "b")
     pd.testing.assert_frame_equal(out, out2)
 
 
@@ -1199,31 +1228,28 @@ def test_spearman_oracle(ray_session, sf_dir):
     _oracle_check("price_quantity_spearman", sf_dir, tables=("lineitem",))
 
 
-def test_spearman_crafted(ray_session):
+def test_spearman_crafted(ray_session, monkeypatch):
     """Monotone (nonlinear) relation → rho exactly 1; reversed → -1;
     ties handled by average ranks (scipy's convention): the crafted
     tie case matches the closed form computed by hand."""
     from data_linter_ray.functions.stats import spearman_corr
 
     mono = pd.DataFrame({"x": [1.0, 2.0, 3.0, 4.0], "y": [1.0, 8.0, 27.0, 64.0]})
-    out = spearman_corr(ray.data.from_pandas(mono), "x", "y", num_partitions=2)
+    monkeypatch.setenv(exchange.ENV_VAR, "2")
+    out = spearman_corr(ray.data.from_pandas(mono), "x", "y")
     # the closed form evaluates sqrt(d1)*sqrt(d2), which differs from
     # sqrt(d1*d2) by an ulp — 1.0 is approached, not hit (the oracle
     # computes the identical expression, so parity is still exact)
     assert abs(out["rho"][0] - 1.0) < 1e-12
     rev = mono.assign(y=-mono["y"])
-    got_rev = spearman_corr(
-        ray.data.from_pandas(rev), "x", "y", num_partitions=2
-    )["rho"][0]
+    got_rev = spearman_corr(ray.data.from_pandas(rev), "x", "y")["rho"][0]
     assert abs(got_rev + 1.0) < 1e-12
 
     # ties: x = [1,1,2], y = [1,2,3]. avg ranks x: 1.5,1.5,3; y: 1,2,3
     # → rho = cov/σxσy = ((1.5-2)(1-2)+(1.5-2)(2-2)+(3-2)(3-2)) /
     #   sqrt(0.25+0.25+1)/sqrt(2) = 1.5/sqrt(1.5·2) = sqrt(3)/2
     tie = pd.DataFrame({"x": [1.0, 1.0, 2.0], "y": [1.0, 2.0, 3.0]})
-    got = spearman_corr(
-        ray.data.from_pandas(tie), "x", "y", num_partitions=2
-    )["rho"][0]
+    got = spearman_corr(ray.data.from_pandas(tie), "x", "y")["rho"][0]
     import math
 
     assert abs(got - math.sqrt(3) / 2) < 1e-12
@@ -1233,13 +1259,14 @@ def test_kendall_oracle(ray_session, sf_dir):
     _oracle_check("value_user_kendall", sf_dir, tables=("events",))
 
 
-def test_kendall_crafted_and_random(ray_session):
+def test_kendall_crafted_and_random(ray_session, monkeypatch):
     """Exact c/d vs an O(n²) brute force on random tied data at two
     exchange widths, plus the textbook no-tie case τ = 1."""
     from data_linter_ray.functions.stats import kendall_tau
 
     mono = pd.DataFrame({"x": [1.0, 2.0, 3.0], "y": [10.0, 20.0, 30.0]})
-    out = kendall_tau(ray.data.from_pandas(mono), "x", "y", num_partitions=2)
+    monkeypatch.setenv(exchange.ENV_VAR, "2")
+    out = kendall_tau(ray.data.from_pandas(mono), "x", "y")
     assert (out["c"][0], out["d"][0]) == (3, 0)
     assert abs(out["tau_b"][0] - 1.0) < 1e-12
 
@@ -1258,7 +1285,8 @@ def test_kendall_crafted_and_random(ray_session):
         c += int((s > 0).sum())
         d += int((s < 0).sum())
     for p in (2, 5):
-        out = kendall_tau(ray.data.from_pandas(df), "x", "y", num_partitions=p)
+        monkeypatch.setenv(exchange.ENV_VAR, str(p))
+        out = kendall_tau(ray.data.from_pandas(df), "x", "y")
         assert (out["c"][0], out["d"][0]) == (c, d), (p, out)
 
 
@@ -1270,7 +1298,6 @@ def test_kendall_driver_matrix_bounded(ray_session, monkeypatch):
     Verified by spying on the exchanged partial frames at a forced
     width on 60k heavily-tied rows, and by partition-invariance of the
     exact statistic (wide result == width-1 result)."""
-    import data_linter_ray.exchange as ex
     from data_linter_ray.functions.stats import kendall_tau
 
     n = 60_000
@@ -1284,17 +1311,18 @@ def test_kendall_driver_matrix_bounded(ray_session, monkeypatch):
     )
 
     captured = []
-    orig = ex.exchange_map_groups
+    orig = exchange.exchange_map_groups
 
     def spy(ds, part_col, num_partitions, fn, **kw):
         out = orig(ds, part_col, num_partitions, fn, **kw).materialize()
         captured.append((num_partitions, out.to_pandas()))
         return out
 
-    monkeypatch.setattr(ex, "exchange_map_groups", spy)
+    monkeypatch.setattr(exchange, "exchange_map_groups", spy)
 
     P = 16
-    wide = kendall_tau(ray.data.from_pandas(df), "x", "y", num_partitions=P)
+    monkeypatch.setenv(exchange.ENV_VAR, str(P))
+    wide = kendall_tau(ray.data.from_pandas(df), "x", "y")
 
     assert len(captured) == 2  # x pass, y pass
     (px, xres), (py, yres) = captured
@@ -1307,8 +1335,9 @@ def test_kendall_driver_matrix_bounded(ray_session, monkeypatch):
     assert py == P and len(yres) <= P
     # partition-invariance: the wide exchange computes the identical
     # exact statistic as the single-bucket path
-    monkeypatch.setattr(ex, "exchange_map_groups", orig)
-    one = kendall_tau(ray.data.from_pandas(df), "x", "y", num_partitions=1)
+    monkeypatch.setattr(exchange, "exchange_map_groups", orig)
+    monkeypatch.setenv(exchange.ENV_VAR, "1")
+    one = kendall_tau(ray.data.from_pandas(df), "x", "y")
     assert (wide["c"][0], wide["d"][0]) == (one["c"][0], one["d"][0])
     assert wide["n"][0] == n
 
@@ -1342,7 +1371,7 @@ def test_value_autocorr_oracle(ray_session, sf_dir):
     _oracle_check("value_autocorr", sf_dir, tables=("events",))
 
 
-def test_lag_correlation_crafted(ray_session):
+def test_lag_correlation_crafted(ray_session, monkeypatch):
     """AR(1)-like alternating series → corr −1 within a key; pairs
     never cross keys; a null value voids its two pairs but keeps its
     ordering position (SQL lag semantics)."""
@@ -1357,17 +1386,14 @@ def test_lag_correlation_crafted(ray_session):
             "v": [1.0, -1.0, 1.0, -1.0, 5.0, 5.0],
         }
     )
-    out = lag_correlation(
-        ray.data.from_pandas(df), "k", "ts", "i", "v", num_partitions=2
-    )
+    monkeypatch.setenv(exchange.ENV_VAR, "2")
+    out = lag_correlation(ray.data.from_pandas(df), "k", "ts", "i", "v")
     # key 1 contributes 3 perfectly alternating pairs; key 2's pair is
     # constant (5,5) — pooled corr < 0 but not exactly -1
     assert out["n_pairs"][0] == 4
 
     nulled = df.assign(v=[1.0, None, 1.0, -1.0, 5.0, 5.0])
-    out2 = lag_correlation(
-        ray.data.from_pandas(nulled), "k", "ts", "i", "v", num_partitions=2
-    )
+    out2 = lag_correlation(ray.data.from_pandas(nulled), "k", "ts", "i", "v")
     # the null voids pairs (1,2) and (2,3); (3,4) and key-2 remain
     assert out2["n_pairs"][0] == 2
 
@@ -1398,7 +1424,7 @@ def test_segment_drift_ks_oracle(ray_session, sf_dir):
     _oracle_check("segment_drift_ks", sf_dir, tables=("events",))
 
 
-def test_ks_per_group_crafted(ray_session):
+def test_ks_per_group_crafted(ray_session, monkeypatch):
     """A group identical to the pool has a small-but-nonzero KS (its
     own mass shifts the pooled CDF); a disjoint-support group carries
     the largest; width invariance; the max_groups guard raises."""
@@ -1415,9 +1441,8 @@ def test_ks_per_group_crafted(ray_session):
     # both groups hold half the mass with disjoint support: F_a hits 1
     # while pooled is at .5 → sup = .5 for each
     assert out["ks"].tolist() == [0.5, 0.5]
-    out2 = ks_per_group(
-        ray.data.from_pandas(df), "v", "g", num_partitions=3
-    )
+    monkeypatch.setenv(exchange.ENV_VAR, "3")
+    out2 = ks_per_group(ray.data.from_pandas(df), "v", "g")
     pd.testing.assert_frame_equal(out, out2)
 
     with pytest.raises(ValueError):
@@ -1439,7 +1464,7 @@ def test_event_basket_lift_oracle(ray_session, sf_dir):
     _oracle_check("event_basket_lift", sf_dir, tables=("events",))
 
 
-def test_cooccurrence_lift_crafted(ray_session):
+def test_cooccurrence_lift_crafted(ray_session, monkeypatch):
     """Hand-computed 3-basket case: items P/Q co-occur in 2 of 3
     baskets with n_P = 3, n_Q = 2 → lift = 2·3/(3·2) = 1; a pair
     appearing once with rarer singles lifts above 1; duplicates within
@@ -1452,7 +1477,8 @@ def test_cooccurrence_lift_crafted(ray_session):
             "i": ["P", "Q", "P", "P", "Q", "P", "R", "R"],
         }
     )
-    out = cooccurrence_lift(ray.data.from_pandas(df), "b", "i", num_partitions=2)
+    monkeypatch.setenv(exchange.ENV_VAR, "2")
+    out = cooccurrence_lift(ray.data.from_pandas(df), "b", "i")
     out = out.set_index(["item_a", "item_b"])
     assert out.loc[("P", "Q"), "n_ab"] == 2
     assert out.loc[("P", "Q"), "lift"] == (2 * 3) / (3 * 2)
@@ -1499,7 +1525,7 @@ def test_value_cusum_alarms_oracle(ray_session, sf_dir):
     _oracle_check("value_cusum_alarms", sf_dir, tables=("events",))
 
 
-def test_cusum_alarms_crafted(ray_session):
+def test_cusum_alarms_crafted(ray_session, monkeypatch):
     """The clamp resets after dips; alarms fire only once the running
     excess crosses the threshold; keys are independent (band-segmented
     running min never leaks across keys); null values are neutral."""
@@ -1515,11 +1541,11 @@ def test_cusum_alarms_crafted(ray_session):
                   40.0, 45.0, 50.0, 42.0],
         }
     )
+    monkeypatch.setenv(exchange.ENV_VAR, "2")
     out = (
         cusum_alarms(
             ray.data.from_pandas(df), "k", "ts", "i", "v",
             ref_cents=5000, slack_cents=100, threshold_cents=500,
-            num_partitions=2,
         )
         .to_pandas().sort_values("i").reset_index(drop=True)
     )
@@ -1548,7 +1574,7 @@ def test_gap_quartiles_oracle(ray_session, sf_dir):
     _oracle_check("gap_quartiles", sf_dir, tables=("events",))
 
 
-def test_nan_payloads_excluded_like_nulls(ray_session):
+def test_nan_payloads_excluded_like_nulls(ray_session, monkeypatch):
     """Float NaN payloads (non-null NaN, which survive Arrow drop_null)
     are excluded explicitly by the rank/two-sample/heatmap family —
     the documented policy (same as gini). Before the explicit filter,
@@ -1588,12 +1614,13 @@ def test_nan_payloads_excluded_like_nulls(ray_session):
     dirty = pd.concat([dirty, extra], ignore_index=True)
 
     for P in (1, 3):
+        monkeypatch.setenv(exchange.ENV_VAR, str(P))
         ds_clean = ray.data.from_pandas(clean)
         ds_dirty = ray.data.from_pandas(dirty)
 
         # two-group family: value column NaN rows excluded
-        want = ks_two_sample(ds_clean, "x", "g", "a", "b", num_partitions=P)
-        got = ks_two_sample(ds_dirty, "x", "g", "a", "b", num_partitions=P)
+        want = ks_two_sample(ds_clean, "x", "g", "a", "b")
+        got = ks_two_sample(ds_dirty, "x", "g", "a", "b")
         # dirty input has 2 extra non-NaN x rows (1.0 in b, 5.0 in b)
         assert got["n_a"][0] == want["n_a"][0]
         assert got["n_b"][0] == want["n_b"][0] + 2
@@ -1606,9 +1633,8 @@ def test_nan_payloads_excluded_like_nulls(ray_session):
             ),
             "x",
             "y",
-            num_partitions=P,
         )
-        sp_got = spearman_corr(ds_dirty, "x", "y", num_partitions=P)
+        sp_got = spearman_corr(ds_dirty, "x", "y")
         assert sp_got["n"][0] == len(clean) + 1
         assert sp_got["rho"][0] == sp_want["rho"][0]
 
@@ -1618,9 +1644,8 @@ def test_nan_payloads_excluded_like_nulls(ray_session):
             ),
             "x",
             "y",
-            num_partitions=P,
         )
-        kt_got = kendall_tau(ds_dirty, "x", "y", num_partitions=P)
+        kt_got = kendall_tau(ds_dirty, "x", "y")
         pd.testing.assert_frame_equal(kt_got, kt_want)
 
         jh_want = joint_histogram(
@@ -1633,8 +1658,8 @@ def test_nan_payloads_excluded_like_nulls(ray_session):
         jh_got = joint_histogram(ds_dirty, "x", "y")
         pd.testing.assert_frame_equal(jh_got, jh_want)
 
-        kpg_got = ks_per_group(ds_dirty, "x", "g", num_partitions=P)
+        kpg_got = ks_per_group(ds_dirty, "x", "g")
         assert int(kpg_got["n"].sum()) == len(clean) + 2  # 2 non-NaN x extras
 
-        mw_got = mannwhitney_u(ds_dirty, "x", "g", "a", "b", num_partitions=P)
+        mw_got = mannwhitney_u(ds_dirty, "x", "g", "a", "b")
         assert mw_got["n_a"][0] + mw_got["n_b"][0] == len(clean) + 2

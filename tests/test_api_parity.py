@@ -166,3 +166,39 @@ def test_cli_version_flag(capsys):
         main(["--version"])
     assert e.value.code == 0
     assert dlr.__version__ in capsys.readouterr().out
+
+
+def test_no_operator_takes_an_exchange_width():
+    """Exchange width is decided in ``exchange.py`` only: no public
+    operator or stage takes ``num_partitions`` / ``num_buckets``, and
+    the width functions take no ``override`` (the env var is the one
+    setting)."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import data_linter_ray.functions
+    import data_linter_ray.stages
+    from data_linter_ray import exchange
+
+    offenders = []
+    for pkg in (data_linter_ray.functions, data_linter_ray.stages):
+        for info in pkgutil.iter_modules(pkg.__path__, pkg.__name__ + "."):
+            mod = importlib.import_module(info.name)
+            for name, obj in vars(mod).items():
+                if name.startswith("_") or not callable(obj):
+                    continue
+                if getattr(obj, "__module__", None) != mod.__name__:
+                    continue  # imported, checked where it is defined
+                try:
+                    params = inspect.signature(obj).parameters
+                except (TypeError, ValueError):
+                    continue
+                offenders += [
+                    f"{mod.__name__}.{name}({p})"
+                    for p in ("num_partitions", "num_buckets")
+                    if p in params
+                ]
+    assert offenders == []
+    for fn in (exchange.exchange_width, exchange.join_width):
+        assert "override" not in inspect.signature(fn).parameters

@@ -6,6 +6,7 @@ import pyarrow.compute as pc
 import pytest
 
 import ray
+from data_linter_ray import exchange
 from data_linter_ray.functions import dedup, similarity, text
 
 
@@ -275,7 +276,7 @@ def test_ivf_near_duplicates_recall(ray_session, sf_dir):
         assert len(ivf_pairs) / len(exact_pairs) >= 0.5  # 2-probe recall
 
 
-def test_sample_per_key_exact(ray_session):
+def test_sample_per_key_exact(ray_session, monkeypatch):
     """Per-key cap: kept rows are exactly the n smallest order values
     per key (pandas oracle), null keys dropped, stable across widths."""
     import pandas as pd
@@ -300,11 +301,9 @@ def test_sample_per_key_exact(ray_session):
         .reset_index(drop=True)[["k", "oid"]]
     )
     for width in (2, 16):
+        monkeypatch.setenv(exchange.ENV_VAR, str(width))
         got = (
-            sample_per_key(
-                rd.from_pandas(df).repartition(6), "k", 5, "oid",
-                num_partitions=width,
-            )
+            sample_per_key(rd.from_pandas(df).repartition(6), "k", 5, "oid")
             .to_pandas()
             .sort_values("oid")
             .reset_index(drop=True)
@@ -360,7 +359,7 @@ def test_normalize_text_matches_duckdb(ray_session):
     assert got == [r[0] for r in exp]
 
 
-def test_token_doc_frequency_exact(ray_session):
+def test_token_doc_frequency_exact(ray_session, monkeypatch):
     """Two-level df count == a pandas per-doc-distinct oracle, invariant
     across input partitionings and exchange widths."""
     import pandas as pd
@@ -385,10 +384,9 @@ def test_token_doc_frequency_exact(ray_session):
         for tok in {t for t in re.split(r"\W+", d.lower().strip()) if t}:
             exp[tok] = exp.get(tok, 0) + 1
     for width in (2, 8):
+        monkeypatch.setenv(exchange.ENV_VAR, str(width))
         got = (
-            token_doc_frequency(
-                rd.from_pandas(df).repartition(3), num_partitions=width
-            )
+            token_doc_frequency(rd.from_pandas(df).repartition(3))
             .to_pandas()
         )
         assert dict(zip(got["token"], got["df"])) == exp, width
@@ -487,7 +485,7 @@ def test_histogram_exact(ray_session):
     }
 
 
-def test_top_values_exact(ray_session):
+def test_top_values_exact(ray_session, monkeypatch):
     """Exact top-k heavy hitters: matches a pandas value_counts oracle,
     including count-tie break by value asc, at two exchange widths."""
     import pandas as pd
@@ -505,9 +503,8 @@ def test_top_values_exact(ray_session):
         .reset_index(drop=True)
     )
     for width in (2, 16):
-        got = top_values(
-            rd.from_pandas(df).repartition(8), "v", k=7, num_partitions=width
-        ).to_pandas()
+        monkeypatch.setenv(exchange.ENV_VAR, str(width))
+        got = top_values(rd.from_pandas(df).repartition(8), "v", k=7).to_pandas()
         pd.testing.assert_frame_equal(got, exp, check_dtype=False)
 
 
@@ -933,8 +930,8 @@ def test_profile_dataset(ray_session, sf_dir):
     assert abs(est - exact["du"]) / exact["du"] < 0.05
 
 
-def test_asof_join_num_partitions(ray_session):
-    """Results are invariant to the exchange width (the scale knob)."""
+def test_asof_join_num_partitions(ray_session, monkeypatch):
+    """Results are invariant to the exchange width (set by the env var)."""
     import pandas as pd
 
     from data_linter_ray.functions.timeseries import asof_join
@@ -944,9 +941,10 @@ def test_asof_join_num_partitions(ray_session):
     right = pd.DataFrame({"ts": np.arange(0, 500, 25).repeat(5), "k": np.tile(np.arange(5), 20), "p": np.arange(100)})
     outs = []
     for P in (4, 64):
+        monkeypatch.setenv(exchange.ENV_VAR, str(P))
         outs.append(
             asof_join(ray.data.from_pandas(left), ray.data.from_pandas(right),
-                      on="ts", by="k", num_partitions=P)
+                      on="ts", by="k")
             .to_pandas().sort_values(["k", "ts", "lx"]).reset_index(drop=True)
         )
     assert outs[0].equals(outs[1])

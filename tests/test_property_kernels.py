@@ -5,8 +5,11 @@ example budget (a Dataset round-trip per example is expensive)."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from data_linter_ray import exchange
 
 
 def _levenshtein(a: str, b: str) -> int:
@@ -337,15 +340,18 @@ def test_time_rolling_matches_bruteforce(ray_session, rows):
         }
     )
     W_US = 10_000_000  # 10 s
-    out = (
-        time_rolling(
-            ray.data.from_arrow(t).repartition(3), "k", "ts", "i", "v",
-            window_us=W_US, num_partitions=3,
+    # a function-scoped monkeypatch fixture cannot serve @given examples
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(exchange.ENV_VAR, "3")
+        out = (
+            time_rolling(
+                ray.data.from_arrow(t).repartition(3), "k", "ts", "i", "v",
+                window_us=W_US,
+            )
+            .to_pandas()
+            .sort_values("i")
+            .reset_index(drop=True)
         )
-        .to_pandas()
-        .sort_values("i")
-        .reset_index(drop=True)
-    )
     for idx, (k, sec, _v) in enumerate(rows):
         frame = [
             int(np.rint(v2 * 100))
@@ -390,14 +396,13 @@ def test_resample_ffill_matches_bruteforce(ray_session, rows):
         }
     )
     STEP = 7_000_000  # 7 s grid
-    out = (
-        resample_ffill(
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(exchange.ENV_VAR, "2")
+        out = resample_ffill(
             ray.data.from_arrow(t).repartition(2), key="k", time_col="ts",
             tie="i", value="v", start="1970-01-01T00:00:00",
-            stop="1970-01-01T00:00:42", step_us=STEP, num_partitions=2,
-        )
-        .to_pandas()
-    )
+            stop="1970-01-01T00:00:42", step_us=STEP,
+        ).to_pandas()
     grid = list(range(0, 43, 7))
     keys = sorted({r[0] for r in rows})
     assert len(out) == len(grid) * len(keys)

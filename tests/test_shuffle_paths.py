@@ -15,12 +15,17 @@ from data_linter_ray.stages.referential import (
 )
 
 
-def test_shuffle_referential_matches_broadcast(ray_session):
+def _orders_and_dim():
     rng = np.random.RandomState(0)
     fk = rng.randint(0, 2000, 5000)
     pk = np.arange(0, 1500)  # fk values >= 1500 dangle
     orders = ray.data.from_arrow(pa.table({"k": fk}))
     dim = ray.data.from_arrow(pa.table({"id": pk}))
+    return fk, orders, dim
+
+
+def test_shuffle_referential_matches_broadcast(ray_session):
+    fk, orders, dim = _orders_and_dim()
 
     shuffled = referential_violations_shuffle(orders, "k", dim, "id").to_pandas()
     broadcast = referential_violations_broadcast(orders, "k", dim, "id").to_pandas()
@@ -230,25 +235,49 @@ def test_range_join_hot_key_bounded(ray_session):
 
 
 def test_exchange_width_env_override_invariant(ray_session, monkeypatch, sf_dir):
-    """VERDICT r02 #9: the exchange width is a knob, not a semantic —
-    verdicts are identical at width 4 and width 64."""
-    from data_linter_ray.exchange import ENV_VAR, exchange_width
+    """VERDICT r02 #9: the exchange width is a setting, not a semantic.
+    The env var reaches the exchanges of duplicate_keys, fd_violations
+    and the referential shuffle (each scatters at exactly that width),
+    and their verdicts are identical at width 4 and width 64."""
+    from data_linter_ray import exchange
+    from data_linter_ray.stages.fd import fd_violations
     from data_linter_ray.stages.uniqueness import duplicate_keys
 
-    outs = []
-    for width in ("4", "64"):
-        monkeypatch.setenv(ENV_VAR, width)
-        assert exchange_width() == int(width)
-        ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
-        outs.append(
-            duplicate_keys(ds, "user_id").to_pandas().sort_values("user_id").reset_index(drop=True)
+    widths = []
+    orig = exchange.keyed_scatter_gather
+
+    def spy(mat, part_col, num_partitions, reduce_fn, **kw):
+        widths.append(num_partitions)
+        return orig(mat, part_col, num_partitions, reduce_fn, **kw)
+
+    monkeypatch.setattr(exchange, "keyed_scatter_gather", spy)
+
+    def sorted_pandas(ds, by):
+        return ds.to_pandas().sort_values(by).reset_index(drop=True)
+
+    events = f"{sf_dir}/events.parquet"
+    outs = {}
+    for width in (4, 64):
+        monkeypatch.setenv(exchange.ENV_VAR, str(width))
+        assert exchange.exchange_width() == width
+        widths.clear()
+        ds = ray.data.read_parquet(events, columns=["user_id"])
+        dups = sorted_pandas(duplicate_keys(ds, "user_id"), "user_id")
+        ds = ray.data.read_parquet(events, columns=["user_id", "event_type"])
+        fd = sorted_pandas(fd_violations(ds, "user_id", "event_type"), "user_id")
+        _, orders, dim = _orders_and_dim()
+        ref = sorted_pandas(
+            referential_violations_shuffle(orders, "k", dim, "id"), "value"
         )
-    monkeypatch.delenv(ENV_VAR)
-    assert len(outs[0]) > 0
-    assert outs[0].equals(outs[1])
+        assert widths == [width] * 3
+        outs[width] = (dups, fd, ref)
+    monkeypatch.delenv(exchange.ENV_VAR)
+    for a, b in zip(outs[4], outs[64]):
+        assert len(a) > 0
+        assert a.equals(b)
 
 
-def test_exchange_width_derives_from_input_bytes(tmp_path, ray_session):
+def test_exchange_width_derives_from_input_bytes(tmp_path, ray_session, monkeypatch):
     """Width grows with file-backed input size and floors at
     MIN_PARTITIONS for small/derived inputs."""
     import pyarrow.parquet as pq
@@ -266,15 +295,16 @@ def test_exchange_width_derives_from_input_bytes(tmp_path, ray_session):
     try:
         exchange.TARGET_PARTITION_BYTES = 64
         assert exchange.exchange_width(ds) > exchange.MIN_PARTITIONS
-        assert exchange.exchange_width(ds, override=7) == 7
+        monkeypatch.setenv(exchange.ENV_VAR, "7")
+        assert exchange.exchange_width(ds) == 7
     finally:
         exchange.TARGET_PARTITION_BYTES = old
 
 
-def test_join_width_caps_at_cluster_cpus(ray_session):
+def test_join_width_caps_at_cluster_cpus(ray_session, monkeypatch):
     """Hash-join width = exchange width capped at cluster CPUs (one
     aggregator ACTOR per partition — beyond the CPU count the pool can
-    never schedule and the executor deadlocks); explicit override wins."""
+    never schedule and the executor deadlocks), env var included."""
     from data_linter_ray import exchange
 
     ds = ray.data.range(100).materialize()
@@ -282,7 +312,10 @@ def test_join_width_caps_at_cluster_cpus(ray_session):
     w = exchange.join_width(ds)
     assert 2 <= w <= cpus
     assert w <= exchange.exchange_width(ds)
-    assert exchange.join_width(ds, override=3) == 3
+    monkeypatch.setenv(exchange.ENV_VAR, "3")
+    assert exchange.join_width(ds) == min(3, cpus)
+    monkeypatch.setenv(exchange.ENV_VAR, "64")
+    assert exchange.join_width(ds) == cpus
 
 
 def test_bloom_filter_properties():

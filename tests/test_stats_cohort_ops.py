@@ -8,6 +8,8 @@ import pyarrow as pa
 import pytest
 import ray
 
+from data_linter_ray import exchange
+
 
 def _oracle_check(name: str, sf_dir: str, tables):
     import __ray_entry__ as e
@@ -69,6 +71,25 @@ def test_corr_matrix_pairwise_null_deletion(ray_session):
     out = corr_matrix(ray.data.from_arrow(t), ["a", "b"], round_to=9)
     assert out["n"].tolist() == [4]
     assert out["corr"].tolist() == [-1.0]
+
+
+def test_corr_matrix_nan_payload_deleted_like_null(ray_session):
+    """Pins today's NaN policy: a non-null NaN payload is pairwise-
+    deleted exactly like a null (SQL ``corr`` would return NaN)."""
+    from data_linter_ray.functions.stats import corr_matrix
+
+    nan = float("nan")
+    t = pa.table(
+        {
+            "a": pa.array([1.0, 2.0, nan, 4.0, 5.0]),
+            "b": pa.array([2.0, 4.0, 6.0, 8.0, None]),
+            "c": pa.array([1.0, 0.0, 1.0, 0.0, 1.0]),
+        }
+    )
+    assert t["a"].null_count == 0  # a real NaN, not a null
+    out = corr_matrix(ray.data.from_arrow(t), ["a", "b", "c"], round_to=9)
+    assert out["n"].tolist() == [3, 4, 4]
+    assert out["corr"].tolist() == [1.0, 0.0, round(-1 / 5**0.5, 9)]
 
 
 def test_lineitem_corr_vs_duckdb(ray_session, sf_dir):
@@ -169,7 +190,7 @@ def test_customer_order_activity_vs_duckdb(ray_session, sf_dir):
 # ---------------------------------------------------------------------------
 
 
-def test_retention_matrix_crafted(ray_session):
+def test_retention_matrix_crafted(ray_session, monkeypatch):
     from data_linter_ray.functions.cohort import retention_matrix
 
     week = 604800 * 1_000_000  # µs
@@ -185,15 +206,32 @@ def test_retention_matrix_crafted(ray_session):
             "ts": pa.array(ts, pa.timestamp("us")),
         }
     )
-    out = retention_matrix(
-        ray.data.from_arrow(t).repartition(3), "u", "ts", num_partitions=4
-    )
+    monkeypatch.setenv(exchange.ENV_VAR, "4")
+    out = retention_matrix(ray.data.from_arrow(t).repartition(3), "u", "ts")
     cells = {(r.cohort_period, r.period): r.n_users for r in out.itertuples()}
     assert cells == {
         (0, 0): 1, (0, 1): 1, (0, 2): 1,   # user 1
         (1, 1): 1, (1, 3): 1,              # user 2
         (2, 2): 1,                         # user 3
     }
+    assert out.dtypes.astype(str).tolist() == ["int64"] * 3
+
+
+def test_retention_matrix_all_null_empty(ray_session):
+    """Null users and null timestamps are excluded, so an all-null
+    input is an empty matrix with the documented, typed columns."""
+    from data_linter_ray.functions.cohort import retention_matrix
+
+    t = pa.table(
+        {
+            "u": pa.array([None, 1], pa.int64()),
+            "ts": pa.array([0, None], pa.timestamp("us")),
+        }
+    )
+    out = retention_matrix(ray.data.from_arrow(t), "u", "ts")
+    assert out.empty
+    assert list(out.columns) == ["cohort_period", "period", "n_users"]
+    assert out.dtypes.astype(str).tolist() == ["int64"] * 3
 
 
 def test_user_retention_vs_duckdb(ray_session, sf_dir):
@@ -232,7 +270,7 @@ def test_unigram_logprob_crafted(ray_session):
     assert out.loc[2, "mean_logprob"] == lb
 
 
-def test_unigram_logprob_vocab_cap_oov_floor(ray_session):
+def test_unigram_logprob_vocab_cap_oov_floor(ray_session, monkeypatch):
     import math
 
     from data_linter_ray.functions.lm import unigram_logprob
@@ -245,10 +283,9 @@ def test_unigram_logprob_vocab_cap_oov_floor(ray_session):
             "text": pa.array(["a a a a", "b c"], pa.string()),
         }
     )
+    monkeypatch.setenv(exchange.ENV_VAR, "1")
     out = (
-        unigram_logprob(
-            ray.data.from_arrow(t), vocab_size=1, alpha=0.5, num_partitions=1
-        )
+        unigram_logprob(ray.data.from_arrow(t), vocab_size=1, alpha=0.5)
         .to_pandas()
         .sort_values("doc_id")
         .reset_index(drop=True)
@@ -386,7 +423,7 @@ def test_value_winsorized_vs_duckdb(ray_session, sf_dir):
 # ---------------------------------------------------------------------------
 
 
-def test_group_count_distinct_crafted(ray_session):
+def test_group_count_distinct_crafted(ray_session, monkeypatch):
     from data_linter_ray.functions.stats import group_count_distinct
 
     t = pa.table(
@@ -397,9 +434,8 @@ def test_group_count_distinct_crafted(ray_session):
             "v": pa.array([1, 1, 2, 7, 7, 9, None], pa.int64()),
         }
     )
-    out = group_count_distinct(
-        ray.data.from_arrow(t).repartition(4), "g", "v", num_partitions=3
-    )
+    monkeypatch.setenv(exchange.ENV_VAR, "3")
+    out = group_count_distinct(ray.data.from_arrow(t).repartition(4), "g", "v")
     assert dict(zip(out["g"], out["n_distinct"])) == {"a": 2, "b": 1}
 
 
@@ -588,7 +624,7 @@ def test_value_mad_vs_duckdb(ray_session, sf_dir):
     _oracle_check("value_mad", sf_dir, ("events",))
 
 
-def test_transition_counts_crafted(ray_session):
+def test_transition_counts_crafted(ray_session, monkeypatch):
     from data_linter_ray.functions.window import transition_counts
 
     ts = pd.to_datetime(
@@ -603,9 +639,9 @@ def test_transition_counts_crafted(ray_session):
             "e": pa.array(["a", "b", "a", "a", "b", "c"], pa.string()),
         }
     )
+    monkeypatch.setenv(exchange.ENV_VAR, "4")
     out = transition_counts(
         ray.data.from_arrow(t).repartition(3), "u", "ts", "e", tie="i",
-        num_partitions=4,
     ).to_pandas()
     got = {(r.from_type, r.to_type): r.n for r in out.itertuples()}
     # user1: a→b, b→a; user2: a→b (null-ts row dropped, no pair to 'c');
@@ -704,7 +740,7 @@ def test_gopher_filter_vs_duckdb(ray_session, sf_dir):
     assert 0 < got["keep"].mean() < 1  # the rule set discriminates
 
 
-def test_candidate_keys_crafted(ray_session):
+def test_candidate_keys_crafted(ray_session, monkeypatch):
     from data_linter_ray.functions.stats import candidate_keys
 
     t = pa.table(
@@ -714,9 +750,9 @@ def test_candidate_keys_crafted(ray_session):
             "n": pa.array([1, 2, 3, None], pa.int64()),       # null → not a key
         }
     )
+    monkeypatch.setenv(exchange.ENV_VAR, "3")
     out = candidate_keys(
         ray.data.from_arrow(t).repartition(2), ["id", "k", "n"],
-        num_partitions=3,
     ).set_index("column")
     assert bool(out.loc["id", "is_unique"])
     assert out.loc["k", "n_distinct"] == 2 and not out.loc["k", "is_unique"]
@@ -732,7 +768,7 @@ def test_events_candidate_keys_vs_duckdb(ray_session, sf_dir):
     _oracle_check("events_candidate_keys", sf_dir, ("events",))
 
 
-def test_retention_matrix_string_users(ray_session):
+def test_retention_matrix_string_users(ray_session, monkeypatch):
     from data_linter_ray.functions.cohort import retention_matrix
 
     week = 604800 * 1_000_000
@@ -743,7 +779,8 @@ def test_retention_matrix_string_users(ray_session):
             "ts": pa.array(ts, pa.timestamp("us")),
         }
     )
-    out = retention_matrix(ray.data.from_arrow(t), "u", "ts", num_partitions=3)
+    monkeypatch.setenv(exchange.ENV_VAR, "3")
+    out = retention_matrix(ray.data.from_arrow(t), "u", "ts")
     cells = {(r.cohort_period, r.period): r.n_users for r in out.itertuples()}
     assert cells == {(0, 0): 2, (0, 1): 1}
 
@@ -798,7 +835,7 @@ def test_lineitem_cube_vs_duckdb(ray_session, sf_dir):
     assert (~k1n & k2n).any() and (k1n & k2n).sum() == 1
 
 
-def test_group_mode_exact_with_ties(ray_session):
+def test_group_mode_exact_with_ties(ray_session, monkeypatch):
     """Per-group mode == pandas argmax with smallest-value tie-break;
     null groups/values excluded; exact across partitionings."""
     import numpy as np
@@ -831,7 +868,8 @@ def test_group_mode_exact_with_ties(ray_session):
     pd.testing.assert_frame_equal(got, exp, check_dtype=False)
 
     # two exchange widths -> identical answer (determinism contract)
-    got2 = group_mode(ds, "g", "v", num_partitions=3)
+    monkeypatch.setenv(exchange.ENV_VAR, "3")
+    got2 = group_mode(ds, "g", "v")
     pd.testing.assert_frame_equal(got, got2, check_dtype=False)
 
 
@@ -1045,7 +1083,7 @@ def test_weekly_active_users_oracle(ray_session, sf_dir):
     )
 
 
-def test_windowed_active_counts_crafted(ray_session):
+def test_windowed_active_counts_crafted(ray_session, monkeypatch):
     """Interval-union semantics: one user active on days 0 and 10 with
     a 7-day window covers window-ends 0..6 and 10..16 (two runs, no
     bridge); a second user on day 3 overlaps; gap days count 1."""
@@ -1061,9 +1099,8 @@ def test_windowed_active_counts_crafted(ray_session):
             "ts": pd.to_datetime(["2024-01-01", "2024-01-11", "2024-01-04"]),
         }
     )
-    out = windowed_active_counts(
-        ray.data.from_pandas(df), "u", "ts", window_days=7, num_partitions=2
-    )
+    monkeypatch.setenv(exchange.ENV_VAR, "2")
+    out = windowed_active_counts(ray.data.from_pandas(df), "u", "ts", window_days=7)
     by_day = dict(zip(pd.to_datetime(out["day"]).dt.day, out["n_active"]))
     assert by_day[1] == 1           # only user 1's first run
     assert by_day[4] == 2           # both users cover day 4

@@ -369,6 +369,18 @@ def test_global_rank_matches_sql(ray_session, sf_dir):
     assert (got["rank"].to_numpy() == exp["rank"].to_numpy()).all()
 
 
+def test_global_rank_all_null_column(ray_session):
+    """An all-null value column has no min/max; its rows are dropped
+    like the null rows of any column, leaving a typed empty result."""
+    from data_linter_ray.functions.ranking import global_rank
+
+    t = pa.table({"id": [1, 2, 3], "v": pa.array([None] * 3, pa.float64())})
+    out = global_rank(ray.data.from_arrow(t).repartition(2), "v", "id")
+    assert out.count() == 0
+    assert out.schema().names == ["id", "v", "rank"]
+    assert out.schema().types == [pa.int64(), pa.float64(), pa.int64()]
+
+
 def test_global_rank_ties_nulls_and_width(ray_session):
     from data_linter_ray.functions.ranking import global_rank
 
