@@ -32,7 +32,9 @@ from data_linter_ray.stages.checker import (
     VIOLATION_SCHEMA,
     BatchChecker,
     ColumnAlignmentError,
+    _stringify,
     compile_plan,
+    violation_rows,
 )
 # internal single-pass stream: violation rows (kind 0), per-batch count
 # partials (kind 1), uniqueness pre-aggregates (kind 2) — one schema so a
@@ -57,67 +59,49 @@ ROWS_KEY = "__rows__"
 
 
 class _FusedChecker:
-    """Single-pass emitter: all per-batch checks + count partials +
-    uniqueness pre-aggregates."""
+    """Single-pass emitter: every checker's findings, as violation rows
+    (kind 0) and one count row per finding (kind 1), plus the uniqueness
+    pre-aggregates (kind 2)."""
 
-    def __init__(self, checkers: list, unique_cols: list[str]):
+    def __init__(self, checkers: list, unique_cols: list[str], id_column: Optional[str]):
         self.checkers = checkers
         self.unique_cols = unique_cols
+        self.id_column = id_column
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        from data_linter_ray.stages.checker import _stringify
-
         from data_linter_ray.stages.spans import SpanContext
-
-        parts: list[pa.Table] = []
-        count_cols: list[str] = [ROWS_KEY]
-        count_tests: list[str] = [ROWS_KEY]
-        count_ns: list[int] = [batch.num_rows]
 
         # one flatten + one media dictionary-encode per span column,
         # shared by every span-family checker in this pass
-        span_ctx = (
-            SpanContext(batch)
-            if any(getattr(c, "accepts_span_ctx", False) for c in self.checkers)
-            else None
-        )
-        for checker in self.checkers:
-            if span_ctx is not None and getattr(checker, "accepts_span_ctx", False):
-                viol = checker(batch, span_ctx)
-            else:
-                viol = checker(batch)
-            if viol.num_rows:
-                parts.append(
-                    pa.Table.from_arrays(
-                        [
-                            viol["row_ref"],
-                            viol["column"],
-                            viol["test"],
-                            viol["value"],
-                            pa.nulls(viol.num_rows, pa.int64()),
-                            pa.nulls(viol.num_rows, pa.int64()),
-                            pa.repeat(pa.scalar(0, pa.int8()), viol.num_rows),
-                            pa.nulls(viol.num_rows, pa.int16()),
-                        ],
-                        schema=INTERNAL_SCHEMA,
-                    )
+        ctx = SpanContext(batch)
+        found = [
+            f for c in self.checkers for f in c.findings(batch, ctx) if len(f[2])
+        ]
+        viol = violation_rows(batch, self.id_column, found)
+        k = viol.num_rows
+        parts: list[pa.Table] = []
+        if k:
+            parts.append(
+                pa.Table.from_arrays(
+                    viol.columns
+                    + [
+                        pa.nulls(k, pa.int64()),
+                        pa.nulls(k, pa.int64()),
+                        pa.repeat(pa.scalar(0, pa.int8()), k),
+                        pa.nulls(k, pa.int16()),
+                    ],
+                    schema=INTERNAL_SCHEMA,
                 )
-                agg = viol.group_by(["column", "test"]).aggregate([([], "count_all")])
-                count_cols.extend(agg["column"].to_pylist())
-                count_tests.extend(agg["test"].to_pylist())
-                count_ns.extend(agg["count_all"].to_pylist())
-
-        n = len(count_cols)
+            )
+        n = len(found) + 1
         parts.append(
             pa.Table.from_arrays(
                 [
                     pa.nulls(n, pa.string()),
-                    pa.array(count_cols, pa.string()),
-                    pa.array(count_tests, pa.string()),
+                    pa.array([ROWS_KEY] + [f[0] for f in found], pa.string()),
+                    pa.array([ROWS_KEY] + [f[1] for f in found], pa.string()),
                     pa.nulls(n, pa.string()),
-                    pa.array(count_ns, pa.int64()),
+                    pa.array([batch.num_rows] + [len(f[2]) for f in found], pa.int64()),
                     pa.nulls(n, pa.int64()),
                     pa.array([1] * n, pa.int8()),
                     pa.nulls(n, pa.int16()),
@@ -389,7 +373,10 @@ def validate_dataset(
     """Validate a Dataset against a TableSchema.
 
     ``ref_tables`` maps the ``references`` target strings
-    (``"table.column"``) to their Datasets for referential checks.
+    (``"table.column"``) to their Datasets for referential checks; a
+    target without one fails the table-level test
+    ``missing_ref_table_<target>`` and its column gets no
+    ``referential_test`` verdict.
     ``log_verbosity`` mirrors the reference (pandas_validator.py:352-382):
     None → no value samples in the response dict; 0 → all; n → up to n.
     ``drift_baselines`` — {column: {"tdigest": TDigest, "hll": HLL}} from
@@ -456,14 +443,21 @@ def validate_dataset(
         if c.name in data_schema.names
         and (c.span_constraints is not None or c.type in ("spans", "list<span>"))
     ]
-    span_col_names = {c.name for c in span_cols}
-    ref_specs = [
-        c
-        for c in schema.columns
-        if c.references
-        and c.name in data_schema.names
-        and c.name not in span_col_names  # span refs use SpanMediaRefChecker
-    ]
+    # a referential check runs only against a supplied table: a missing
+    # one is a failed table-level test, for span and flat columns alike,
+    # and leaves no verdict on the column
+    ref_tables = ref_tables or {}
+    ref_specs = []
+    for c in schema.columns:
+        if not c.references or c.name not in data_schema.names:
+            continue
+        if ref_tables.get(c.references) is None:
+            response.add_table_test(
+                f"missing_ref_table_{c.references}",
+                {"valid": False, "traceback": f"no ref table for {c.references}"},
+            )
+        else:
+            ref_specs.append(c)
     unique_cols = [
         c.name for c in schema.columns if c.unique and c.name in data_schema.names
     ]
@@ -476,7 +470,7 @@ def validate_dataset(
         sc = spec.span_constraints or {}
         fused.append(SpanChecker(spec.name, id_column))
         needed.add(spec.name)
-        if spec.references and ref_tables and spec.references in ref_tables:
+        if spec in ref_specs:
             pk = spec.references.split(".", 1)[1]
             pk_ref = _ray.put(distinct_key_set(ref_tables[spec.references], pk))
             fused.append(SpanMediaRefChecker(spec.name, id_column, pk_ref))
@@ -490,13 +484,9 @@ def validate_dataset(
             needed.add(ref_col)
     shuffle_refs: dict[str, tuple] = {}  # fk col -> (target_ds, pk)
     for spec in ref_specs:
-        target = (ref_tables or {}).get(spec.references)
-        if target is None:
-            response.add_table_test(
-                f"missing_ref_table_{spec.references}",
-                {"valid": False, "traceback": f"no ref table for {spec.references}"},
-            )
+        if spec in span_cols:  # SpanMediaRefChecker, above
             continue
+        target = ref_tables[spec.references]
         pk = spec.references.split(".", 1)[1]
         if isinstance(target, Dataset) and target.count() > BROADCAST_ROW_THRESHOLD:
             shuffle_refs[spec.name] = (target, pk)  # dedicated shuffle branch
@@ -518,7 +508,7 @@ def validate_dataset(
     # re-scanning the input, and ONE raw-task pass over its blocks
     # (_fold_count_partials) feeds all of it.
     mat = checked.map_batches(
-        _FusedChecker(fused, unique_cols), batch_format="pyarrow"
+        _FusedChecker(fused, unique_cols, id_column), batch_format="pyarrow"
     ).materialize()
 
     violation_parts: list[Dataset] = [
@@ -646,7 +636,8 @@ def _build_response(
     span_cols=(),
 ) -> None:
     """Assemble the reference-shaped nested verdict dict
-    (base.py:9-103 / pandas_validator.py:352-382 parity)."""
+    (base.py:9-103 / pandas_validator.py:352-382 parity). ``ref_specs``
+    are the columns, span or flat, whose referential check ran."""
 
     def fill(colname: str, test: str, inputs: dict) -> None:
         n_bad = counts.get((colname, test), 0)
@@ -661,27 +652,27 @@ def _build_response(
                 res["unexpected_values_sample"] = vals
         response.add_test_to_col(colname, test, res)
 
-    for col_name, test, spec in plan.tasks:
-        fill(col_name, test, checks.test_inputs(test, spec))
-    for col in unique_cols:
-        fill(col, checks.UNIQUE_TEST, {"column": col})
-    for spec in ref_specs:
+    def fill_ref(spec) -> None:
         fill(
             spec.name,
             checks.REFERENTIAL_TEST,
             {"column": spec.name, "references": spec.references},
         )
+
+    for col_name, test, spec in plan.tasks:
+        fill(col_name, test, checks.test_inputs(test, spec))
+    for col in unique_cols:
+        fill(col, checks.UNIQUE_TEST, {"column": col})
+    for spec in ref_specs:
+        if spec not in span_cols:
+            fill_ref(spec)
     for spec in span_cols:
         from data_linter_ray.stages.spans import SPAN_TESTS
 
         for test in SPAN_TESTS:
             fill(spec.name, test, {"column": spec.name})
-        if spec.references:
-            fill(
-                spec.name,
-                checks.REFERENTIAL_TEST,
-                {"column": spec.name, "references": spec.references},
-            )
+        if spec in ref_specs:
+            fill_ref(spec)
         sc = spec.span_constraints or {}
         if sc.get("reference_column"):
             fill(

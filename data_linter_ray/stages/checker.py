@@ -9,6 +9,14 @@ batch_format="pyarrow")``: pure Arrow kernels per batch, emitting
 **long-format violation rows** — never whole-column results — so the
 pipeline streams and nothing is collected on the driver.
 
+Every per-batch checker (this module's, the span checkers, the broadcast
+referential anti-join) is a :class:`Checker` that only *finds*:
+``findings(batch, ctx)`` yields ``(column, test, rows, values)`` — the
+indices of the violating rows in the batch and their stringified values
+(None when the test reports no value). :func:`violation_rows` is the one
+function that turns findings into violation rows, as the reference's one
+``_fill_res_dict`` turns every test result into its response entry.
+
 Violation row schema:
     row_ref : string  — the configured id column's value (e.g. doc_id),
                         or null when no id column is configured
@@ -119,7 +127,53 @@ def _stringify(arr: pa.Array) -> pa.Array:
         return pa.array([str(v) for v in arr.to_pylist()], type=pa.string())
 
 
-class BatchChecker:
+def violation_rows(batch: pa.Table, id_column: Optional[str], findings) -> pa.Table:
+    """The one builder of :data:`VIOLATION_SCHEMA` rows from a batch.
+
+    Each finding ``(column, test, rows, values)`` becomes ``len(rows)``
+    rows: ``row_ref`` is the id column's value at ``rows`` (null without
+    an id column), ``value`` is ``values`` (null when None)."""
+    ids = batch[id_column] if id_column and id_column in batch.column_names else None
+    parts: list[list[pa.Array]] = [[], [], [], []]
+    for column, test, rows, values in findings:
+        n = len(rows)
+        if not n:
+            continue
+        arrays = (
+            _stringify(ids.take(rows)) if ids is not None else pa.nulls(n, pa.string()),
+            pa.repeat(pa.scalar(column, pa.string()), n),
+            pa.repeat(pa.scalar(test, pa.string()), n),
+            values if values is not None else pa.nulls(n, pa.string()),
+        )
+        for part, a in zip(parts, arrays):
+            part.append(a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a)
+    if not parts[0]:
+        return VIOLATION_SCHEMA.empty_table()
+    return pa.Table.from_arrays(
+        [pa.concat_arrays(p) for p in parts], schema=VIOLATION_SCHEMA
+    )
+
+
+class Checker:
+    """A per-batch check. ``findings(batch, ctx)`` yields what violates;
+    calling the checker — ``ds.map_batches(checker, batch_format="pyarrow")``
+    — builds the violation rows with :func:`violation_rows`. ``ctx`` is
+    the batch's :class:`~data_linter_ray.stages.spans.SpanContext`, a
+    fresh one when the caller has none to share."""
+
+    id_column: Optional[str] = None
+
+    def findings(self, batch: pa.Table, ctx):
+        raise NotImplementedError
+
+    def __call__(self, batch: pa.Table, ctx=None) -> pa.Table:
+        from data_linter_ray.stages.spans import SpanContext
+
+        found = list(self.findings(batch, ctx or SpanContext(batch)))
+        return violation_rows(batch, self.id_column, found)
+
+
+class BatchChecker(Checker):
     """Callable for ``ds.map_batches(BatchChecker(plan),
     batch_format="pyarrow")`` — plain function semantics (stateless), but
     written as a class so the compiled plan ships once per task rather than
@@ -127,40 +181,11 @@ class BatchChecker:
 
     def __init__(self, plan: CheckPlan):
         self.plan = plan
+        self.id_column = plan.id_column
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        refs: list[pa.Array] = []
-        cols: list[pa.Array] = []
-        tests: list[pa.Array] = []
-        values: list[pa.Array] = []
-        id_col = (
-            _stringify(batch[self.plan.id_column].combine_chunks())
-            if self.plan.id_column and self.plan.id_column in batch.column_names
-            else None
-        )
+    def findings(self, batch: pa.Table, ctx):
         for col_name, test, spec in self.plan.tasks:
             col = batch[col_name]
-            mask = checks.run_test(test, col, spec)
-            n = pc.sum(mask).as_py() or 0
-            if n == 0:
-                continue
-            bad_vals = _stringify(pc.filter(col.combine_chunks(), mask))
-            refs.append(
-                pc.filter(id_col, mask)
-                if id_col is not None
-                else pa.nulls(n, type=pa.string())
-            )
-            cols.append(pa.array([col_name] * n, type=pa.string()))
-            tests.append(pa.array([test] * n, type=pa.string()))
-            values.append(bad_vals)
-        if not refs:
-            return VIOLATION_SCHEMA.empty_table()
-        return pa.Table.from_arrays(
-            [
-                pa.concat_arrays([a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a for a in refs]),
-                pa.concat_arrays(cols),
-                pa.concat_arrays(tests),
-                pa.concat_arrays(values),
-            ],
-            schema=VIOLATION_SCHEMA,
-        )
+            rows = pc.indices_nonzero(checks.run_test(test, col, spec))
+            if len(rows):
+                yield col_name, test, rows, _stringify(col.take(rows))

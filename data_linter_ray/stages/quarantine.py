@@ -10,13 +10,8 @@ Row-local only, by design: uniqueness and referential verdicts are
 global — run :func:`~data_linter_ray.pipelines.validate.validate_dataset`
 for those; a row can't know it is a duplicate from its batch alone.
 
-Execution modes:
-  - ``materialize=False`` (default, the 100-TB posture): both returned
-    datasets lazily re-run the mask pass when consumed — two streaming
-    scans, nothing pinned in the object store.
-  - ``materialize=True``: one scan, tagged rows held (and spilled) by
-    the object store — faster when both halves are consumed and the
-    table fits the store's spill budget.
+Both returned datasets lazily re-run the mask pass when consumed — two
+streaming scans, nothing pinned in the object store.
 """
 
 from __future__ import annotations
@@ -43,12 +38,7 @@ def _bad_row_mask(batch: pa.Table, plan, span_cols: list[str]) -> np.ndarray:
     return bad
 
 
-def split_valid_rows(
-    ds: Dataset,
-    schema: TableSchema,
-    *,
-    materialize: bool = False,
-) -> tuple[Dataset, Dataset]:
+def split_valid_rows(ds: Dataset, schema: TableSchema) -> tuple[Dataset, Dataset]:
     """→ (valid_rows, invalid_rows) under the schema's row-local checks."""
     data_schema = ds.schema().base_schema
     plan = compile_plan(
@@ -68,25 +58,6 @@ def split_valid_rows(
 
         return f
 
-    if materialize:
-        def tag(t: pa.Table) -> pa.Table:
-            return t.append_column(
-                "_valid", pa.array(~_bad_row_mask(t, plan, span_cols))
-            )
-
-        tagged = ds.map_batches(tag, batch_format="pyarrow").materialize()
-
-        def pick(valid: bool):
-            def f(t: pa.Table) -> pa.Table:
-                m = t["_valid"] if valid else pc.invert(t["_valid"])
-                return t.filter(m).drop_columns(["_valid"])
-
-            return f
-
-        return (
-            tagged.map_batches(pick(True), batch_format="pyarrow"),
-            tagged.map_batches(pick(False), batch_format="pyarrow"),
-        )
     return (
         ds.map_batches(keep(True), batch_format="pyarrow"),
         ds.map_batches(keep(False), batch_format="pyarrow"),

@@ -21,46 +21,47 @@ import ray
 from ray.data import Dataset
 
 from data_linter_ray.checks import REFERENTIAL_TEST
-from data_linter_ray.stages.checker import VIOLATION_SCHEMA, _stringify
+from data_linter_ray.stages.checker import Checker, _stringify
 
 # dimension tables of at most this many rows are broadcast
 BROADCAST_ROW_THRESHOLD = 10_000_000
 
 
-class _BroadcastAntiJoin:
-    """Actor-pool / task callable: holds the PK-set object ref; Ray
-    dereferences it once per task from the local object store."""
+class KeySetAntiJoin(Checker):
+    """Anti-join of a column against a broadcast key set. ``pk_set_ref``
+    is the set or its object ref; Ray dereferences it once per task from
+    the local object store."""
 
-    def __init__(self, fk: str, id_column: str | None, pk_set_ref):
-        self.fk = fk
+    def __init__(self, column: str, id_column: str | None, pk_set_ref):
+        self.column = column
         self.id_column = id_column
         self.pk_set_ref = pk_set_ref
         self._pk_set = None
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def _dangling(self, values: pa.Array, encoded=None) -> pa.Array:
+        """Mask of the non-null ``values`` missing from the key set; with
+        ``encoded`` (``values`` dictionary-encoded) the lookup runs once
+        per distinct value."""
         if self._pk_set is None:
             obj = self.pk_set_ref
             self._pk_set = ray.get(obj) if isinstance(obj, ray.ObjectRef) else obj
-        col = batch[self.fk].combine_chunks()
-        dangling = pc.and_(
-            pc.invert(pc.fill_null(pc.is_in(col, value_set=self._pk_set), False)),
-            pc.invert(pc.is_null(col)),  # null FKs are the nullable test's job
-        )
-        n = pc.sum(dangling).as_py() or 0
-        if n == 0:
-            return VIOLATION_SCHEMA.empty_table()
-        if self.id_column and self.id_column in batch.column_names:
-            refs = _stringify(pc.filter(batch[self.id_column].combine_chunks(), dangling))
+        if encoded is None:
+            member = pc.is_in(values, value_set=self._pk_set)
         else:
-            refs = pa.nulls(n, type=pa.string())
-        return pa.Table.from_arrays(
-            [
-                refs,
-                pa.array([self.fk] * n, type=pa.string()),
-                pa.array([REFERENTIAL_TEST] * n, type=pa.string()),
-                _stringify(pc.filter(col, dangling)),
-            ],
-            schema=VIOLATION_SCHEMA,
+            member = pc.is_in(encoded.dictionary, value_set=self._pk_set)
+            member = pc.take(member, encoded.indices)
+        # null values are the nullable / presence tests' job
+        return pc.and_(pc.is_valid(values), pc.invert(pc.fill_null(member, False)))
+
+
+class _BroadcastAntiJoin(KeySetAntiJoin):
+    """Flat FK column ⊆ key set, inside the fused check pass."""
+
+    def findings(self, batch: pa.Table, ctx):
+        col = batch[self.column].combine_chunks()
+        dangling = self._dangling(col)
+        yield self.column, REFERENTIAL_TEST, pc.indices_nonzero(dangling), _stringify(
+            col.filter(dangling)
         )
 
 

@@ -29,7 +29,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
 
-from data_linter_ray.stages.checker import VIOLATION_SCHEMA, _stringify
+from data_linter_ray.checks import REFERENTIAL_TEST
+from data_linter_ray.stages.checker import Checker, _stringify
+from data_linter_ray.stages.referential import KeySetAntiJoin, distinct_key_set
 
 KIND_ENUM = ["text", "image", "audio", "video"]
 MEDIA_REF_PATTERN = "^media://[a-z0-9/]+$"
@@ -55,13 +57,15 @@ def _flatten(spans: pa.ChunkedArray | pa.Array):
 
 
 class SpanContext:
-    """Per-batch memo shared by the span-family checkers inside the
-    fused check pass: ONE combine+flatten per span column and ONE
-    dictionary-encode of the flattened media_ref. The media refs
-    repeat heavily (a bounded asset catalog), so both the media
-    pattern regex and the catalog anti-join run their kernel on the
-    ~distinct dictionary and ``take`` the result back — measured ~25%
-    of the fused checker's per-batch CPU on the interleaved corpus."""
+    """Per-batch memo shared by the span-family checkers: ONE
+    combine+flatten per span column and ONE dictionary-encode of the
+    flattened media_ref. The fused check pass always builds one per
+    batch (construction is free; nothing is computed until a span
+    checker asks). The media refs repeat heavily (a bounded asset
+    catalog), so both the media pattern regex and the catalog anti-join
+    run their kernel on the ~distinct dictionary and ``take`` the result
+    back — measured ~25% of the fused checker's per-batch CPU on the
+    interleaved corpus."""
 
     def __init__(self, table: pa.Table):
         self._table = table
@@ -165,50 +169,17 @@ def span_check_masks(spans, ctx_pair=None) -> dict[str, np.ndarray]:
     return out
 
 
-class SpanChecker:
+class SpanChecker(Checker):
     """map_batches callable: span checks → long-format violation rows."""
-
-    accepts_span_ctx = True
 
     def __init__(self, spans_col: str = "spans", id_column: str | None = "doc_id"):
         self.spans_col = spans_col
         self.id_column = id_column
 
-    def __call__(self, batch: pa.Table, ctx: "SpanContext | None" = None) -> pa.Table:
-        pair = (
-            (ctx.flat(self.spans_col), ctx.media_dict(self.spans_col))
-            if ctx is not None
-            else None
-        )
-        masks = span_check_masks(batch[self.spans_col], ctx_pair=pair)
-        id_col = (
-            _stringify(batch[self.id_column].combine_chunks())
-            if self.id_column and self.id_column in batch.column_names
-            else None
-        )
-        refs, cols, tests, values = [], [], [], []
-        for test, mask in masks.items():
-            n = int(mask.sum())
-            if not n:
-                continue
-            pa_mask = pa.array(mask)
-            refs.append(
-                pc.filter(id_col, pa_mask) if id_col is not None else pa.nulls(n, pa.string())
-            )
-            cols.append(pa.array([self.spans_col] * n, type=pa.string()))
-            tests.append(pa.array([test] * n, type=pa.string()))
-            values.append(pa.nulls(n, pa.string()))
-        if not refs:
-            return VIOLATION_SCHEMA.empty_table()
-        return pa.Table.from_arrays(
-            [
-                pa.concat_arrays([r.combine_chunks() if isinstance(r, pa.ChunkedArray) else r for r in refs]),
-                pa.concat_arrays(cols),
-                pa.concat_arrays(tests),
-                pa.concat_arrays(values),
-            ],
-            schema=VIOLATION_SCHEMA,
-        )
+    def findings(self, batch: pa.Table, ctx: SpanContext):
+        pair = (ctx.flat(self.spans_col), ctx.media_dict(self.spans_col))
+        for test, mask in span_check_masks(batch[self.spans_col], ctx_pair=pair).items():
+            yield self.spans_col, test, np.flatnonzero(mask), None
 
 
 def span_violations(ds: Dataset, spans_col: str = "spans", id_column: str | None = "doc_id") -> Dataset:
@@ -218,70 +189,23 @@ def span_violations(ds: Dataset, spans_col: str = "spans", id_column: str | None
     )
 
 
-class SpanMediaRefChecker:
-    """Per-batch: flatten spans.media_ref and anti-join against the
-    broadcast catalog key set → violation rows attributed to the spans
-    column. (Batch-level so it can be fused into the single check pass.)"""
+class SpanMediaRefChecker(KeySetAntiJoin):
+    """Per-batch: flattened spans.media_ref anti-joined against the
+    broadcast catalog key set → violations attributed to the spans
+    column, one per dangling span. (Batch-level so it can be fused into
+    the single check pass.)"""
 
-    accepts_span_ctx = True
-
-    def __init__(self, spans_col: str, id_column: str | None, pk_set_ref):
-        self.spans_col = spans_col
-        self.id_column = id_column
-        self.pk_set_ref = pk_set_ref
-        self._pk_set = None
-
-    def __call__(self, t: pa.Table, ctx: "SpanContext | None" = None) -> pa.Table:
-        import ray
-
-        if self._pk_set is None:
-            obj = self.pk_set_ref
-            self._pk_set = ray.get(obj) if isinstance(obj, ray.ObjectRef) else obj
-        if ctx is not None:
-            spans, flat, parents = ctx.flat(self.spans_col)
-            media_dict = ctx.media_dict(self.spans_col)
-        else:
-            spans, flat, parents = _flatten(t[self.spans_col])
-            media_dict = flat.field("media_ref").dictionary_encode()
+    def findings(self, batch: pa.Table, ctx: SpanContext):
+        _spans, flat, parents = ctx.flat(self.column)
         media = flat.field("media_ref")
-        present = pc.invert(pc.is_null(media))
-        dangling = pc.and_(
-            present,
-            pc.invert(
-                pc.fill_null(
-                    _on_dict(
-                        lambda d: pc.is_in(d, value_set=self._pk_set), media_dict
-                    ),
-                    False,
-                )
-            ),
-        )
-        n = pc.sum(dangling).as_py() or 0
-        if not n:
-            return VIOLATION_SCHEMA.empty_table()
-        if self.id_column and self.id_column in t.column_names:
-            ids = t[self.id_column].combine_chunks().take(pa.array(parents))
-            refs = _stringify(pc.filter(ids, dangling))
-        else:
-            refs = pa.nulls(n, pa.string())
-        from data_linter_ray.checks import REFERENTIAL_TEST
-
-        return pa.Table.from_arrays(
-            [
-                refs,
-                pa.array([self.spans_col] * n, type=pa.string()),
-                pa.array([REFERENTIAL_TEST] * n, type=pa.string()),
-                _stringify(pc.filter(media, dangling)),
-            ],
-            schema=VIOLATION_SCHEMA,
-        )
+        dangling = self._dangling(media, ctx.media_dict(self.column))
+        rows = parents[dangling.to_numpy(zero_copy_only=False)]
+        yield self.column, REFERENTIAL_TEST, rows, _stringify(media.filter(dangling))
 
 
 def media_ref_violations(ds: Dataset, catalog: Dataset, spans_col: str = "spans", id_column: str | None = "doc_id") -> Dataset:
     """Flattened spans.media_ref ⊆ media_catalog.media_ref (broadcast)."""
     import ray
-
-    from data_linter_ray.stages.referential import distinct_key_set
 
     pk_ref = ray.put(distinct_key_set(catalog, "media_ref"))
     cols = [spans_col] + ([id_column] if id_column else [])
@@ -325,7 +249,7 @@ def span_sequence_equality_mask(left, right, compare_offsets: bool = False) -> n
     return unequal
 
 
-class SpanEqualityChecker:
+class SpanEqualityChecker(Checker):
     """Per-batch row-wise span-sequence equality → violation rows."""
 
     def __init__(
@@ -340,28 +264,12 @@ class SpanEqualityChecker:
         self.id_column = id_column
         self.compare_offsets = compare_offsets
 
-    def __call__(self, t: pa.Table) -> pa.Table:
+    def findings(self, batch: pa.Table, ctx):
         mask = span_sequence_equality_mask(
-            t[self.left_col], t[self.right_col], compare_offsets=self.compare_offsets
+            batch[self.left_col], batch[self.right_col],
+            compare_offsets=self.compare_offsets,
         )
-        n = int(mask.sum())
-        if not n:
-            return VIOLATION_SCHEMA.empty_table()
-        pa_mask = pa.array(mask)
-        refs = (
-            pc.filter(_stringify(t[self.id_column].combine_chunks()), pa_mask)
-            if self.id_column and self.id_column in t.column_names
-            else pa.nulls(n, pa.string())
-        )
-        return pa.Table.from_arrays(
-            [
-                refs,
-                pa.array([self.left_col] * n, type=pa.string()),
-                pa.array(["span_sequence_equality"] * n, type=pa.string()),
-                pa.nulls(n, pa.string()),
-            ],
-            schema=VIOLATION_SCHEMA,
-        )
+        yield self.left_col, "span_sequence_equality", np.flatnonzero(mask), None
 
 
 def span_equality_violations(

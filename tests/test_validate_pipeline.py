@@ -222,6 +222,31 @@ def test_referential_missing_table_recorded(ray_session):
     assert not res.valid
 
 
+def test_missing_ref_table_fails_span_and_flat_alike(ray_session):
+    """A referential check whose table is missing did not run: for a span
+    column and for a flat FK alike, the table-level
+    ``missing_ref_table_<target>`` test fails and the column gets no
+    ``referential_test`` verdict."""
+    from data_linter_ray import synth
+
+    res = validate_dataset(
+        synth.documents_dataset(2000), synth.documents_schema(), id_column="doc_id"
+    )
+    r = res.response.get_result()
+    assert r["missing_ref_table_media_catalog.media_ref"]["valid"] is False
+    assert "referential_test" not in r["spans"]
+    assert r["spans"]["span_count"]["valid"] is True  # the span checks still ran
+
+    schema = TableSchema(
+        name="o", columns=[ColumnSpec(name="k", type="int64", references="dim.id")]
+    )
+    res = validate_dataset(make_ds(pa.table({"k": [1]})), schema)
+    r = res.response.get_result()
+    assert r["missing_ref_table_dim.id"]["valid"] is False
+    assert "referential_test" not in r.get("k", {})
+    assert not res.valid
+
+
 def test_row_limit(ray_session, simple_schema):
     t = table(list(range(10, 20)), ["cat"] * 10)
     res = validate_dataset(make_ds(t), simple_schema, row_limit=5)
@@ -265,8 +290,8 @@ def test_real_testdata_events(ray_session, sf_dir):
 
 def test_split_valid_rows(ray_session, sf_dir):
     """Row-level quarantine: valid ∪ invalid == all rows, disjoint, and
-    the invalid side is exactly the rows with ≥1 row-local violation —
-    in both streaming and materialized modes, including span checks."""
+    the invalid side is exactly the rows with ≥1 row-local violation,
+    including span checks."""
     import pyarrow.parquet as pq
     import numpy as np
 
@@ -277,26 +302,21 @@ def test_split_valid_rows(ray_session, sf_dir):
     docs = synth.documents_dataset(5_000)
     schema = synth.documents_schema()
     n = 5_000
-    for mat in (False, True):
-        valid, invalid = split_valid_rows(docs, schema, materialize=mat)
-        v, iv = valid.to_pandas(), invalid.to_pandas()
-        assert len(v) + len(iv) == n
-        assert set(v["doc_id"]).isdisjoint(
-            set(iv["doc_id"]) - set(v["doc_id"] )
-        ) or True  # doc_ids may repeat; row counts are the invariant
-        # every malformed doc_id (pattern violation) must be quarantined
-        bad_pat = iv["doc_id"].str.match(r"^doc-[0-9a-f]{12}$") == False  # noqa: E712
-        good_pat = v["doc_id"].str.match(r"^doc-[0-9a-f]{12}$")
-        assert good_pat.all()
-        # rows with span violations (negative offsets) never in valid
-        off_min = v["spans"].map(
-            lambda spans: min((s["offset"] for s in spans), default=0)
-        )
-        assert (off_min >= 0).all()
-    # streaming and materialized agree
-    v1 = split_valid_rows(docs, schema)[0].to_pandas()
-    v2 = split_valid_rows(docs, schema, materialize=True)[0].to_pandas()
-    assert len(v1) == len(v2)
+    valid, invalid = split_valid_rows(docs, schema)
+    v, iv = valid.to_pandas(), invalid.to_pandas()
+    assert len(v) + len(iv) == n
+    assert set(v["doc_id"]).isdisjoint(
+        set(iv["doc_id"]) - set(v["doc_id"] )
+    ) or True  # doc_ids may repeat; row counts are the invariant
+    # every malformed doc_id (pattern violation) must be quarantined
+    bad_pat = iv["doc_id"].str.match(r"^doc-[0-9a-f]{12}$") == False  # noqa: E712
+    good_pat = v["doc_id"].str.match(r"^doc-[0-9a-f]{12}$")
+    assert good_pat.all()
+    # rows with span violations (negative offsets) never in valid
+    off_min = v["spans"].map(
+        lambda spans: min((s["offset"] for s in spans), default=0)
+    )
+    assert (off_min >= 0).all()
 
 
 def _with_unique(schema: TableSchema, name: str) -> TableSchema:
@@ -482,3 +502,58 @@ def test_stream_width_is_cluster_cpus(ray_session, simple_schema, monkeypatch, t
     [(n_blocks, n_groups)] = folds
     assert n_blocks == 20 and n_groups == 10  # ~2 groups per partition
     assert len(list(tmp_path.iterdir())) == widths[0]
+
+
+def test_fused_checker_emits_each_checkers_rows_and_counts():
+    """No Ray: on one documents batch the fused pass emits exactly the
+    violation rows of each checker run alone, in checker order, and
+    count rows that sum to the row count of every (column, test)."""
+    from collections import Counter
+
+    import numpy as np
+    import pyarrow.compute as pc
+
+    from data_linter_ray import synth
+    from data_linter_ray.pipelines.validate import ROWS_KEY, _FusedChecker
+    from data_linter_ray.stages.checker import BatchChecker, compile_plan
+    from data_linter_ray.stages.referential import _BroadcastAntiJoin
+    from data_linter_ray.stages.spans import (
+        SpanChecker,
+        SpanEqualityChecker,
+        SpanMediaRefChecker,
+    )
+
+    batch = synth.add_edited_reference(
+        synth.make_documents_batch({"id": np.arange(20_000)})
+    )
+    plan = compile_plan(
+        synth.documents_schema(), batch.schema, id_column="doc_id",
+        allow_unexpected_data=True,
+    )
+    catalog = pa.array(
+        [synth.media_ref_for(i) for i in range(synth.MEDIA_CATALOG_SIZE)]
+    )
+    half_ids = batch["doc_id"].combine_chunks()[:10_000]
+    checkers = [
+        BatchChecker(plan),
+        SpanChecker("spans", "doc_id"),
+        SpanMediaRefChecker("spans", "doc_id", catalog),
+        SpanEqualityChecker("spans", "spans_reference", "doc_id"),
+        _BroadcastAntiJoin("doc_id", "doc_id", half_ids),
+    ]
+    standalone = [c(batch) for c in checkers]
+    assert all(t.num_rows for t in standalone)  # every checker finds rows
+
+    out = _FusedChecker(checkers, ["doc_id"], "doc_id")(batch)
+    rows = out.filter(pc.equal(out["kind"], 0)).select(
+        ["row_ref", "column", "test", "value"]
+    )
+    assert rows.equals(pa.concat_tables(standalone))
+
+    counts = out.filter(pc.equal(out["kind"], 1))
+    got: Counter = Counter()
+    for c, t, n in zip(*(counts[k].to_pylist() for k in ("column", "test", "n"))):
+        got[(c, t)] += n
+    want = Counter(zip(rows["column"].to_pylist(), rows["test"].to_pylist()))
+    want[(ROWS_KEY, ROWS_KEY)] = batch.num_rows
+    assert got == want
