@@ -262,15 +262,15 @@ def q_span_verdicts(sf_dir: str):
     import pandas as pd
 
     from data_linter_ray import synth
+    from data_linter_ray.sources.readers import read_parquet_dataset, read_table_dataset
 
     paths = synth.ensure_span_fixture()
+    schema = synth.documents_schema()
     res = validate_dataset(
-        ray.data.read_parquet(paths["docs"]),
-        synth.documents_schema(),
+        read_table_dataset(paths["docs"], schema),
+        schema,
         id_column="doc_id",
-        ref_tables={
-            "media_catalog.media_ref": ray.data.read_parquet(paths["catalog"])
-        },
+        ref_tables={"media_catalog.media_ref": read_parquet_dataset(paths["catalog"])},
     )
     rows = [
         {"column": c, "test": t, "n_violations": n}

@@ -70,10 +70,9 @@ def headline_input(n_docs: int) -> str:
 
 
 def run_headline(n_docs: int) -> dict:
-    import ray.data
-
     from data_linter_ray import synth
     from data_linter_ray.pipelines import validate_dataset
+    from data_linter_ray.sources.readers import read_table_dataset
 
     import pyarrow as pa
 
@@ -84,10 +83,11 @@ def run_headline(n_docs: int) -> dict:
     catalog = pa.array(
         [synth.media_ref_for(i) for i in range(synth.MEDIA_CATALOG_SIZE)]
     )
+    schema = synth.documents_schema()
     t0 = time.monotonic()
     res = validate_dataset(
-        ray.data.read_parquet(path),
-        synth.documents_schema(),
+        read_table_dataset(path, schema),
+        schema,
         id_column="doc_id",
         ref_tables={"media_catalog.media_ref": catalog},
     )

@@ -1,4 +1,4 @@
-"""Fleet-wide exchange-width derivation.
+"""Fleet-wide exchange-width and read-width derivation.
 
 Every manual exchange in the engine (the uniqueness pre-aggregation,
 dedup's bucketed pair generation, the as-of/range/session key-hash
@@ -22,11 +22,15 @@ small inputs still spread across the node. The validation stream's fold
 and uniqueness exchange pass ``floor=cluster_cpus()`` instead: its work
 is one task per block group and per partition, so partitions beyond the
 CPU count only add tasks and objects (a 1-CPU box gets P = 1, a 32-CPU
-node P = 32). This module is the only place a keyed-exchange width is
-decided: no operator takes a width argument. The one setting is the
-``DATA_LINTER_RAY_SHUFFLE_PARTITIONS`` env var, which replaces the
-derivation for every exchange (:func:`join_width` still caps it at the
-cluster's CPUs).
+node P = 32). Reads are sized here too: :func:`read_width` derives a
+read's block count from the file listing and the same bytes estimate,
+never executing anything.
+
+This module is the only place a keyed-exchange width *or a read's block
+count* is decided: no operator or reader takes a width argument. The
+one setting is the ``DATA_LINTER_RAY_SHUFFLE_PARTITIONS`` env var,
+which replaces the derivation for every exchange (:func:`join_width`
+still caps it at the cluster's CPUs) and leaves reads alone.
 """
 
 from __future__ import annotations
@@ -69,6 +73,35 @@ def cluster_cpus() -> int:
         return 8
 
 
+def read_width(paths) -> int:
+    """Block count for one read of ``paths`` (a file, a directory or a
+    list of them; local or ``s3://``), from the file listing only:
+    max(files, 2 × :func:`cluster_cpus`, decoded bytes /
+    ``DataContext.target_max_block_size``).
+
+    This is Ray's own read sizing without its
+    ``read_op_min_num_blocks`` = 200 term (bounded below by 1 MiB
+    blocks), which splits a few small files into tens of blocks on a
+    small cluster. Each block pays the fused check pass's fixed
+    per-batch cost, so a 1-CPU box reading 6 files of 50k documents
+    does 6 blocks of work, not 60. The 2 × CPUs floor is Ray's own, so
+    a big node keeps its parallelism and a tiny file gets no more
+    blocks than Ray's default gives it; the bytes term keeps blocks at
+    Ray's maximum size for large inputs."""
+    from ray.data import DataContext
+
+    from data_linter_ray import fs
+
+    files: list[str] = []
+    for p in [paths] if isinstance(paths, str) else paths:
+        files += fs.list_files(p) or [p]  # a file lists as nothing
+    width = max(len(files), 2 * cluster_cpus())
+    block_bytes = DataContext.get_current().target_max_block_size
+    if block_bytes:
+        width = max(width, math.ceil(_decoded_bytes(files) / block_bytes))
+    return width
+
+
 def join_width(*datasets) -> int:
     """Partition count for Ray Data's HASH JOIN (``Dataset.join``).
 
@@ -97,6 +130,13 @@ def _estimated_bytes(ds) -> int:
         files = ds.input_files()
     except Exception:
         return 0
+    return _decoded_bytes(files)
+
+
+def _decoded_bytes(files) -> int:
+    """On-disk bytes of ``files`` × ``DECODE_INFLATION`` (a file whose
+    size cannot be read counts 0): the one bytes estimate behind every
+    exchange width and read block count."""
     from data_linter_ray import fs
 
     total = 0

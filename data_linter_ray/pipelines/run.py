@@ -44,7 +44,7 @@ from data_linter_ray import fs
 from data_linter_ray.config import RunConfig, TableConfig, load_and_validate_config
 from data_linter_ray.metadata import TableSchema
 from data_linter_ray.pipelines.validate import validate_dataset
-from data_linter_ray.sources.readers import read_table_dataset
+from data_linter_ray.sources.readers import read_parquet_dataset, read_table_dataset
 from data_linter_ray.state.manifest import ManifestStore, UnitManifest
 
 
@@ -234,18 +234,9 @@ def validate_phase(
         if not matched.get(name):
             continue  # optional table with no files: skip, keep validating
         schema = _load_schema(tc)
-        ref_tables = None
-        if tc.ref_tables:
-            import ray.data
-
-            def _read_ref(p: str):
-                if fs.is_s3(p):
-                    return ray.data.read_parquet(p, filesystem=fs.resolve(p)[0])
-                return ray.data.read_parquet(p)
-
-            ref_tables = {
-                key: _read_ref(path) for key, path in tc.ref_tables.items()
-            }
+        ref_tables = {
+            key: read_parquet_dataset(path) for key, path in tc.ref_tables.items()
+        }
         for path in matched[name]:
             probe = UnitManifest(table=name, source_path=path, valid=False)
             if resume and store.exists(probe):

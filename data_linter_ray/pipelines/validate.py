@@ -507,9 +507,20 @@ def validate_dataset(
     # uniqueness exchange — runs over that bounded stream, never
     # re-scanning the input, and ONE raw-task pass over its blocks
     # (_fold_count_partials) feeds all of it.
-    mat = checked.map_batches(
+    # The stream keeps input order, so the value samples (the first n
+    # per test, the first duplicated keys) are those of the input
+    # whatever the block count or task schedule.
+    # Derived datasets share their source's context: set the option for
+    # this one execution and give the caller's setting back.
+    stream = checked.map_batches(
         _FusedChecker(fused, unique_cols, id_column), batch_format="pyarrow"
-    ).materialize()
+    )
+    opts = stream.context.execution_options
+    caller_order, opts.preserve_order = opts.preserve_order, True
+    try:
+        mat = stream.materialize()
+    finally:
+        opts.preserve_order = caller_order
 
     violation_parts: list[Dataset] = [
         mat.map_batches(_keep_violations, batch_format="pyarrow")

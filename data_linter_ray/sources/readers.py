@@ -27,6 +27,7 @@ import pyarrow as pa
 import pyarrow.csv as pacsv
 from ray.data import Dataset
 
+from data_linter_ray.exchange import read_width
 from data_linter_ray.metadata import TableSchema
 
 # pandas default NA strings (public pandas docs) — used when
@@ -112,6 +113,28 @@ def _csv_options(table_params: dict, schema: TableSchema):
     return read_opts, convert_opts
 
 
+def _fs_kwargs(path) -> dict:
+    # For s3:// paths, hand Ray an explicit pyarrow S3FileSystem so the
+    # endpoint/credential configuration travels (serialized) with the scan
+    # tasks to remote workers — no env dependence worker-side.
+    from data_linter_ray import fs as dlfs
+
+    p0 = path if isinstance(path, str) else path[0]
+    return {"filesystem": dlfs.resolve(p0)[0]} if dlfs.is_s3(p0) else {}
+
+
+def read_parquet_dataset(path: str | list[str]) -> Dataset:
+    """Parquet file(s) → Dataset, as encoded (no ingest normalization),
+    with the cluster-sized block count of :func:`exchange.read_width`.
+    The parquet read of :func:`read_table_dataset` and of reference
+    tables."""
+    import ray.data
+
+    return ray.data.read_parquet(
+        path, override_num_blocks=read_width(path), **_fs_kwargs(path)
+    )
+
+
 def read_table_dataset(
     path: str | list[str],
     schema: TableSchema,
@@ -119,19 +142,19 @@ def read_table_dataset(
     file_format: Optional[str] = None,
 ) -> Dataset:
     """Read one table's file(s) into a Dataset, applying the format's
-    ingest normalization. ``file_format`` defaults from the path suffix."""
-    import ray.data
+    ingest normalization. ``file_format`` defaults from the path suffix.
 
-    from data_linter_ray import fs as dlfs
+    Every format reads :func:`exchange.read_width` blocks — at least one
+    per file and two per cluster CPU, more only for inputs past Ray's
+    maximum block size — rather than Ray's default, which splits a few
+    small files into up to 200 blocks. ``validate_unit`` (and so
+    ``validate_phase`` and ``validate_table_checkpointed``) reads
+    through here."""
+    import ray.data
 
     table_params = table_params or {}
     p0 = path if isinstance(path, str) else path[0]
-    # For s3:// paths, hand Ray an explicit pyarrow S3FileSystem so the
-    # endpoint/credential configuration travels (serialized) with the scan
-    # tasks to remote workers — no env dependence worker-side.
-    fs_kwargs: dict = {}
-    if dlfs.is_s3(p0):
-        fs_kwargs["filesystem"] = dlfs.resolve(p0)[0]
+    fs_kwargs = _fs_kwargs(path)
     fmt = file_format or (
         "csv"
         if p0.endswith(".csv")
@@ -147,14 +170,15 @@ def read_table_dataset(
     )
 
     if fmt == "parquet":
-        ds = ray.data.read_parquet(path, **fs_kwargs)
+        ds = read_parquet_dataset(path)
     elif fmt == "orc":
         ds = read_orc_dataset(path, **fs_kwargs)
     elif fmt == "feather":
         ds = read_feather_dataset(path, **fs_kwargs)
     elif fmt == "lance":
         try:
-            ds = ray.data.read_lance(p0)  # requires lance in the env
+            # requires lance in the env
+            ds = ray.data.read_lance(p0, override_num_blocks=read_width(p0))
         except (ImportError, AttributeError) as e:  # pragma: no cover
             raise ImportError(
                 "lance reader requested but lance is not installed"
@@ -162,10 +186,14 @@ def read_table_dataset(
     elif fmt == "csv":
         read_opts, convert_opts = _csv_options(table_params, schema)
         ds = ray.data.read_csv(
-            path, read_options=read_opts, convert_options=convert_opts, **fs_kwargs
+            path,
+            read_options=read_opts,
+            convert_options=convert_opts,
+            override_num_blocks=read_width(path),
+            **fs_kwargs,
         )
     elif fmt == "jsonl":
-        ds = ray.data.read_json(path, **fs_kwargs)
+        ds = ray.data.read_json(path, override_num_blocks=read_width(path), **fs_kwargs)
     else:
         raise ValueError(f"unsupported file format: {fmt}")
 
@@ -238,18 +266,24 @@ def _feather_datasource_cls():
 
 
 def read_orc_dataset(path, **kwargs) -> "Dataset":
-    """ORC files → Dataset, one stripe per yielded block."""
+    """ORC files → Dataset, one stripe per yielded block, over
+    :func:`exchange.read_width` read blocks."""
     import ray.data
 
-    return ray.data.read_datasource(_orc_datasource_cls()(path, **kwargs))
+    return ray.data.read_datasource(
+        _orc_datasource_cls()(path, **kwargs), override_num_blocks=read_width(path)
+    )
 
 
 def read_feather_dataset(path, **kwargs) -> "Dataset":
     """Feather v2 / Arrow IPC files → Dataset, one record batch per
-    yielded block (zero-copy IPC decode)."""
+    yielded block (zero-copy IPC decode), over
+    :func:`exchange.read_width` read blocks."""
     import ray.data
 
-    return ray.data.read_datasource(_feather_datasource_cls()(path, **kwargs))
+    return ray.data.read_datasource(
+        _feather_datasource_cls()(path, **kwargs), override_num_blocks=read_width(path)
+    )
 
 
 def write_orc_dataset(ds, path: str, **kwargs) -> None:

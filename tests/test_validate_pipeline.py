@@ -557,3 +557,53 @@ def test_fused_checker_emits_each_checkers_rows_and_counts():
     want = Counter(zip(rows["column"].to_pylist(), rows["test"].to_pylist()))
     want[(ROWS_KEY, ROWS_KEY)] = batch.num_rows
     assert got == want
+
+
+def test_verdicts_do_not_depend_on_read_block_count(ray_session, tmp_path):
+    """The same parquet files read at Ray's default block count and
+    through ``read_table_dataset`` (sized by ``exchange.read_width``)
+    give identical counts, row count, violation rows and response,
+    samples included: doc_id duplicates span the two files, and the span
+    column is checked against the media catalog."""
+    import json
+
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    from data_linter_ray import synth
+    from data_linter_ray.sources.readers import read_table_dataset
+
+    # 1,000 doc_ids appear in both files
+    for i, lo in enumerate((0, 39_000)):
+        pq.write_table(
+            synth.make_documents_batch({"id": np.arange(lo, lo + 40_000)}),
+            str(tmp_path / f"part-{i}.parquet"),
+        )
+    schema = synth.documents_schema()
+    catalog = synth.media_catalog_dataset()
+    outs, blocks = [], []
+    for ds in (
+        ray.data.read_parquet(str(tmp_path)),
+        read_table_dataset(str(tmp_path), schema),
+    ):
+        blocks.append(ds.materialize().num_blocks())
+        res = validate_dataset(
+            ds,
+            schema,
+            id_column="doc_id",
+            ref_tables={"media_catalog.media_ref": catalog},
+            log_verbosity=3,
+        )
+        viol = sorted(
+            res.violations.to_pandas().itertuples(index=False, name=None),
+            key=lambda r: tuple(map(str, r)),
+        )
+        result = json.dumps(res.response.get_result(), sort_keys=True, default=str)
+        outs.append((res.counts, res.row_count, viol, result))
+    assert blocks[0] > blocks[1]  # the comparison is across block counts
+    counts, row_count, _, result = outs[0]
+    assert row_count == 80_000
+    assert counts[("doc_id", "unique_test")] >= 1_000
+    assert counts[("spans", "referential_test")] > 0
+    assert "unexpected_values_sample" in result
+    assert outs[1] == outs[0]
