@@ -159,6 +159,12 @@ def _strptime_masks(col, fmt: str) -> tuple[np.ndarray, np.ndarray]:
     return ok, midnight
 
 
+def _exempt(col: pa.Array) -> np.ndarray:
+    """Null or empty-string values, which pass the date/datetime tests."""
+    empty = pc.fill_null(pc.equal(col, ""), False)
+    return pc.or_(pc.is_null(col), empty).to_numpy(zero_copy_only=False)
+
+
 def datetime_format_mask(col, fmt: str = DEFAULT_DATETIME_FORMAT) -> pa.Array:
     """Violation where a non-null, non-empty string fails to fully parse
     with ``fmt``. Reference: ``_datetime_format_test`` +
@@ -167,9 +173,7 @@ def datetime_format_mask(col, fmt: str = DEFAULT_DATETIME_FORMAT) -> pa.Array:
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     ok, _ = _strptime_masks(col, fmt)
-    s = col.to_pandas()
-    exempt = s.isna().to_numpy() | (s.fillna("") == "").to_numpy()
-    return pa.array(~(ok | exempt))
+    return pa.array(~(ok | _exempt(col)))
 
 
 def date_format_mask(col, fmt: str = DEFAULT_DATE_FORMAT) -> pa.Array:
@@ -181,9 +185,7 @@ def date_format_mask(col, fmt: str = DEFAULT_DATE_FORMAT) -> pa.Array:
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     ok, midnight = _strptime_masks(col, fmt)
-    s = col.to_pandas()
-    exempt = s.isna().to_numpy() | (s.fillna("") == "").to_numpy()
-    return pa.array(~((ok & midnight) | exempt))
+    return pa.array(~((ok & midnight) | _exempt(col)))
 
 
 def is_string_arrow_type(t: pa.DataType) -> bool:

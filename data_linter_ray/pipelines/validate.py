@@ -4,11 +4,13 @@ Equivalent of using the reference's ``PandasValidator`` directly
 (``/root/reference/data_linter/validators/pandas_validator.py:30-96``,
 README.md:114-134), re-expressed Ray-Data-first:
 
-    ds ─► map_batches(_FusedChecker: every per-batch check) ─► materialized
-    stream ─► one raw-task pass over its blocks (_fold_block_group): counts,
-    row count, sample heads, kind-2 rows split into P hash buckets ─► one
-    reduce per bucket (_detect_bucket): duplicate-key rows, counts, heads ─┐
-    ds ─► referential shuffle (oversized dims only) ───────────────────────┴─►
+    ds ─► map_batches(_FusedChecker: every per-batch check, and the drift
+    sketch partials) ─► materialized stream ─► one raw-task pass over its
+    blocks (_fold_block_group): counts, row count, sample heads, merged
+    sketch partials, kind-2 rows split into P hash buckets ─► one reduce
+    per bucket (_detect_bucket): duplicate-key rows, counts, heads ───────┐
+    merged sketches vs baselines (drift_results): drift verdicts ─────────┤
+    ds ─► referential shuffle (oversized dims only) ──────────────────────┴─►
     ValidatorResult
 
 Only *aggregated counts* and (optionally) bounded violation samples ever
@@ -37,8 +39,10 @@ from data_linter_ray.stages.checker import (
     violation_rows,
 )
 # internal single-pass stream: violation rows (kind 0), per-batch count
-# partials (kind 1), uniqueness pre-aggregates (kind 2) — one schema so a
-# single map_batches pass can emit all three and be materialized once
+# partials (kind 1), uniqueness pre-aggregates (kind 2), drift sketch
+# partials (kind 3: column, test = the sketch kind, value = the base64
+# payload) — one schema so a single map_batches pass can emit all four
+# and be materialized once
 INTERNAL_SCHEMA = pa.schema(
     [
         ("row_ref", pa.string()),
@@ -61,12 +65,21 @@ ROWS_KEY = "__rows__"
 class _FusedChecker:
     """Single-pass emitter: every checker's findings, as violation rows
     (kind 0) and one count row per finding (kind 1), plus the uniqueness
-    pre-aggregates (kind 2)."""
+    pre-aggregates (kind 2) and, with a ``sketcher``
+    (:class:`~data_linter_ray.stages.sketch_stage.SketchPartials`), one
+    sketch partial per (column, sketch kind) (kind 3)."""
 
-    def __init__(self, checkers: list, unique_cols: list[str], id_column: Optional[str]):
+    def __init__(
+        self,
+        checkers: list,
+        unique_cols: list[str],
+        id_column: Optional[str],
+        sketcher=None,
+    ):
         self.checkers = checkers
         self.unique_cols = unique_cols
         self.id_column = id_column
+        self.sketcher = sketcher
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         from data_linter_ray.stages.spans import SpanContext
@@ -145,6 +158,29 @@ class _FusedChecker:
                     schema=INTERNAL_SCHEMA,
                 )
             )
+        if self.sketcher is not None:
+            import base64
+
+            sk = self.sketcher(batch)
+            k = sk.num_rows
+            parts.append(
+                pa.Table.from_arrays(
+                    [
+                        pa.nulls(k, pa.string()),
+                        sk["column"],
+                        sk["kind"],
+                        pa.array(
+                            [base64.b64encode(p).decode() for p in sk["payload"].to_pylist()],
+                            pa.string(),
+                        ),
+                        pa.nulls(k, pa.int64()),
+                        pa.nulls(k, pa.int64()),
+                        pa.repeat(pa.scalar(3, pa.int8()), k),
+                        pa.nulls(k, pa.int16()),
+                    ],
+                    schema=INTERNAL_SCHEMA,
+                )
+            )
         return pa.concat_tables(parts)
 
 
@@ -171,8 +207,10 @@ def _fold_block_group(num_parts: int, n: Optional[int], group: int, *blocks):
     ``num_parts`` tables of the kind-2 pre-agg rows by hash bucket — the
     map side of the uniqueness exchange: (cc, h, n, value, pos), ``pos``
     being the row's stream position ``group << 40 | row index in the
-    group`` — then the kind-1 count partials as one dict, then the first
-    ``n`` kind-0 violation rows per (column, test) (or None)."""
+    group`` — then the kind-1 count partials as one dict beside the
+    group's kind-3 sketch partials merged to one ``(column, kind,
+    payload)`` per (column, kind), then the first ``n`` kind-0 violation
+    rows per (column, test) (or None)."""
     import numpy as np
     import pyarrow.compute as pc
 
@@ -192,16 +230,31 @@ def _fold_block_group(num_parts: int, n: Optional[int], group: int, *blocks):
         counts_tbl["n"].to_pylist(),
     ):
         counts[(c, t)] = counts.get((c, t), 0) + n_
+    sketches = _merge_sketch_rows(block.filter(pc.equal(block["kind"], 3)))
     heads = None if n is None else _heads(_keep_violations(block), n)
     if not num_parts:
-        return counts, heads
+        return (counts, sketches), heads
 
     rows = np.flatnonzero(block["kind"].to_numpy(zero_copy_only=False) == 2)
     sub = block.take(pa.array(rows)).select(["cc", "h", "n", "value"])
     sub = sub.append_column("pos", pa.array((group << 40) | rows.astype(np.int64)))
     h = sub["h"].to_numpy(zero_copy_only=False)
     bucket = (h.astype(np.uint64) % np.uint64(num_parts)).astype(np.int64)
-    return tuple(split_by_partition(sub, bucket, num_parts)) + (counts, heads)
+    return tuple(split_by_partition(sub, bucket, num_parts)) + ((counts, sketches), heads)
+
+
+def _merge_sketch_rows(t: pa.Table) -> list[tuple[str, str, bytes]]:
+    """Kind-3 rows merged to one ``(column, kind, payload)`` per
+    (column, sketch kind), in row order."""
+    import base64
+
+    from data_linter_ray.stages.sketch_stage import fold_partials
+
+    merged = fold_partials(
+        (c, kind, base64.b64decode(v))
+        for c, kind, v in zip(*(t[k].to_pylist() for k in ("column", "test", "value")))
+    )
+    return [(c, kind, sk.to_bytes()) for c, e in merged.items() for kind, sk in e.items()]
 
 
 def _block_refs(ds: Dataset) -> list:
@@ -210,17 +263,19 @@ def _block_refs(ds: Dataset) -> list:
 
 def _fold_count_partials(
     mat: Dataset, unique_cols: list[str], n: Optional[int]
-) -> tuple[dict, int, list, list]:
+) -> tuple[dict, int, list, list, dict]:
     """The single pass over the materialized stream: one
     :func:`_fold_block_group` task per group of ~1/(2×P) of its blocks,
     P = the exchange width floored at the cluster's CPU count (the bytes
     derivation still widens P for streams past ~1 GiB per partition).
     Returns ({(column, test): n}, row_count, per-bucket tuples of bucket
     refs in group order (none without ``unique_cols``), one violation-head
-    ref per group)."""
+    ref per group, the drift sketches merged in group order as
+    {column: {kind: sketch}})."""
     import ray
 
     from data_linter_ray.exchange import cluster_cpus, exchange_width
+    from data_linter_ray.stages import sketch_stage
 
     P = exchange_width(mat, floor=cluster_cpus())
     num_parts = P if unique_cols else 0
@@ -233,12 +288,14 @@ def _fold_count_partials(
         for gi, i in enumerate(range(0, max(1, len(block_refs)), size))
     ]
     counts: dict[tuple[str, str], int] = {}
-    for d in ray.get([o[-2] for o in outs]):
+    sketches: dict[str, dict] = {}
+    for d, partials in ray.get([o[-2] for o in outs]):
         for k, v in d.items():
             counts[k] = counts.get(k, 0) + v
+        sketch_stage.fold_partials(partials, sketches)
     row_count = counts.pop((ROWS_KEY, ROWS_KEY), 0)
     buckets = list(zip(*(o[:-2] for o in outs)))
-    return counts, row_count, buckets, [o[-1] for o in outs]
+    return counts, row_count, buckets, [o[-1] for o in outs], sketches
 
 
 def _detect_bucket(unique_cols: list[str], n: Optional[int], cap: int, *parts):
@@ -381,8 +438,9 @@ def validate_dataset(
     None → no value samples in the response dict; 0 → all; n → up to n.
     ``drift_baselines`` — {column: {"tdigest": TDigest, "hll": HLL}} from
     :func:`data_linter_ray.stages.sketch_stage.load_baselines`; columns
-    whose spec has ``drift`` set are checked against them and recorded as
-    ``drift_test`` response entries.
+    whose spec has ``drift`` set are sketched in the fused pass, checked
+    against them at the spec's ``drift["threshold"]`` (``drift_threshold``
+    when it has none) and recorded as ``drift_test`` response entries.
     """
     response = ValidatorResult()
     try:
@@ -498,6 +556,18 @@ def validate_dataset(
         needed.add(id_column)
 
     needed.update(unique_cols)
+    # drift sketches ride the same pass: one partial per (batch, column,
+    # sketch kind), folded with the counts
+    from data_linter_ray.stages import sketch_stage
+
+    drift_specs = {
+        c.name: c
+        for c in schema.columns
+        if c.drift and c.name in data_schema.names and c.name in (drift_baselines or {})
+    }
+    drift_base = {c: drift_baselines[c] for c in drift_specs}
+    sketcher = sketch_stage.baseline_partials(drift_base) if drift_base else None
+    needed.update(drift_base)
     checked = ds.select_columns(sorted(needed)) if needed else ds
 
     # --- single-scan execution ------------------------------------------
@@ -513,7 +583,7 @@ def validate_dataset(
     # Derived datasets share their source's context: set the option for
     # this one execution and give the caller's setting back.
     stream = checked.map_batches(
-        _FusedChecker(fused, unique_cols, id_column), batch_format="pyarrow"
+        _FusedChecker(fused, unique_cols, id_column, sketcher), batch_format="pyarrow"
     )
     opts = stream.context.execution_options
     caller_order, opts.preserve_order = opts.preserve_order, True
@@ -525,7 +595,7 @@ def validate_dataset(
     violation_parts: list[Dataset] = [
         mat.map_batches(_keep_violations, batch_format="pyarrow")
     ]
-    counts, row_count, buckets, heads = _fold_count_partials(
+    counts, row_count, buckets, heads, sketches = _fold_count_partials(
         mat, unique_cols, log_verbosity
     )
     if unique_cols:
@@ -549,20 +619,13 @@ def validate_dataset(
         violations = violations.union(part)
     counts = {k: v for k, v in counts.items() if v}
 
-    # --- distribution-drift checks (sketch stage vs stored baselines) ---
-    drift_results = []
-    drift_cols = [c for c in schema.columns if c.drift and c.name in data_schema.names]
-    if drift_cols and drift_baselines:
-        from data_linter_ray.stages.sketch_stage import drift_check
-
-        wanted = {
-            c.name: drift_baselines[c.name]
-            for c in drift_cols
-            if c.name in drift_baselines
+    # --- distribution-drift verdicts: the folded sketches vs baselines ---
+    if drift_base:
+        thresholds = {
+            c: spec.drift.get("threshold", drift_threshold)
+            for c, spec in drift_specs.items()
         }
-        if wanted:
-            drift_results = drift_check(ds, wanted, threshold=drift_threshold)
-        for dr in drift_results:
+        for dr in sketch_stage.drift_results(sketches, drift_base, thresholds):
             response.add_test_to_col(
                 dr.column,
                 checks.DRIFT_TEST,

@@ -4,8 +4,15 @@ Pipeline shape (SURVEY.md §2.3, §7 step 7):
 
     ds ──► map_batches(SketchPartials)       # one task per block
               emits ONE partial-sketch row per (batch, column)
-       ──► iter_batches on the driver         # fold KB-sized partials
-       ──► per-column merged sketch → drift verdict vs baseline
+       ──► fold_partials on the driver        # fold KB-sized partials
+       ──► per-column merged sketch ──► drift_results vs baseline
+
+``validate_dataset`` runs no execution of its own for drift: its fused
+pass calls the same :class:`SketchPartials` per batch (see
+:func:`baseline_partials`) and emits the partials as rows of its
+internal stream, its fold merges them (:func:`fold_partials`), and
+:func:`drift_results` turns them into verdicts. :func:`drift_check` is
+the standalone form: :func:`compute_sketches` + :func:`drift_results`.
 
 The callable holds the compiled column plan; per-batch partials are
 *emitted as data*, never accumulated in worker state, so Ray task
@@ -88,6 +95,33 @@ class SketchPartials:
 _SKETCH_CLASSES = {"tdigest": TDigest, "kll": KLL, "hll": HyperLogLog}
 
 
+def baseline_partials(baselines: dict[str, dict]) -> SketchPartials:
+    """The per-batch builder of the sketches ``baselines`` is compared
+    against: a quantile sketch for every column with a t-digest or KLL
+    baseline, an HLL for every column with an HLL one. One quantile
+    sketch per job: KLL if any baseline is KLL, else t-digest."""
+    wants_kll = any("kll" in v for v in baselines.values())
+    return SketchPartials(
+        [c for c, v in baselines.items() if "tdigest" in v or "kll" in v],
+        [c for c, v in baselines.items() if "hll" in v],
+        quantile_sketch="kll" if wants_kll else "tdigest",
+    )
+
+
+def fold_partials(rows, out: dict[str, dict] | None = None) -> dict[str, dict]:
+    """Merge ``(column, kind, payload)`` partial rows, in order, into
+    ``out``: {column: {kind: sketch}}."""
+    out = {} if out is None else out
+    for col, kind, raw in rows:
+        sk = _SKETCH_CLASSES[kind].from_bytes(raw)
+        entry = out.setdefault(col, {})
+        if kind in entry:
+            entry[kind].merge(sk)
+        else:
+            entry[kind] = sk
+    return out
+
+
 def compute_sketches(
     ds: Dataset,
     numeric_cols: list[str],
@@ -108,15 +142,9 @@ def compute_sketches(
     # one partial row per (batch, column): fold them as they stream in
     out: dict[str, dict] = {}
     for b in partials.iter_batches(batch_format="pyarrow", batch_size=None):
-        for col, kind, raw in zip(
-            b["column"].to_pylist(), b["kind"].to_pylist(), b["payload"].to_pylist()
-        ):
-            sk = _SKETCH_CLASSES[kind].from_bytes(raw)
-            entry = out.setdefault(col, {})
-            if kind in entry:
-                entry[kind].merge(sk)
-            else:
-                entry[kind] = sk
+        fold_partials(
+            zip(*(b[k].to_pylist() for k in ("column", "kind", "payload"))), out
+        )
     return out
 
 
@@ -193,23 +221,16 @@ def cardinality_drift(current: HyperLogLog, baseline: HyperLogLog) -> float:
     return abs(current.estimate() - b) / b
 
 
-def drift_check(
-    ds: Dataset,
+def drift_results(
+    current: dict[str, dict],
     baselines: dict[str, dict],
-    *,
-    threshold: float = 0.1,
+    thresholds: dict[str, float],
 ) -> list[DriftResult]:
-    """Compare the dataset's sketches to stored baseline sketches, over
-    every column the baselines name."""
-    numeric_cols = [c for c, v in baselines.items() if "tdigest" in v or "kll" in v]
-    key_cols = [c for c, v in baselines.items() if "hll" in v]
-    wants_kll = any("kll" in v for v in baselines.values())
-    current = compute_sketches(
-        ds,
-        numeric_cols,
-        key_cols,
-        quantile_sketch="kll" if wants_kll else "tdigest",
-    )
+    """The drift verdicts of merged sketches ``current`` against
+    ``baselines``, column by column at that column's threshold: one
+    ``quantile_shift`` per quantile sketch both sides hold, one
+    ``cardinality_shift`` when both hold an HLL. A column the data gave
+    no sketch for (no batch reached the sketcher) gets no verdict."""
     results: list[DriftResult] = []
     for col, base in baselines.items():
         cur = current.get(col, {})
@@ -220,7 +241,7 @@ def drift_check(
                         col,
                         "quantile_shift",
                         quantile_drift(cur[qkind], base[qkind]),
-                        threshold,
+                        thresholds[col],
                     )
                 )
         if "hll" in base and "hll" in cur:
@@ -229,7 +250,23 @@ def drift_check(
                     col,
                     "cardinality_shift",
                     cardinality_drift(cur["hll"], base["hll"]),
-                    threshold,
+                    thresholds[col],
                 )
             )
     return results
+
+
+def drift_check(
+    ds: Dataset,
+    baselines: dict[str, dict],
+    *,
+    threshold: float = 0.1,
+) -> list[DriftResult]:
+    """Compare the dataset's sketches to stored baseline sketches, over
+    every column the baselines name, in a Ray Data execution of its own
+    (``validate_dataset`` folds the same sketches into its one pass)."""
+    sp = baseline_partials(baselines)
+    current = compute_sketches(
+        ds, sp.numeric_cols, sp.key_cols, quantile_sketch=sp.quantile_sketch
+    )
+    return drift_results(current, baselines, dict.fromkeys(baselines, threshold))

@@ -22,8 +22,27 @@ import pandas as pd
 
 
 class TDigest:
-    """Merging t-digest with the k1-style size bound
-    (max centroid weight ≈ 4·n·q(1−q)/δ)."""
+    """Merging t-digest on the logit scale function
+    k(q) = (7/16)·δ·ln(q/(1−q)) (Dunning & Ertl's k2, unnormalized).
+
+    A compress sorts the centroids and merges each run whose mid-rank
+    quantiles fall in one unit of k: one ``np.add.reduceat``, no
+    per-value loop. The size bound it keeps, for n unit-weight values:
+
+    * at most (7/8)·δ·ln(2n) + 1 centroids, since the mid-rank quantiles
+      span k ∈ ±(7/16)·δ·ln(2n − 1); the tails, where one unit holds
+      under one value, keep their values as singletons, so δ = 100 and
+      n = 10⁶ give about 970;
+    * a centroid around quantile q spans at most one unit of k, so it
+      weighs about 16·n·q(1−q)/(7δ), 4/7 of the k1-style bound
+      4·n·q(1−q)/δ; a single input centroid heavier than that (a merged
+      partial) is kept whole.
+    """
+
+    #: k-units per δ·ln(q/(1−q)); 1/4 would give one unit the k1-style
+    #: bound's weight, 7/16 keeps the mean rank error at or below a
+    #: greedy merge under that bound, on one-shot and merged inputs
+    K_UNIT = 7 / 16
 
     def __init__(self, delta: int = 100):
         self.delta = delta
@@ -55,26 +74,12 @@ class TDigest:
         self._buf_means, self._buf_weights, self._buffered = [], [], 0
         order = np.argsort(means, kind="stable")
         means, weights = means[order], weights[order]
-        total = weights.sum()
-        out_means: list[float] = []
-        out_weights: list[float] = []
-        acc_mean, acc_w, seen = 0.0, 0.0, 0.0
-        for m, w in zip(means, weights):
-            q = (seen + acc_w + w / 2) / total
-            limit = max(1.0, 4.0 * total * q * (1.0 - q) / self.delta)
-            if acc_w + w <= limit or acc_w == 0.0:
-                acc_mean += m * w
-                acc_w += w
-            else:
-                out_means.append(acc_mean / acc_w)
-                out_weights.append(acc_w)
-                seen += acc_w
-                acc_mean, acc_w = m * w, w
-        if acc_w > 0:
-            out_means.append(acc_mean / acc_w)
-            out_weights.append(acc_w)
-        self.means = np.asarray(out_means)
-        self.weights = np.asarray(out_weights)
+        cum = np.cumsum(weights)
+        q = (cum - weights / 2) / cum[-1]
+        k = np.floor(self.K_UNIT * self.delta * np.log(q / (1.0 - q)))
+        start = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
+        self.weights = np.add.reduceat(weights, start)
+        self.means = np.add.reduceat(means * weights, start) / self.weights
 
     def merge(self, other: "TDigest") -> "TDigest":
         other._compress()

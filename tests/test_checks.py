@@ -188,6 +188,44 @@ def test_out_of_timestamp_range_date_ok():
     assert mask.to_pylist() == [False, False, True]
 
 
+def test_date_kernels_mixed_chunked_column():
+    """Null, "", valid, malformed and out-of-Timestamp-range strings in
+    a chunked array: both date kernels equal the reference's per-value
+    ``strptime`` loop, where a null or empty value passes."""
+    from datetime import datetime
+
+    col = pa.chunked_array(
+        [
+            ["2020-01-01 00:00:00", None, "", "2020-02-30 00:00:00"],
+            [],
+            ["9999-12-31 00:00:00", "0001-01-01 10:30:00", None, ""],
+            ["2021/03/04 05:06:07", "2021-03-04 05:06:07", "2021-03-04", "x"],
+        ]
+    )
+    values = col.to_pylist()
+
+    def reference(fmt, midnight_only):
+        out = []
+        for v in values:
+            if not v:
+                out.append(False)
+                continue
+            try:
+                dt = datetime.strptime(v, fmt)
+            except ValueError:
+                out.append(True)
+                continue
+            out.append(midnight_only and dt.time() != datetime.min.time())
+        return out
+
+    fmt = checks.DEFAULT_DATETIME_FORMAT
+    assert checks.datetime_format_mask(col, fmt).to_pylist() == reference(fmt, False)
+    assert checks.date_format_mask(col, fmt).to_pylist() == reference(fmt, True)
+    assert checks.date_format_mask(col, "%Y-%m-%d").to_pylist() == reference(
+        "%Y-%m-%d", True
+    )
+
+
 def test_dispatch_skips():
     """check_run_validation_for_meta parity: tests skip when constraint
     keys are absent (reference test_validation_function_skips)."""

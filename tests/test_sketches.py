@@ -60,7 +60,86 @@ def test_tdigest_bounded_size():
     td = TDigest(delta=100)
     td.add(np.arange(1_000_000, dtype=np.float64))
     td._compress()
-    assert td.means.size < 1000  # centroids bounded (≈6δ) regardless of n
+    # centroids grow as (7/8)·δ·ln(2n) at most; ~970 here
+    assert td.means.size < 1000
+
+
+class _LoopTDigest(TDigest):
+    """The per-value greedy compress the vectorized one replaced: a
+    centroid grows while its weight stays within 4·n·q(1−q)/δ at its
+    mid-rank quantile q. Kept as the accuracy reference."""
+
+    def _compress(self) -> None:
+        if not self._buf_means and self.means.size <= 2 * self.delta:
+            return
+        means = np.concatenate([self.means] + self._buf_means)
+        weights = np.concatenate([self.weights] + self._buf_weights)
+        self._buf_means, self._buf_weights, self._buffered = [], [], 0
+        order = np.argsort(means, kind="stable")
+        means, weights = means[order], weights[order]
+        total = weights.sum()
+        out_m, out_w = [], []
+        acc_mean, acc_w, seen = 0.0, 0.0, 0.0
+        for m, w in zip(means, weights):
+            q = (seen + acc_w + w / 2) / total
+            limit = max(1.0, 4.0 * total * q * (1.0 - q) / self.delta)
+            if acc_w + w <= limit or acc_w == 0.0:
+                acc_mean += m * w
+                acc_w += w
+            else:
+                out_m.append(acc_mean / acc_w)
+                out_w.append(acc_w)
+                seen += acc_w
+                acc_mean, acc_w = m * w, w
+        out_m.append(acc_mean / acc_w)
+        out_w.append(acc_w)
+        self.means, self.weights = np.asarray(out_m), np.asarray(out_w)
+
+
+def _rank_errors(td: TDigest, x: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """|rank − q| of the digest's estimate at each q, where the rank of
+    an estimate v is the interval [F(v−), F(v)] of the exact data (so a
+    tie-heavy column is not charged for its steps)."""
+    xs = np.sort(x)
+    v = td.quantiles(qs)
+    lo = np.searchsorted(xs, v, "left") / xs.size
+    hi = np.searchsorted(xs, v, "right") / xs.size
+    return np.maximum(0.0, np.maximum(lo - qs, qs - hi))
+
+
+@pytest.mark.parametrize("kind", ["normal", "exponential", "distinct50"])
+@pytest.mark.parametrize("parts", [1, 13])
+def test_tdigest_vectorized_compress_against_loop(kind, parts):
+    """The sort + k-scale + reduceat compress, one shot and merged 13
+    ways (through to_bytes/from_bytes): mean rank error over 999
+    quantiles at or below the per-value loop's on the same input, the
+    worst within 0.02, and the centroid count within the docstring's
+    (7/8)·δ·ln(2n) + 1 bound and below 1000."""
+    rng = np.random.RandomState(19)
+    x = {
+        "normal": lambda: rng.normal(100, 15, 100_000),
+        "exponential": lambda: rng.exponential(10, 100_000),
+        "distinct50": lambda: rng.randint(0, 50, 100_000).astype(np.float64),
+    }[kind]()
+
+    def build(cls):
+        acc = cls()
+        for p in np.array_split(x, parts):
+            td = cls()
+            td.add(p)
+            acc.merge(cls.from_bytes(td.to_bytes()))
+        acc._compress()
+        return acc
+
+    qs = np.linspace(0.001, 0.999, 999)
+    new, loop = build(TDigest), build(_LoopTDigest)
+    err, loop_err = _rank_errors(new, x, qs), _rank_errors(loop, x, qs)
+    assert err.mean() <= loop_err.mean()
+    assert err.max() <= 0.02
+    assert new.count == x.size
+    assert new.means.size <= 7 / 8 * new.delta * np.log(2 * x.size) + 1
+    assert new.means.size < 1000
+    assert np.all(np.diff(new.means) >= 0)
 
 
 def test_hll_accuracy_and_merge():
