@@ -302,22 +302,27 @@ def listdir(path: str) -> list[str]:
     )
 
 
-def _make_s3_parquet_sink(path: str):
+def _make_parquet_sink(path: str, partition_col: Optional[str]):
     from ray.data import Datasink
 
-    class S3ParquetPutSink(Datasink):
-        """Ray Datasink: one parquet object per block via boto3 PUT.
+    class ParquetPartsSink(Datasink):
+        """Ray Datasink: one parquet file per block — per block and value
+        of ``partition_col``, with one — written locally or PUT to S3
+        via boto3.
 
-        Used instead of ``Dataset.write_parquet(s3://...)`` so S3 output
-        works against any S3-compatible endpoint without pyarrow's
-        multipart-upload path. Each write task PUTs
+        Used instead of ``Dataset.write_parquet`` so S3 output works
+        against any S3-compatible endpoint without pyarrow's
+        multipart-upload path, and so one write can split its rows into
+        plain ``{root}/{value}/`` directories (no ``col=`` prefix), the
+        value's column dropped. Each write task writes
         ``part-{task}-{block}.parquet`` — ≤ one block (~128 MB target)
         per object, under the 5 GB single-PUT limit, idempotent on task
         retry. The endpoint is captured at construction on the driver;
         the boto3 client is re-created lazily in each worker process."""
 
-        def __init__(self, root: str):
+        def __init__(self, root: str, partition_col: Optional[str]):
             self.path = root.rstrip("/")
+            self.partition_col = partition_col
             self.endpoint = s3_endpoint()
             self.region = os.environ.get("AWS_DEFAULT_REGION", "us-east-1")
             # with an endpoint override (moto / S3-compatible store) the
@@ -336,10 +341,10 @@ def _make_s3_parquet_sink(path: str):
             )
             self._client = None
 
-        def write(self, blocks, ctx) -> int:
-            import pyarrow as pa
-            import pyarrow.parquet as pq
-
+        def _put(self, path: str, data: bytes) -> None:
+            if not is_s3(path):
+                write_bytes(path, data)
+                return
             if self._client is None:
                 import boto3
 
@@ -349,7 +354,24 @@ def _make_s3_parquet_sink(path: str):
                     region_name=self.region,
                     **self.creds,
                 )
-            bucket, key_root = _bucket_key(self.path)
+            bucket, key = _bucket_key(path)
+            self._client.put_object(Bucket=bucket, Key=key, Body=data)
+
+        def _parts(self, tbl):
+            if self.partition_col is None:
+                yield self.path, tbl
+                return
+            import pyarrow.compute as pc
+
+            col = tbl[self.partition_col]
+            for v in pc.unique(col).to_pylist():
+                part = tbl.filter(pc.equal(col, v)).drop_columns([self.partition_col])
+                yield join(self.path, str(v)), part
+
+        def write(self, blocks, ctx) -> int:
+            import pyarrow as pa
+            import pyarrow.parquet as pq
+
             n = 0
             for i, block in enumerate(blocks):
                 tbl = (
@@ -357,29 +379,32 @@ def _make_s3_parquet_sink(path: str):
                     if isinstance(block, pa.Table)
                     else pa.Table.from_pandas(block)
                 )
-                sink = io.BytesIO()
-                pq.write_table(tbl, sink)
-                self._client.put_object(
-                    Bucket=bucket,
-                    Key=f"{key_root}/part-{ctx.task_idx:06d}-{i:04d}.parquet",
-                    Body=sink.getvalue(),
-                )
-                n += tbl.num_rows
+                # empty blocks pass map_batches untouched, in any schema
+                if not tbl.num_rows:
+                    continue
+                for root, part in self._parts(tbl):
+                    sink = io.BytesIO()
+                    pq.write_table(part, sink)
+                    self._put(
+                        f"{root}/part-{ctx.task_idx:06d}-{i:04d}.parquet",
+                        sink.getvalue(),
+                    )
+                    n += part.num_rows
             return n
 
         def get_name(self) -> str:
-            return "S3ParquetPut"
+            return "ParquetParts"
 
         @property
         def supports_distributed_writes(self) -> bool:
             return True
 
-    return S3ParquetPutSink(path)
+    return ParquetPartsSink(path, partition_col)
 
 
-def write_parquet_uri(ds, path: str) -> None:
-    """Sink a Dataset to partitioned parquet at a local path or S3 URI."""
-    if is_s3(path):
-        ds.write_datasink(_make_s3_parquet_sink(path))
-    else:
-        ds.write_parquet(path)
+def write_parquet_uri(ds, path: str, partition_col: Optional[str] = None) -> None:
+    """Sink a Dataset to parquet files under a local path or S3 URI; with
+    ``partition_col``, each row goes under ``{path}/{its value}/``
+    without that column."""
+    _check_writable_scheme(path)
+    ds.write_datasink(_make_parquet_sink(path, partition_col))

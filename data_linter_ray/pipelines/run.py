@@ -6,10 +6,19 @@ Re-creates the reference's ``run_validation``
 
   1. load + validate config
   2. match land files to tables (J1 matcher semantics, validation.py:147-209)
-  3. per (table, file): ``validate_unit`` reads (ingest-normalize/cast),
-     runs validate_dataset (all Ray-parallel inside) and sinks violations
-     to partitioned parquet; a UnitManifest committed atomically per unit
-     (checkpoint unit)
+  3. per table: the pending land files (resume skips committed ones) are
+     grouped by data schema — a parquet file's from its footer, with no
+     Ray execution; a file whose footer cannot be read fails alone
+     (``parse_data``), a misaligned one gets its ``overall_validation``
+     failure without a read, and any other format, a file with a
+     ``path`` column and every file of a table with a ``row-limit`` go
+     alone. ``validate_group`` reads each group once (ingest-normalize/
+     cast), validates all of its files in ONE Ray Data execution
+     (``validate_units``), with a verdict per file, and sinks their
+     violations in one partitioned parquet write; a UnitManifest per
+     file (the checkpoint unit) is committed atomically. A group whose
+     execution raises is re-run one file at a time, so only the bad file
+     records ``parse_data``.
   4. routing: all-pass → pass path; ``all-must-pass`` + any fail → ALL
      files to fail path and a final ValueError (validation.py:547-557,
      :635-642); else per-file pass/fail. Optional delete-on-pass.
@@ -40,11 +49,27 @@ import re
 import time
 from dataclasses import dataclass, field
 
+import pyarrow as pa
+
 from data_linter_ray import fs
 from data_linter_ray.config import RunConfig, TableConfig, load_and_validate_config
 from data_linter_ray.metadata import TableSchema
-from data_linter_ray.pipelines.validate import validate_dataset
-from data_linter_ray.sources.readers import read_parquet_dataset, read_table_dataset
+# ``validate_dataset`` and ``read_table_dataset`` stay module globals of
+# this module: the benchmark's tracer (perfbench/tracer.py) wraps them here
+from data_linter_ray.pipelines.validate import (  # noqa: F401
+    alignment_failure,
+    max_units,
+    validate_dataset,
+    validate_units,
+)
+from data_linter_ray.sources.readers import (
+    PATH_COLUMN,
+    format_of,
+    normalized_names,
+    read_parquet_dataset,
+    read_table_dataset,
+    row_path,
+)
 from data_linter_ray.state.manifest import ManifestStore, UnitManifest
 
 
@@ -134,40 +159,64 @@ def open_status_store(config: RunConfig) -> ManifestStore:
     )
 
 
-def validate_unit(
+def validate_group(
     table: str,
-    source_path: str,
-    paths: str | list[str],
+    units: list[tuple[str, str | list[str]]],
     schema: TableSchema,
     violations_root: str,
     table_params: dict | None = None,
     **validate_kwargs,
-) -> UnitManifest:
-    """Read, validate and sink one checkpoint unit — a land file or a
-    group of table fragments — and return its uncommitted manifest.
+) -> list[UnitManifest]:
+    """Read, validate and sink a group of checkpoint units in one Ray
+    Data execution, and return their uncommitted manifests.
 
-    ``paths`` are read through :func:`read_table_dataset`; extra
-    ``validate_kwargs`` pass through to :func:`validate_dataset`. When
-    any test fails, the violation rows go to
-    ``{violations_root}/{manifest.key()}``. Errors propagate: each caller
-    keeps its own failure policy."""
+    ``units`` are ``(source_path, paths)`` pairs: one group of table
+    fragments, or land files of one data schema (one file each). All
+    paths are read by one :func:`read_table_dataset` — tagged with each
+    row's file when there are several units — and validated by
+    :func:`validate_units`, to which extra ``validate_kwargs`` pass. Each
+    unit gets its own verdict; the violation rows of every unit with a
+    failing test go, in one write, to ``{violations_root}/{key}``, the
+    unit's :meth:`UnitManifest.key`. Every manifest's ``duration_s`` is
+    the group's wall time. Errors propagate: each caller keeps its own
+    failure policy."""
     t0 = time.monotonic()
-    res = validate_dataset(
-        read_table_dataset(paths, schema, table_params), schema, **validate_kwargs
-    )
-    m = UnitManifest(
-        table=table,
-        source_path=source_path,
-        valid=res.valid,
-        row_count=res.row_count,
-        counts={f"{c}::{t}": n for (c, t), n in res.counts.items()},
-        response=res.response.get_result(),
-    )
-    if res.violations is not None and res.counts:
-        m.violations_path = fs.join(violations_root, m.key())
-        fs.write_parquet_uri(res.violations, m.violations_path)
-    m.duration_s = time.monotonic() - t0
-    return m
+    if len(units) == 1:
+        ds, tags = read_table_dataset(units[0][1], schema, table_params), None
+    else:
+        paths = [p for _, p in units]
+        ds = read_table_dataset(paths, schema, table_params, include_paths=True)
+        tags = [row_path(p) for p in paths]
+    results, violations = validate_units(ds, schema, tags, **validate_kwargs)
+    manifests = [
+        UnitManifest(
+            table=table,
+            source_path=source_path,
+            valid=res.valid,
+            row_count=res.row_count,
+            counts={f"{c}::{t}": n for (c, t), n in res.counts.items()},
+            response=res.response.get_result(),
+        )
+        for (source_path, _), res in zip(units, results)
+    ]
+    failing = [m for m, res in zip(manifests, results) if res.counts]
+    if violations is not None and failing:
+        for m in failing:
+            m.violations_path = fs.join(violations_root, m.key())
+        keys = pa.array([m.key() for m in manifests])
+
+        def unit_dir(t: pa.Table) -> pa.Table:
+            return t.set_column(t.schema.get_field_index("cc"), "cc", keys.take(t["cc"]))
+
+        fs.write_parquet_uri(
+            violations.map_batches(unit_dir, batch_format="pyarrow"),
+            violations_root,
+            partition_col="cc",
+        )
+    duration = time.monotonic() - t0
+    for m in manifests:
+        m.duration_s = duration
+    return manifests
 
 
 def run_validation(
@@ -215,6 +264,119 @@ def run_validation(
     return result
 
 
+def _parse_failure(table: str, path: str, e: Exception) -> UnitManifest:
+    """The manifest of a unit whose read or validation raised: the
+    reference captures ALL validation exceptions as a failed table test
+    (pandas_validator.py:65-82), never aborting the run."""
+    return UnitManifest(
+        table=table,
+        source_path=path,
+        valid=False,
+        response={"valid": False, "parse_data": {"valid": False, "traceback": repr(e)}},
+    )
+
+
+def _group_units(
+    table: str, paths: list[str], schema: TableSchema, tc: TableConfig, alone: bool
+) -> tuple[list[list[str]], list[UnitManifest]]:
+    """A table's pending land files → the groups to validate in one pass
+    each, and the manifests of files that fail on their footer alone.
+
+    Parquet files group by footer schema. A file whose footer cannot be
+    read records ``parse_data``; one whose columns do not align records
+    ``overall_validation``; neither is read. A file of another format,
+    one with a :data:`PATH_COLUMN` column (the tag a group's read adds)
+    and, with ``alone``, every file is a group of its own; groups hold at
+    most :func:`max_units` files."""
+    import pyarrow.parquet as pq
+
+    groups: dict = {}
+    failed: list[UnitManifest] = []
+    for path in paths:
+        key = path
+        if format_of(path) == "parquet":
+            try:
+                filesystem, rel = fs.resolve(path)
+                footer = pq.read_schema(rel, filesystem=filesystem).remove_metadata()
+            except Exception as e:  # noqa: BLE001
+                failed.append(_parse_failure(table, path, e))
+                continue
+            names = normalized_names(footer.names, tc.headers_ignore_case)
+            bad = alignment_failure(
+                schema,
+                pa.schema(list(zip(names, footer.types))),
+                id_column=tc.id_column,
+                allow_missing_cols=tc.allow_missing_cols,
+                allow_unexpected_data=tc.allow_unexpected_data,
+            )
+            if bad is not None:
+                failed.append(
+                    UnitManifest(
+                        table=table,
+                        source_path=path,
+                        valid=False,
+                        response=bad.response.get_result(),
+                    )
+                )
+                continue
+            if not (alone or PATH_COLUMN in footer.names + names):
+                key = footer
+        groups.setdefault(key, []).append(path)
+    n = max_units(schema)
+    return [g[i : i + n] for g in groups.values() for i in range(0, len(g), n)], failed
+
+
+def _validate_land_group(
+    name: str,
+    group: list[str],
+    schema: TableSchema,
+    tc: TableConfig,
+    log_root: str,
+    validate_kwargs: dict,
+) -> list[UnitManifest]:
+    """:func:`validate_group` over land files, plus their profiles. When
+    the group raises, each file is re-run alone, so only a bad file
+    records ``parse_data``."""
+    t0 = time.monotonic()
+    try:
+        manifests = validate_group(
+            name,
+            [(path, path) for path in group],
+            schema,
+            fs.join(log_root, "violations", name),
+            tc.table_params(),
+            **validate_kwargs,
+        )
+        if tc.profile:
+            # column-stats profile per unit → one small JSON in the log
+            # area (the partials fold is KB-scale; this re-reads the unit
+            # with the profiler's own pruned scan, keeping the validation
+            # pass untouched)
+            from data_linter_ray.functions.profile import profile_dataset
+
+            for m in manifests:
+                prof = profile_dataset(
+                    read_table_dataset(m.source_path, schema, tc.table_params())
+                ).to_pylist()
+                fs.write_text(
+                    fs.join(log_root, "profiles", name, m.key() + ".json"),
+                    json.dumps(prof, indent=1),
+                )
+        return manifests
+    except Exception as e:  # noqa: BLE001
+        if len(group) > 1:
+            return [
+                m
+                for path in group
+                for m in _validate_land_group(
+                    name, [path], schema, tc, log_root, validate_kwargs
+                )
+            ]
+        m = _parse_failure(name, group[0], e)
+        m.duration_s = time.monotonic() - t0
+        return [m]
+
+
 def validate_phase(
     config: RunConfig,
     store: ManifestStore,
@@ -225,32 +387,32 @@ def validate_phase(
 ) -> None:
     """Validate every matched (table, file) unit, committing one manifest
     per unit (the checkpoint unit; committed units are skipped on
-    resume). ``validator-engine-params`` from the run config apply to
-    every unit as defaults under the table's own settings (reference
-    passes them to every validator constructor, validation.py:391-420)."""
+    resume). A table's pending files are validated in groups, one Ray
+    execution each (:func:`_group_units`, :func:`validate_group`).
+    ``validator-engine-params`` from the run config apply to every unit
+    as defaults under the table's own settings (reference passes them to
+    every validator constructor, validation.py:391-420)."""
     log_root = config.log_base_path
     engine_params = config.validator_engine_params or {}
     for name, tc in config.tables.items():
-        if not matched.get(name):
+        pending = [
+            path
+            for path in matched.get(name, [])
+            if not (
+                resume
+                and store.exists(UnitManifest(table=name, source_path=path, valid=False))
+            )
+        ]
+        if not pending:
             continue  # optional table with no files: skip, keep validating
         schema = _load_schema(tc)
-        ref_tables = {
-            key: read_parquet_dataset(path) for key, path in tc.ref_tables.items()
-        }
-        for path in matched[name]:
-            probe = UnitManifest(table=name, source_path=path, valid=False)
-            if resume and store.exists(probe):
-                continue
-            if log:
-                log.info("Linting %s (%s)", name, path)
-            t0 = time.monotonic()
-            try:
-                if config.validator_engine == "parquet":
-                    # schema-only conformance (reference ParquetValidator path)
-                    from data_linter_ray.stages.schema_conformance import (
-                        validate_parquet_schema,
-                    )
+        if config.validator_engine == "parquet":
+            # schema-only conformance (reference ParquetValidator path)
+            from data_linter_ray.stages.schema_conformance import validate_parquet_schema
 
+            for path in pending:
+                t0 = time.monotonic()
+                try:
                     resp = validate_parquet_schema(path, schema)
                     m = UnitManifest(
                         table=name,
@@ -258,66 +420,50 @@ def validate_phase(
                         valid=resp.valid,
                         response=resp.get_result(),
                     )
-                else:
-                    drift_baselines = None
-                    if tc.drift_baseline and fs.exists(tc.drift_baseline):
-                        from data_linter_ray.stages.sketch_stage import load_baselines
+                except Exception as e:  # noqa: BLE001
+                    m = _parse_failure(name, path, e)
+                m.duration_s = time.monotonic() - t0
+                store.commit(m)
+            continue
 
-                        drift_baselines = load_baselines(tc.drift_baseline)
-                    m = validate_unit(
-                        name,
-                        path,
-                        path,
-                        schema,
-                        fs.join(log_root, "violations", name),
-                        tc.table_params(),
-                        id_column=tc.id_column,
-                        ref_tables=ref_tables,
-                        allow_missing_cols=tc.allow_missing_cols,
-                        allow_unexpected_data=tc.allow_unexpected_data,
-                        row_limit=(
-                            tc.row_limit
-                            if tc.row_limit is not None
-                            else engine_params.get("row-limit")
-                        ),
-                        row_sample=engine_params.get("row-sample", "head"),
-                        sample_seed=engine_params.get("sample-seed"),
-                        log_verbosity=(
-                            tc.log_verbosity
-                            if tc.log_verbosity is not None
-                            else engine_params.get("log-verbosity")
-                        ),
-                        drift_baselines=drift_baselines,
-                        drift_threshold=tc.drift_threshold,
-                    )
-                    if tc.profile:
-                        # column-stats profile per unit → one small JSON in
-                        # the log area (the partials fold is KB-scale; this
-                        # re-reads the unit with the profiler's own pruned
-                        # scan, keeping the validation pass untouched)
-                        from data_linter_ray.functions.profile import profile_dataset
+        drift_baselines = None
+        if tc.drift_baseline and fs.exists(tc.drift_baseline):
+            from data_linter_ray.stages.sketch_stage import load_baselines
 
-                        prof = profile_dataset(
-                            read_table_dataset(path, schema, tc.table_params())
-                        ).to_pylist()
-                        fs.write_text(
-                            fs.join(log_root, "profiles", name, m.key() + ".json"),
-                            json.dumps(prof, indent=1),
-                        )
-            except Exception as e:  # noqa: BLE001 — reference
-                # captures ALL validation exceptions as a failed table test
-                # (pandas_validator.py:65-82), never aborting the run
-                m = UnitManifest(
-                    table=name,
-                    source_path=path,
-                    valid=False,
-                    response={
-                        "valid": False,
-                        "parse_data": {"valid": False, "traceback": repr(e)},
-                    },
-                )
-            m.duration_s = time.monotonic() - t0
+            drift_baselines = load_baselines(tc.drift_baseline)
+        row_limit = (
+            tc.row_limit if tc.row_limit is not None else engine_params.get("row-limit")
+        )
+        validate_kwargs = dict(
+            id_column=tc.id_column,
+            ref_tables={
+                key: read_parquet_dataset(path) for key, path in tc.ref_tables.items()
+            },
+            allow_missing_cols=tc.allow_missing_cols,
+            allow_unexpected_data=tc.allow_unexpected_data,
+            row_limit=row_limit,
+            row_sample=engine_params.get("row-sample", "head"),
+            sample_seed=engine_params.get("sample-seed"),
+            log_verbosity=(
+                tc.log_verbosity
+                if tc.log_verbosity is not None
+                else engine_params.get("log-verbosity")
+            ),
+            drift_baselines=drift_baselines,
+            drift_threshold=tc.drift_threshold,
+        )
+
+        groups, failed = _group_units(name, pending, schema, tc, row_limit is not None)
+        for m in failed:
             store.commit(m)
+        for group in groups:
+            if log:
+                for path in group:
+                    log.info("Linting %s (%s)", name, path)
+            for m in _validate_land_group(
+                name, group, schema, tc, log_root, validate_kwargs
+            ):
+                store.commit(m)
 
 
 def collect_phase(
@@ -365,8 +511,8 @@ def collect_phase(
         archived = fs.copy_file(m.source_path, dst, compress=config.compress_data)
         if to_pass and config.remove_tables_on_pass:
             fs.delete_file(m.source_path)
-        store.set_archived(m.key(), archived)
-    manifests = store.all()
+        m.archived_path = archived
+        store.commit(m)
 
     # ---- per-table logs ------------------------------------------------
     table_logs: dict = {}

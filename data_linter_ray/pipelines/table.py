@@ -8,11 +8,13 @@ fragments), per the north rule: "writes per-partition lineage manifests
 checkpoint".
 
 ``validate_table_checkpointed`` lists the table's fragments, groups
-them into partitions and hands each partition to
-:func:`~data_linter_ray.pipelines.run.validate_unit` — the same unit
-body ``run_validation`` runs per land file: one bounded Ray Data
-pipeline (the full fused single-scan checker from ``validate_dataset``)
-whose violation rows are sunk to ``{out}/violations/{unit}``. Each unit
+them into partitions and hands each partition, as a group of one unit,
+to :func:`~data_linter_ray.pipelines.run.validate_group` — the same
+body ``run_validation`` runs per group of land files: one bounded Ray
+Data pipeline (the full fused single-scan checker of
+``validate_units``) whose violation rows are sunk to
+``{out}/violations/{unit}``. One call per partition keeps the
+checkpoint granularity. Each unit
 atomically commits a UnitManifest with metrics (rows, per-test counts,
 duration, violations path). A re-run with ``resume=True`` (the default)
 skips every committed partition, so a killed job continues where it
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 from data_linter_ray import fs
 from data_linter_ray.metadata import TableSchema
-from data_linter_ray.pipelines.run import validate_unit
+from data_linter_ray.pipelines.run import validate_group
 from data_linter_ray.state.manifest import ManifestStore, UnitManifest
 
 
@@ -70,8 +72,8 @@ def validate_table_checkpointed(
     ``fragments_per_unit`` — fragments per checkpoint unit: large enough
     to amortize per-pipeline fixed cost, small enough that re-doing one
     unit after a crash is cheap (at 100 TB, ~hundreds of MB–GB per unit).
-    Extra ``validate_kwargs`` pass through to :func:`validate_dataset`
-    via :func:`validate_unit`.
+    Extra ``validate_kwargs`` pass through to :func:`validate_units`
+    via :func:`validate_group`.
     """
     files = [
         f
@@ -95,18 +97,16 @@ def validate_table_checkpointed(
         )
         if resume and store.exists(probe):
             continue
-        store.commit(
-            validate_unit(
-                table_name,
-                probe.source_path,
-                unit_files,
-                schema,
-                fs.join(out_root, "violations"),
-                id_column=id_column,
-                ref_tables=ref_tables,
-                **validate_kwargs,
-            )
+        [m] = validate_group(
+            table_name,
+            [(probe.source_path, unit_files)],
+            schema,
+            fs.join(out_root, "violations"),
+            id_column=id_column,
+            ref_tables=ref_tables,
+            **validate_kwargs,
         )
+        store.commit(m)
         validated += 1
 
     manifests = store.all()

@@ -13,6 +13,12 @@ README.md:114-134), re-expressed Ray-Data-first:
     ds ─► referential shuffle (oversized dims only) ──────────────────────┴─►
     ValidatorResult
 
+:func:`validate_units` runs that one pass over several *units* (source
+files) at once: every stream row carries its unit's code, every fold
+keys by it, and each unit gets its own verdict, counts and samples —
+exactly those of validating it alone. :func:`validate_dataset` is the
+one-unit case.
+
 Only *aggregated counts* and (optionally) bounded violation samples ever
 reach the driver; the violation row Dataset itself — the duplicate-key rows
 included — stays distributed and is returned for the caller to sink with
@@ -30,6 +36,7 @@ from ray.data import Dataset
 from data_linter_ray import checks
 from data_linter_ray.metadata import TableSchema
 from data_linter_ray.result import ValidatorResult
+from data_linter_ray.sources.readers import PATH_COLUMN
 from data_linter_ray.stages.checker import (
     VIOLATION_SCHEMA,
     BatchChecker,
@@ -52,7 +59,8 @@ INTERNAL_SCHEMA = pa.schema(
         ("n", pa.int64()),
         ("h", pa.int64()),  # 64-bit key hash (uniqueness pre-agg rows only)
         ("kind", pa.int8()),
-        # unique-column index for kind-2 pre-agg rows (their column/test
+        # the row's unit code; on kind-2 pre-agg rows unit × (number of
+        # unique columns) + the unique-column index (their column/test
         # strings stay NULL: the pre-agg stream is ~input-sized for a
         # unique id column, and two repeated-constant string columns cost
         # ~17 bytes/row through the object store vs one int16 + bitmaps)
@@ -60,6 +68,19 @@ INTERNAL_SCHEMA = pa.schema(
     ]
 )
 ROWS_KEY = "__rows__"
+#: violation rows inside one pass: :data:`VIOLATION_SCHEMA` plus the
+#: unit code ``cc``
+UNIT_VIOLATION_SCHEMA = VIOLATION_SCHEMA.append(pa.field("cc", pa.int16()))
+
+
+def max_units(schema: TableSchema) -> int:
+    """The most units one :func:`validate_units` pass can tell apart:
+    kind-2 codes (unit × unique columns + column) must fit ``cc``."""
+    return 2**15 // max(1, sum(1 for c in schema.columns if c.unique))
+
+
+def _const(v: int, k: int) -> pa.Array:
+    return pa.repeat(pa.scalar(v, pa.int16()), k)
 
 
 class _FusedChecker:
@@ -67,7 +88,10 @@ class _FusedChecker:
     (kind 0) and one count row per finding (kind 1), plus the uniqueness
     pre-aggregates (kind 2) and, with a ``sketcher``
     (:class:`~data_linter_ray.stages.sketch_stage.SketchPartials`), one
-    sketch partial per (column, sketch kind) (kind 3)."""
+    sketch partial per (column, sketch kind) (kind 3). With ``units``
+    (the :data:`PATH_COLUMN` value of each unit's rows) every run of one
+    unit's rows is emitted on its own, under that unit's code; without,
+    every row is unit 0."""
 
     def __init__(
         self,
@@ -75,13 +99,31 @@ class _FusedChecker:
         unique_cols: list[str],
         id_column: Optional[str],
         sketcher=None,
+        units: Optional[list[str]] = None,
     ):
         self.checkers = checkers
         self.unique_cols = unique_cols
         self.id_column = id_column
         self.sketcher = sketcher
+        self.units = units
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        if self.units is None or not batch.num_rows:
+            return self._emit(batch, 0)
+        import numpy as np
+        import pyarrow.compute as pc
+
+        code = pc.index_in(batch[PATH_COLUMN], value_set=pa.array(self.units))
+        code = code.to_numpy(zero_copy_only=False)
+        batch = batch.drop_columns([PATH_COLUMN])
+        # a read batch comes from one file; split only where it does not
+        starts = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
+        ends = np.r_[starts[1:], len(code)]
+        return pa.concat_tables(
+            [self._emit(batch.slice(s, e - s), int(code[s])) for s, e in zip(starts, ends)]
+        )
+
+    def _emit(self, batch: pa.Table, unit: int) -> pa.Table:
         from data_linter_ray.stages.spans import SpanContext
 
         # one flatten + one media dictionary-encode per span column,
@@ -101,7 +143,7 @@ class _FusedChecker:
                         pa.nulls(k, pa.int64()),
                         pa.nulls(k, pa.int64()),
                         pa.repeat(pa.scalar(0, pa.int8()), k),
-                        pa.nulls(k, pa.int16()),
+                        _const(unit, k),
                     ],
                     schema=INTERNAL_SCHEMA,
                 )
@@ -117,13 +159,13 @@ class _FusedChecker:
                     pa.array([batch.num_rows] + [len(f[2]) for f in found], pa.int64()),
                     pa.nulls(n, pa.int64()),
                     pa.array([1] * n, pa.int8()),
-                    pa.nulls(n, pa.int16()),
+                    _const(unit, n),
                 ],
                 schema=INTERNAL_SCHEMA,
             )
         )
 
-        for col in self.unique_cols:
+        for i, col in enumerate(self.unique_cols):
             import numpy as np
             import pandas as pd
 
@@ -151,9 +193,7 @@ class _FusedChecker:
                         pa.array(cnts),
                         pa.array(uniq_h.astype(np.int64)),
                         pa.repeat(pa.scalar(2, pa.int8()), k),
-                        pa.repeat(
-                            pa.scalar(self.unique_cols.index(col), pa.int16()), k
-                        ),
+                        _const(unit * len(self.unique_cols) + i, k),
                     ],
                     schema=INTERNAL_SCHEMA,
                 )
@@ -176,7 +216,7 @@ class _FusedChecker:
                         pa.nulls(k, pa.int64()),
                         pa.nulls(k, pa.int64()),
                         pa.repeat(pa.scalar(3, pa.int8()), k),
-                        pa.nulls(k, pa.int16()),
+                        _const(unit, k),
                     ],
                     schema=INTERNAL_SCHEMA,
                 )
@@ -188,16 +228,16 @@ def _keep_violations(t: pa.Table) -> pa.Table:
     import pyarrow.compute as pc
 
     sub = t.filter(pc.equal(t["kind"], 0))
-    return sub.select(["row_ref", "column", "test", "value"])
+    return sub.select(UNIT_VIOLATION_SCHEMA.names)
 
 
 def _heads(t: pa.Table, n: int) -> pa.Table:
-    """The first ``n`` rows of each (column, test) of a violation table,
-    in table order; ``n == 0`` keeps every row."""
+    """The first ``n`` rows of each (unit, column, test) of a violation
+    table, in table order; ``n == 0`` keeps every row."""
     if n == 0 or t.num_rows <= n:
         return t
-    keys = t.select(["column", "test"]).to_pandas()
-    rank = keys.groupby(["column", "test"], sort=False, dropna=False).cumcount()
+    keys = t.select(["cc", "column", "test"]).to_pandas()
+    rank = keys.groupby(["cc", "column", "test"], sort=False, dropna=False).cumcount()
     return t.filter(pa.array(rank.to_numpy() < n))
 
 
@@ -207,10 +247,11 @@ def _fold_block_group(num_parts: int, n: Optional[int], group: int, *blocks):
     ``num_parts`` tables of the kind-2 pre-agg rows by hash bucket — the
     map side of the uniqueness exchange: (cc, h, n, value, pos), ``pos``
     being the row's stream position ``group << 40 | row index in the
-    group`` — then the kind-1 count partials as one dict beside the
-    group's kind-3 sketch partials merged to one ``(column, kind,
-    payload)`` per (column, kind), then the first ``n`` kind-0 violation
-    rows per (column, test) (or None)."""
+    group`` — then the kind-1 count partials as one {(unit, column,
+    test): n} dict beside the group's kind-3 sketch partials merged to
+    one ``((unit, column), kind, payload)`` per (unit, column, kind),
+    then the first ``n`` kind-0 violation rows per (unit, column, test)
+    (or None)."""
     import numpy as np
     import pyarrow.compute as pc
 
@@ -223,13 +264,11 @@ def _fold_block_group(num_parts: int, n: Optional[int], group: int, *blocks):
     )
 
     counts_tbl = block.filter(pc.equal(block["kind"], 1))
-    counts: dict[tuple[str, str], int] = {}
-    for c, t, n_ in zip(
-        counts_tbl["column"].to_pylist(),
-        counts_tbl["test"].to_pylist(),
-        counts_tbl["n"].to_pylist(),
+    counts: dict[tuple[int, str, str], int] = {}
+    for key in zip(
+        *(counts_tbl[k].to_pylist() for k in ("cc", "column", "test", "n"))
     ):
-        counts[(c, t)] = counts.get((c, t), 0) + n_
+        counts[key[:3]] = counts.get(key[:3], 0) + key[3]
     sketches = _merge_sketch_rows(block.filter(pc.equal(block["kind"], 3)))
     heads = None if n is None else _heads(_keep_violations(block), n)
     if not num_parts:
@@ -243,16 +282,18 @@ def _fold_block_group(num_parts: int, n: Optional[int], group: int, *blocks):
     return tuple(split_by_partition(sub, bucket, num_parts)) + ((counts, sketches), heads)
 
 
-def _merge_sketch_rows(t: pa.Table) -> list[tuple[str, str, bytes]]:
-    """Kind-3 rows merged to one ``(column, kind, payload)`` per
-    (column, sketch kind), in row order."""
+def _merge_sketch_rows(t: pa.Table) -> list[tuple[tuple[int, str], str, bytes]]:
+    """Kind-3 rows merged to one ``((unit, column), kind, payload)`` per
+    (unit, column, sketch kind), in row order."""
     import base64
 
     from data_linter_ray.stages.sketch_stage import fold_partials
 
     merged = fold_partials(
-        (c, kind, base64.b64decode(v))
-        for c, kind, v in zip(*(t[k].to_pylist() for k in ("column", "test", "value")))
+        ((u, c), kind, base64.b64decode(v))
+        for u, c, kind, v in zip(
+            *(t[k].to_pylist() for k in ("cc", "column", "test", "value"))
+        )
     )
     return [(c, kind, sk.to_bytes()) for c, e in merged.items() for kind, sk in e.items()]
 
@@ -263,15 +304,15 @@ def _block_refs(ds: Dataset) -> list:
 
 def _fold_count_partials(
     mat: Dataset, unique_cols: list[str], n: Optional[int]
-) -> tuple[dict, int, list, list, dict]:
+) -> tuple[dict, dict, list, list, dict]:
     """The single pass over the materialized stream: one
     :func:`_fold_block_group` task per group of ~1/(2×P) of its blocks,
     P = the exchange width floored at the cluster's CPU count (the bytes
     derivation still widens P for streams past ~1 GiB per partition).
-    Returns ({(column, test): n}, row_count, per-bucket tuples of bucket
-    refs in group order (none without ``unique_cols``), one violation-head
-    ref per group, the drift sketches merged in group order as
-    {column: {kind: sketch}})."""
+    Returns ({(unit, column, test): n}, {unit: row_count}, per-bucket
+    tuples of bucket refs in group order (none without ``unique_cols``),
+    one violation-head ref per group, the drift sketches merged in group
+    order as {(unit, column): {kind: sketch}})."""
     import ray
 
     from data_linter_ray.exchange import cluster_cpus, exchange_width
@@ -287,29 +328,34 @@ def _fold_count_partials(
         fold_task.remote(num_parts, n, gi, *block_refs[i : i + size])
         for gi, i in enumerate(range(0, max(1, len(block_refs)), size))
     ]
-    counts: dict[tuple[str, str], int] = {}
-    sketches: dict[str, dict] = {}
+    counts: dict[tuple[int, str, str], int] = {}
+    sketches: dict[tuple[int, str], dict] = {}
     for d, partials in ray.get([o[-2] for o in outs]):
         for k, v in d.items():
             counts[k] = counts.get(k, 0) + v
         sketch_stage.fold_partials(partials, sketches)
-    row_count = counts.pop((ROWS_KEY, ROWS_KEY), 0)
+    rows = {k[0]: counts.pop(k) for k in list(counts) if k[1:] == (ROWS_KEY, ROWS_KEY)}
     buckets = list(zip(*(o[:-2] for o in outs)))
-    return counts, row_count, buckets, [o[-1] for o in outs], sketches
+    return counts, rows, buckets, [o[-1] for o in outs], sketches
 
 
-def _detect_bucket(unique_cols: list[str], n: Optional[int], cap: int, *parts):
+def _detect_bucket(
+    unique_cols: list[str], n_units: int, n: Optional[int], cap: int, *parts
+):
     """Ray task: the reduce side of the uniqueness exchange — sum ``n``
     per (cc, h) over one bucket's parts (in group order) and keep the
-    keys seen more than once. Returns three things:
+    keys seen more than once; ``cc`` holds the unit, so a key repeated
+    in two units is no duplicate. Returns three things:
 
-    * the bucket's violation rows (:data:`VIOLATION_SCHEMA`: ``row_ref``
-      = the key, ``value`` = its row count), ordered by first sight;
-    * the exact number of duplicated keys per unique column;
-    * with ``n`` set, the first ``n`` of those rows per column (all of
-      them, at most ``cap``, for ``n == 0``) with their stream ``pos``,
-      so the driver's samples are the first duplicated keys in stream
-      order at any width; None otherwise."""
+    * the bucket's violation rows (:data:`UNIT_VIOLATION_SCHEMA`:
+      ``row_ref`` = the key, ``value`` = its row count), ordered by
+      first sight;
+    * the exact number of duplicated keys per (unit, unique column), as
+      a flat unit-major vector;
+    * with ``n`` set, the first ``n`` of those rows per (unit, column)
+      (all of them, at most ``cap`` per unit, for ``n == 0``) with
+      their stream ``pos``, so the driver's samples are the first
+      duplicated keys in stream order at any width; None otherwise."""
     import numpy as np
     import pyarrow.compute as pc
 
@@ -329,24 +375,27 @@ def _detect_bucket(unique_cols: list[str], n: Optional[int], cap: int, *parts):
     by_sight = np.argsort(first)
     first, sums, code = first[by_sight], sums[by_sight], code[by_sight]
     t = t.take(pa.array(first))
+    k = len(unique_cols)
     viol = pa.table(
         {
             "row_ref": t["value"],
-            "column": pa.array(unique_cols, pa.string()).take(pa.array(code)),
+            "column": pa.array(unique_cols, pa.string()).take(pa.array(code % k)),
             "test": pa.repeat(pa.scalar(checks.UNIQUE_TEST), t.num_rows),
             "value": pc.cast(pa.array(sums), pa.string()),
+            "cc": pa.array(code // k, pa.int16()),
             "pos": t["pos"],
         }
     )
     head = None if n is None else _heads(viol, n)
     if n == 0:
-        head = head.slice(0, cap)
-    col_counts = np.bincount(code, minlength=len(unique_cols)).astype(np.int64)
-    return viol.drop_columns(["pos"]).cast(VIOLATION_SCHEMA), col_counts, head
+        keys = head.select(["cc"]).to_pandas()
+        head = head.filter(pa.array(keys.groupby("cc").cumcount().to_numpy() < cap))
+    col_counts = np.bincount(code, minlength=n_units * k).astype(np.int64)
+    return viol.drop_columns(["pos"]).cast(UNIT_VIOLATION_SCHEMA), col_counts, head
 
 
 def _uniqueness_from_preagg(
-    buckets: list[tuple], unique_cols: list[str], n: Optional[int]
+    buckets: list[tuple], unique_cols: list[str], n_units: int, n: Optional[int]
 ) -> tuple[Dataset, dict, Optional[pa.Table]]:
     """Global duplicate detection over the kind-2 pre-aggregates that
     :func:`_fold_count_partials` hash-partitioned into ``buckets`` — the
@@ -368,10 +417,10 @@ def _uniqueness_from_preagg(
     negligible below ~10^9 distinct keys per column; swap in a 128-bit
     hash beyond that.
 
-    The driver holds per-column count vectors and, only with ``n`` set,
-    the detect tasks' bounded sample heads (merged into stream order);
-    no per-key state. Returns (violation rows Dataset, {(col,
-    unique_test): n}, the sample head table or None)."""
+    The driver holds per-(unit, column) count vectors and, only with
+    ``n`` set, the detect tasks' bounded sample heads (merged into
+    stream order); no per-key state. Returns (violation rows Dataset,
+    {(unit, col, unique_test): n}, the sample head table or None)."""
     import numpy as np
     import ray
     import ray.data as rd
@@ -379,14 +428,15 @@ def _uniqueness_from_preagg(
     P = len(buckets)
     detect_task = ray.remote(_detect_bucket).options(num_returns=3)
     outs = [
-        detect_task.remote(unique_cols, n, max(1, SAMPLE_ALL_CAP // P), *refs)
+        detect_task.remote(unique_cols, n_units, n, max(1, SAMPLE_ALL_CAP // P), *refs)
         for refs in buckets
     ]
-    total_per_col = np.sum(ray.get([o[1] for o in outs]), axis=0)
+    total = np.sum(ray.get([o[1] for o in outs]), axis=0)
+    k = len(unique_cols)
     counts = {
-        (col, checks.UNIQUE_TEST): int(total_per_col[i])
-        for i, col in enumerate(unique_cols)
-        if total_per_col[i]
+        (int(i // k), unique_cols[i % k], checks.UNIQUE_TEST): int(v)
+        for i, v in enumerate(total)
+        if v
     }
     head = None
     if n is not None:
@@ -412,6 +462,28 @@ class TableValidationResult:
         return sum(self.counts.values())
 
 
+def alignment_failure(
+    schema: TableSchema, data_schema: pa.Schema, **align
+) -> Optional[TableValidationResult]:
+    """The result of data whose columns do not align with ``schema``
+    under ``align`` (:func:`compile_plan`'s keyword arguments), or None
+    when they align. Needs only the data's schema, so a caller holding a
+    file footer can skip the read."""
+    try:
+        compile_plan(schema, data_schema, **align)
+    except ColumnAlignmentError as e:
+        return _misaligned(e)
+    return None
+
+
+def _misaligned(e: ColumnAlignmentError) -> TableValidationResult:
+    """Reference parity: an alignment failure is a table-level failed
+    test, not an exception out of the run (pandas_validator.py:65-82)."""
+    response = ValidatorResult()
+    response.add_table_test("overall_validation", {"valid": False, "traceback": str(e)})
+    return TableValidationResult(response=response, violations=None)
+
+
 def validate_dataset(
     ds: Dataset,
     schema: TableSchema,
@@ -427,7 +499,8 @@ def validate_dataset(
     drift_baselines: Optional[dict] = None,
     drift_threshold: float = 0.1,
 ) -> TableValidationResult:
-    """Validate a Dataset against a TableSchema.
+    """Validate a Dataset against a TableSchema: :func:`validate_units`
+    with the whole Dataset as one unit.
 
     ``ref_tables`` maps the ``references`` target strings
     (``"table.column"``) to their Datasets for referential checks; a
@@ -442,23 +515,69 @@ def validate_dataset(
     against them at the spec's ``drift["threshold"]`` (``drift_threshold``
     when it has none) and recorded as ``drift_test`` response entries.
     """
-    response = ValidatorResult()
+    [res], violations = validate_units(
+        ds,
+        schema,
+        None,
+        id_column=id_column,
+        ref_tables=ref_tables,
+        allow_missing_cols=allow_missing_cols,
+        allow_unexpected_data=allow_unexpected_data,
+        row_limit=row_limit,
+        row_sample=row_sample,
+        sample_seed=sample_seed,
+        log_verbosity=log_verbosity,
+        drift_baselines=drift_baselines,
+        drift_threshold=drift_threshold,
+    )
+    if violations is not None:
+        res.violations = violations.drop_columns(["cc"])
+    return res
+
+
+def validate_units(
+    ds: Dataset,
+    schema: TableSchema,
+    units: Optional[list[str]],
+    *,
+    id_column: Optional[str] = None,
+    ref_tables: Optional[dict[str, Dataset]] = None,
+    allow_missing_cols: bool = False,
+    allow_unexpected_data: bool = False,
+    row_limit: Optional[int] = None,
+    row_sample: str = "head",
+    sample_seed: Optional[int] = None,
+    log_verbosity: Optional[int] = None,
+    drift_baselines: Optional[dict] = None,
+    drift_threshold: float = 0.1,
+) -> tuple[list[TableValidationResult], Optional[Dataset]]:
+    """Validate the units of ``ds`` in one Ray Data execution.
+
+    ``units`` lists the :data:`PATH_COLUMN` value of each unit's rows (a
+    read with ``include_paths``); None makes the whole Dataset one unit.
+    Returns one result per unit — its verdict, row count, counts and
+    samples, exactly those of validating that unit alone; ``unique``
+    holds within a unit — and the violation rows of all units
+    (:data:`UNIT_VIOLATION_SCHEMA`, ``cc`` = the unit's index), or None
+    when the columns do not align. ``row_limit`` applies to one unit
+    only. The keyword arguments are :func:`validate_dataset`'s."""
+    n_units = 1 if units is None else len(units)
+    if row_limit is not None and n_units > 1:
+        raise ValueError("row_limit applies to one unit at a time")
+    if n_units > max_units(schema):
+        raise ValueError(f"one pass tells at most {max_units(schema)} units apart")
+    data_schema = ds.schema().base_schema
+    if units is not None and PATH_COLUMN in data_schema.names:
+        data_schema = data_schema.remove(data_schema.get_field_index(PATH_COLUMN))
+    align = dict(
+        id_column=id_column,
+        allow_missing_cols=allow_missing_cols,
+        allow_unexpected_data=allow_unexpected_data,
+    )
     try:
-        data_schema = ds.schema().base_schema
-        plan = compile_plan(
-            schema,
-            data_schema,
-            id_column=id_column,
-            allow_missing_cols=allow_missing_cols,
-            allow_unexpected_data=allow_unexpected_data,
-        )
+        plan = compile_plan(schema, data_schema, **align)
     except ColumnAlignmentError as e:
-        # reference parity: alignment failure is a table-level failed test,
-        # not an exception out of the run (pandas_validator.py:65-82)
-        response.add_table_test(
-            "overall_validation", {"valid": False, "traceback": str(e)}
-        )
-        return TableValidationResult(response=response, violations=None)
+        return [_misaligned(e)] * n_units, None
 
     if row_limit is not None:
         if row_sample == "random":
@@ -506,13 +625,16 @@ def validate_dataset(
     # and leaves no verdict on the column
     ref_tables = ref_tables or {}
     ref_specs = []
+    table_tests: list[tuple[str, dict]] = []
     for c in schema.columns:
         if not c.references or c.name not in data_schema.names:
             continue
         if ref_tables.get(c.references) is None:
-            response.add_table_test(
-                f"missing_ref_table_{c.references}",
-                {"valid": False, "traceback": f"no ref table for {c.references}"},
+            table_tests.append(
+                (
+                    f"missing_ref_table_{c.references}",
+                    {"valid": False, "traceback": f"no ref table for {c.references}"},
+                )
             )
         else:
             ref_specs.append(c)
@@ -554,6 +676,8 @@ def validate_dataset(
         needed.add(spec.name)
     if id_column:
         needed.add(id_column)
+    if units is not None:
+        needed.add(PATH_COLUMN)
 
     needed.update(unique_cols)
     # drift sketches ride the same pass: one partial per (batch, column,
@@ -578,12 +702,13 @@ def validate_dataset(
     # re-scanning the input, and ONE raw-task pass over its blocks
     # (_fold_count_partials) feeds all of it.
     # The stream keeps input order, so the value samples (the first n
-    # per test, the first duplicated keys) are those of the input
-    # whatever the block count or task schedule.
+    # per unit and test, the first duplicated keys) are those of the
+    # input whatever the block count or task schedule.
     # Derived datasets share their source's context: set the option for
     # this one execution and give the caller's setting back.
     stream = checked.map_batches(
-        _FusedChecker(fused, unique_cols, id_column, sketcher), batch_format="pyarrow"
+        _FusedChecker(fused, unique_cols, id_column, sketcher, units),
+        batch_format="pyarrow",
     )
     opts = stream.context.execution_options
     caller_order, opts.preserve_order = opts.preserve_order, True
@@ -595,12 +720,12 @@ def validate_dataset(
     violation_parts: list[Dataset] = [
         mat.map_batches(_keep_violations, batch_format="pyarrow")
     ]
-    counts, row_count, buckets, heads, sketches = _fold_count_partials(
+    counts, row_counts, buckets, heads, sketches = _fold_count_partials(
         mat, unique_cols, log_verbosity
     )
     if unique_cols:
         uniq_viol, uniq_counts, uniq_head = _uniqueness_from_preagg(
-            buckets, unique_cols, log_verbosity
+            buckets, unique_cols, n_units, log_verbosity
         )
         violation_parts.append(uniq_viol)
         counts.update(uniq_counts)
@@ -610,90 +735,122 @@ def validate_dataset(
     for fk, (target, pk) in shuffle_refs.items():
         from data_linter_ray.stages.referential import referential_violations_shuffle
 
-        part = referential_violations_shuffle(ds, fk, target, pk).materialize()
-        counts[(fk, checks.REFERENTIAL_TEST)] = part.count()
-        ref_parts.append(part)
+        for u in range(n_units):
+            part = referential_violations_shuffle(
+                _unit_rows(ds, units, u), fk, target, pk
+            ).map_batches(_with_unit(u), batch_format="pyarrow").materialize()
+            counts[(u, fk, checks.REFERENTIAL_TEST)] = part.count()
+            ref_parts.append(part)
 
     violations = violation_parts[0]
     for part in violation_parts[1:] + ref_parts:
         violations = violations.union(part)
-    counts = {k: v for k, v in counts.items() if v}
 
-    # --- distribution-drift verdicts: the folded sketches vs baselines ---
-    if drift_base:
-        thresholds = {
-            c: spec.drift.get("threshold", drift_threshold)
-            for c, spec in drift_specs.items()
-        }
-        for dr in sketch_stage.drift_results(sketches, drift_base, thresholds):
-            response.add_test_to_col(
-                dr.column,
-                checks.DRIFT_TEST,
-                {
-                    "valid": dr.valid,
-                    "test_inputs": {
-                        "column": dr.column,
-                        "metric": dr.metric,
-                        "distance": dr.distance,
-                        "threshold": dr.threshold,
-                    },
-                },
-            )
-
-    samples: dict[tuple[str, str], tuple[list, list]] = {}
-    if log_verbosity is not None and counts:
+    samples: dict[tuple[int, str, str], tuple[list, list]] = {}
+    if log_verbosity is not None and any(counts.values()):
         # the fold and the uniqueness reduce already took their heads
         samples = _collect_samples(heads, ref_parts, log_verbosity)
 
-    _build_response(
-        response, plan, schema, counts, row_count, samples, log_verbosity,
-        unique_cols, ref_specs, span_cols,
-    )
-    return TableValidationResult(
-        response=response,
-        violations=violations,
-        row_count=row_count,
-        counts=counts,
-    )
+    thresholds = {
+        c: spec.drift.get("threshold", drift_threshold) for c, spec in drift_specs.items()
+    }
+    results = []
+    for u in range(n_units):
+        response = ValidatorResult()
+        for name, test in table_tests:
+            response.add_table_test(name, dict(test))
+        unit_counts = {(c, t): v for (u2, c, t), v in counts.items() if u2 == u and v}
+        # --- distribution-drift verdicts: the folded sketches vs baselines
+        if drift_base:
+            unit_sketches = {c: e for (u2, c), e in sketches.items() if u2 == u}
+            for dr in sketch_stage.drift_results(unit_sketches, drift_base, thresholds):
+                response.add_test_to_col(
+                    dr.column,
+                    checks.DRIFT_TEST,
+                    {
+                        "valid": dr.valid,
+                        "test_inputs": {
+                            "column": dr.column,
+                            "metric": dr.metric,
+                            "distance": dr.distance,
+                            "threshold": dr.threshold,
+                        },
+                    },
+                )
+        row_count = row_counts.get(u, 0)
+        _build_response(
+            response, plan, schema, unit_counts, row_count,
+            {(c, t): s for (u2, c, t), s in samples.items() if u2 == u},
+            log_verbosity, unique_cols, ref_specs, span_cols,
+        )
+        results.append(
+            TableValidationResult(
+                response=response,
+                violations=None,
+                row_count=row_count,
+                counts=unit_counts,
+            )
+        )
+    return results, violations
 
 
-#: driver-safety ceiling on sample rows kept by the driver merge; it
-#: binds for log_verbosity=0 ("all" samples, reference semantics) so a
-#: pathological run can't materialize an unbounded violation set on the
-#: driver. Full violation rows are always available in the sunk parquet.
+def _unit_rows(ds: Dataset, units: Optional[list[str]], u: int) -> Dataset:
+    """The rows of unit ``u`` of ``ds``, without the unit's path."""
+    if units is None:
+        return ds
+    import pyarrow.compute as pc
+
+    def keep(t: pa.Table, _path=units[u]) -> pa.Table:
+        return t.filter(pc.equal(t[PATH_COLUMN], _path)).drop_columns([PATH_COLUMN])
+
+    return ds.map_batches(keep, batch_format="pyarrow")
+
+
+def _with_unit(u: int):
+    def tag(t: pa.Table) -> pa.Table:
+        return t.append_column("cc", _const(u, t.num_rows)).cast(UNIT_VIOLATION_SCHEMA)
+
+    return tag
+
+
+#: driver-safety ceiling on sample rows kept by the driver merge, per
+#: unit; it binds for log_verbosity=0 ("all" samples, reference
+#: semantics) so a pathological run can't materialize an unbounded
+#: violation set on the driver. Full violation rows are always available
+#: in the sunk parquet.
 SAMPLE_ALL_CAP = 1_000_000
 
 
 def _collect_samples(
     heads: list, others: list[Dataset], n: int
-) -> dict[tuple[str, str], tuple[list, list]]:
-    """Per-(column,test) bounded samples of (row_ref, value): a driver
-    merge of ``heads`` (violation-head tables or refs to them: the
+) -> dict[tuple[int, str, str], tuple[list, list]]:
+    """Per-(unit, column, test) bounded samples of (row_ref, value): a
+    driver merge of ``heads`` (violation-head tables or refs to them: the
     stream's, then the uniqueness reduce's), then of :func:`_heads` of
     each block of the ``others`` violation Datasets, fetched one at a
     time. n == 0 means "all" (reference semantics); at most
-    SAMPLE_ALL_CAP rows are kept, so the driver holds the cap plus one
-    fetched head."""
+    SAMPLE_ALL_CAP rows per unit are kept, so the driver holds the cap
+    per unit plus one fetched head."""
     import ray
 
     head_task = ray.remote(_heads)
     refs = heads + [head_task.remote(b, n) for ds in others for b in _block_refs(ds)]
-    out: dict[tuple[str, str], tuple[list, list]] = {}
-    kept = 0
+    out: dict[tuple[int, str, str], tuple[list, list]] = {}
+    kept: dict[int, int] = {}
     for ref in refs:
         t = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
         if not t.num_rows:
             continue
-        for c, test, r, v in zip(
-            *(t[k].to_pylist() for k in ("column", "test", "row_ref", "value"))
+        for u, c, test, r, v in zip(
+            *(t[k].to_pylist() for k in ("cc", "column", "test", "row_ref", "value"))
         ):
-            if kept >= SAMPLE_ALL_CAP:
-                return out
-            rs, vs = out.setdefault((c, test), ([], []))
+            if kept.get(u, 0) >= SAMPLE_ALL_CAP:
+                continue
+            rs, vs = out.setdefault((u, c, test), ([], []))
             if not n or len(rs) < n:
                 rs.append(r)
                 vs.append(v)
-                kept += 1
+                kept[u] = kept.get(u, 0) + 1
     return out
 
 

@@ -46,7 +46,7 @@ class JsonlShardSink(Datasink):
         self.rows = int(rows_per_shard)
         self.compress = bool(compress)
         # S3 endpoint/credentials are captured on the DRIVER at
-        # construction (the S3ParquetPutSink pattern, fs.py): worker
+        # construction (the ParquetPartsSink pattern, fs.py): worker
         # processes may predate the env vars that select a moto /
         # S3-compatible endpoint
         self.is_s3 = fs.is_s3(self.root)

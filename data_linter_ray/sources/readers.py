@@ -55,24 +55,44 @@ PANDAS_DEFAULT_NA = [
 ]
 
 
+#: the column a read with ``include_paths`` adds: each row's source
+#: file, as :func:`row_path` gives it
+PATH_COLUMN = "path"
+
+
 class CastError(Exception):
     pass
 
 
 def _strip_odd_chars(name: str) -> str:
-    return name.replace("﻿", "").replace("ï»¿", "")
+    return name.replace("\ufeff", "").replace("ï»¿", "")
+
+
+def normalized_names(names: list[str], ignore_case: bool = False) -> list[str]:
+    """Data column names as the readers hand them on: odd characters
+    stripped and, with ``headers-ignore-case``, lowercased."""
+    fixed = [_strip_odd_chars(n) for n in names]
+    return [n.lower() for n in fixed] if ignore_case else fixed
 
 
 def normalize_columns(ds: Dataset, ignore_case: bool = False) -> Dataset:
     names = ds.schema().names
-    fixed = [_strip_odd_chars(n) for n in names]
-    if ignore_case:
-        fixed = [n.lower() for n in fixed]
+    fixed = normalized_names(names, ignore_case)
     if fixed != names:
+        new = dict(zip(names, fixed))
         ds = ds.map_batches(
-            lambda t, _new=fixed: t.rename_columns(_new), batch_format="pyarrow"
+            lambda t: t.rename_columns([new.get(n, n) for n in t.column_names]),
+            batch_format="pyarrow",
         )
     return ds
+
+
+def row_path(path: str) -> str:
+    """The :data:`PATH_COLUMN` value of the rows read from ``path``: the
+    path inside its filesystem, as Ray records it."""
+    from data_linter_ray import fs as dlfs
+
+    return dlfs.resolve(path)[1]
 
 
 def cast_to_schema(ds: Dataset, schema: TableSchema) -> Dataset:
@@ -123,7 +143,21 @@ def _fs_kwargs(path) -> dict:
     return {"filesystem": dlfs.resolve(p0)[0]} if dlfs.is_s3(p0) else {}
 
 
-def read_parquet_dataset(path: str | list[str]) -> Dataset:
+def format_of(path: str) -> str:
+    """A file's format, from its suffix; parquet unless another fits."""
+    for fmt, suffixes in (
+        ("csv", (".csv",)),
+        ("jsonl", (".jsonl", ".json")),
+        ("lance", (".lance",)),
+        ("orc", (".orc",)),
+        ("feather", (".feather", ".arrow")),
+    ):
+        if path.endswith(suffixes):
+            return fmt
+    return "parquet"
+
+
+def read_parquet_dataset(path: str | list[str], include_paths: bool = False) -> Dataset:
     """Parquet file(s) → Dataset, as encoded (no ingest normalization),
     with the cluster-sized block count of :func:`exchange.read_width`.
     The parquet read of :func:`read_table_dataset` and of reference
@@ -131,7 +165,10 @@ def read_parquet_dataset(path: str | list[str]) -> Dataset:
     import ray.data
 
     return ray.data.read_parquet(
-        path, override_num_blocks=read_width(path), **_fs_kwargs(path)
+        path,
+        override_num_blocks=read_width(path),
+        include_paths=include_paths,
+        **_fs_kwargs(path),
     )
 
 
@@ -140,41 +177,35 @@ def read_table_dataset(
     schema: TableSchema,
     table_params: Optional[dict] = None,
     file_format: Optional[str] = None,
+    include_paths: bool = False,
 ) -> Dataset:
     """Read one table's file(s) into a Dataset, applying the format's
     ingest normalization. ``file_format`` defaults from the path suffix.
+    With ``include_paths`` every row carries its source file in
+    :data:`PATH_COLUMN` (Ray's read option; Ray fails the read of a file
+    that has a column of that name). The column stays out of
+    ``Dataset.schema()`` for parquet.
 
     Every format reads :func:`exchange.read_width` blocks — at least one
     per file and two per cluster CPU, more only for inputs past Ray's
     maximum block size — rather than Ray's default, which splits a few
-    small files into up to 200 blocks. ``validate_unit`` (and so
-    ``validate_phase`` and ``validate_table_checkpointed``) reads
-    through here."""
+    small files into up to 200 blocks. ``pipelines.run.validate_group``
+    (and so ``validate_phase`` and ``validate_table_checkpointed``)
+    reads here once per group of units, with ``include_paths`` when the
+    group has more than one."""
     import ray.data
 
     table_params = table_params or {}
     p0 = path if isinstance(path, str) else path[0]
     fs_kwargs = _fs_kwargs(path)
-    fmt = file_format or (
-        "csv"
-        if p0.endswith(".csv")
-        else "jsonl"
-        if p0.endswith((".jsonl", ".json"))
-        else "lance"
-        if p0.endswith(".lance")
-        else "orc"
-        if p0.endswith(".orc")
-        else "feather"
-        if p0.endswith((".feather", ".arrow"))
-        else "parquet"
-    )
+    fmt = file_format or format_of(p0)
 
     if fmt == "parquet":
-        ds = read_parquet_dataset(path)
+        ds = read_parquet_dataset(path, include_paths)
     elif fmt == "orc":
-        ds = read_orc_dataset(path, **fs_kwargs)
+        ds = read_orc_dataset(path, include_paths=include_paths, **fs_kwargs)
     elif fmt == "feather":
-        ds = read_feather_dataset(path, **fs_kwargs)
+        ds = read_feather_dataset(path, include_paths=include_paths, **fs_kwargs)
     elif fmt == "lance":
         try:
             # requires lance in the env
@@ -190,10 +221,16 @@ def read_table_dataset(
             read_options=read_opts,
             convert_options=convert_opts,
             override_num_blocks=read_width(path),
+            include_paths=include_paths,
             **fs_kwargs,
         )
     elif fmt == "jsonl":
-        ds = ray.data.read_json(path, override_num_blocks=read_width(path), **fs_kwargs)
+        ds = ray.data.read_json(
+            path,
+            override_num_blocks=read_width(path),
+            include_paths=include_paths,
+            **fs_kwargs,
+        )
     else:
         raise ValueError(f"unsupported file format: {fmt}")
 

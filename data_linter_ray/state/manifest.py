@@ -11,10 +11,14 @@ exists, so a killed job continues from the last committed unit.
 The store root may be a local directory or an ``s3://`` URI; all I/O
 goes through :mod:`data_linter_ray.fs`.
 
-A "unit" is one (table, file) validation in ``run_validation`` or one
-(table, fragment group) in ``validate_table_checkpointed``; both run
-``pipelines.run.validate_unit``. The manifest records verdict, counts,
-row count, output paths, and timing.
+A "unit" is one (table, land file) in ``run_validation`` or one
+(table, fragment group) in ``validate_table_checkpointed``: what gets
+one verdict, one manifest and, with failing tests, one violations
+directory. Both run ``pipelines.run.validate_group``, which validates a
+group of units in one Ray execution — a table's land files of one data
+schema, or one fragment group alone. The manifest records verdict,
+counts, row count, output paths, and timing; a grouped unit's
+``duration_s`` is its group's wall time.
 """
 
 from __future__ import annotations
@@ -70,11 +74,6 @@ class ManifestStore:
         final = self._path(m.key())
         fs.write_text(final, json.dumps(asdict(m)))
         return final
-
-    def set_archived(self, key: str, archived_path: str) -> None:
-        m = self.load(key)
-        m.archived_path = archived_path
-        self.commit(m)
 
     def all(self) -> list[UnitManifest]:
         out = []

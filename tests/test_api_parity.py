@@ -202,3 +202,40 @@ def test_no_operator_takes_an_exchange_width():
     assert offenders == []
     for fn in (exchange.exchange_width, exchange.join_width):
         assert "override" not in inspect.signature(fn).parameters
+
+
+def test_unit_grouping_has_no_knob():
+    """Grouping a table's land files into one Ray execution is decided by
+    their footers alone: the run entry points and ``validate_dataset``
+    take no parameter for it, and the package reads no new
+    ``DATA_LINTER_RAY_*`` environment variable."""
+    import inspect
+    import pathlib
+    import re
+
+    import data_linter_ray
+    from data_linter_ray.pipelines.run import run_validation, validate_phase
+    from data_linter_ray.pipelines.table import validate_table_checkpointed
+    from data_linter_ray.pipelines.validate import validate_dataset
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(run_validation) == ["config", "resume", "raise_on_failure"]
+    assert params(validate_phase) == ["config", "store", "matched", "resume", "log"]
+    assert params(validate_table_checkpointed) == [
+        "input_path", "schema", "out_root", "table_name", "id_column", "ref_tables",
+        "fragments_per_unit", "resume", "validate_kwargs",
+    ]
+    assert params(validate_dataset) == [
+        "ds", "schema", "id_column", "ref_tables", "allow_missing_cols",
+        "allow_unexpected_data", "row_limit", "row_sample", "sample_seed",
+        "log_verbosity", "drift_baselines", "drift_threshold",
+    ]
+    root = pathlib.Path(data_linter_ray.__file__).parent
+    env = {
+        name
+        for f in root.rglob("*.py")
+        for name in re.findall(r"DATA_LINTER_RAY_[A-Z0-9_]+", f.read_text())
+    }
+    assert env == {"DATA_LINTER_RAY_S3_ENDPOINT", "DATA_LINTER_RAY_SHUFFLE_PARTITIONS"}

@@ -124,6 +124,51 @@ def test_s3_fail_routing_and_violations(ray_session, moto_s3, tmp_path):
     assert viol.count() == 2  # one min_max + one enum violation row
 
 
+def test_s3_grouped_parquet_units(ray_session, moto_s3, tmp_path, monkeypatch):
+    """Parquet land files on S3 validated as one group: one violation
+    write, and each failing file's rows under its own S3 directory."""
+    import io
+
+    import pyarrow.csv as pacsv
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from data_linter_ray.pipelines.run import run_validation
+
+    land, pass_p, fail_p, log_p = _mk_paths("grouped", tmp_path, True, True, True)
+    for name, text in (("table1_a", CSV_PASS), ("table1_b", CSV_FAIL), ("table1_c", CSV_FAIL)):
+        buf = io.BytesIO()
+        pq.write_table(pacsv.read_csv(io.BytesIO(text.encode())), buf)
+        fs.write_bytes(fs.join(land, f"{name}.parquet"), buf.getvalue())
+    writes = []
+    write = fs.write_parquet_uri
+    monkeypatch.setattr(
+        fs, "write_parquet_uri", lambda *a, **kw: writes.append(a[1]) or write(*a, **kw)
+    )
+    res = run_validation(
+        {
+            "land-base-path": land,
+            "pass-base-path": pass_p,
+            "fail-base-path": fail_p,
+            "log-base-path": log_p,
+            "tables": {"table1": {"metadata": TABLE1_META}},
+        },
+        raise_on_failure=False,
+    )
+    assert writes == [fs.join(log_p, "violations", "table1")]
+    by_file = {m.source_path.rsplit("/", 1)[-1]: m for m in res.manifests}
+    assert by_file["table1_a.parquet"].valid
+    assert by_file["table1_a.parquet"].violations_path is None
+    for name in ("table1_b.parquet", "table1_c.parquet"):
+        m = by_file[name]
+        assert not m.valid and m.counts == {"my_int::min_max_test": 1, "animal::enum_test": 1}
+        assert m.violations_path.startswith("s3://")
+        viol = ray.data.read_parquet(
+            m.violations_path, filesystem=fs.resolve(m.violations_path)[0]
+        )
+        assert sorted(r["value"] for r in viol.take_all()) == ["5", "robot"]
+
+
 def test_s3_error_path_uploads_main_log(ray_session, moto_s3, tmp_path):
     """all-must-pass + failure raises, but the main log is uploaded first
     (reference validation.py:240-249)."""
