@@ -76,18 +76,21 @@ def cluster_cpus() -> int:
 def read_width(paths) -> int:
     """Block count for one read of ``paths`` (a file, a directory or a
     list of them; local or ``s3://``), from the file listing only:
-    max(files, 2 × :func:`cluster_cpus`, decoded bytes /
+    max(2 × :func:`cluster_cpus`, decoded bytes /
     ``DataContext.target_max_block_size``).
 
     This is Ray's own read sizing without its
     ``read_op_min_num_blocks`` = 200 term (bounded below by 1 MiB
     blocks), which splits a few small files into tens of blocks on a
     small cluster. Each block pays the fused check pass's fixed
-    per-batch cost, so a 1-CPU box reading 6 files of 50k documents
-    does 6 blocks of work, not 60. The 2 × CPUs floor is Ray's own, so
-    a big node keeps its parallelism and a tiny file gets no more
-    blocks than Ray's default gives it; the bytes term keeps blocks at
-    Ray's maximum size for large inputs."""
+    per-batch cost, and each read task a fixed scheduling cost, so the
+    width does not grow with the file count: Ray's parquet and CSV read
+    tasks take several files each and never split a file further than
+    the width, so a 1-CPU box reads a group of 8 small land files in 2
+    tasks, not 8. The 2 × CPUs floor is Ray's own, so a big node keeps
+    its parallelism and a tiny file gets no more blocks than Ray's
+    default gives it; the bytes term keeps blocks at Ray's maximum size
+    for large inputs."""
     from ray.data import DataContext
 
     from data_linter_ray import fs
@@ -95,7 +98,7 @@ def read_width(paths) -> int:
     files: list[str] = []
     for p in [paths] if isinstance(paths, str) else paths:
         files += fs.list_files(p) or [p]  # a file lists as nothing
-    width = max(len(files), 2 * cluster_cpus())
+    width = 2 * cluster_cpus()
     block_bytes = DataContext.get_current().target_max_block_size
     if block_bytes:
         width = max(width, math.ceil(_decoded_bytes(files) / block_bytes))

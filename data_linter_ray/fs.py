@@ -19,16 +19,17 @@ Split transport, by design:
   artifact. Lifecycle artifacts (manifests, logs, copied data files) are
   small, and a single PUT is atomic on S3 where pyarrow's multipart
   upload is not (and is incompatible with the moto test server). Bulk
-  distributed parquet output uses a Ray ``Datasink`` that serializes each
-  block and PUTs one object per block file (see ``write_parquet_uri``),
-  so the write stays streaming and per-task-retryable: re-running a
-  failed write task overwrites its own object idempotently.
+  distributed parquet output (``write_parquet_uri``) is one plain Ray
+  task per object-store block, which serializes the block and PUTs one
+  object per part file, so no second Ray Data execution starts for a
+  materialized Dataset, and a failed task re-run overwrites its own
+  objects idempotently.
 
 Endpoint override (for the moto-backed tests, or any S3-compatible
 store): set ``DATA_LINTER_RAY_S3_ENDPOINT`` (fallback
 ``AWS_ENDPOINT_URL``). The endpoint is resolved on the driver and
-embedded in the serialized filesystem/datasink objects, so Ray workers
-do not need the environment variable.
+embedded in the serialized filesystem objects and write-task arguments,
+so Ray workers do not need the environment variable.
 """
 
 from __future__ import annotations
@@ -302,109 +303,82 @@ def listdir(path: str) -> list[str]:
     )
 
 
-def _make_parquet_sink(path: str, partition_col: Optional[str]):
-    from ray.data import Datasink
-
-    class ParquetPartsSink(Datasink):
-        """Ray Datasink: one parquet file per block — per block and value
-        of ``partition_col``, with one — written locally or PUT to S3
-        via boto3.
-
-        Used instead of ``Dataset.write_parquet`` so S3 output works
-        against any S3-compatible endpoint without pyarrow's
-        multipart-upload path, and so one write can split its rows into
-        plain ``{root}/{value}/`` directories (no ``col=`` prefix), the
-        value's column dropped. Each write task writes
-        ``part-{task}-{block}.parquet`` — ≤ one block (~128 MB target)
-        per object, under the 5 GB single-PUT limit, idempotent on task
-        retry. The endpoint is captured at construction on the driver;
-        the boto3 client is re-created lazily in each worker process."""
-
-        def __init__(self, root: str, partition_col: Optional[str]):
-            self.path = root.rstrip("/")
-            self.partition_col = partition_col
-            self.endpoint = s3_endpoint()
-            self.region = os.environ.get("AWS_DEFAULT_REGION", "us-east-1")
-            # with an endpoint override (moto / S3-compatible store) the
-            # driver's env credentials ride along, since worker processes
-            # may predate the env vars; with real S3 leave None so each
-            # worker uses its own default chain (instance role)
-            self.creds = (
-                {
-                    "aws_access_key_id": os.environ.get("AWS_ACCESS_KEY_ID", "test"),
-                    "aws_secret_access_key": os.environ.get(
-                        "AWS_SECRET_ACCESS_KEY", "test"
-                    ),
-                }
-                if self.endpoint
-                else {}
-            )
-            self._client = None
-
-        def _put(self, path: str, data: bytes) -> None:
-            if not is_s3(path):
-                write_bytes(path, data)
-                return
-            if self._client is None:
-                import boto3
-
-                self._client = boto3.client(
-                    "s3",
-                    endpoint_url=self.endpoint,
-                    region_name=self.region,
-                    **self.creds,
-                )
-            bucket, key = _bucket_key(path)
-            self._client.put_object(Bucket=bucket, Key=key, Body=data)
-
-        def _parts(self, tbl):
-            if self.partition_col is None:
-                yield self.path, tbl
-                return
-            import pyarrow.compute as pc
-
-            col = tbl[self.partition_col]
-            for v in pc.unique(col).to_pylist():
-                part = tbl.filter(pc.equal(col, v)).drop_columns([self.partition_col])
-                yield join(self.path, str(v)), part
-
-        def write(self, blocks, ctx) -> int:
-            import pyarrow as pa
-            import pyarrow.parquet as pq
-
-            n = 0
-            for i, block in enumerate(blocks):
-                tbl = (
-                    block
-                    if isinstance(block, pa.Table)
-                    else pa.Table.from_pandas(block)
-                )
-                # empty blocks pass map_batches untouched, in any schema
-                if not tbl.num_rows:
-                    continue
-                for root, part in self._parts(tbl):
-                    sink = io.BytesIO()
-                    pq.write_table(part, sink)
-                    self._put(
-                        f"{root}/part-{ctx.task_idx:06d}-{i:04d}.parquet",
-                        sink.getvalue(),
-                    )
-                    n += part.num_rows
-            return n
-
-        def get_name(self) -> str:
-            return "ParquetParts"
-
-        @property
-        def supports_distributed_writes(self) -> bool:
-            return True
-
-    return ParquetPartsSink(path, partition_col)
+def s3_client_kwargs() -> dict:
+    """boto3 client arguments resolved on the driver, for worker tasks.
+    With an endpoint override (moto / S3-compatible store) the driver's
+    env credentials ride along, since worker processes may predate the
+    env vars; with real S3 each worker uses its own default chain
+    (instance role)."""
+    kw = {
+        "endpoint_url": s3_endpoint(),
+        "region_name": os.environ.get("AWS_DEFAULT_REGION", "us-east-1"),
+    }
+    if kw["endpoint_url"]:
+        kw["aws_access_key_id"] = os.environ.get("AWS_ACCESS_KEY_ID", "test")
+        kw["aws_secret_access_key"] = os.environ.get("AWS_SECRET_ACCESS_KEY", "test")
+    return kw
 
 
-def write_parquet_uri(ds, path: str, partition_col: Optional[str] = None) -> None:
-    """Sink a Dataset to parquet files under a local path or S3 URI; with
-    ``partition_col``, each row goes under ``{path}/{its value}/``
-    without that column."""
+def _write_parquet_block(root, partition_col, prepare, s3_kwargs, idx, block) -> None:
+    """Ray task: write one block as ``part-{idx}.parquet`` under ``root``
+    — under ``{root}/{value}/`` per value of ``partition_col``, that
+    column dropped — after ``prepare``."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    tbl = block if isinstance(block, pa.Table) else pa.Table.from_pandas(block)
+    # an empty block may carry any schema: Ray Data passes empty blocks
+    # through map_batches without calling the UDF
+    if tbl.num_rows and prepare is not None:
+        tbl = prepare(tbl)
+    if not tbl.num_rows:
+        return
+    parts = [(root, tbl)]
+    if partition_col is not None:
+        col = tbl[partition_col]
+        parts = [
+            (join(root, str(v)), tbl.filter(pc.equal(col, v)).drop_columns([partition_col]))
+            for v in pc.unique(col).to_pylist()
+        ]
+    client = None
+    for d, part in parts:
+        sink = io.BytesIO()
+        pq.write_table(part, sink)
+        dst = f"{d}/part-{idx:06d}.parquet"
+        if not is_s3(dst):
+            write_bytes(dst, sink.getvalue())
+            continue
+        if client is None:
+            import boto3
+
+            client = boto3.client("s3", **s3_kwargs)
+        bucket, key = _bucket_key(dst)
+        client.put_object(Bucket=bucket, Key=key, Body=sink.getvalue())
+
+
+def write_parquet_uri(
+    datasets, path: str, partition_col: Optional[str] = None, prepare=None
+) -> None:
+    """Write a Dataset, or a list of them, as parquet files under a local
+    path or S3 URI: one Ray task per block, ``prepare(table) -> table``
+    applied in the task, and one ``part-{block}.parquet`` per block (and,
+    with ``partition_col``, per value of it: each row goes under
+    ``{path}/{its value}/`` without that column).
+
+    A materialized Dataset's blocks are written where they are, with no
+    Ray Data execution; a lazy one is materialized first. Each object
+    holds at most one block (~128 MB target), under the 5 GB single-PUT
+    limit, and a retried task rewrites its own objects."""
+    import ray
+    from ray.data import Dataset
+
     _check_writable_scheme(path)
-    ds.write_datasink(_make_parquet_sink(path, partition_col))
+    blocks = []
+    for ds in [datasets] if isinstance(datasets, Dataset) else datasets:
+        if type(ds).__name__ != "MaterializedDataset":
+            ds = ds.materialize()
+        blocks += [r for bundle in ds.iter_internal_ref_bundles() for r in bundle.block_refs]
+    task = ray.remote(_write_parquet_block)
+    args = (path.rstrip("/"), partition_col, prepare, s3_client_kwargs())
+    ray.get([task.remote(*args, i, b) for i, b in enumerate(blocks)])

@@ -13,9 +13,11 @@ Re-creates the reference's ``run_validation``
      failure without a read, and any other format, a file with a
      ``path`` column and every file of a table with a ``row-limit`` go
      alone. ``validate_group`` reads each group once (ingest-normalize/
-     cast), validates all of its files in ONE Ray Data execution
-     (``validate_units``), with a verdict per file, and sinks their
-     violations in one partitioned parquet write; a UnitManifest per
+     cast) at the cluster's read width, so one read task may take
+     several files, validates all of its files in ONE Ray Data execution
+     (``validate_units``), with a verdict per file, and writes their
+     violations from that execution's blocks, one Ray task per block,
+     into per-file directories it clears first; a UnitManifest per
      file (the checkpoint unit) is committed atomically. A group whose
      execution raises is re-run one file at a time, so only the bad file
      records ``parse_data``.
@@ -58,6 +60,7 @@ from data_linter_ray.metadata import TableSchema
 # this module: the benchmark's tracer (perfbench/tracer.py) wraps them here
 from data_linter_ray.pipelines.validate import (  # noqa: F401
     alignment_failure,
+    keep_violations,
     max_units,
     validate_dataset,
     validate_units,
@@ -176,9 +179,11 @@ def validate_group(
     row's file when there are several units — and validated by
     :func:`validate_units`, to which extra ``validate_kwargs`` pass. Each
     unit gets its own verdict; the violation rows of every unit with a
-    failing test go, in one write, to ``{violations_root}/{key}``, the
-    unit's :meth:`UnitManifest.key`. Every manifest's ``duration_s`` is
-    the group's wall time. Errors propagate: each caller keeps its own
+    failing test go to ``{violations_root}/{key}``, the unit's
+    :meth:`UnitManifest.key`, cleared first, in one write: a Ray task
+    per block the pass already holds, and no second Ray Data
+    execution. Every manifest's ``duration_s`` is the group's wall
+    time. Errors propagate: each caller keeps its own
     failure policy."""
     t0 = time.monotonic()
     if len(units) == 1:
@@ -199,6 +204,10 @@ def validate_group(
         )
         for (source_path, _), res in zip(units, results)
     ]
+    # an earlier attempt's parts (a run killed before its commits, a
+    # group re-run one file at a time) must not add to this one's rows
+    for m in manifests:
+        fs.delete_dir(fs.join(violations_root, m.key()))
     failing = [m for m, res in zip(manifests, results) if res.counts]
     if violations is not None and failing:
         for m in failing:
@@ -206,13 +215,10 @@ def validate_group(
         keys = pa.array([m.key() for m in manifests])
 
         def unit_dir(t: pa.Table) -> pa.Table:
+            t = keep_violations(t)
             return t.set_column(t.schema.get_field_index("cc"), "cc", keys.take(t["cc"]))
 
-        fs.write_parquet_uri(
-            violations.map_batches(unit_dir, batch_format="pyarrow"),
-            violations_root,
-            partition_col="cc",
-        )
+        fs.write_parquet_uri(violations, violations_root, partition_col="cc", prepare=unit_dir)
     duration = time.monotonic() - t0
     for m in manifests:
         m.duration_s = duration

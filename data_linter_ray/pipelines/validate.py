@@ -20,9 +20,11 @@ exactly those of validating it alone. :func:`validate_dataset` is the
 one-unit case.
 
 Only *aggregated counts* and (optionally) bounded violation samples ever
-reach the driver; the violation row Dataset itself — the duplicate-key rows
-included — stays distributed and is returned for the caller to sink with
-``write_parquet``.
+reach the driver; the violation rows — the duplicate-key rows included —
+stay distributed: :func:`validate_dataset` returns them as a lazy
+Dataset, :func:`validate_units` as the materialized Datasets that hold
+them, which ``fs.write_parquet_uri`` writes block by block where they
+are.
 """
 
 from __future__ import annotations
@@ -224,11 +226,15 @@ class _FusedChecker:
         return pa.concat_tables(parts)
 
 
-def _keep_violations(t: pa.Table) -> pa.Table:
+def keep_violations(t: pa.Table) -> pa.Table:
+    """The violation rows (:data:`UNIT_VIOLATION_SCHEMA`) of a non-empty
+    block of :func:`validate_units`' violations: a stream block's kind-0
+    rows, or every row of a block without a ``kind`` column."""
     import pyarrow.compute as pc
 
-    sub = t.filter(pc.equal(t["kind"], 0))
-    return sub.select(UNIT_VIOLATION_SCHEMA.names)
+    if "kind" in t.column_names:
+        t = t.filter(pc.equal(t["kind"], 0))
+    return t.select(UNIT_VIOLATION_SCHEMA.names)
 
 
 def _heads(t: pa.Table, n: int) -> pa.Table:
@@ -270,7 +276,7 @@ def _fold_block_group(num_parts: int, n: Optional[int], group: int, *blocks):
     ):
         counts[key[:3]] = counts.get(key[:3], 0) + key[3]
     sketches = _merge_sketch_rows(block.filter(pc.equal(block["kind"], 3)))
-    heads = None if n is None else _heads(_keep_violations(block), n)
+    heads = None if n is None else _heads(keep_violations(block), n)
     if not num_parts:
         return (counts, sketches), heads
 
@@ -531,7 +537,11 @@ def validate_dataset(
         drift_threshold=drift_threshold,
     )
     if violations is not None:
-        res.violations = violations.drop_columns(["cc"])
+        stream, *rest = violations
+        ds = stream.map_batches(keep_violations, batch_format="pyarrow")
+        for part in rest:
+            ds = ds.union(part)
+        res.violations = ds.drop_columns(["cc"])
     return res
 
 
@@ -550,16 +560,19 @@ def validate_units(
     log_verbosity: Optional[int] = None,
     drift_baselines: Optional[dict] = None,
     drift_threshold: float = 0.1,
-) -> tuple[list[TableValidationResult], Optional[Dataset]]:
+) -> tuple[list[TableValidationResult], Optional[list[Dataset]]]:
     """Validate the units of ``ds`` in one Ray Data execution.
 
     ``units`` lists the :data:`PATH_COLUMN` value of each unit's rows (a
     read with ``include_paths``); None makes the whole Dataset one unit.
     Returns one result per unit — its verdict, row count, counts and
     samples, exactly those of validating that unit alone; ``unique``
-    holds within a unit — and the violation rows of all units
-    (:data:`UNIT_VIOLATION_SCHEMA`, ``cc`` = the unit's index), or None
-    when the columns do not align. ``row_limit`` applies to one unit
+    holds within a unit — and the materialized Datasets that hold the
+    violation rows of all units, or None when the columns do not align:
+    the stream, then the uniqueness reduce's and the referential
+    shuffle's blocks. :func:`keep_violations` turns one of their
+    non-empty blocks into its rows (:data:`UNIT_VIOLATION_SCHEMA`,
+    ``cc`` = the unit's index). ``row_limit`` applies to one unit
     only. The keyword arguments are :func:`validate_dataset`'s."""
     n_units = 1 if units is None else len(units)
     if row_limit is not None and n_units > 1:
@@ -717,9 +730,7 @@ def validate_units(
     finally:
         opts.preserve_order = caller_order
 
-    violation_parts: list[Dataset] = [
-        mat.map_batches(_keep_violations, batch_format="pyarrow")
-    ]
+    violations: list[Dataset] = [mat]
     counts, row_counts, buckets, heads, sketches = _fold_count_partials(
         mat, unique_cols, log_verbosity
     )
@@ -727,7 +738,7 @@ def validate_units(
         uniq_viol, uniq_counts, uniq_head = _uniqueness_from_preagg(
             buckets, unique_cols, n_units, log_verbosity
         )
-        violation_parts.append(uniq_viol)
+        violations.append(uniq_viol)
         counts.update(uniq_counts)
         if uniq_head is not None:
             heads.append(uniq_head)
@@ -742,9 +753,7 @@ def validate_units(
             counts[(u, fk, checks.REFERENTIAL_TEST)] = part.count()
             ref_parts.append(part)
 
-    violations = violation_parts[0]
-    for part in violation_parts[1:] + ref_parts:
-        violations = violations.union(part)
+    violations += ref_parts
 
     samples: dict[tuple[int, str, str], tuple[list, list]] = {}
     if log_verbosity is not None and any(counts.values()):

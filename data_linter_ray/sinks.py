@@ -38,30 +38,16 @@ class JsonlShardSink(Datasink):
         rows_per_shard: int = 100_000,
         compress: bool = False,
     ):
-        import os
-
         if rows_per_shard < 1:
             raise ValueError("rows_per_shard must be >= 1")
         self.root = root.rstrip("/")
         self.rows = int(rows_per_shard)
         self.compress = bool(compress)
         # S3 endpoint/credentials are captured on the DRIVER at
-        # construction (the ParquetPartsSink pattern, fs.py): worker
-        # processes may predate the env vars that select a moto /
-        # S3-compatible endpoint
+        # construction: worker processes may predate the env vars that
+        # select a moto / S3-compatible endpoint
         self.is_s3 = fs.is_s3(self.root)
-        self.endpoint = fs.s3_endpoint() if self.is_s3 else None
-        self.region = os.environ.get("AWS_DEFAULT_REGION", "us-east-1")
-        self.creds = (
-            {
-                "aws_access_key_id": os.environ.get("AWS_ACCESS_KEY_ID", "test"),
-                "aws_secret_access_key": os.environ.get(
-                    "AWS_SECRET_ACCESS_KEY", "test"
-                ),
-            }
-            if self.endpoint
-            else {}
-        )
+        self.s3_kwargs = fs.s3_client_kwargs() if self.is_s3 else {}
         self._client = None
 
     def _put(self, path: str, payload: bytes) -> None:
@@ -71,12 +57,7 @@ class JsonlShardSink(Datasink):
         if self._client is None:
             import boto3
 
-            self._client = boto3.client(
-                "s3",
-                endpoint_url=self.endpoint,
-                region_name=self.region,
-                **self.creds,
-            )
+            self._client = boto3.client("s3", **self.s3_kwargs)
         bucket, key = fs._bucket_key(path)
         self._client.put_object(Bucket=bucket, Key=key, Body=payload)
 

@@ -186,10 +186,10 @@ def read_table_dataset(
     that has a column of that name). The column stays out of
     ``Dataset.schema()`` for parquet.
 
-    Every format reads :func:`exchange.read_width` blocks — at least one
-    per file and two per cluster CPU, more only for inputs past Ray's
-    maximum block size — rather than Ray's default, which splits a few
-    small files into up to 200 blocks. ``pipelines.run.validate_group``
+    Every format reads :func:`exchange.read_width` blocks — two per
+    cluster CPU, more only for inputs past Ray's maximum block size, so
+    a read task may take several small files — rather than Ray's
+    default, which splits a few small files into up to 200 blocks. ``pipelines.run.validate_group``
     (and so ``validate_phase`` and ``validate_table_checkpointed``)
     reads here once per group of units, with ``include_paths`` when the
     group has more than one."""

@@ -87,20 +87,19 @@ def _config(root, master, engine_params):
 
 
 def _count_fused_passes(m, calls: list) -> None:
-    """Append to ``calls`` once per fused-pass ``materialize`` (the one
-    ``validate_units`` makes; a violation write materializes too)."""
-    import sys
-
+    """Append to ``calls`` the name of every ``Dataset.materialize`` and
+    ``Dataset.write_datasink`` call: the fused pass of ``validate_units``
+    must be a run's only Ray Data execution of a group — its violation
+    write starts none."""
     import ray.data
 
-    mat = ray.data.Dataset.materialize
+    for name in ("materialize", "write_datasink"):
 
-    def counting(ds):
-        if sys._getframe(1).f_code.co_name == "validate_units":
-            calls.append(1)
-        return mat(ds)
+        def counting(ds, *args, _name=name, _orig=getattr(ray.data.Dataset, name), **kw):
+            calls.append(_name)
+            return _orig(ds, *args, **kw)
 
-    m.setattr(ray.data.Dataset, "materialize", counting)
+        m.setattr(ray.data.Dataset, name, counting)
 
 
 def _fresh(root, master):
@@ -216,6 +215,56 @@ def test_grouped_resume_equals_single_file_groups(
     assert (n_grouped, n_singles) == (1 + 3, 2 + 4)
 
 
+def test_multi_file_read_tasks_equal_single_file_groups(
+    ray_session, tmp_path, land_master, monkeypatch
+):
+    """On one CPU a read is 2 blocks wide, so the 4-file orders group is
+    read by tasks of several files each: the manifests, samples and
+    violation rows stay those of one-file groups."""
+    from data_linter_ray import exchange
+    from data_linter_ray.sources import readers
+
+    widths = []
+    width = readers.read_width
+
+    def recording(paths):
+        files = [paths] if isinstance(paths, str) else paths
+        widths.append((len(files), width(paths)))
+        return widths[-1][1]
+
+    monkeypatch.setattr(exchange, "cluster_cpus", lambda: 1)
+    monkeypatch.setattr(readers, "read_width", recording)
+    (grouped, singles), (n_grouped, n_singles) = _run_both(
+        tmp_path, land_master, monkeypatch, {"log-verbosity": 5}
+    )
+    assert grouped == singles and len(grouped) == 8
+    assert (n_grouped, n_singles) == (3, 6)
+    assert (4, 2) in widths  # the orders group: 4 files, 2 read blocks
+
+
+def test_rerun_clears_stale_violation_parts(ray_session, tmp_path, land_master):
+    """A part an earlier attempt left in a unit's violations directory
+    (killed before its manifests were committed) is gone after a resumed
+    run: only the new rows remain."""
+    from data_linter_ray.state.manifest import UnitManifest
+
+    root = tmp_path / "run"
+    cfg = _config(root, land_master, {"log-verbosity": 5})
+    _fresh(root, land_master)
+    clean = _outcome(run.run_validation(cfg, raise_on_failure=False))
+
+    _fresh(root, land_master)
+    source = str(root / "land" / "orders_0.parquet")
+    key = UnitManifest(table="orders", source_path=source, valid=False).key()
+    stale = root / "log" / "violations" / "orders" / key
+    stale.mkdir(parents=True)
+    names = ["row_ref", "column", "test", "value"]
+    pq.write_table(pa.table({c: ["stale"] for c in names}), stale / "part-999999.parquet")
+    again = _outcome(run.run_validation(cfg, resume=True, raise_on_failure=False))
+    assert again == clean
+    assert not (stale / "part-999999.parquet").exists()
+
+
 def _land(tmp_path, tables: dict) -> dict:
     land = tmp_path / "land"
     land.mkdir(parents=True)
@@ -292,6 +341,27 @@ def test_samples_stay_per_file_when_files_share_a_fold_group(
     assert out[0] == out[1]
     sample = out[0]["t1_3.parquet"]["a"]["min_max_test"]["unexpected_values_sample"]
     assert sample == ["-4"]
+
+
+def test_empty_file_in_a_group(ray_session, tmp_path, monkeypatch):
+    """A zero-row file beside failing files: empty blocks reach the
+    violation write (any schema, no ``kind`` column) and write nothing,
+    and every file's outcome is that of validating it alone."""
+    bad = pa.table({"a": pa.array([1, -1], pa.int64()), "b": ["x", "y"]})
+    empty = bad.slice(0, 0)
+    out = []
+    for singles in (False, True):
+        cfg = _land(tmp_path / str(singles), {"t1": [bad, empty, bad]})
+        with monkeypatch.context() as m:
+            if singles:
+                m.setattr(run, "max_units", lambda schema: 1)
+            out.append(_outcome(run.run_validation(cfg, raise_on_failure=False)))
+    grouped, alone = (
+        {f: o[:4] + o[5:] for f, o in res.items()} for res in out  # archived paths differ
+    )
+    assert grouped == alone
+    assert grouped["t1_1.parquet"][:2] == (True, 0)
+    assert grouped["t1_2.parquet"][4] == Counter({(None, "a", "min_max_test", "-1"): 1})
 
 
 def test_baselines_load_once_per_table(ray_session, tmp_path, land_master, monkeypatch):

@@ -7,7 +7,7 @@ local directory or an ``s3://`` URI. A real moto server runs on
 localhost; pyarrow reads and boto3 writes both hit it, including the
 Ray scan tasks (the endpoint rides inside the serialized pyarrow
 S3FileSystem handed to ``ray.data.read_csv``/``read_parquet``) and the
-distributed violations-parquet Datasink.
+violations-parquet write tasks.
 """
 
 import gzip
@@ -97,7 +97,7 @@ def test_full_path_spectrum(ray_session, moto_s3, tmp_path, land_s3, pass_s3, lo
 
 def test_s3_fail_routing_and_violations(ray_session, moto_s3, tmp_path):
     """Failing file on an all-S3 config: routed to fail bucket, violations
-    parquet written to S3 via the block-PUT Datasink, main log uploaded."""
+    parquet PUT to S3 by the block write tasks, main log uploaded."""
     from data_linter_ray.pipelines.run import run_validation
 
     land, pass_p, fail_p, log_p = _mk_paths("failcase", tmp_path, True, True, True)
@@ -163,6 +163,8 @@ def test_s3_grouped_parquet_units(ray_session, moto_s3, tmp_path, monkeypatch):
         m = by_file[name]
         assert not m.valid and m.counts == {"my_int::min_max_test": 1, "animal::enum_test": 1}
         assert m.violations_path.startswith("s3://")
+        parts = fs.list_files(m.violations_path)
+        assert parts and all(p.startswith(m.violations_path + "/") for p in parts)
         viol = ray.data.read_parquet(
             m.violations_path, filesystem=fs.resolve(m.violations_path)[0]
         )
@@ -272,8 +274,8 @@ def test_validate_table_checkpointed_on_s3(ray_session, moto_s3):
 
 
 def test_write_parquet_uri_distributed(ray_session, moto_s3):
-    """Datasink path: a multi-block Dataset lands as multiple parquet
-    objects that read back identical."""
+    """A lazy multi-block Dataset is materialized once and lands as one
+    parquet object per block, which read back identical."""
     import ray.data
 
     ds = ray.data.range(1000).map_batches(
