@@ -31,6 +31,13 @@ count* is decided: no operator or reader takes a width argument. The
 one setting is the ``DATA_LINTER_RAY_SHUFFLE_PARTITIONS`` env var,
 which replaces the derivation for every exchange (:func:`join_width`
 still caps it at the cluster's CPUs) and leaves reads alone.
+
+It also holds the primitives every operator composes its passes from:
+:func:`keyed_scatter_gather` / :func:`exchange_map_groups` (the keyed
+exchange), :func:`fold_batches` (one partial per batch, folded on the
+driver), :func:`range_bounds` (equi-depth splitters for a range
+exchange, from one t-digest pass) and :func:`block_refs` (a
+materialized Dataset's object refs).
 """
 
 from __future__ import annotations
@@ -226,12 +233,10 @@ def keyed_scatter_gather(
     scatter_task = ray.remote(_scatter).options(num_returns=P + 1)
     reduce_task = ray.remote(_reduce)
 
-    block_refs = [
-        r for bundle in mat.iter_internal_ref_bundles() for r in bundle.block_refs
-    ]
+    refs = block_refs(mat)
     # group blocks so scatter-task (and returned-ref) count stays ~2×P
-    group = max(1, len(block_refs) // (2 * P))
-    groups = [block_refs[i : i + group] for i in range(0, len(block_refs), group)]
+    group = max(1, len(refs) // (2 * P))
+    groups = [refs[i : i + group] for i in range(0, len(refs), group)]
     per_block = [scatter_task.remote(*g) for g in groups]
     counts = np.sum([np.zeros(P, np.int64)] + ray.get([pb[P] for pb in per_block]), axis=0)
     live = [p for p in range(P) if counts[p] > 0]
@@ -275,3 +280,82 @@ def exchange_map_groups(
     return keyed_scatter_gather(
         mat, part_col, num_partitions, reduce, empty_schema=empty_schema
     )
+
+
+def block_refs(ds) -> list:
+    """Object refs of a MATERIALIZED Dataset's blocks, in order."""
+    return [r for bundle in ds.iter_internal_ref_bundles() for r in bundle.block_refs]
+
+
+def fold_batches(ds, partial, merge, init):
+    """Fold a Dataset to one driver-side value: ``partial(pa.Table)``
+    runs inside ``map_batches`` and returns one picklable value per
+    batch (a KB-size vector, sketch or dict — never rows), and the
+    driver folds them with ``acc = merge(acc, value)`` in the Dataset's
+    iteration order, starting from ``init`` (returned as is for an
+    empty Dataset).
+
+    Ray passes empty blocks through ``map_batches`` without calling
+    the UDF, so a block without the payload column is skipped. When
+    ``init`` is an ndarray every partial must have its shape: a
+    mismatch raises instead of broadcasting into the total."""
+    import pickle
+
+    import numpy as np
+    import pyarrow as pa
+
+    def encode(t):
+        return pa.table({"_fold": pa.array([pickle.dumps(partial(t))], pa.binary())})
+
+    acc = init
+    for b in ds.map_batches(encode, batch_format="pyarrow").iter_batches(
+        batch_format="pyarrow", batch_size=None
+    ):
+        if "_fold" not in b.column_names:
+            continue
+        for payload in b["_fold"].to_pylist():
+            value = pickle.loads(payload)
+            if isinstance(init, np.ndarray) and np.shape(value) != init.shape:
+                raise ValueError(
+                    f"partial of shape {np.shape(value)}, fold of shape {init.shape}"
+                )
+            acc = merge(acc, value)
+    return acc
+
+
+def range_bounds(ds, cols, num_partitions: int) -> list:
+    """Equi-depth splitters for a range exchange into ``num_partitions``
+    buckets: one sorted, unique, finite float64 array per column of
+    ``cols`` (``searchsorted(bounds, v)`` is v's bucket, so equal
+    values always share one). All columns come from one t-digest pass
+    (:func:`fold_batches`); with ``num_partitions <= 1`` every array is
+    empty and nothing executes. The bounds only balance the buckets:
+    an operator whose per-bucket scan is exact stays exact whatever
+    they are. NaN values are ignored by the digest."""
+    import numpy as np
+
+    from data_linter_ray.state.sketches import TDigest
+
+    if num_partitions <= 1:
+        return [np.empty(0, np.float64) for _ in cols]
+
+    def partial(t):
+        out = []
+        for c in cols:
+            td = TDigest()
+            td.add(t[c].to_numpy(zero_copy_only=False))
+            out.append(td.to_bytes())
+        return out
+
+    def merge(digests, payloads):
+        for d, b in zip(digests, payloads):
+            d.merge(TDigest.from_bytes(b))
+        return digests
+
+    digests = fold_batches(ds, partial, merge, [TDigest() for _ in cols])
+    qs = [i / num_partitions for i in range(1, num_partitions)]
+    out = []
+    for d in digests:
+        bounds = np.unique(d.quantiles(qs))
+        out.append(bounds[np.isfinite(bounds)])
+    return out

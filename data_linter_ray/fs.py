@@ -373,12 +373,14 @@ def write_parquet_uri(
     import ray
     from ray.data import Dataset
 
+    from data_linter_ray.exchange import block_refs
+
     _check_writable_scheme(path)
     blocks = []
     for ds in [datasets] if isinstance(datasets, Dataset) else datasets:
         if type(ds).__name__ != "MaterializedDataset":
             ds = ds.materialize()
-        blocks += [r for bundle in ds.iter_internal_ref_bundles() for r in bundle.block_refs]
+        blocks += block_refs(ds)
     task = ray.remote(_write_parquet_block)
     args = (path.rstrip("/"), partition_col, prepare, s3_client_kwargs())
     ray.get([task.remote(*args, i, b) for i, b in enumerate(blocks)])

@@ -31,6 +31,7 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
+from data_linter_ray.exchange import fold_batches
 from data_linter_ray.functions.dedup import _shingle_hashes, _token_hashes
 
 
@@ -132,21 +133,17 @@ def flag_contaminated_bloom(
     """
     from data_linter_ray.state.bloom import BloomFilter
 
-    bloom = BloomFilter(n_bits, k)
-
-    def gram_partial(t: pa.Table) -> pa.Table:
+    def gram_partial(t: pa.Table) -> np.ndarray:
         sh, _ = _doc_distinct_grams(t[text_col], ngram)
-        return pa.table(
-            {"_h": pa.array([np.unique(sh).tobytes()], pa.binary())}
-        )
+        return np.unique(sh)
 
-    for b in (
-        benchmark.select_columns([text_col])
-        .map_batches(gram_partial, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow")
-    ):
-        for payload in b["_h"].to_pylist():
-            bloom.add_hashes(np.frombuffer(payload, np.uint64))
+    def add(bloom: BloomFilter, hashes: np.ndarray) -> BloomFilter:
+        bloom.add_hashes(hashes)
+        return bloom
+
+    bloom = fold_batches(
+        benchmark.select_columns([text_col]), gram_partial, add, BloomFilter(n_bits, k)
+    )
 
     bloom_ref = ray.put(bloom.to_bytes())
 

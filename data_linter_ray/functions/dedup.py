@@ -26,7 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
 
-from data_linter_ray.exchange import exchange_map_groups, exchange_width
+from data_linter_ray.exchange import block_refs, exchange_map_groups, exchange_width
 from data_linter_ray.state.sketches import hash_array
 
 # ---------------------------------------------------------------------------
@@ -844,9 +844,7 @@ def verify_candidates_jaccard(
         # block independently: two executions, zero shuffle actors
         # (vs two hash joins whose aggregator-pool startup dominates
         # small workloads). Bounded by BROADCAST_SETS_THRESHOLD docs.
-        sets_tbl = pa.concat_tables(
-            ray.get([r for b in sets.materialize().iter_internal_ref_bundles() for r in b.block_refs])
-        )
+        sets_tbl = pa.concat_tables(ray.get(block_refs(sets.materialize())))
         lut_ref = ray.put(sets_tbl)
 
         def jac_broadcast(t: pa.Table) -> pa.Table:

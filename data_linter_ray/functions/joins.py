@@ -30,7 +30,7 @@ import pyarrow as pa
 import ray
 from ray.data import Dataset
 
-from data_linter_ray.exchange import _estimated_bytes, join_width
+from data_linter_ray.exchange import _estimated_bytes, block_refs, join_width
 
 #: decoded-bytes cap for the broadcast side (object-store resident copy
 #: per node at cluster scale — keep well under a worker heap)
@@ -84,15 +84,7 @@ def equi_join(
 
     # broadcast: collect the right side into one arrow table (bounded by
     # the threshold — the documented broadcast-small rule), ship ONCE
-    right_tbl = pa.concat_tables(
-        ray.get(
-            [
-                r
-                for b in right.materialize().iter_internal_ref_bundles()
-                for r in b.block_refs
-            ]
-        )
-    ).combine_chunks()
+    right_tbl = pa.concat_tables(ray.get(block_refs(right.materialize()))).combine_chunks()
     # Dataset.join drops the right key columns on name mismatch; mirror
     # that by renaming right keys to the left names pre-join
     if tuple(right_on) != tuple(on):

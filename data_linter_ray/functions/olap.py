@@ -20,6 +20,16 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
 
+from data_linter_ray.exchange import exchange_map_groups, exchange_width
+from data_linter_ray.state.sketches import hash_array
+
+
+def _with_key_part(t: pa.Table, key: str, P: int) -> pa.Table:
+    """Append ``_part = hash(key) % P``, the exchange partition column."""
+    return t.append_column(
+        "_part", pa.array((hash_array(t[key]) % np.uint64(P)).astype(np.int64))
+    )
+
 
 def rollup_counts(
     ds: Dataset,
@@ -31,12 +41,13 @@ def rollup_counts(
     (k1, k2), (k1) and grand-total levels, rolled-up keys null.
 
     Scale shape: per-batch arrow ``group_by`` partials (the combiner) →
-    one distributed groupby-sum at the FINEST level → subtotals derived
-    from the finest result, which is |distinct (k1,k2)| rows — tiny by
+    one ``hash(k1) % P`` exchange summing the FINEST level → subtotals
+    derived from the finest result, which is |distinct (k1,k2)| rows — tiny by
     assumption (documented: group-key cardinality ≪ rows; a rollup over
     a high-cardinality key pair should instead keep only the finest
     level distributed). Subtotal derivation is a driver fold over that
     small table, never over input rows."""
+    P = exchange_width(ds)
     aggs = {"n": ("n", "sum")}
     if sum_col:
         aggs["s"] = ("s", "sum")
@@ -50,18 +61,14 @@ def rollup_counts(
         out = {k1: g[k1], k2: g[k2], "n": g["count_all"].cast(pa.int64())}
         if sum_col:
             out["s"] = g[f"{sum_col}_sum"].cast(pa.float64())
-        return pa.table(out)
+        return _with_key_part(pa.table(out), k1, P)
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
-        agg = g.groupby([k1, k2], as_index=False, dropna=False).agg(**aggs)
-        return agg
+        return g.groupby([k1, k2], as_index=False, dropna=False).agg(**aggs)
 
-    finest = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby([k1, k2])
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()
-    )
+    finest = exchange_map_groups(
+        ds.map_batches(partial, batch_format="pyarrow"), "_part", P, merge
+    ).to_pandas()
     lvl1 = finest.groupby(k1, as_index=False, dropna=False).agg(**aggs)
     lvl1[k2] = None
     total = {k1: [None], k2: [None], "n": [finest["n"].sum()]}
@@ -91,8 +98,9 @@ def pivot_counts(
     ``unique`` query when needed).
 
     Scale shape: each batch crosstabs locally into |keys-in-batch| ×
-    |categories| partial rows (the combiner), then ONE distributed
-    groupby-sum over the index key. Streams end-to-end."""
+    |categories| partial rows (the combiner), then ONE ``hash(index_key)
+    % P`` exchange summing them per index key."""
+    P = exchange_width(ds)
     cats = list(categories)
     idx_type = ds.schema().base_schema.field(index_key).type
 
@@ -113,16 +121,19 @@ def pivot_counts(
             # null-dropping float-promoted the key in null-carrying
             # blocks; cast back so every partial shares one schema
             out[index_key] = out[index_key].astype(np.int64)
-        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
+        out = pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
+        return _with_key_part(out, index_key, P)
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby(index_key, as_index=False)[cats].sum()
 
-    return (
-        ds.select_columns([index_key, pivot_key])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(index_key)
-        .map_groups(merge, batch_format="pandas")
+    return exchange_map_groups(
+        ds.select_columns([index_key, pivot_key]).map_batches(
+            partial, batch_format="pyarrow"
+        ),
+        "_part",
+        P,
+        merge,
     )
 
 

@@ -19,6 +19,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
 
+from data_linter_ray.exchange import fold_batches
 from data_linter_ray.state.sketches import HyperLogLog, hash_array
 
 
@@ -429,7 +430,7 @@ def null_cooccurrence(ds: Dataset, cols: list[str]) -> "pd.DataFrame":
     pairs = [(i, j) for i in range(C) for j in range(i + 1, C)]
     LANES = 1 + C + len(pairs)  # n_rows, per-col nulls, per-pair both
 
-    def partial(t: pa.Table) -> pa.Table:
+    def partial(t: pa.Table) -> np.ndarray:
         masks = [
             pc.is_null(t[c]).to_numpy(zero_copy_only=False) for c in cols
         ]
@@ -439,16 +440,11 @@ def null_cooccurrence(ds: Dataset, cols: list[str]) -> "pd.DataFrame":
             out[1 + i] = int(m.sum())
         for p, (i, j) in enumerate(pairs):
             out[1 + C + p] = int((masks[i] & masks[j]).sum())
-        return pa.table({"_p": pa.array([out.tobytes()], pa.binary())})
+        return out
 
-    total = np.zeros(LANES, np.int64)
-    for b in (
-        ds.select_columns(cols)
-        .map_batches(partial, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow")
-    ):
-        for payload in b["_p"].to_pylist():
-            total += np.frombuffer(payload, np.int64)
+    total = fold_batches(
+        ds.select_columns(cols), partial, np.add, np.zeros(LANES, np.int64)
+    )
 
     return pd.DataFrame(
         {
@@ -489,25 +485,20 @@ def approx_value_counts(
 
     from data_linter_ray.state.sketches import CountMin, hash_array
 
-    cm = CountMin(width=width, depth=depth)
-
-    def partial(t: pa.Table) -> pa.Table:
+    def partial(t: pa.Table) -> CountMin:
         col = t[column].drop_null()
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
         local = CountMin(width=width, depth=depth)
         local.add_hashes(hash_array(col))
-        return pa.table(
-            {"_cm": pa.array([local.to_bytes()], pa.binary())}
-        )
+        return local
 
-    for b in (
-        ds.select_columns([column])
-        .map_batches(partial, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow")
-    ):
-        for payload in b["_cm"].to_pylist():
-            cm.merge(CountMin.from_bytes(payload))
+    cm = fold_batches(
+        ds.select_columns([column]),
+        partial,
+        CountMin.merge,
+        CountMin(width=width, depth=depth),
+    )
 
     probes = pa.array(probe_values)
     est = cm.estimate_hashes(hash_array(probes))

@@ -9,8 +9,8 @@ few *scans* instead of a sort:
 
   pass 0: count + min/max aggregate over the pruned column.
   round r: one scan computes, for every still-active target interval,
-      a K-bucket fixed-width histogram (``np.bincount`` partials as
-      bytes, one tiny row per batch, driver-summed — the same
+      a K-bucket fixed-width histogram (one ``np.bincount`` partial per
+      batch, driver-summed by ``exchange.fold_batches`` — the same
       partials-as-data pattern as ``functions.ranking``). The driver
       walks the cumulative counts to find each target's bucket,
       accumulates the rank offset of everything below it, and narrows
@@ -44,6 +44,8 @@ import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
+from data_linter_ray.exchange import fold_batches
+
 
 def _bucket_idx(v: np.ndarray, lo: float, w: float, K: int) -> np.ndarray:
     # clip in FLOAT domain before the int cast: with subnormal widths
@@ -59,6 +61,16 @@ def _chain_mask(v: np.ndarray, chain: list[tuple[float, float, int]], K: int) ->
     for lo, w, b in chain:
         mask &= _bucket_idx(v, lo, w, K) == b
     return mask
+
+
+def _hist_init(J: int, K: int) -> tuple:
+    """Zero counts and an empty (min, max) member range per interval."""
+    return np.zeros((J, K), np.int64), np.full(J, np.inf), np.full(J, -np.inf)
+
+
+def _merge_hist(acc: tuple, part: tuple) -> tuple:
+    """Fold one batch's (counts, vmin, vmax) histogram partial."""
+    return acc[0] + part[0], np.minimum(acc[1], part[1]), np.maximum(acc[2], part[2])
 
 
 def exact_quantiles(
@@ -158,7 +170,7 @@ def exact_quantiles_cols(
                 intervals.append((t["col"], t["lo"], t["w"], list(t["chain"])))
         J = len(intervals)
 
-        def hist(tb: pa.Table, intervals=intervals, J=J) -> pa.Table:
+        def hist(tb: pa.Table, intervals=intervals, J=J) -> tuple:
             vs: dict[str, np.ndarray] = {}
             out = np.zeros((J, K), dtype=np.int64)
             vmin = np.full(J, np.inf)
@@ -176,26 +188,9 @@ def exact_quantiles_cols(
                 if len(mv):
                     vmin[j] = mv.min()
                     vmax[j] = mv.max()
-            return pa.table(
-                {
-                    "_h": pa.array([out.tobytes()], pa.binary()),
-                    "_mm": pa.array(
-                        [np.concatenate([vmin, vmax]).tobytes()], pa.binary()
-                    ),
-                }
-            )
+            return out, vmin, vmax
 
-        total = np.zeros((J, K), dtype=np.int64)
-        gmin = np.full(J, np.inf)
-        gmax = np.full(J, -np.inf)
-        for b in pruned.map_batches(hist, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow"
-        ):
-            for payload, mm in zip(b["_h"].to_pylist(), b["_mm"].to_pylist()):
-                total += np.frombuffer(payload, np.int64).reshape(J, K)
-                mmv = np.frombuffer(mm, np.float64)
-                gmin = np.minimum(gmin, mmv[:J])
-                gmax = np.maximum(gmax, mmv[J:])
+        total, gmin, gmax = fold_batches(pruned, hist, _merge_hist, _hist_init(J, K))
 
         for t in active:
             j = key_of[(t["col"], t["lo"], t["w"], tuple(t["chain"]))]
@@ -382,7 +377,7 @@ def _grouped_ranks(
                 intervals.append((t["g"], t["lo"], t["w"], list(t["chain"])))
         J = len(intervals)
 
-        def hist(tb: pa.Table, intervals=intervals, J=J) -> pa.Table:
+        def hist(tb: pa.Table, intervals=intervals, J=J) -> tuple:
             tb = tb.filter(
                 pc.and_(tb[group_col].is_valid(), tb[value_col].is_valid())
             )
@@ -400,26 +395,9 @@ def _grouped_ranks(
                 if len(mv):
                     vmin[j] = mv.min()
                     vmax[j] = mv.max()
-            return pa.table(
-                {
-                    "_h": pa.array([out.tobytes()], pa.binary()),
-                    "_mm": pa.array(
-                        [np.concatenate([vmin, vmax]).tobytes()], pa.binary()
-                    ),
-                }
-            )
+            return out, vmin, vmax
 
-        total = np.zeros((J, K), dtype=np.int64)
-        gmin = np.full(J, np.inf)
-        gmax = np.full(J, -np.inf)
-        for b in pruned.map_batches(hist, batch_format="pyarrow").iter_batches(
-            batch_format="pyarrow"
-        ):
-            for payload, mm in zip(b["_h"].to_pylist(), b["_mm"].to_pylist()):
-                total += np.frombuffer(payload, np.int64).reshape(J, K)
-                mmv = np.frombuffer(mm, np.float64)
-                gmin = np.minimum(gmin, mmv[:J])
-                gmax = np.maximum(gmax, mmv[J:])
+        total, gmin, gmax = fold_batches(pruned, hist, _merge_hist, _hist_init(J, K))
 
         for t in active:
             j = key_of[(t["g"], t["lo"], t["w"], tuple(t["chain"]))]

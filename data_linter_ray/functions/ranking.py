@@ -45,7 +45,7 @@ import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
-from data_linter_ray.exchange import exchange_width, keyed_scatter_gather
+from data_linter_ray.exchange import exchange_width, fold_batches, keyed_scatter_gather
 
 
 def global_rank(
@@ -80,18 +80,10 @@ def global_rank(
     bucketed = pruned.map_batches(with_bucket, batch_format="pyarrow")
 
     # pass 1: K-length histogram partials, summed on the driver (K numbers)
-    def hist(t: pa.Table) -> pa.Table:
-        counts = np.bincount(
-            t["_bucket"].to_numpy(zero_copy_only=False), minlength=K
-        ).astype(np.int64)
-        return pa.table({"_h": pa.array([counts.tobytes()], pa.binary())})
+    def hist(t: pa.Table) -> np.ndarray:
+        return np.bincount(t["_bucket"].to_numpy(zero_copy_only=False), minlength=K)
 
-    total = np.zeros(K, np.int64)
-    for b in bucketed.map_batches(hist, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        for payload in b["_h"].to_pylist():
-            total += np.frombuffer(payload, np.int64)
+    total = fold_batches(bucketed, hist, np.add, np.zeros(K, np.int64))
 
     # equi-depth super-buckets: pack consecutive fine buckets to ~N/P
     # rows each (driver-side walk over K integers). sb_of maps fine

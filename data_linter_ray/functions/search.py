@@ -32,6 +32,7 @@ import numpy as np
 import pyarrow as pa
 from ray.data import Dataset
 
+from data_linter_ray.exchange import fold_batches
 from data_linter_ray.functions.dedup import _token_hashes
 from data_linter_ray.state.sketches import hash_array
 
@@ -73,28 +74,15 @@ def bm25_topk(
                 tf[:, j] = np.bincount(tp[sel], minlength=n)
         return ids, dl, tf
 
-    def stats_partial(t: pa.Table) -> pa.Table:
+    def stats_partial(t: pa.Table) -> np.ndarray:
+        """→ [n_docs, Σdl, df per query term]."""
         ids, dl, tf = doc_tfs(t)
-        return pa.table(
-            {
-                "n": pa.array([len(ids)], pa.int64()),
-                "sdl": pa.array([int(dl.sum())], pa.int64()),
-                "df": pa.array(
-                    [(tf > 0).sum(axis=0).astype(np.int64).tobytes()], pa.binary()
-                ),
-            }
-        )
+        return np.concatenate([[len(ids), dl.sum()], (tf > 0).sum(axis=0)])
 
     pruned = ds.select_columns([id_col, text_col])
-    N, SDL = 0, 0
-    DF = np.zeros(len(terms), dtype=np.int64)
-    for batch in pruned.map_batches(stats_partial, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        N += int(np.sum(batch["n"].to_numpy(zero_copy_only=False)))
-        SDL += int(np.sum(batch["sdl"].to_numpy(zero_copy_only=False)))
-        for payload in batch["df"].to_pylist():
-            DF += np.frombuffer(payload, np.int64)
+    N, SDL, *DF = fold_batches(
+        pruned, stats_partial, np.add, np.zeros(2 + len(terms), np.int64)
+    ).tolist()
 
     if N == 0 or not terms:
         return pd.DataFrame(

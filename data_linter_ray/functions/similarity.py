@@ -2,13 +2,13 @@
 
 - **Brute-force cosine top-k** (baseline): the query matrix is broadcast
   once via ``ray.put``; each batch does one numpy matmul against it and
-  emits per-batch local top-k, merged by a small per-query groupby. The
+  emits per-batch local top-k, merged per query in one keyed exchange. The
   full corpus is never collected.
 - **Embedding near-duplicate pairs**: all-pairs via broadcast of the
   (normalized) corpus matrix — the documented single-node-feasible
   baseline; the **IVF variant** below is the scale path: k-means-lite
   centroids → per-batch cluster assignment → candidate search restricted
-  to same-cluster buckets (a groupby, not a broadcast).
+  to same-cluster buckets (a keyed exchange, not a broadcast).
 """
 
 from __future__ import annotations
@@ -22,6 +22,9 @@ import pyarrow.compute as pc
 from ray.data import Dataset
 
 import ray
+
+from data_linter_ray.exchange import exchange_map_groups, exchange_width, fold_batches
+from data_linter_ray.state.sketches import hash_array
 
 logger = logging.getLogger(__name__)
 
@@ -70,6 +73,7 @@ def knn_brute_force(
     q_ids = q_tbl[id_col].to_numpy()
     Q = _normalize(np.stack(q_tbl[emb_col].to_numpy()).astype(np.float64))
     q_ref = ray.put((q_ids, Q))
+    P = exchange_width(ds)
 
     def local_topk(t: pa.Table) -> pa.Table:
         qi, qm = ray.get(q_ref) if isinstance(q_ref, ray.ObjectRef) else q_ref
@@ -86,18 +90,22 @@ def knn_brute_force(
             rows["query_id"].extend([qid] * len(top))
             rows["neighbor_id"].extend(ids[top])
             rows["sim"].extend(s[top])
-        return pa.table(rows)
+        t = pa.table(rows)
+        part = hash_array(t["query_id"]) % np.uint64(P)
+        return t.append_column("_part", pa.array(part.astype(np.int64)))
 
     local = ds.select_columns([id_col, emb_col]).map_batches(
         local_topk, batch_format="pyarrow"
     )
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", "neighbor_id"], ascending=[False, True]).head(k)
-        g = g.assign(rank=np.arange(1, len(g) + 1))
+        g = g.sort_values(
+            ["query_id", "sim", "neighbor_id"], ascending=[True, False, True]
+        ).groupby("query_id").head(k)
+        g = g.assign(rank=g.groupby("query_id").cumcount() + 1)
         return g[["query_id", "neighbor_id", "rank"]]
 
-    return local.groupby("query_id").map_groups(merge, batch_format="pandas")
+    return exchange_map_groups(local, "_part", P, merge)
 
 
 #: corpora at or below this row count use the exact broadcast all-pairs
@@ -213,12 +221,13 @@ def ivf_near_duplicates(
     max_bucket: int = 4096,
     n_probe: int = 2,
 ) -> Dataset:
-    """Scale path: bucket vectors by nearest centroid (groupby, no corpus
-    broadcast), then all-pairs within each bucket. Misses cross-cluster
-    pairs near boundaries — the standard IVF recall trade-off; raising
-    ``n_probe`` duplicates each row into its top-``n_probe`` clusters,
-    trading shuffle volume for boundary recall. Pairs from a size-capped
-    cluster carry ``truncated=True`` (no silent coverage caps)."""
+    """Scale path: bucket vectors by nearest centroid (one ``cluster % P``
+    exchange, no corpus broadcast), then all-pairs within each bucket.
+    Misses cross-cluster pairs near boundaries — the standard IVF recall
+    trade-off; raising ``n_probe`` duplicates each row into its
+    top-``n_probe`` clusters, trading shuffle volume for boundary
+    recall. Pairs from a size-capped cluster carry ``truncated=True``
+    (no silent coverage caps)."""
     from data_linter_ray.functions.dedup import _dedupe_pairs
 
     if n_probe < 1 or n_probe > n_clusters:
@@ -226,6 +235,7 @@ def ivf_near_duplicates(
     # deterministic training: same input → same clusters on every run
     C = kmeans_fit(ds, id_col=id_col, emb_col=emb_col, n_clusters=n_clusters)
     c_ref = ray.put(C)
+    P = exchange_width(ds)
 
     def assign(t: pa.Table) -> pa.Table:
         cm = ray.get(c_ref) if isinstance(c_ref, ray.ObjectRef) else c_ref
@@ -235,23 +245,30 @@ def ivf_near_duplicates(
         topk = np.argsort(-S, axis=1)[:, :k]
         ids = t[id_col].to_numpy(zero_copy_only=False)
         emb = t[emb_col].combine_chunks()
-        out = pa.table(
+        cluster = topk.T.reshape(-1)
+        return pa.table(
             {
-                "cluster": topk.T.reshape(-1).astype(np.int32),
+                "cluster": cluster.astype(np.int32),
                 id_col: np.tile(ids, k),
                 emb_col: pa.concat_arrays([emb] * k),
+                "_part": (cluster % P).astype(np.int64),
             }
         )
-        return out
 
     assigned = ds.select_columns([id_col, emb_col]).map_batches(
         assign, batch_format="pyarrow"
     )
 
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        return _capped_bucket_pairs(g, id_col, emb_col, threshold, max_bucket)
+    def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.concat(
+            [
+                _capped_bucket_pairs(g, id_col, emb_col, threshold, max_bucket)
+                for _, g in df.groupby("cluster")
+            ],
+            ignore_index=True,
+        )
 
-    pairs = assigned.groupby("cluster").map_groups(bucket_pairs, batch_format="pandas")
+    pairs = exchange_map_groups(assigned, "_part", P, bucket_pairs)
     # a pair can surface from several probe clusters — two-level
     # pair-hash exchange (never one Ray group per pair)
     return _dedupe_pairs(pairs, agg={"truncated": "max"})
@@ -695,59 +712,40 @@ def group_centroids(
     corr_matrix). Null groups and null embeddings are excluded."""
     import pandas as pd
 
-    def partial(t: pa.Table) -> pa.Table:
+    def partial(t: pa.Table) -> dict:
+        """→ {group: (count, Σvector)} over the batch's valid rows."""
         t = t.filter(
             pa.compute.and_(t[group_col].is_valid(), t[emb_col].is_valid())
         )
         if t.num_rows == 0:
-            return pa.table(
-                {
-                    "g": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                    "s": pa.array([], pa.binary()),
-                }
-            )
+            return {}
         g = t[group_col].to_numpy(zero_copy_only=False).astype(np.int64)
         M = _stack(t[emb_col])
         order = np.argsort(g, kind="stable")
         gs, Ms = g[order], M[order]
         uniq, starts = np.unique(gs, return_index=True)
         bounds = np.append(starts, len(gs))
-        return pa.table(
-            {
-                "g": pa.array(uniq),
-                "n": pa.array(np.diff(bounds).astype(np.int64)),
-                "s": pa.array(
-                    [
-                        Ms[bounds[i] : bounds[i + 1]].sum(axis=0).tobytes()
-                        for i in range(len(uniq))
-                    ],
-                    pa.binary(),
-                ),
-            }
-        )
+        return {
+            int(u): (int(hi - lo), Ms[lo:hi].sum(axis=0))
+            for u, lo, hi in zip(uniq, bounds[:-1], bounds[1:])
+        }
 
-    acc: dict = {}
-    D = None
-    for b in (
-        ds.select_columns([group_col, emb_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow")
-    ):
-        for g, n, sb in zip(b["g"].to_pylist(), b["n"].to_pylist(), b["s"].to_pylist()):
-            v = np.frombuffer(sb, np.float64)
-            D = len(v)
-            e = acc.setdefault(g, [0, np.zeros(len(v))])
+    def merge(acc: dict, part: dict) -> dict:
+        for g, (n, s) in part.items():
+            e = acc.setdefault(g, [0, np.zeros(len(s))])
             e[0] += n
-            e[1] = e[1] + v
+            e[1] = e[1] + s
+        return acc
+
+    acc = fold_batches(ds.select_columns([group_col, emb_col]), partial, merge, {})
     rows = {"group": [], "dim": [], "centroid": []}
     for g in sorted(acc):
         n, s = acc[g]
         c = s / n
         if round_to is not None:
             c = np.round(c, round_to)
-        rows["group"].extend([g] * D)
-        rows["dim"].extend(range(1, D + 1))
+        rows["group"].extend([g] * len(c))
+        rows["dim"].extend(range(1, len(c) + 1))
         rows["centroid"].extend(c)
     return pd.DataFrame(
         {
@@ -781,9 +779,9 @@ def kmeans_cluster_quantized(
     Init: the ``n_clusters`` smallest ids' vectors, cluster index in
     id order (deterministic, no sampling). Scale shape: quantized rows
     materialize once; each iteration is ONE streaming pass emitting
-    (K·d sums + K counts) int64 partials per block (KB to the driver —
-    the :func:`~data_linter_ray.functions.stats._fold_vector_partials`
-    pattern); assignment is one final matmul pass. No shuffle anywhere.
+    (K·d sums + K counts) int64 partials per block (KB to the driver,
+    :func:`~data_linter_ray.exchange.fold_batches`); assignment is one
+    final matmul pass. No shuffle anywhere.
 
     Exactness bound: quantized values |q| ≤ scale·max|x|; products ≤
     (2·scale·max|x|)², per-row sums ≤ d· that — keep d·(2·scale·max|x|)²
@@ -837,8 +835,6 @@ def kmeans_cluster_quantized(
             + (C_ * C_).sum(axis=1)
         )
 
-    from data_linter_ray.functions.stats import _fold_vector_partials
-
     for _ in range(iters):
         C_ref = ray.put(C)
 
@@ -851,7 +847,7 @@ def kmeans_cluster_quantized(
             cnt = np.bincount(best, minlength=k).astype(np.int64)
             return np.concatenate([sums.reshape(-1), cnt])
 
-        tot = _fold_vector_partials(quant, partial, (k * d + k,))
+        tot = fold_batches(quant, partial, np.add, np.zeros(k * d + k, np.int64))
         sums, cnt = tot[: k * d].reshape(k, d), tot[k * d :]
         newC = C.copy()
         nz = cnt > 0  # empty cluster keeps its previous centroid

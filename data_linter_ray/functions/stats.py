@@ -28,6 +28,8 @@ import pandas as pd
 import pyarrow as pa
 from ray.data import Dataset
 
+from data_linter_ray.exchange import fold_batches, range_bounds
+
 
 def corr_matrix(
     ds: Dataset,
@@ -49,7 +51,7 @@ def corr_matrix(
     pairs = [(i, j) for i in range(C) for j in range(i + 1, C)]
     LANES = 6  # n, sx, sy, sxx, syy, sxy
 
-    def partial(t: pa.Table) -> pa.Table:
+    def partial(t: pa.Table) -> np.ndarray:
         vs = [
             t[c].to_numpy(zero_copy_only=False).astype(np.float64)
             for c in cols
@@ -60,16 +62,11 @@ def corr_matrix(
             m = valid[i] & valid[j]
             x, y = vs[i][m], vs[j][m]
             out[p] = (len(x), x.sum(), y.sum(), (x * x).sum(), (y * y).sum(), (x * y).sum())
-        return pa.table({"_p": pa.array([out.tobytes()], pa.binary())})
+        return out
 
-    total = np.zeros((len(pairs), LANES), np.float64)
-    for b in (
-        ds.select_columns(cols)
-        .map_batches(partial, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow")
-    ):
-        for payload in b["_p"].to_pylist():
-            total += np.frombuffer(payload, np.float64).reshape(len(pairs), LANES)
+    total = fold_batches(
+        ds.select_columns(cols), partial, np.add, np.zeros((len(pairs), LANES))
+    )
 
     n, sx, sy, sxx, syy, sxy = (total[:, k] for k in range(LANES))
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -710,7 +707,7 @@ def benford_profile(ds: Dataset, value_col: str) -> pd.DataFrame:
     """
     import pyarrow.compute as pc
 
-    def partial(t: pa.Table) -> pa.Table:
+    def partial(t: pa.Table) -> np.ndarray:
         v = t[value_col]
         if isinstance(v, pa.ChunkedArray):
             v = v.combine_chunks()
@@ -719,17 +716,11 @@ def benford_profile(ds: Dataset, value_col: str) -> pd.DataFrame:
         s = pc.cast(pc.abs(v.filter(finite)), pa.string())
         first = pc.extract_regex(s, r"(?P<d>[1-9])")
         d = pc.struct_field(first.drop_null(), "d").cast(pa.int8())
-        counts = np.bincount(d.to_numpy(zero_copy_only=False), minlength=10)[1:10]
-        return pa.table({"_c": pa.array([counts.astype(np.int64).tobytes()], pa.binary())})
+        return np.bincount(d.to_numpy(zero_copy_only=False), minlength=10)[1:10]
 
-    total = np.zeros(9, np.int64)
-    for b in (
-        ds.select_columns([value_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow")
-    ):
-        for payload in b["_c"].to_pylist():
-            total += np.frombuffer(payload, np.int64)
+    total = fold_batches(
+        ds.select_columns([value_col]), partial, np.add, np.zeros(9, np.int64)
+    )
 
     digits = np.arange(1, 10, dtype=np.int64)
     n_all = int(total.sum())
@@ -741,31 +732,6 @@ def benford_profile(ds: Dataset, value_col: str) -> pd.DataFrame:
             "p_exp": np.round(np.log10(1.0 + 1.0 / digits), 6),
         }
     )
-
-
-def _fold_vector_partials(ds, partial_fn, shape):
-    """Distributed integer-partial fold: ``partial_fn(block) ->
-    int64 ndarray of ``shape`` runs INSIDE ``map_batches`` so each
-    block reduces to one flat binary payload (``shape``·8 bytes); the
-    driver sums only those KB-size vectors. This is the scale-safe
-    replacement for streaming a partials DATASET through the driver —
-    for continuous value columns distinct≈rows, so folding the
-    partials table driver-side would pull the whole column through
-    one node (round-4 verdict finding #1)."""
-    size = int(np.prod(shape))
-
-    def stage(t: pa.Table) -> pa.Table:
-        v = np.asarray(partial_fn(t), dtype=np.int64).reshape(-1)
-        assert v.size == size
-        return pa.table({"_v": pa.array([v.tobytes()], pa.binary())})
-
-    tot = np.zeros(size, np.int64)
-    for b in ds.map_batches(stage, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        for payload in b["_v"].to_pylist():
-            tot += np.frombuffer(payload, dtype=np.int64)
-    return tot.reshape(shape)
 
 
 def _two_group_value_parts(
@@ -795,8 +761,6 @@ def _two_group_value_parts(
     exact."""
     import pyarrow.compute as pc
 
-    from data_linter_ray.state.sketches import TDigest
-
     def pick(t: pa.Table) -> pa.Table:
         g = t[group_col]
         keep = pc.and_(
@@ -817,22 +781,7 @@ def _two_group_value_parts(
         pick, batch_format="pyarrow"
     ).materialize()
 
-    if P > 1:
-        def digest_partial(t: pa.Table) -> pa.Table:
-            td = TDigest()
-            td.add(t["v"].to_numpy(zero_copy_only=False))
-            return pa.table({"_d": pa.array([td.to_bytes()], pa.binary())})
-
-        digest = TDigest()
-        for b in picked.map_batches(
-            digest_partial, batch_format="pyarrow"
-        ).iter_batches(batch_format="pyarrow"):
-            for payload in b["_d"].to_pylist():
-                digest.merge(TDigest.from_bytes(payload))
-        bounds = np.unique(digest.quantiles([i / P for i in range(1, P)]))
-        bounds = bounds[np.isfinite(bounds)]
-    else:
-        bounds = np.empty(0, np.float64)
+    (bounds,) = range_bounds(picked, ["v"], P)
 
     def partial(t: pa.Table) -> pa.Table:
         df = pa.table(
@@ -854,7 +803,7 @@ def _two_group_value_parts(
         np.add.at(out[:, 1], p, t["b"].to_numpy(zero_copy_only=False))
         return out
 
-    tot = _fold_vector_partials(parts, tot_partial, (P, 2))
+    tot = fold_batches(parts, tot_partial, np.add, np.zeros((P, 2), np.int64))
     n_a, n_b = int(tot[:, 0].sum()), int(tot[:, 1].sum())
     offs = np.zeros((P, 2), np.int64)
     offs[1:] = np.cumsum(tot, axis=0)[:-1]
@@ -1143,7 +1092,7 @@ def psi_bins(
                 np.searchsorted(bounds, v, side="right"), minlength=n_bins
             )
 
-        return _fold_vector_partials(ds, partial, (n_bins,))
+        return fold_batches(ds, partial, np.add, np.zeros(n_bins, np.int64))
 
     n_ref, n_cur = counts(ds_ref), counts(ds_cur)
     return _psi_table(n_ref, n_cur, n_bins, round_to)
@@ -1184,8 +1133,8 @@ def psi_bins_tagged(
     (vs two in the two-dataset form), boundaries from the ref side via
     the same exact ``quantile_disc`` refinement, then ONE fused
     binned-count pass emitting both sides' ``(2, n_bins)`` partials
-    (:func:`_fold_vector_partials`). A NULL tag counts as CURRENT
-    (``fill_null(False)``): the untagged rows are the ones being
+    (:func:`~data_linter_ray.exchange.fold_batches`). A NULL tag counts
+    as CURRENT (``fill_null(False)``): the untagged rows are the ones being
     monitored against the established reference. Identical output to
     :func:`psi_bins` on the equivalent split inputs (nulls routed to
     the cur side)."""
@@ -1216,7 +1165,7 @@ def psi_bins_tagged(
             out[side] = np.bincount(b, minlength=n_bins)[:n_bins] if len(b) else 0
         return out
 
-    tot = _fold_vector_partials(tagged, both_counts, (2, n_bins))
+    tot = fold_batches(tagged, both_counts, np.add, np.zeros((2, n_bins), np.int64))
     return _psi_table(tot[0], tot[1], n_bins, round_to)
 
 
@@ -1254,7 +1203,6 @@ def gini(
         exchange_map_groups,
         exchange_width,
     )
-    from data_linter_ray.state.sketches import TDigest
 
     P = exchange_width(ds)
 
@@ -1267,22 +1215,7 @@ def gini(
         to_cents, batch_format="pyarrow"
     ).materialize()
 
-    if P > 1:
-        def digest_partial(t: pa.Table) -> pa.Table:
-            td = TDigest()
-            td.add(t["c"].to_numpy(zero_copy_only=False).astype(np.float64))
-            return pa.table({"_d": pa.array([td.to_bytes()], pa.binary())})
-
-        digest = TDigest()
-        for b in cents.map_batches(
-            digest_partial, batch_format="pyarrow"
-        ).iter_batches(batch_format="pyarrow"):
-            for payload in b["_d"].to_pylist():
-                digest.merge(TDigest.from_bytes(payload))
-        bounds = np.unique(digest.quantiles([i / P for i in range(1, P)]))
-        bounds = bounds[np.isfinite(bounds)]
-    else:
-        bounds = np.empty(0, np.float64)
+    (bounds,) = range_bounds(cents, ["c"], P)
 
     def partial(t: pa.Table) -> pa.Table:
         df = pa.table({"c": t["c"]}).to_pandas()
@@ -1304,7 +1237,7 @@ def gini(
         )
         return out
 
-    tot = _fold_vector_partials(parts, tot_partial, (P,))
+    tot = fold_batches(parts, tot_partial, np.add, np.zeros(P, np.int64))
     n = int(tot.sum())
     offs = np.zeros(P, np.int64)
     offs[1:] = np.cumsum(tot)[:-1]
@@ -1442,30 +1375,7 @@ def spearman_corr(
     # exchanges, full rows through each (same bytes a hash join would
     # move, none of a join operator's actor-pool reservations). Both
     # columns' balance boundaries come from ONE fused digest pass.
-    if P > 1:
-        from data_linter_ray.state.sketches import TDigest
-
-        def digest2(t: pa.Table) -> pa.Table:
-            tx, ty = TDigest(), TDigest()
-            tx.add(t["x"].to_numpy(zero_copy_only=False))
-            ty.add(t["y"].to_numpy(zero_copy_only=False))
-            return pa.table(
-                {"_dx": pa.array([tx.to_bytes()], pa.binary()),
-                 "_dy": pa.array([ty.to_bytes()], pa.binary())}
-            )
-
-        dx, dy = TDigest(), TDigest()
-        for b in rows.map_batches(
-            digest2, batch_format="pyarrow"
-        ).iter_batches(batch_format="pyarrow"):
-            for px, py in zip(b["_dx"].to_pylist(), b["_dy"].to_pylist()):
-                dx.merge(TDigest.from_bytes(px))
-                dy.merge(TDigest.from_bytes(py))
-        qs_ = [i / P for i in range(1, P)]
-        bx = np.unique(dx.quantiles(qs_)); bx = bx[np.isfinite(bx)]
-        by = np.unique(dy.quantiles(qs_)); by = by[np.isfinite(by)]
-    else:
-        bx = by = np.empty(0, np.float64)
+    bx, by = range_bounds(rows, ["x", "y"], P)
     # ONE pass attaches both columns' partition ids, ONE materialization
     # feeds both exchanges, and ONE bincount-partial fold yields both
     # prefix-offset vectors (2·P ints to the driver)
@@ -1492,7 +1402,7 @@ def spearman_corr(
         )
         return out
 
-    cnt = _fold_vector_partials(parts, both_counts, (2, P))
+    cnt = fold_batches(parts, both_counts, np.add, np.zeros((2, P), np.int64))
     offs_x = np.zeros(P, np.int64)
     offs_x[1:] = np.cumsum(cnt[0])[:-1]
     offs_y = np.zeros(P, np.int64)
@@ -1500,7 +1410,7 @@ def spearman_corr(
     j1 = _attach_rank(parts, "x", "r2x", P, part_col="_px", offs=offs_x)
     joined = _attach_rank(j1, "y", "r2y", P, part_col="_py", offs=offs_y)
 
-    def stats_partial(t: pa.Table) -> pa.Table:
+    def stats_partial(t: pa.Table) -> list[int]:
         rx = t["r2x"].to_numpy(zero_copy_only=False).astype(np.int64)
         ry = t["r2y"].to_numpy(zero_copy_only=False).astype(np.int64)
         # overflow guard must bound the per-BATCH sum, not the
@@ -1509,22 +1419,14 @@ def spearman_corr(
         # arbitrary-precision ints before that can reach 2^63
         if len(rx) and 4 * n * n * len(rx) >= (1 << 63):
             rx, ry = rx.astype(object), ry.astype(object)
-        vals = [
+        return [
             len(rx), int(rx.sum()), int(ry.sum()),
             int((rx * rx).sum()), int((ry * ry).sum()), int((rx * ry).sum()),
         ]
-        return pa.table(
-            {"_s": pa.array([" ".join(str(v) for v in vals)], pa.string())}
-        )
 
-    tot = [0] * 6
-    for b in joined.map_batches(
-        stats_partial, batch_format="pyarrow"
-    ).iter_batches(batch_format="pyarrow"):
-        for payload in b["_s"].to_pylist():
-            for i, v in enumerate(payload.split()):
-                tot[i] += int(v)
-    cnt, sx, sy, sxx, syy, sxy = tot
+    cnt, sx, sy, sxx, syy, sxy = fold_batches(
+        joined, stats_partial, lambda a, v: [x + y for x, y in zip(a, v)], [0] * 6
+    )
     num = cnt * sxy - sx * sy
     d1 = cnt * sxx - sx * sx
     d2 = cnt * syy - sy * sy
@@ -1626,7 +1528,6 @@ def kendall_tau(
     import pyarrow.compute as pc
 
     from data_linter_ray.exchange import exchange_map_groups, exchange_width
-    from data_linter_ray.state.sketches import TDigest
 
     P = exchange_width(ds)
 
@@ -1657,25 +1558,7 @@ def kendall_tau(
             {"n": [n], "c": [0], "d": [0], "tau_b": [np.nan]}
         )
 
-    def bounds_of(col: str) -> np.ndarray:
-        if P <= 1:
-            return np.empty(0, np.float64)
-
-        def digest_partial(t: pa.Table) -> pa.Table:
-            td = TDigest()
-            td.add(t[col].to_numpy(zero_copy_only=False))
-            return pa.table({"_d": pa.array([td.to_bytes()], pa.binary())})
-
-        digest = TDigest()
-        for b in rows.map_batches(
-            digest_partial, batch_format="pyarrow"
-        ).iter_batches(batch_format="pyarrow"):
-            for payload in b["_d"].to_pylist():
-                digest.merge(TDigest.from_bytes(payload))
-        bs = np.unique(digest.quantiles([i / P for i in range(1, P)]))
-        return bs[np.isfinite(bs)]
-
-    bx_bounds, by_bounds = bounds_of("x"), bounds_of("y")
+    bx_bounds, by_bounds = range_bounds(rows, ["x", "y"], P)
     Q = len(by_bounds) + 1
 
     def part_x(t: pa.Table) -> pa.Table:
@@ -1863,26 +1746,18 @@ def joint_histogram(
     bx = np.sort(bounds["x"]["value"].to_numpy(np.float64))
     by = np.sort(bounds["y"]["value"].to_numpy(np.float64))
 
-    def partial(t: pa.Table) -> pa.Table:
+    def partial(t: pa.Table) -> np.ndarray:
         x = t["x"].to_numpy(zero_copy_only=False)
         y = t["y"].to_numpy(zero_copy_only=False)
         ix = np.searchsorted(bx, x, side="right")
         iy = np.searchsorted(by, y, side="right")
-        flat = np.bincount(
+        return np.bincount(
             ix * n_bins_y + iy, minlength=n_bins_x * n_bins_y
-        )
-        return pa.table(
-            {"_c": pa.array([flat.astype(np.int64).tobytes()], pa.binary())}
-        )
+        ).reshape(n_bins_x, n_bins_y)
 
-    total = np.zeros(n_bins_x * n_bins_y, np.int64)
-    for b in rows.map_batches(
-        partial, batch_format="pyarrow"
-    ).iter_batches(batch_format="pyarrow"):
-        for payload in b["_c"].to_pylist():
-            total += np.frombuffer(payload, np.int64)
-
-    grid = total.reshape(n_bins_x, n_bins_y)
+    grid = fold_batches(
+        rows, partial, np.add, np.zeros((n_bins_x, n_bins_y), np.int64)
+    )
     nz = np.argwhere(grid > 0)
     return pd.DataFrame(
         {
@@ -1927,7 +1802,6 @@ def ks_per_group(
     import pyarrow.compute as pc
 
     from data_linter_ray.exchange import exchange_map_groups, exchange_width
-    from data_linter_ray.state.sketches import TDigest
 
     P = exchange_width(ds)
 
@@ -1961,22 +1835,7 @@ def ks_per_group(
     if G == 0:
         return pd.DataFrame(columns=[group_col, "n", "ks"])
 
-    if P > 1:
-        def digest_partial(t: pa.Table) -> pa.Table:
-            td = TDigest()
-            td.add(t["v"].to_numpy(zero_copy_only=False))
-            return pa.table({"_d": pa.array([td.to_bytes()], pa.binary())})
-
-        digest = TDigest()
-        for b in rows.map_batches(
-            digest_partial, batch_format="pyarrow"
-        ).iter_batches(batch_format="pyarrow"):
-            for payload in b["_d"].to_pylist():
-                digest.merge(TDigest.from_bytes(payload))
-        bounds = np.unique(digest.quantiles([i / P for i in range(1, P)]))
-        bounds = bounds[np.isfinite(bounds)]
-    else:
-        bounds = np.empty(0, np.float64)
+    (bounds,) = range_bounds(rows, ["v"], P)
 
     def partial(t: pa.Table) -> pa.Table:
         df = t.to_pandas()
@@ -2002,7 +1861,7 @@ def ks_per_group(
         )
         return out
 
-    tot = _fold_vector_partials(parts, tot_partial, (P, G))
+    tot = fold_batches(parts, tot_partial, np.add, np.zeros((P, G), np.int64))
     n_g = tot.sum(axis=0)
     N = int(n_g.sum())
     offs = np.zeros((P, G), np.int64)

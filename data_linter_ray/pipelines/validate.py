@@ -304,10 +304,6 @@ def _merge_sketch_rows(t: pa.Table) -> list[tuple[tuple[int, str], str, bytes]]:
     return [(c, kind, sk.to_bytes()) for c, e in merged.items() for kind, sk in e.items()]
 
 
-def _block_refs(ds: Dataset) -> list:
-    return [r for bundle in ds.iter_internal_ref_bundles() for r in bundle.block_refs]
-
-
 def _fold_count_partials(
     mat: Dataset, unique_cols: list[str], n: Optional[int]
 ) -> tuple[dict, dict, list, list, dict]:
@@ -321,18 +317,18 @@ def _fold_count_partials(
     order as {(unit, column): {kind: sketch}})."""
     import ray
 
-    from data_linter_ray.exchange import cluster_cpus, exchange_width
+    from data_linter_ray.exchange import block_refs, cluster_cpus, exchange_width
     from data_linter_ray.stages import sketch_stage
 
     P = exchange_width(mat, floor=cluster_cpus())
     num_parts = P if unique_cols else 0
     fold_task = ray.remote(_fold_block_group).options(num_returns=num_parts + 2)
-    block_refs = _block_refs(mat)
-    size = max(1, len(block_refs) // (2 * P))
+    refs = block_refs(mat)
+    size = max(1, len(refs) // (2 * P))
     # at least one group, so an empty stream still yields P buckets
     outs = [
-        fold_task.remote(num_parts, n, gi, *block_refs[i : i + size])
-        for gi, i in enumerate(range(0, max(1, len(block_refs)), size))
+        fold_task.remote(num_parts, n, gi, *refs[i : i + size])
+        for gi, i in enumerate(range(0, max(1, len(refs)), size))
     ]
     counts: dict[tuple[int, str, str], int] = {}
     sketches: dict[tuple[int, str], dict] = {}
@@ -842,8 +838,10 @@ def _collect_samples(
     per unit plus one fetched head."""
     import ray
 
+    from data_linter_ray.exchange import block_refs
+
     head_task = ray.remote(_heads)
-    refs = heads + [head_task.remote(b, n) for ds in others for b in _block_refs(ds)]
+    refs = heads + [head_task.remote(b, n) for ds in others for b in block_refs(ds)]
     out: dict[tuple[int, str, str], tuple[list, list]] = {}
     kept: dict[int, int] = {}
     for ref in refs:

@@ -110,9 +110,11 @@ def referential_violations_shuffle(
 ) -> Dataset:
     """Shuffle strategy: pre-aggregated tagged union → bucketed anti-join.
 
-    Emits (key, n) violations — row-level addressing would need a second
-    join; at dimension sizes that force this path, key-level reporting is
-    the scalable contract.
+    Emits one violation row per dangling FK row, like the broadcast path
+    (a dangling key is repeated once per row that holds it), so the
+    count does not depend on which path ran. The rows carry no
+    ``row_ref``: row-level addressing would need a second join, which at
+    dimension sizes that force this path is not worth its cost.
     """
 
     import numpy as np
@@ -155,6 +157,7 @@ def referential_violations_shuffle(
             n_fk=("n_fk", "sum"), has_pk=("has_pk", "max")
         )
         bad = s[(s["has_pk"].fillna(0) == 0) & (s["n_fk"].fillna(0) > 0)]
+        bad = bad.loc[bad.index.repeat(bad["n_fk"].astype(np.int64))]
         return pd.DataFrame(
             {
                 "row_ref": pd.array([None] * len(bad), dtype="string"),

@@ -204,6 +204,43 @@ def test_no_operator_takes_an_exchange_width():
         assert "override" not in inspect.signature(fn).parameters
 
 
+def test_exchanges_and_folds_use_the_shared_primitives():
+    """Keyed exchanges, driver folds and range splitters are written
+    once, in ``exchange.py``: no Ray sort-based ``.map_groups(`` call
+    remains in the package, and no operator module builds a ``TDigest``
+    or decodes an ``iter_batches`` payload with ``np.frombuffer``
+    (``exchange.fold_batches`` / ``range_bounds`` do that)."""
+    import ast
+    import pathlib
+
+    import data_linter_ray
+
+    def calls(node, name):
+        return [
+            c for c in ast.walk(node)
+            if isinstance(c, ast.Call)
+            and getattr(c.func, "attr", getattr(c.func, "id", None)) == name
+        ]
+
+    root = pathlib.Path(data_linter_ray.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        rel = path.relative_to(root).as_posix()
+        offenders += [f"{rel}:{c.lineno} map_groups" for c in calls(tree, "map_groups")]
+        if not rel.startswith("functions/"):
+            continue
+        offenders += [f"{rel}:{c.lineno} TDigest" for c in calls(tree, "TDigest")]
+        for loop in ast.walk(tree):
+            if isinstance(loop, ast.For) and calls(loop.iter, "iter_batches"):
+                offenders += [
+                    f"{rel}:{c.lineno} frombuffer"
+                    for stmt in loop.body
+                    for c in calls(stmt, "frombuffer")
+                ]
+    assert offenders == []
+
+
 def test_unit_grouping_has_no_knob():
     """Grouping a table's land files into one Ray execution is decided by
     their footers alone: the run entry points and ``validate_dataset``

@@ -1,6 +1,8 @@
 """Direct tests for the deterministic manual exchange
 (exchange.keyed_scatter_gather / exchange_map_groups) — the primitive
-every engine exchange now routes through."""
+every engine exchange now routes through — and for the driver fold
+(exchange.fold_batches) and range splitters (exchange.range_bounds)
+every operator's partials-as-data passes use."""
 
 import numpy as np
 import pandas as pd
@@ -8,7 +10,13 @@ import pyarrow as pa
 import pytest
 import ray
 
-from data_linter_ray.exchange import exchange_map_groups, keyed_scatter_gather
+from data_linter_ray import exchange
+from data_linter_ray.exchange import (
+    exchange_map_groups,
+    fold_batches,
+    keyed_scatter_gather,
+    range_bounds,
+)
 
 
 def _mk(parts, rows_per_part, n_blocks=4):
@@ -127,3 +135,89 @@ def test_exchange_map_groups_pyarrow_mode(ray_session):
         batch_format="pyarrow",
     ).to_pandas()
     assert sorted(out["s"]) == [4, 6]  # {1,3} and {2,4}
+
+
+def _col_sum():
+    # built per test: a module-level function would pickle by reference
+    # to this test module, which Ray workers cannot import
+    return lambda t: np.array(
+        [pa.compute.sum(t["v"]).as_py() or 0, t.num_rows], np.int64
+    )
+
+
+def test_fold_batches_over_empty_blocks(ray_session):
+    empty = pa.table({"v": pa.array([], pa.int64())})
+    blocks = [pa.table({"v": [1, 2]}), empty, pa.table({"v": [3]}), empty]
+    tot = fold_batches(
+        ray.data.from_arrow(blocks), _col_sum(), np.add, np.zeros(2, np.int64)
+    )
+    assert tot.tolist() == [6, 3]
+
+    only_empty = ray.data.from_arrow([empty, empty])
+    init = np.zeros(2, np.int64)
+    assert fold_batches(only_empty, _col_sum(), np.add, init) is init
+    no_rows = ray.data.range(8).filter(lambda r: False)
+    init = {}
+    assert fold_batches(no_rows, lambda t: {"x": 1}, dict.__or__, init) is init
+
+
+def test_fold_batches_shape_mismatch_raises(ray_session):
+    ds = ray.data.from_arrow(pa.table({"v": [1, 2, 3]}))
+    for init in (np.zeros(3, np.int64), np.zeros((2, 2), np.int64)):
+        # (2,) would broadcast into (2, 2) with np.add: it must raise
+        with pytest.raises(ValueError, match="shape"):
+            fold_batches(ds, _col_sum(), np.add, init)
+
+
+def test_range_bounds_width_one_executes_nothing(ray_session, monkeypatch):
+    def boom(*a, **k):
+        raise AssertionError("range_bounds executed the Dataset")
+
+    monkeypatch.setattr(exchange, "fold_batches", boom)
+    ds = ray.data.range(10).map_batches(boom)
+    for P in (0, 1):
+        out = range_bounds(ds, ["id", "x"], P)
+        assert [b.tolist() for b in out] == [[], []]
+        assert all(b.dtype == np.float64 for b in out)
+
+
+def _skewed(n_blocks=6):
+    rng = np.random.default_rng(5)
+    n = 6000
+    x = rng.normal(size=n)
+    x[::3] = 1.0  # a third of the mass on one value
+    x[1::50] = np.nan
+    x[2::97] = np.inf
+    y = rng.integers(0, 40, n).astype(np.float64)
+    return (
+        ray.data.from_arrow(pa.table({"x": x, "y": y, "z": np.full(n, 7.0)}))
+        .repartition(n_blocks)
+        .materialize()
+    )
+
+
+def test_range_bounds_columns_share_one_pass(ray_session, monkeypatch):
+    ctx = ray.data.DataContext.get_current()
+    monkeypatch.setattr(ctx.execution_options, "preserve_order", True)
+    ds = _skewed()
+    passes = []
+    fold = exchange.fold_batches
+    monkeypatch.setattr(
+        exchange, "fold_batches", lambda *a: passes.append(1) or fold(*a)
+    )
+    both = range_bounds(ds, ["x", "y"], 16)
+    assert len(passes) == 1
+    single = range_bounds(ds, ["x"], 16) + range_bounds(ds, ["y"], 16)
+    assert [b.tolist() for b in both] == [b.tolist() for b in single]
+
+
+def test_range_bounds_sorted_unique_finite(ray_session):
+    for P in (2, 7, 64):
+        bounds = range_bounds(_skewed(), ["x", "y", "z"], P)
+        assert len(bounds) == 3
+        for b in bounds:
+            assert b.dtype == np.float64
+            assert np.isfinite(b).all()
+            assert (np.diff(b) > 0).all()
+            assert len(b) <= P - 1
+        assert bounds[2].tolist() in ([], [7.0])  # a constant column

@@ -29,8 +29,8 @@ def test_shuffle_referential_matches_broadcast(ray_session):
 
     shuffled = referential_violations_shuffle(orders, "k", dim, "id").to_pandas()
     broadcast = referential_violations_broadcast(orders, "k", dim, "id").to_pandas()
-    # shuffle path reports key-level; broadcast row-level — compare key sets
-    assert set(shuffled["value"]) == set(broadcast["value"])
+    # both paths report one row per dangling FK row
+    assert sorted(shuffled["value"]) == sorted(broadcast["value"])
     expected = {str(v) for v in np.unique(fk[fk >= 1500])}
     assert set(shuffled["value"]) == expected
 
@@ -50,11 +50,28 @@ def test_validate_dataset_uses_shuffle_for_big_dims(ray_session, monkeypatch):
     schema = TableSchema(
         name="o", columns=[ColumnSpec(name="k", type="int64", references="dim.id")]
     )
-    orders = ray.data.from_arrow(pa.table({"k": [1, 2, 99, 100]}))
+    orders = ray.data.from_arrow(pa.table({"k": [1, 2, 99, 99, 99, 100]}))
     dim = ray.data.from_arrow(pa.table({"id": list(range(50))}))  # > threshold
-    res = validate_dataset(orders, schema, ref_tables={"dim.id": dim})
-    assert res.counts.get(("k", "referential_test")) == 2  # 99, 100
-    assert not res.valid
+
+    def verdict():
+        res = validate_dataset(
+            orders, schema, ref_tables={"dim.id": dim}, log_verbosity=0
+        )
+        assert not res.valid
+        col = res.response.get_result()["k"]["referential_test"]
+        return (
+            res.counts.get(("k", "referential_test")),
+            col["percentage_of_column_is_error"],
+            sorted(col["unexpected_values_sample"]),
+        )
+
+    shuffled = verdict()
+    # the shuffle path counts dangling ROWS, like the broadcast path:
+    # 99 three times and 100 once
+    assert shuffled == (4, 4 / 6 * 100, ["100", "99", "99", "99"])
+    monkeypatch.setattr(R, "BROADCAST_ROW_THRESHOLD", 10_000_000)
+    monkeypatch.setattr(V, "BROADCAST_ROW_THRESHOLD", 10_000_000, raising=False)
+    assert verdict() == shuffled
 
 
 # ---------------- hypothesis property tests ------------------------------
