@@ -18,7 +18,12 @@ Null semantics reproduce the reference exactly
     type starts with "date"/"timestamp"; null or empty-string values PASS;
     the value must fully parse with ``datetime.strptime`` semantics, and
     date columns additionally require a zero time component
-    (``pandas_validator.py:290-339``).
+    (``pandas_validator.py:290-339``). The verdict is exactly the
+    per-value ``strptime`` loop's, reached in three tiers: under the two
+    default formats Arrow settles every value that parses and prints
+    back as itself; ``strptime``'s own regex rejects most of the rest;
+    pandas parses what remains, and ``strptime`` re-checks the answers
+    pandas gets wrong (out-of-range years, leap seconds).
 
 Dispatch rules (which tests run for which column spec) reproduce
 ``check_run_validation_for_meta`` (``pandas_validator.py:141-207``).
@@ -26,6 +31,7 @@ Dispatch rules (which tests run for which column spec) reproduce
 
 from __future__ import annotations
 
+from datetime import datetime
 from typing import Optional
 
 import numpy as np
@@ -118,45 +124,103 @@ def nullable_mask(col) -> pa.Array:
     return _no_nulls(pc.is_null(col))
 
 
-def _strptime_masks(col, fmt: str) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized strptime check. Returns (ok, midnight) bool ndarrays.
+#: the formats whose values Arrow can certify, each with the type whose
+#: string cast prints a parsed value back in that format
+_ARROW_CERTIFIED = {
+    DEFAULT_DATETIME_FORMAT: pa.timestamp("s"),
+    DEFAULT_DATE_FORMAT: pa.date32(),
+}
+#: the first and last second of ``datetime``'s years 1-9999
+_FIRST_SECOND = pa.scalar(datetime(1, 1, 1), pa.timestamp("s"))
+_LAST_SECOND = pa.scalar(datetime(9999, 12, 31, 23, 59, 59), pa.timestamp("s"))
 
-    Fast path: pandas ``to_datetime(format=..., exact=True)`` — C-speed,
-    matches ``datetime.strptime`` full-string semantics. pandas coerces
-    out-of-Timestamp-range dates (e.g. sentinel "9999-12-31") to NaT even
-    though strptime accepts them, so failures are re-checked with real
-    ``strptime`` over *distinct* failing values only (dates repeat heavily;
-    this stays cheap).
+
+def _certified(col: pa.Array, fmt: str, date: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The values of ``col`` whose verdict Arrow settles under ``fmt``
+    (one of :data:`_ARROW_CERTIFIED`), and which of them pass. A value
+    is settled when it parses, falls in years 1-9999 and prints back as
+    itself: it is then the zero-padded stamp of a real ``datetime`` and
+    matches ``strptime``'s own regex for the format, so it passes unless
+    ``date`` and its time part is not zero. Other values stay open."""
+    parsed = pc.strptime(col, format=fmt, unit="s", error_is_null=True)
+    known = pc.and_(
+        pc.and_(pc.greater_equal(parsed, _FIRST_SECOND), pc.less_equal(parsed, _LAST_SECOND)),
+        pc.equal(pc.cast(pc.cast(parsed, _ARROW_CERTIFIED[fmt]), col.type), col),
+    )
+    known = pc.fill_null(known, False).to_numpy(zero_copy_only=False)
+    if not date:
+        return known, known
+    midnight = pc.equal(pc.floor_temporal(parsed, unit="day"), parsed)
+    return known, known & pc.fill_null(midnight, False).to_numpy(zero_copy_only=False)
+
+
+def _strptime_regex(fmt: str):
+    """The regex ``datetime.strptime`` compiles for ``fmt``, or None for
+    a format it rejects (then it raises on every value)."""
+    import _strptime
+
+    try:
+        return _strptime._TimeRE_cache.compile(fmt)
+    except (KeyError, IndexError):  # a bad directive, a stray %
+        return None
+
+
+def _per_value(values: pd.Series, verdicts: dict) -> np.ndarray:
+    """``verdicts[v]`` for each value ``v`` of ``values``."""
+    return np.fromiter((verdicts[v] for v in values), dtype=bool, count=len(values))
+
+
+def _full_match(values: pd.Series, regex) -> np.ndarray:
+    """Per string of ``values``: whether ``regex`` matches all of it, as
+    ``strptime`` first tests, once per distinct value."""
+    hits = {}
+    for v in pd.unique(values):
+        found = regex.match(v)
+        hits[v] = found is not None and found.end() == len(v)
+    return _per_value(values, hits)
+
+
+def _strptime_ok(values: pd.Series, fmt: str, date: bool) -> np.ndarray:
+    """Per string of ``values``: whether ``datetime.strptime(v, fmt)``
+    accepts it and, with ``date``, gives a zero time component.
+
+    pandas ``to_datetime(format=..., exact=True)`` answers most values
+    in C. Two kinds of its answers are re-checked with ``strptime``,
+    once per distinct value: every rejection, since pandas coerces dates
+    outside the Timestamp range (e.g. the sentinel "9999-12-31") to NaT;
+    and, for a format with seconds, every acceptance at second 0 or 1,
+    since pandas rolls a leap second (60 or 61) into the next minute
+    where ``strptime`` raises. ``strptime`` runs only on the values that
+    fully match its regex for ``fmt``: malformed values are often all
+    distinct, and most never reach it.
     """
-    from datetime import datetime
-
-    s = pd.Series(col.to_pandas() if isinstance(col, (pa.Array, pa.ChunkedArray)) else col)
-    parsed = pd.to_datetime(s, format=fmt, errors="coerce")
+    parsed = pd.to_datetime(values, format=fmt, errors="coerce")
+    regex = _strptime_regex(fmt)
+    if regex is None:
+        return np.zeros(len(values), dtype=bool)
     ok = parsed.notna().to_numpy()
-    midnight = (
-        (parsed.dt.hour == 0)
-        & (parsed.dt.minute == 0)
-        & (parsed.dt.second == 0)
-        & (parsed.dt.microsecond == 0)
-    ).fillna(False).to_numpy()
-
-    failing = s[~ok & s.notna() & (s != "")]
-    if len(failing):
-        verdicts: dict = {}
-        for v in pd.unique(failing):
-            try:
-                dt = datetime.strptime(v, fmt)
-                verdicts[v] = (
-                    dt.hour == 0 and dt.minute == 0 and dt.second == 0 and dt.microsecond == 0
-                )
-            except (ValueError, TypeError):
-                pass
-        if verdicts:
-            for i, v in zip(failing.index.to_numpy(), failing.to_numpy()):
-                if v in verdicts:
-                    ok[i] = True
-                    midnight[i] = verdicts[v]
-    return ok, midnight
+    recheck = ~ok
+    if "S" in regex.groupindex:
+        recheck |= (parsed.dt.second < 2).to_numpy()
+    if date:
+        ok &= (
+            (parsed.dt.hour == 0)
+            & (parsed.dt.minute == 0)
+            & (parsed.dt.second == 0)
+            & (parsed.dt.microsecond == 0)
+        ).to_numpy()
+    if not recheck.any():
+        return ok
+    candidates = values[recheck]
+    verdicts = dict.fromkeys(pd.unique(candidates), False)
+    for v in pd.unique(candidates[_full_match(candidates, regex)]):
+        try:
+            dt = datetime.strptime(v, fmt)
+        except ValueError:
+            continue
+        verdicts[v] = not date or dt.time() == datetime.min.time()
+    ok[recheck] = _per_value(candidates, verdicts)
+    return ok
 
 
 def _exempt(col: pa.Array) -> np.ndarray:
@@ -165,15 +229,37 @@ def _exempt(col: pa.Array) -> np.ndarray:
     return pc.or_(pc.is_null(col), empty).to_numpy(zero_copy_only=False)
 
 
+def _format_mask(col, fmt: str, date: bool) -> pa.Array:
+    """Violation mask of the date (``date``) or datetime format test:
+    exempt values and those :func:`_certified` settles are decided at
+    Arrow speed, and only the rest go to :func:`_strptime_ok`. What
+    Arrow leaves open is mostly malformed, and pandas is slow to reject
+    a value, so ``strptime``'s regex screens it first."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    passed = _exempt(col)
+    known = passed.copy()
+    screen = fmt in _ARROW_CERTIFIED and is_string_arrow_type(col.type)
+    if screen:
+        settled, ok = _certified(col, fmt, date)
+        known |= settled
+        passed |= ok
+    rest = np.flatnonzero(~known)
+    values = col.take(pa.array(rest)).to_pandas()
+    if screen:
+        keep = _full_match(values, _strptime_regex(fmt))
+        rest, values = rest[keep], values[keep]
+    if len(rest):
+        passed[rest] = _strptime_ok(values, fmt, date)
+    return pa.array(~passed)
+
+
 def datetime_format_mask(col, fmt: str = DEFAULT_DATETIME_FORMAT) -> pa.Array:
     """Violation where a non-null, non-empty string fails to fully parse
     with ``fmt``. Reference: ``_datetime_format_test`` +
     ``_valid_date_or_datetime_conversion`` (pandas_validator.py:306-334).
     """
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    ok, _ = _strptime_masks(col, fmt)
-    return pa.array(~(ok | _exempt(col)))
+    return _format_mask(col, fmt, date=False)
 
 
 def date_format_mask(col, fmt: str = DEFAULT_DATE_FORMAT) -> pa.Array:
@@ -182,10 +268,7 @@ def date_format_mask(col, fmt: str = DEFAULT_DATE_FORMAT) -> pa.Array:
     ``_check_no_time_component_in_expected_date``
     (pandas_validator.py:290-302,337-339).
     """
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    ok, midnight = _strptime_masks(col, fmt)
-    return pa.array(~((ok & midnight) | _exempt(col)))
+    return _format_mask(col, fmt, date=True)
 
 
 def is_string_arrow_type(t: pa.DataType) -> bool:

@@ -24,13 +24,15 @@ is one task per block group and per partition, so partitions beyond the
 CPU count only add tasks and objects (a 1-CPU box gets P = 1, a 32-CPU
 node P = 32). Reads are sized here too: :func:`read_width` derives a
 read's block count from the file listing and the same bytes estimate,
-never executing anything.
+and :func:`read_batch_rows` a parquet read's batch size from that
+estimate and the files' footer row counts, never executing anything.
 
 This module is the only place a keyed-exchange width *or a read's block
-count* is decided: no operator or reader takes a width argument. The
-one setting is the ``DATA_LINTER_RAY_SHUFFLE_PARTITIONS`` env var,
-which replaces the derivation for every exchange (:func:`join_width`
-still caps it at the cluster's CPUs) and leaves reads alone.
+count and batch size* is decided: no operator or reader takes a width
+argument. The one setting is the ``DATA_LINTER_RAY_SHUFFLE_PARTITIONS``
+env var, which replaces the derivation for every exchange
+(:func:`join_width` still caps it at the cluster's CPUs) and leaves
+reads alone.
 
 It also holds the primitives every operator composes its passes from:
 :func:`keyed_scatter_gather` / :func:`exchange_map_groups` (the keyed
@@ -80,6 +82,16 @@ def cluster_cpus() -> int:
         return 8
 
 
+def _listed(paths) -> list[str]:
+    """The files of ``paths`` (a file, a directory or a list of them)."""
+    from data_linter_ray import fs
+
+    files: list[str] = []
+    for p in [paths] if isinstance(paths, str) else paths:
+        files += fs.list_files(p) or [p]  # a file lists as nothing
+    return files
+
+
 def read_width(paths) -> int:
     """Block count for one read of ``paths`` (a file, a directory or a
     list of them; local or ``s3://``), from the file listing only:
@@ -89,27 +101,59 @@ def read_width(paths) -> int:
     This is Ray's own read sizing without its
     ``read_op_min_num_blocks`` = 200 term (bounded below by 1 MiB
     blocks), which splits a few small files into tens of blocks on a
-    small cluster. Each block pays the fused check pass's fixed
-    per-batch cost, and each read task a fixed scheduling cost, so the
-    width does not grow with the file count: Ray's parquet and CSV read
-    tasks take several files each and never split a file further than
-    the width, so a 1-CPU box reads a group of 8 small land files in 2
+    small cluster. Each read task pays a fixed scheduling cost, and
+    each batch it yields the fused check pass's fixed per-batch cost (a
+    parquet file reads as one batch, :func:`read_batch_rows`, which Ray
+    splits only when the width exceeds the file count), so the width
+    does not grow with the file count: Ray's parquet and CSV read tasks
+    take several files each and never split a file further than the
+    width, so a 1-CPU box reads a group of 8 small land files in 2
     tasks, not 8. The 2 × CPUs floor is Ray's own, so a big node keeps
     its parallelism and a tiny file gets no more blocks than Ray's
     default gives it; the bytes term keeps blocks at Ray's maximum size
     for large inputs."""
     from ray.data import DataContext
 
-    from data_linter_ray import fs
-
-    files: list[str] = []
-    for p in [paths] if isinstance(paths, str) else paths:
-        files += fs.list_files(p) or [p]  # a file lists as nothing
     width = 2 * cluster_cpus()
     block_bytes = DataContext.get_current().target_max_block_size
     if block_bytes:
-        width = max(width, math.ceil(_decoded_bytes(files) / block_bytes))
+        width = max(width, math.ceil(_decoded_bytes(_listed(paths)) / block_bytes))
     return width
+
+
+def read_batch_rows(paths) -> int | None:
+    """Rows per batch of one parquet read of ``paths``: the most rows
+    that stay within ``DataContext.target_max_block_size`` in every
+    file, at that file's :func:`_decoded_bytes` over its footer row
+    count (with no such bound, the most rows of any file); None when no
+    footer gives a row count.
+
+    A parquet read yields at most one batch per row group, and the fused
+    check pass runs once per batch, so at this size it runs once per row
+    group (a file of up to 2^20 rows, as pyarrow writes it, is one)
+    rather than once per Ray's default 10,000 rows. pyarrow's own
+    default, 131,072 rows, would bound no batch's bytes."""
+    import pyarrow.parquet as pq
+    from ray.data import DataContext
+
+    from data_linter_ray import fs
+
+    rows: list[int] = []
+    bounds: list[int] = []
+    block_bytes = DataContext.get_current().target_max_block_size
+    for f in _listed(paths):
+        try:
+            filesystem, rel = fs.resolve(f)
+            n = pq.read_metadata(rel, filesystem=filesystem).num_rows
+        except (OSError, ValueError):  # not parquet: the read itself reports it
+            continue
+        rows.append(n)
+        decoded = _decoded_bytes([f])
+        if n and decoded and block_bytes:
+            bounds.append(max(1, block_bytes * n // decoded))
+    if not any(rows):
+        return None
+    return min(bounds) if bounds else max(rows)
 
 
 def join_width(*datasets) -> int:
@@ -146,7 +190,7 @@ def _estimated_bytes(ds) -> int:
 def _decoded_bytes(files) -> int:
     """On-disk bytes of ``files`` × ``DECODE_INFLATION`` (a file whose
     size cannot be read counts 0): the one bytes estimate behind every
-    exchange width and read block count."""
+    exchange width, read block count and read batch size."""
     from data_linter_ray import fs
 
     total = 0

@@ -27,7 +27,7 @@ import pyarrow as pa
 import pyarrow.csv as pacsv
 from ray.data import Dataset
 
-from data_linter_ray.exchange import read_width
+from data_linter_ray.exchange import read_batch_rows, read_width
 from data_linter_ray.metadata import TableSchema
 
 # pandas default NA strings (public pandas docs) — used when
@@ -159,15 +159,19 @@ def format_of(path: str) -> str:
 
 def read_parquet_dataset(path: str | list[str], include_paths: bool = False) -> Dataset:
     """Parquet file(s) → Dataset, as encoded (no ingest normalization),
-    with the cluster-sized block count of :func:`exchange.read_width`.
-    The parquet read of :func:`read_table_dataset` and of reference
-    tables."""
+    with the cluster-sized block count of :func:`exchange.read_width`
+    and the batch size of :func:`exchange.read_batch_rows`: a map fused
+    with the read runs once per file (row group), each batch within
+    Ray's maximum block size. The parquet read of
+    :func:`read_table_dataset` and of reference tables."""
     import ray.data
 
+    batch_rows = read_batch_rows(path)
     return ray.data.read_parquet(
         path,
         override_num_blocks=read_width(path),
         include_paths=include_paths,
+        **({} if batch_rows is None else {"batch_size": batch_rows}),
         **_fs_kwargs(path),
     )
 

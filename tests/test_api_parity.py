@@ -243,9 +243,10 @@ def test_exchanges_and_folds_use_the_shared_primitives():
 
 def test_unit_grouping_has_no_knob():
     """Grouping a table's land files into one Ray execution is decided by
-    their footers alone: the run entry points and ``validate_dataset``
-    take no parameter for it, and the package reads no new
-    ``DATA_LINTER_RAY_*`` environment variable."""
+    their footers alone, and a read's block count and batch size by its
+    file listing and footers: the run entry points, ``validate_dataset``
+    and the readers take no parameter for them, and the package reads no
+    new ``DATA_LINTER_RAY_*`` environment variable."""
     import inspect
     import pathlib
     import re
@@ -254,6 +255,7 @@ def test_unit_grouping_has_no_knob():
     from data_linter_ray.pipelines.run import run_validation, validate_phase
     from data_linter_ray.pipelines.table import validate_table_checkpointed
     from data_linter_ray.pipelines.validate import validate_dataset
+    from data_linter_ray.sources.readers import read_parquet_dataset, read_table_dataset
 
     def params(fn):
         return list(inspect.signature(fn).parameters)
@@ -268,6 +270,10 @@ def test_unit_grouping_has_no_knob():
         "ds", "schema", "id_column", "ref_tables", "allow_missing_cols",
         "allow_unexpected_data", "row_limit", "row_sample", "sample_seed",
         "log_verbosity", "drift_baselines", "drift_threshold",
+    ]
+    assert params(read_parquet_dataset) == ["path", "include_paths"]
+    assert params(read_table_dataset) == [
+        "path", "schema", "table_params", "file_format", "include_paths",
     ]
     root = pathlib.Path(data_linter_ray.__file__).parent
     env = {

@@ -11,6 +11,8 @@ No Ray needed here — kernels are pure pyarrow/pandas.
 
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from data_linter_ray import checks
 from data_linter_ray.metadata import ColumnSpec
@@ -188,12 +190,41 @@ def test_out_of_timestamp_range_date_ok():
     assert mask.to_pylist() == [False, False, True]
 
 
+def _strptime_reference(values, fmt, midnight_only):
+    """The reference's per-value loop: a null or empty value passes, any
+    other must parse with ``datetime.strptime`` (and, for a date test,
+    have a zero time part). True = violation."""
+    from datetime import datetime
+
+    out = []
+    for v in values:
+        if not v:
+            out.append(False)
+            continue
+        try:
+            dt = datetime.strptime(v, fmt)
+        except ValueError:
+            out.append(True)
+            continue
+        out.append(midnight_only and dt.time() != datetime.min.time())
+    return out
+
+
+def _assert_date_kernels_match(col, fmts):
+    values = col.to_pylist()
+    for fmt in fmts:
+        assert checks.datetime_format_mask(col, fmt).to_pylist() == _strptime_reference(
+            values, fmt, False
+        ), fmt
+        assert checks.date_format_mask(col, fmt).to_pylist() == _strptime_reference(
+            values, fmt, True
+        ), fmt
+
+
 def test_date_kernels_mixed_chunked_column():
     """Null, "", valid, malformed and out-of-Timestamp-range strings in
     a chunked array: both date kernels equal the reference's per-value
     ``strptime`` loop, where a null or empty value passes."""
-    from datetime import datetime
-
     col = pa.chunked_array(
         [
             ["2020-01-01 00:00:00", None, "", "2020-02-30 00:00:00"],
@@ -202,28 +233,97 @@ def test_date_kernels_mixed_chunked_column():
             ["2021/03/04 05:06:07", "2021-03-04 05:06:07", "2021-03-04", "x"],
         ]
     )
-    values = col.to_pylist()
+    _assert_date_kernels_match(col, [checks.DEFAULT_DATETIME_FORMAT, "%Y-%m-%d"])
 
-    def reference(fmt, midnight_only):
-        out = []
-        for v in values:
-            if not v:
-                out.append(False)
-                continue
-            try:
-                dt = datetime.strptime(v, fmt)
-            except ValueError:
-                out.append(True)
-                continue
-            out.append(midnight_only and dt.time() != datetime.min.time())
-        return out
 
-    fmt = checks.DEFAULT_DATETIME_FORMAT
-    assert checks.datetime_format_mask(col, fmt).to_pylist() == reference(fmt, False)
-    assert checks.date_format_mask(col, fmt).to_pylist() == reference(fmt, True)
-    assert checks.date_format_mask(col, "%Y-%m-%d").to_pylist() == reference(
-        "%Y-%m-%d", True
-    )
+#: both default formats, whose ISO values Arrow settles, and two that
+#: take the pandas path alone, with and without seconds
+DATE_FORMATS = [
+    checks.DEFAULT_DATETIME_FORMAT, checks.DEFAULT_DATE_FORMAT,
+    "%d/%m/%Y %H:%M", "%d/%m/%Y %H:%M:%S",
+]
+#: the formats' own characters, their look-alikes and separators
+#: ``strptime`` treats as whitespace or digits
+DATE_ALPHABET = "0123456789-: /T\t\x0b\x1c\uff10\uff11\uff12\uff16\uff19"
+
+EDGE_STAMPS = [
+    "2020-02-29", "2019-02-29", "2020-02-29 12:00:00", "2019-02-29 12:00:00",
+    "29/02/2020 12:00", "29/02/2019 12:00",
+    "0000-01-01", "0001-01-01", "9999-12-31", "10000-01-01",
+    "0000-01-01 00:00:00", "0001-01-01 00:00:00", "9999-12-31 23:59:59",
+    "01/01/0000 00:00", "01/01/0001 00:00", "31/12/9999 23:59",
+    "2020-1-2", "2020-1-2 3:4:5", "2020-01-02 03:04:5", "1/2/2020 3:4",
+    "2020-01-01 23:59:60", "2020-01-01 23:59:61", "2020-01-01 24:00:00",
+    "01/01/2020 23:59:60", "01/01/2020 23:59:61", "01/01/2020 23:59:59",
+    "2020-13-01", "2020-13-01 00:00:00", "01/13/2020 00:00", "01/01/2020 24:00",
+    " 2020-01-01", "2020-01-01 ", " 2020-01-01 00:00:00", "2020-01-01 00:00:00 ",
+    " 01/01/2020 00:00", "01/01/2020 00:00 ", "2020-01-01  00:00:00",
+    "2020-01-01T00:00:00", "2020-01-01\t00:00:00", "\uff12\uff10\uff12\uff10-01-01",
+    "2020-01-01 00:00:00", "2020-01-01 00:00", "01/01/2020 00:00", None, "",
+]
+
+
+def test_date_kernels_edge_stamps():
+    """Leap days, years 0 / 1 / 9999 / 10000, single-digit fields,
+    second 60, hour 24, month 13, surrounding spaces and look-alike
+    separators, in string, large_string and chunked columns, and in
+    all-null and empty ones: both kernels equal the ``strptime`` loop
+    under every format."""
+    for col in (
+        pa.array(EDGE_STAMPS),
+        pa.array(EDGE_STAMPS, pa.large_string()),
+        pa.chunked_array([EDGE_STAMPS[:7], [], EDGE_STAMPS[7:]]),
+        pa.chunked_array([EDGE_STAMPS[:7], EDGE_STAMPS[7:]], pa.large_string()),
+        pa.nulls(4, pa.string()),
+        pa.array([], pa.string()),
+        pa.chunked_array([], pa.large_string()),
+    ):
+        _assert_date_kernels_match(col, DATE_FORMATS)
+
+
+def _mutated(draw, stamp: str) -> str:
+    chars = list(stamp)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(chars)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if op == "insert":
+            chars.insert(i, draw(st.sampled_from(DATE_ALPHABET)))
+        elif chars:
+            i = min(i, len(chars) - 1)
+            if op == "delete":
+                del chars[i]
+            else:
+                chars[i] = draw(st.sampled_from(DATE_ALPHABET))
+    return "".join(chars)
+
+
+@st.composite
+def _date_values(draw):
+    fmt = draw(st.sampled_from(DATE_FORMATS))
+    dt = draw(st.datetimes())
+    stamp = dt.strftime(fmt.replace("%Y", f"{dt.year:04d}"))
+    kind = draw(st.sampled_from(["null", "empty", "stamp", "mutated", "text"]))
+    if kind == "null":
+        return None
+    if kind == "empty":
+        return ""
+    if kind == "stamp":
+        return stamp
+    if kind == "mutated":
+        return _mutated(draw, stamp)
+    return draw(st.text(DATE_ALPHABET, max_size=22))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_date_values(), max_size=40), st.integers(0, 40), st.booleans())
+def test_date_kernels_match_strptime(values, cut, large):
+    """Random stamps of every format, mutated ones and strings over the
+    formats' alphabet with look-alikes (``/``, ``T``, tab, vertical tab,
+    ``\\x1c``, full-width digits), in a chunked column: both kernels
+    equal the per-value ``strptime`` loop under every format."""
+    typ = pa.large_string() if large else pa.string()
+    col = pa.chunked_array([values[:cut], values[cut:]], typ)
+    _assert_date_kernels_match(col, DATE_FORMATS)
 
 
 def test_dispatch_skips():

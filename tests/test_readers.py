@@ -1,23 +1,32 @@
 """Read sizing: ``read_table_dataset`` reads ``exchange.read_width``
-blocks, not Ray's default of up to 200.
+blocks, not Ray's default of up to 200, in batches of
+``exchange.read_batch_rows`` rows, not Ray's default of 10,000.
 
-The fused check pass pays a fixed cost per block, so a read must give
-the cluster enough blocks to run in parallel (at least one per CPU) and
-no more: Ray's default splits six 50k-document files into ~60 blocks.
-It must also never split a tiny file further than Ray itself does, and
-many small files share read tasks rather than taking one block each.
+The fused check pass pays a fixed cost per read task and per batch, so
+a read must give the cluster enough blocks to run in parallel (at least
+one per CPU) and no more: Ray's default splits six 50k-document files
+into ~60 blocks. It must also never split a tiny file further than Ray
+itself does, and many small files share read tasks rather than taking
+one block each. A parquet file reads as one batch, so the pass runs once
+per file, unless a batch would outgrow Ray's maximum block size.
 """
 
 import os
+from collections import Counter
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 import ray
 
 from data_linter_ray import synth
-from data_linter_ray.exchange import cluster_cpus, read_width
+from data_linter_ray.exchange import cluster_cpus, read_batch_rows, read_width
+from data_linter_ray.metadata import ColumnSpec, TableSchema
+from data_linter_ray.pipelines.validate import ROWS_KEY, validate_units
 from data_linter_ray.sources.readers import read_table_dataset
+from data_linter_ray.state.sketches import TDigest
 
 FILES, FILE_ROWS = 6, 50_000
 
@@ -79,3 +88,90 @@ def test_read_width_rule(ray_session, tmp_path):
         assert read_width(paths) > 2 * cpus
     finally:
         ctx.target_max_block_size = saved
+
+
+BATCH_FILES, BATCH_FILE_ROWS = 3, 30_000
+KEYED = TableSchema(
+    "t",
+    [
+        ColumnSpec("id", "int64", unique=True),
+        ColumnSpec("a", "float64", maximum=90.0, drift={"metric": "quantile_shift"}),
+    ],
+)
+
+
+@pytest.fixture(scope="module")
+def keyed_dir(ray_session, tmp_path_factory):
+    """Three 30k-row files whose ``id`` keys repeat within and across
+    files, with a drifting ``a`` column."""
+    d = tmp_path_factory.mktemp("keyed")
+    rng = np.random.default_rng(0)
+    for i in range(BATCH_FILES):
+        pq.write_table(
+            pa.table({
+                "id": rng.integers(0, 60_000, BATCH_FILE_ROWS),
+                "a": rng.uniform(0.0, 100.0, BATCH_FILE_ROWS),
+            }),
+            str(d / f"part-{i}.parquet"),
+        )
+    return str(d)
+
+
+def _fused_calls(path) -> tuple[list[int], Counter]:
+    """The rows of each fused-pass call over ``path`` (its kind-1
+    ``__rows__`` stream rows) and the count of kind-3 sketch rows per
+    (column, sketch kind), from one ``validate_units`` pass: the whole
+    read as one unit, as ``validate_dataset`` runs it."""
+    td = TDigest()
+    td.add(np.linspace(0.0, 50.0, 1_000))
+    [res], [stream, *_] = validate_units(
+        read_table_dataset(path, KEYED), KEYED, None, drift_baselines={"a": {"tdigest": td}}
+    )
+    assert res.counts[("id", "unique_test")] > 0
+    t = pa.concat_tables(ray.get(stream.to_arrow_refs()))
+    rows = t.filter(pc.and_(pc.equal(t["kind"], 1), pc.equal(t["column"], ROWS_KEY)))
+    sketches = t.filter(pc.equal(t["kind"], 3))
+    return rows["n"].to_pylist(), Counter(
+        zip(sketches["column"].to_pylist(), sketches["test"].to_pylist())
+    )
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """The read width of a 1-CPU cluster (2 blocks), below the file
+    count: a wider read has Ray split each file's output into several
+    blocks, one call each."""
+    from data_linter_ray import exchange
+
+    monkeypatch.setattr(exchange, "cluster_cpus", lambda: 1)
+
+
+def test_fused_pass_runs_once_per_file(keyed_dir, one_cpu):
+    """Ray's own read batches of 10,000 rows would make nine calls."""
+    assert read_batch_rows(keyed_dir) >= BATCH_FILE_ROWS
+    rows, sketches = _fused_calls(keyed_dir)
+    assert rows == [BATCH_FILE_ROWS] * BATCH_FILES
+    assert sketches == {("a", "tdigest"): BATCH_FILES}
+
+
+def test_read_batches_stay_within_the_block_size(keyed_dir, one_cpu):
+    """With a small maximum block size a file reads in several batches,
+    each within the bound by the decoded-bytes estimate and by its real
+    Arrow size."""
+    files = sorted(os.path.join(keyed_dir, f) for f in os.listdir(keyed_dir))
+    per_row = max(4 * os.path.getsize(f) / BATCH_FILE_ROWS for f in files)
+    ctx = ray.data.DataContext.get_current()
+    saved = ctx.target_max_block_size
+    ctx.target_max_block_size = bound = int(per_row * BATCH_FILE_ROWS / 4)
+    try:
+        batch = read_batch_rows(keyed_dir)
+        rows, sketches = _fused_calls(keyed_dir)
+    finally:
+        ctx.target_max_block_size = saved
+    assert batch * per_row <= bound < (batch + 1) * per_row
+    assert pq.read_table(files[0]).slice(0, batch).nbytes <= bound
+    per_file = -(-BATCH_FILE_ROWS // batch)
+    assert per_file > 1
+    assert len(rows) == BATCH_FILES * per_file and max(rows) <= batch
+    assert sum(rows) == BATCH_FILES * BATCH_FILE_ROWS
+    assert sketches == {("a", "tdigest"): len(rows)}

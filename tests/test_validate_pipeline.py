@@ -607,3 +607,91 @@ def test_verdicts_do_not_depend_on_read_block_count(ray_session, tmp_path):
     assert counts[("spans", "referential_test")] > 0
     assert "unexpected_values_sample" in result
     assert outs[1] == outs[0]
+
+
+@pytest.mark.parametrize("log_verbosity", [0, 3])
+def test_verdicts_do_not_depend_on_read_batch_size(
+    ray_session, tmp_path, monkeypatch, log_verbosity
+):
+    """The same parquet files read in Ray's default 10,000-row batches
+    and through ``read_table_dataset`` (one batch per file, by
+    ``exchange.read_batch_rows``) give identical counts, row counts,
+    sorted violation rows, samples and drift verdicts: for the files as
+    one unit (``validate_dataset``) and as the units of one
+    ``include_paths`` read (``validate_units``). Keys repeat within
+    batches, across batches and across files. The read is sized for one
+    CPU, so that its width (2) stays below the file count and Ray does
+    not split a file's batch into more blocks."""
+    import json
+
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    from data_linter_ray import exchange
+    from data_linter_ray.exchange import read_batch_rows
+    from data_linter_ray.pipelines.validate import keep_violations, validate_units
+    from data_linter_ray.sources.readers import read_table_dataset, row_path
+    from data_linter_ray.state.sketches import TDigest
+
+    rng = np.random.default_rng(3)
+    paths = []
+    for i in range(3):
+        n = 25_000
+        paths.append(str(tmp_path / f"part-{i}.parquet"))
+        pq.write_table(
+            pa.table({
+                "k": rng.integers(0, 40_000, n),
+                "v": rng.uniform(0.0, 100.0, n) + 10.0 * i,
+                "s": pa.array(rng.choice(["ab", "cd", "x1", ""], n), pa.string()),
+            }),
+            paths[-1],
+        )
+    schema = TableSchema(
+        "t",
+        [
+            ColumnSpec("k", "int64", unique=True),
+            ColumnSpec("v", "float64", maximum=95.0, drift={"metric": "quantile_shift"}),
+            ColumnSpec("s", "string", pattern="^[a-z]+$"),
+        ],
+    )
+    td = TDigest()
+    td.add(rng.uniform(0.0, 100.0, 5_000))
+    kwargs = dict(
+        id_column="k", log_verbosity=log_verbosity, drift_baselines={"v": {"tdigest": td}}
+    )
+    monkeypatch.setattr(exchange, "cluster_cpus", lambda: 1)
+    assert read_batch_rows(paths) >= 25_000
+
+    def summary(res, rows):
+        out = res.response.get_result()
+        drift = out["v"].pop("drift_test")
+        distance = drift["test_inputs"].pop("distance")
+        return (
+            (res.counts, res.row_count, json.dumps(out, sort_keys=True, default=str), drift),
+            distance,
+            sorted(rows.itertuples(index=False, name=None), key=lambda r: tuple(map(str, r))),
+        )
+
+    def validate(read):
+        one = validate_dataset(read(False), schema, **kwargs)
+        got = [summary(one, one.violations.to_pandas())]
+        results, violations = validate_units(
+            read(True), schema, [row_path(p) for p in paths], **kwargs
+        )
+        rows = pa.concat_tables(
+            [keep_violations(t) for v in violations for t in ray.get(v.to_arrow_refs()) if t.num_rows]
+        ).to_pandas()
+        for u, res in enumerate(results):
+            got.append(summary(res, rows[rows["cc"] == u].drop(columns=["cc"])))
+        return got
+
+    default = validate(lambda tagged: ray.data.read_parquet(paths, include_paths=tagged))
+    batched = validate(lambda tagged: read_table_dataset(paths, schema, include_paths=tagged))
+    assert default[0][0][1] == 75_000 and [g[0][1] for g in default[1:]] == [25_000] * 3
+    assert default[0][0][0][("k", "unique_test")] > 0
+    assert "unexpected_values_sample" in default[0][0][2]
+    assert {g[0][3]["valid"] for g in default} == {True, False}  # drift in some units
+    for want, got in zip(default, batched):
+        assert got[0] == want[0]
+        assert got[2] == want[2]
+        assert abs(got[1] - want[1]) <= 0.03
