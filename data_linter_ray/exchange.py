@@ -25,7 +25,11 @@ CPU count only add tasks and objects (a 1-CPU box gets P = 1, a 32-CPU
 node P = 32). Reads are sized here too: :func:`read_width` derives a
 read's block count from the file listing and the same bytes estimate,
 and :func:`read_batch_rows` a parquet read's batch size from that
-estimate and the files' footer row counts, never executing anything.
+estimate and the files' footer row counts, never executing anything. A
+parquet read takes both from one driver pass over its files,
+:func:`parquet_footers`: one listing, then one open per file for its
+size and footer, which also plan the read itself
+(``sources.readers.read_parquet_dataset``).
 
 This module is the only place a keyed-exchange width *or a read's block
 count and batch size* is decided: no operator or reader takes a width
@@ -46,6 +50,9 @@ from __future__ import annotations
 
 import math
 import os
+from typing import Any, NamedTuple
+
+import ray
 
 #: default floor — small inputs still fan out across one node's cores
 #: (the validation stream floors at the cluster's CPU count instead)
@@ -75,26 +82,69 @@ def cluster_cpus() -> int:
     """CPU count of the running Ray cluster, at least 1 (8 when Ray is
     not initialised)."""
     try:
-        import ray
-
         return max(1, int(ray.cluster_resources().get("CPU", 8)))
     except Exception:
         return 8
 
 
-def _listed(paths) -> list[str]:
-    """The files of ``paths`` (a file, a directory or a list of them)."""
+class Footer(NamedTuple):
+    """One parquet file of a read, as the driver's footer pass saw it."""
+
+    path: str  #: as listed, the scheme kept
+    size: int  #: on-disk bytes
+    metadata: Any  #: its ``pyarrow.parquet.FileMetaData``
+
+
+def _listed(paths) -> list:
+    """The files of ``paths`` (a file, a directory or a list of them); a
+    :class:`Footer` stands for its file."""
     from data_linter_ray import fs
 
-    files: list[str] = []
+    files: list = []
     for p in [paths] if isinstance(paths, str) else paths:
-        files += fs.list_files(p) or [p]  # a file lists as nothing
+        if isinstance(p, Footer):
+            files.append(p)
+        else:
+            files += fs.list_files(p) or [p]  # a file lists as nothing
     return files
+
+
+def parquet_footers(paths) -> list[Footer]:
+    """One pass over the parquet files of ``paths`` (a file, a directory
+    or a list of them; local or ``s3://``) on the driver: the listing,
+    then one open per file for its size and footer. A footer that cannot
+    be read raises. Under a directory, a file any part of whose path
+    below it starts with ``.`` or ``_`` is no data, as pyarrow's dataset
+    discovery has it (Spark's ``_SUCCESS``, ``_metadata``)."""
+    import pyarrow.parquet as pq
+
+    from data_linter_ray import fs
+
+    files = []
+    for p in [paths] if isinstance(paths, str) else paths:
+        listed = fs.list_files(p)
+        if not listed:  # a file lists as nothing
+            files.append(p)
+            continue
+        below = len(p.rstrip("/")) + 1
+        files += [
+            f
+            for f in listed
+            if not any(part.startswith((".", "_")) for part in f[below:].split("/"))
+        ]
+    footers = []
+    for f in files:
+        filesystem, rel = fs.resolve(f)
+        with filesystem.open_input_file(rel) as src:
+            footers.append(Footer(f, src.size(), pq.read_metadata(src)))
+    return footers
 
 
 def read_width(paths) -> int:
     """Block count for one read of ``paths`` (a file, a directory or a
-    list of them; local or ``s3://``), from the file listing only:
+    list of them; local or ``s3://``; or a read's
+    :func:`parquet_footers`, whose sizes it takes), from the file
+    listing only:
     max(2 × :func:`cluster_cpus`, decoded bytes /
     ``DataContext.target_max_block_size``).
 
@@ -105,13 +155,12 @@ def read_width(paths) -> int:
     each batch it yields the fused check pass's fixed per-batch cost (a
     parquet file reads as one batch, :func:`read_batch_rows`, which Ray
     splits only when the width exceeds the file count), so the width
-    does not grow with the file count: Ray's parquet and CSV read tasks
-    take several files each and never split a file further than the
-    width, so a 1-CPU box reads a group of 8 small land files in 2
-    tasks, not 8. The 2 × CPUs floor is Ray's own, so a big node keeps
-    its parallelism and a tiny file gets no more blocks than Ray's
-    default gives it; the bytes term keeps blocks at Ray's maximum size
-    for large inputs."""
+    does not grow with the file count: read tasks take several files
+    each and never split a file further than the width, so a 1-CPU box
+    reads a group of 8 small land files in 2 tasks, not 8. The 2 × CPUs
+    floor is Ray's own, so a big node keeps its parallelism and a tiny
+    file gets no more blocks than Ray's default gives it; the bytes
+    term keeps blocks at Ray's maximum size for large inputs."""
     from ray.data import DataContext
 
     width = 2 * cluster_cpus()
@@ -121,39 +170,27 @@ def read_width(paths) -> int:
     return width
 
 
-def read_batch_rows(paths) -> int | None:
-    """Rows per batch of one parquet read of ``paths``: the most rows
-    that stay within ``DataContext.target_max_block_size`` in every
-    file, at that file's :func:`_decoded_bytes` over its footer row
-    count (with no such bound, the most rows of any file); None when no
-    footer gives a row count.
+def read_batch_rows(footers: list[Footer]) -> int:
+    """Rows per batch of one parquet read, from its
+    :func:`parquet_footers`: the most rows that stay within
+    ``DataContext.target_max_block_size`` in every file, at that file's
+    :func:`_decoded_bytes` over its footer row count (with no such
+    bound, the most rows of any file, at least 1).
 
     A parquet read yields at most one batch per row group, and the fused
     check pass runs once per batch, so at this size it runs once per row
     group (a file of up to 2^20 rows, as pyarrow writes it, is one)
     rather than once per Ray's default 10,000 rows. pyarrow's own
     default, 131,072 rows, would bound no batch's bytes."""
-    import pyarrow.parquet as pq
     from ray.data import DataContext
 
-    from data_linter_ray import fs
-
-    rows: list[int] = []
-    bounds: list[int] = []
     block_bytes = DataContext.get_current().target_max_block_size
-    for f in _listed(paths):
-        try:
-            filesystem, rel = fs.resolve(f)
-            n = pq.read_metadata(rel, filesystem=filesystem).num_rows
-        except (OSError, ValueError):  # not parquet: the read itself reports it
-            continue
-        rows.append(n)
-        decoded = _decoded_bytes([f])
-        if n and decoded and block_bytes:
-            bounds.append(max(1, block_bytes * n // decoded))
-    if not any(rows):
-        return None
-    return min(bounds) if bounds else max(rows)
+    bounds = [
+        max(1, block_bytes * f.metadata.num_rows // _decoded_bytes([f]))
+        for f in footers
+        if block_bytes and f.metadata.num_rows and f.size
+    ]
+    return min(bounds, default=max([f.metadata.num_rows for f in footers] + [1]))
 
 
 def join_width(*datasets) -> int:
@@ -188,15 +225,16 @@ def _estimated_bytes(ds) -> int:
 
 
 def _decoded_bytes(files) -> int:
-    """On-disk bytes of ``files`` × ``DECODE_INFLATION`` (a file whose
-    size cannot be read counts 0): the one bytes estimate behind every
-    exchange width, read block count and read batch size."""
+    """On-disk bytes of ``files`` × ``DECODE_INFLATION`` (a
+    :class:`Footer` carries its size; a file whose size cannot be read
+    counts 0): the one bytes estimate behind every exchange width, read
+    block count and read batch size."""
     from data_linter_ray import fs
 
     total = 0
     for f in files:
         try:
-            total += fs.size(f)
+            total += f.size if isinstance(f, Footer) else fs.size(f)
         except Exception:
             pass
     return total * DECODE_INFLATION
@@ -253,45 +291,57 @@ def keyed_scatter_gather(
     """
     import numpy as np
     import pyarrow as pa
-    import ray
     import ray.data as rd
 
     P = int(num_partitions)
-
-    def _scatter(*tables):
-        # Ray Data passes empty blocks through map_batches WITHOUT
-        # calling the UDF, so an empty block can carry a stale upstream
-        # schema (even missing part_col). Empty parts are dropped by
-        # the reduce side regardless, so skip empty inputs wholesale.
-        tables = [t for t in tables if t.num_rows]
-        if not tables:
-            return tuple([pa.table({})] * P) + (np.zeros(P, np.int64),)
-        t = tables[0] if len(tables) == 1 else pa.concat_tables(tables)
-        pv = t[part_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        out = split_by_partition(t, pv, P)
-        return tuple(out) + (np.array([p.num_rows for p in out], np.int64),)
-
-    def _reduce(i, *parts):
-        return reduce_fn(i, pa.concat_tables([p for p in parts if p.num_rows]))
-
-    scatter_task = ray.remote(_scatter).options(num_returns=P + 1)
-    reduce_task = ray.remote(_reduce)
-
+    scatter = _scatter_task.options(num_returns=P + 1)
     refs = block_refs(mat)
     # group blocks so scatter-task (and returned-ref) count stays ~2×P
     group = max(1, len(refs) // (2 * P))
     groups = [refs[i : i + group] for i in range(0, len(refs), group)]
-    per_block = [scatter_task.remote(*g) for g in groups]
+    per_block = [scatter.remote(part_col, P, *g) for g in groups]
     counts = np.sum([np.zeros(P, np.int64)] + ray.get([pb[P] for pb in per_block]), axis=0)
     live = [p for p in range(P) if counts[p] > 0]
     if not live:
         return rd.from_arrow(
             empty_schema.empty_table() if empty_schema is not None else pa.table({})
         )
+    reduce_ref = ray.put(reduce_fn)  # one copy for every reduce task
     reduced = [
-        reduce_task.remote(p, *[pb[p] for pb in per_block]) for p in live
+        _reduce_task.remote(reduce_ref, p, *[pb[p] for pb in per_block]) for p in live
     ]
     return rd.from_arrow_refs(reduced)
+
+
+def _scatter(part_col: str, num_partitions: int, *tables):
+    """Ray task: the scatter side of :func:`keyed_scatter_gather` — one
+    block group split into ``num_partitions`` tables by ``part_col``,
+    then their row counts."""
+    import numpy as np
+    import pyarrow as pa
+
+    # Ray Data passes empty blocks through map_batches WITHOUT
+    # calling the UDF, so an empty block can carry a stale upstream
+    # schema (even missing part_col). Empty parts are dropped by
+    # the reduce side regardless, so skip empty inputs wholesale.
+    tables = [t for t in tables if t.num_rows]
+    if not tables:
+        return tuple([pa.table({})] * num_partitions) + (np.zeros(num_partitions, np.int64),)
+    t = tables[0] if len(tables) == 1 else pa.concat_tables(tables)
+    pv = t[part_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    out = split_by_partition(t, pv, num_partitions)
+    return tuple(out) + (np.array([p.num_rows for p in out], np.int64),)
+
+
+def _reduce(reduce_fn, i: int, *parts):
+    """Ray task: the gather side of :func:`keyed_scatter_gather`."""
+    import pyarrow as pa
+
+    return reduce_fn(i, pa.concat_tables([p for p in parts if p.num_rows]))
+
+
+_scatter_task = ray.remote(_scatter)
+_reduce_task = ray.remote(_reduce)
 
 
 def exchange_map_groups(

@@ -40,6 +40,8 @@ import os
 import tempfile
 from typing import Optional
 
+import ray
+
 _S3_ENDPOINT_ENVS = ("DATA_LINTER_RAY_S3_ENDPOINT", "AWS_ENDPOINT_URL")
 
 
@@ -357,6 +359,9 @@ def _write_parquet_block(root, partition_col, prepare, s3_kwargs, idx, block) ->
         client.put_object(Bucket=bucket, Key=key, Body=sink.getvalue())
 
 
+_write_block_task = ray.remote(_write_parquet_block)
+
+
 def write_parquet_uri(
     datasets, path: str, partition_col: Optional[str] = None, prepare=None
 ) -> None:
@@ -370,7 +375,6 @@ def write_parquet_uri(
     Ray Data execution; a lazy one is materialized first. Each object
     holds at most one block (~128 MB target), under the 5 GB single-PUT
     limit, and a retried task rewrites its own objects."""
-    import ray
     from ray.data import Dataset
 
     from data_linter_ray.exchange import block_refs
@@ -381,6 +385,5 @@ def write_parquet_uri(
         if type(ds).__name__ != "MaterializedDataset":
             ds = ds.materialize()
         blocks += block_refs(ds)
-    task = ray.remote(_write_parquet_block)
     args = (path.rstrip("/"), partition_col, prepare, s3_client_kwargs())
-    ray.get([task.remote(*args, i, b) for i, b in enumerate(blocks)])
+    ray.get([_write_block_task.remote(*args, i, b) for i, b in enumerate(blocks)])

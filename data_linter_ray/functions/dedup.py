@@ -24,6 +24,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 from ray.data import Dataset
 
 from data_linter_ray.exchange import block_refs, exchange_map_groups, exchange_width
@@ -570,6 +571,16 @@ def dedup_components(
 BROADCAST_DROP_THRESHOLD = 5_000_000
 
 
+@ray.remote(num_cpus=1)
+def _concat_losers_task(*blocks) -> pa.Array:
+    """Ray task: the ``_loser`` column of the loser blocks as one array."""
+    tabs = [b if isinstance(b, pa.Table) else pa.Table.from_pandas(b) for b in blocks]
+    col = pa.concat_tables(tabs)["_loser"].combine_chunks()
+    if isinstance(col, pa.ChunkedArray):
+        col = col.chunk(0) if col.num_chunks else pa.array([], col.type)
+    return col
+
+
 def drop_near_duplicates(
     ds: Dataset, components: Dataset, id_col: str = "doc_id"
 ) -> Dataset:
@@ -584,8 +595,6 @@ def drop_near_duplicates(
     size) switch to a coarse id-hash exchange: corpus rows and loser
     ids co-partition by hash(id), each partition anti-filters locally —
     bounded per-partition memory, no corpus-sized broadcast."""
-    import ray
-
     losers_ds = components.select_columns(["doc_id", "component_id"]).map_batches(
         lambda t: pa.table(
             {"_loser": t["doc_id"].filter(
@@ -604,18 +613,7 @@ def drop_near_duplicates(
         # build the broadcast value set in the object store: a remote
         # task concatenates the (already Arrow) loser blocks — the
         # loser ids never pass through the driver as pandas/python.
-        @ray.remote(num_cpus=1)
-        def _concat(*blocks) -> pa.Array:
-            tabs = [
-                b if isinstance(b, pa.Table) else pa.Table.from_pandas(b)
-                for b in blocks
-            ]
-            col = pa.concat_tables(tabs)["_loser"].combine_chunks()
-            if isinstance(col, pa.ChunkedArray):
-                col = col.chunk(0) if col.num_chunks else pa.array([], col.type)
-            return col
-
-        losers_ref = _concat.remote(*losers_ds.to_arrow_refs())
+        losers_ref = _concat_losers_task.remote(*losers_ds.to_arrow_refs())
 
         def keep(t: pa.Table) -> pa.Table:
             ls = ray.get(losers_ref)  # plasma-local after first node fetch

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import pyarrow as pa
+import ray
 from ray.data import Dataset
 
 from data_linter_ray import checks
@@ -247,6 +248,9 @@ def _heads(t: pa.Table, n: int) -> pa.Table:
     return t.filter(pa.array(rank.to_numpy() < n))
 
 
+_heads_task = ray.remote(_heads)
+
+
 def _fold_block_group(num_parts: int, n: Optional[int], group: int, *blocks):
     """Ray task: the one pass over fold group ``group`` of the stream's
     blocks (as *args, so Ray dereferences the refs). Returns
@@ -288,6 +292,9 @@ def _fold_block_group(num_parts: int, n: Optional[int], group: int, *blocks):
     return tuple(split_by_partition(sub, bucket, num_parts)) + ((counts, sketches), heads)
 
 
+_fold_task = ray.remote(_fold_block_group)
+
+
 def _merge_sketch_rows(t: pa.Table) -> list[tuple[tuple[int, str], str, bytes]]:
     """Kind-3 rows merged to one ``((unit, column), kind, payload)`` per
     (unit, column, sketch kind), in row order."""
@@ -315,14 +322,12 @@ def _fold_count_partials(
     tuples of bucket refs in group order (none without ``unique_cols``),
     one violation-head ref per group, the drift sketches merged in group
     order as {(unit, column): {kind: sketch}})."""
-    import ray
-
     from data_linter_ray.exchange import block_refs, cluster_cpus, exchange_width
     from data_linter_ray.stages import sketch_stage
 
     P = exchange_width(mat, floor=cluster_cpus())
     num_parts = P if unique_cols else 0
-    fold_task = ray.remote(_fold_block_group).options(num_returns=num_parts + 2)
+    fold_task = _fold_task.options(num_returns=num_parts + 2)
     refs = block_refs(mat)
     size = max(1, len(refs) // (2 * P))
     # at least one group, so an empty stream still yields P buckets
@@ -396,6 +401,9 @@ def _detect_bucket(
     return viol.drop_columns(["pos"]).cast(UNIT_VIOLATION_SCHEMA), col_counts, head
 
 
+_detect_task = ray.remote(num_returns=3)(_detect_bucket)
+
+
 def _uniqueness_from_preagg(
     buckets: list[tuple], unique_cols: list[str], n_units: int, n: Optional[int]
 ) -> tuple[Dataset, dict, Optional[pa.Table]]:
@@ -424,13 +432,11 @@ def _uniqueness_from_preagg(
     stream order); no per-key state. Returns (violation rows Dataset,
     {(unit, col, unique_test): n}, the sample head table or None)."""
     import numpy as np
-    import ray
     import ray.data as rd
 
     P = len(buckets)
-    detect_task = ray.remote(_detect_bucket).options(num_returns=3)
     outs = [
-        detect_task.remote(unique_cols, n_units, n, max(1, SAMPLE_ALL_CAP // P), *refs)
+        _detect_task.remote(unique_cols, n_units, n, max(1, SAMPLE_ALL_CAP // P), *refs)
         for refs in buckets
     ]
     total = np.sum(ray.get([o[1] for o in outs]), axis=0)
@@ -836,12 +842,9 @@ def _collect_samples(
     time. n == 0 means "all" (reference semantics); at most
     SAMPLE_ALL_CAP rows per unit are kept, so the driver holds the cap
     per unit plus one fetched head."""
-    import ray
-
     from data_linter_ray.exchange import block_refs
 
-    head_task = ray.remote(_heads)
-    refs = heads + [head_task.remote(b, n) for ds in others for b in block_refs(ds)]
+    refs = heads + [_heads_task.remote(b, n) for ds in others for b in block_refs(ds)]
     out: dict[tuple[int, str, str], tuple[list, list]] = {}
     kept: dict[int, int] = {}
     for ref in refs:

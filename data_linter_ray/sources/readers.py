@@ -17,17 +17,34 @@ Casting happens inside a ``map_batches`` stage — distributed, per-batch,
 zero driver involvement. A cast failure raises ``CastError`` which
 ``run_validation`` records as a table-level ``parse_data`` failure, the
 reference's ``parse_data_to_pandas`` behavior (``pandas_validator.py:65-75``).
+
+Parquet is read by this module's own Ray ``Datasource``, planned from
+one pass over the files' footers on the driver
+(:func:`exchange.parquet_footers`): a file's schema is its footer's, as
+the reference learns it from the file itself, so a hive-style
+``key=value`` directory adds no column. The footers also give the read
+its exact row count, block count and batch size, so ``Dataset.count()``
+and ``Dataset.schema()`` execute nothing, and no task samples the files
+to guess their size. CSV, JSONL, ORC and Feather still read through
+Ray's file-based datasources.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 import pyarrow as pa
 import pyarrow.csv as pacsv
 from ray.data import Dataset
+from ray.data.datasource import Datasource
 
-from data_linter_ray.exchange import read_batch_rows, read_width
+from data_linter_ray.exchange import (
+    _decoded_bytes,
+    parquet_footers,
+    read_batch_rows,
+    read_width,
+)
 from data_linter_ray.metadata import TableSchema
 
 # pandas default NA strings (public pandas docs) — used when
@@ -157,22 +174,101 @@ def format_of(path: str) -> str:
     return "parquet"
 
 
+def _read_parquet_files(filesystem, paths, batch_rows, include_paths):
+    """A read task's body: each file's batches, as pyarrow's dataset
+    fragment yields them (one per row group at most), empty ones
+    dropped, with :data:`PATH_COLUMN` under ``include_paths``."""
+    import pyarrow.dataset as pads
+
+    parquet = pads.ParquetFileFormat()
+    for path in paths:
+        fragment = parquet.make_fragment(path, filesystem)
+        for batch in fragment.to_batches(batch_size=batch_rows, use_threads=False):
+            if batch.num_rows:
+                t = pa.Table.from_batches([batch])
+                if include_paths:
+                    t = t.append_column(PATH_COLUMN, pa.repeat(pa.scalar(path), t.num_rows))
+                yield t
+
+
+class _FooterParquetDatasource(Datasource):
+    """Parquet files planned from the driver's footer pass
+    (:func:`exchange.parquet_footers`): each read task carries its
+    files' exact row count and decoded-bytes estimate, their paths as
+    ``input_files``, and the first file's schema, so neither
+    ``Dataset.count()`` nor ``Dataset.schema()`` executes anything.
+    Files split over ``parallelism`` tasks in listing order, as Ray's
+    own parquet read splits them."""
+
+    def __init__(self, footers: list, include_paths: bool):
+        from data_linter_ray import fs as dlfs
+
+        if include_paths:
+            for f in footers:
+                if PATH_COLUMN in f.metadata.schema.to_arrow_schema().names:
+                    raise ValueError(
+                        f"{f.path} has a column {PATH_COLUMN!r}, the column an "
+                        "include_paths read adds"
+                    )
+        self._footers = footers
+        self._paths = [row_path(f.path) for f in footers]
+        self._filesystem = dlfs.resolve(footers[0].path)[0] if footers else None
+        self._schema = footers[0].metadata.schema.to_arrow_schema() if footers else None
+        self._batch_rows = read_batch_rows(footers)
+        self._include_paths = include_paths
+
+    def get_name(self) -> str:
+        return "Parquet"
+
+    def estimate_inmemory_data_size(self) -> int:
+        return _decoded_bytes(self._footers)
+
+    def get_read_tasks(self, parallelism: int) -> list:
+        import numpy as np
+        from ray.data.block import BlockMetadata
+        from ray.data.datasource import ReadTask
+
+        tasks = []
+        for idx in np.array_split(np.arange(len(self._footers)), parallelism):
+            if not len(idx):
+                continue
+            footers = [self._footers[i] for i in idx]
+            paths = [self._paths[i] for i in idx]
+            meta = BlockMetadata(
+                num_rows=sum(f.metadata.num_rows for f in footers),
+                size_bytes=_decoded_bytes(footers),
+                input_files=paths,
+                exec_stats=None,
+            )
+            read = functools.partial(
+                _read_parquet_files,
+                self._filesystem,
+                paths,
+                self._batch_rows,
+                self._include_paths,
+            )
+            tasks.append(ReadTask(read, meta, schema=self._schema))
+        return tasks
+
+
 def read_parquet_dataset(path: str | list[str], include_paths: bool = False) -> Dataset:
-    """Parquet file(s) → Dataset, as encoded (no ingest normalization),
-    with the cluster-sized block count of :func:`exchange.read_width`
-    and the batch size of :func:`exchange.read_batch_rows`: a map fused
-    with the read runs once per file (row group), each batch within
-    Ray's maximum block size. The parquet read of
-    :func:`read_table_dataset` and of reference tables."""
+    """Parquet file(s) → Dataset, as encoded (no ingest normalization,
+    no hive partition columns: a file's columns are its footer's),
+    planned from one footer pass on the driver
+    (:func:`exchange.parquet_footers`) with no Ray execution. The read
+    has the cluster-sized block count of :func:`exchange.read_width` and
+    the batch size of :func:`exchange.read_batch_rows`, so a map fused
+    with it runs once per file (row group), each batch within Ray's
+    maximum block size. With ``include_paths`` this read adds
+    :data:`PATH_COLUMN` to every row, and a file with a column of that
+    name fails it. The parquet read of :func:`read_table_dataset` and of
+    reference tables."""
     import ray.data
 
-    batch_rows = read_batch_rows(path)
-    return ray.data.read_parquet(
-        path,
-        override_num_blocks=read_width(path),
-        include_paths=include_paths,
-        **({} if batch_rows is None else {"batch_size": batch_rows}),
-        **_fs_kwargs(path),
+    footers = parquet_footers(path)
+    return ray.data.read_datasource(
+        _FooterParquetDatasource(footers, include_paths),
+        override_num_blocks=read_width(footers),
     )
 
 
@@ -186,9 +282,10 @@ def read_table_dataset(
     """Read one table's file(s) into a Dataset, applying the format's
     ingest normalization. ``file_format`` defaults from the path suffix.
     With ``include_paths`` every row carries its source file in
-    :data:`PATH_COLUMN` (Ray's read option; Ray fails the read of a file
-    that has a column of that name). The column stays out of
-    ``Dataset.schema()`` for parquet.
+    :data:`PATH_COLUMN`, and the read of a file that has a column of that
+    name fails. :func:`read_parquet_dataset` adds the column for parquet
+    and keeps it out of ``Dataset.schema()``; for the other formats it is
+    Ray's read option. Parquet reads no hive partition columns.
 
     Every format reads :func:`exchange.read_width` blocks — two per
     cluster CPU, more only for inputs past Ray's maximum block size, so

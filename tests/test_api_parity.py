@@ -282,3 +282,65 @@ def test_unit_grouping_has_no_knob():
         for name in re.findall(r"DATA_LINTER_RAY_[A-Z0-9_]+", f.read_text())
     }
     assert env == {"DATA_LINTER_RAY_S3_ENDPOINT", "DATA_LINTER_RAY_SHUFFLE_PARTITIONS"}
+
+
+def _package_trees():
+    import ast
+    import pathlib
+
+    import data_linter_ray
+
+    root = pathlib.Path(data_linter_ray.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        yield path.relative_to(root).as_posix(), ast.parse(path.read_text())
+
+
+def test_ray_tasks_are_defined_once():
+    """Raw Ray tasks are wrapped at module level: a ``ray.remote`` inside
+    a function body (a call or a decorator) gives every call a new
+    function, exported to the cluster's function table each time."""
+    import ast
+
+    offenders = []
+    for rel, tree in _package_trees():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            offenders += [
+                f"{rel}:{node.lineno}"
+                for stmt in fn.body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Attribute)
+                and node.attr == "remote"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "ray"
+            ]
+    assert sorted(set(offenders)) == []
+
+
+def test_one_parquet_read_path():
+    """Every parquet read of the package goes through
+    ``sources.readers.read_parquet_dataset`` (planned from the driver's
+    footer pass): no ``ray.data.read_parquet`` call remains."""
+    import ast
+
+    def reads_parquet(node) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        if isinstance(f, ast.Name):
+            return f.id == "read_parquet"
+        # pandas' reader is not Ray's
+        return (
+            isinstance(f, ast.Attribute)
+            and f.attr == "read_parquet"
+            and getattr(f.value, "id", None) not in ("pd", "pandas")
+        )
+
+    offenders = [
+        f"{rel}:{c.lineno}"
+        for rel, tree in _package_trees()
+        for c in ast.walk(tree)
+        if reads_parquet(c)
+    ]
+    assert offenders == []

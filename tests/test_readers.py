@@ -22,7 +22,7 @@ import pytest
 import ray
 
 from data_linter_ray import synth
-from data_linter_ray.exchange import cluster_cpus, read_batch_rows, read_width
+from data_linter_ray.exchange import cluster_cpus, parquet_footers, read_batch_rows, read_width
 from data_linter_ray.metadata import ColumnSpec, TableSchema
 from data_linter_ray.pipelines.validate import ROWS_KEY, validate_units
 from data_linter_ray.sources.readers import read_table_dataset
@@ -148,7 +148,7 @@ def one_cpu(monkeypatch):
 
 def test_fused_pass_runs_once_per_file(keyed_dir, one_cpu):
     """Ray's own read batches of 10,000 rows would make nine calls."""
-    assert read_batch_rows(keyed_dir) >= BATCH_FILE_ROWS
+    assert read_batch_rows(parquet_footers(keyed_dir)) >= BATCH_FILE_ROWS
     rows, sketches = _fused_calls(keyed_dir)
     assert rows == [BATCH_FILE_ROWS] * BATCH_FILES
     assert sketches == {("a", "tdigest"): BATCH_FILES}
@@ -164,7 +164,7 @@ def test_read_batches_stay_within_the_block_size(keyed_dir, one_cpu):
     saved = ctx.target_max_block_size
     ctx.target_max_block_size = bound = int(per_row * BATCH_FILE_ROWS / 4)
     try:
-        batch = read_batch_rows(keyed_dir)
+        batch = read_batch_rows(parquet_footers(keyed_dir))
         rows, sketches = _fused_calls(keyed_dir)
     finally:
         ctx.target_max_block_size = saved
@@ -175,3 +175,180 @@ def test_read_batches_stay_within_the_block_size(keyed_dir, one_cpu):
     assert len(rows) == BATCH_FILES * per_file and max(rows) <= batch
     assert sum(rows) == BATCH_FILES * BATCH_FILE_ROWS
     assert sketches == {("a", "tdigest"): len(rows)}
+
+
+# ---------------------------------------------------------------------------
+# The read contract of ``read_parquet_dataset``: planned from the driver's
+# footer pass, it reads what ``ray.data.read_parquet`` reads.
+# ---------------------------------------------------------------------------
+
+
+def _blocks(ds) -> list[pa.Table]:
+    return [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+
+
+def _rows(ds) -> list[str]:
+    """Every row of ``ds`` with its schema, in a stable order."""
+    return sorted(
+        repr((t.schema, row)) for t in _blocks(ds) for row in t.to_pylist()
+    )
+
+
+def test_schema_and_count_launch_no_task(ray_session, tmp_path, monkeypatch):
+    from data_linter_ray.sources import readers
+
+    paths = []
+    for i in range(3):
+        paths.append(str(tmp_path / f"f{i}.parquet"))
+        ids = np.arange(i * 100, i * 100 + 100 + i)
+        pq.write_table(synth.make_documents_batch({"id": ids}), paths[-1])
+
+    def no_read(*args):
+        raise AssertionError("a read task ran")
+
+    monkeypatch.setattr(readers, "_read_parquet_files", no_read)
+    for include_paths in (False, True):
+        ds = readers.read_parquet_dataset(paths, include_paths)
+        assert ds.schema().base_schema == pq.read_schema(paths[0])
+        assert ds.count() == 303
+        assert sorted(ds.input_files()) == sorted(readers.row_path(p) for p in paths)
+        with pytest.raises(Exception, match="a read task ran"):
+            ds.take(1)
+
+
+def test_a_batch_per_row_group(ray_session, tmp_path):
+    """Row groups are never merged: 2,500 rows in 1,000-row groups read
+    as three batches at a batch size past the file's rows."""
+    from data_linter_ray.exchange import parquet_footers
+    from data_linter_ray.sources.readers import _FooterParquetDatasource
+
+    path = str(tmp_path / "groups.parquet")
+    pq.write_table(pa.table({"a": np.arange(2_500)}), path, row_group_size=1_000)
+    footers = parquet_footers(path)
+    assert read_batch_rows(footers) >= 2_500
+    [task] = _FooterParquetDatasource(footers, False).get_read_tasks(1)
+    assert task.metadata.num_rows == 2_500
+    assert [t.num_rows for t in task()] == [1_000, 1_000, 500]
+
+
+def test_include_paths_tags_are_row_paths(ray_session, tmp_path):
+    from data_linter_ray.sources.readers import PATH_COLUMN, read_parquet_dataset, row_path
+
+    paths = []
+    for i in range(3):
+        paths.append(str(tmp_path / f"f{i}.parquet"))
+        pq.write_table(pa.table({"a": pa.array([i] * (i + 2), pa.int64())}), paths[-1])
+    ds = read_parquet_dataset(paths, include_paths=True)
+    assert PATH_COLUMN not in ds.schema().names  # the tag stays out of the schema, as Ray's
+    rows = Counter(
+        (a, p)
+        for t in _blocks(ds)
+        for a, p in zip(t["a"].to_pylist(), t[PATH_COLUMN].to_pylist())
+    )
+    assert rows == {(i, row_path(p)): i + 2 for i, p in enumerate(paths)}
+
+
+def test_a_path_column_fails_an_include_paths_read(ray_session, tmp_path):
+    from data_linter_ray.sources.readers import read_parquet_dataset
+
+    path = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.table({"path": ["/a"]}), path)
+    assert read_parquet_dataset(path).count() == 1
+    with pytest.raises(Exception):
+        ray.data.read_parquet(path, include_paths=True).materialize()
+    with pytest.raises(ValueError, match="column 'path'"):
+        read_parquet_dataset(path, include_paths=True)
+
+
+@pytest.mark.parametrize("include_paths", [False, True])
+def test_empty_file_and_second_schema_read_as_ray_reads_them(ray_session, tmp_path, include_paths):
+    """A zero-row first file gives the schema, the second file's rows
+    keep their own, for a directory and a list of files alike; under a
+    directory a ``_``-prefixed file is no data."""
+    import pandas as pd
+
+    from data_linter_ray.sources.readers import read_parquet_dataset
+
+    pq.write_table(pa.table({"a": pa.array([], pa.int64())}), str(tmp_path / "a.parquet"))
+    pq.write_table(
+        pa.Table.from_pandas(pd.DataFrame({"b": [1.5, None, 2.5]})), str(tmp_path / "b.parquet")
+    )
+    pq.write_table(pa.table({"c": [9]}), str(tmp_path / "_metadata"))
+    listed = [str(tmp_path / "a.parquet"), str(tmp_path / "b.parquet")]
+    for path in (str(tmp_path), listed):
+        want = ray.data.read_parquet(path, include_paths=include_paths)
+        got = read_parquet_dataset(path, include_paths)
+        assert got.schema().base_schema.equals(want.schema().base_schema, check_metadata=True)
+        assert got.count() == want.count() == 3
+        assert _rows(got) == _rows(want)
+
+
+def test_group_validation_matches_ray_read(ray_session, tmp_path, monkeypatch):
+    """``validate_group`` over a three-file group: the same manifests and
+    violation parquet through this read as through Ray's own."""
+    from dataclasses import asdict
+
+    import pandas as pd
+
+    from data_linter_ray.pipelines.run import validate_group
+    from data_linter_ray.sources import readers
+
+    rng = np.random.default_rng(5)
+    paths = []
+    for i in range(3):
+        paths.append(str(tmp_path / "land" / f"part-{i}.parquet"))
+        os.makedirs(os.path.dirname(paths[-1]), exist_ok=True)
+        pq.write_table(
+            pa.table({"id": rng.integers(0, 4_000, 3_000), "a": rng.uniform(0.0, 100.0, 3_000)}),
+            paths[-1],
+        )
+
+    def run(root):
+        manifests = validate_group(
+            "t", [(p, p) for p in paths], KEYED, str(root), log_verbosity=5
+        )
+        out = []
+        for m in manifests:
+            m = asdict(m)
+            m.pop("duration_s")
+            rows = pd.read_parquet(m.pop("violations_path"))
+            rows = rows.sort_values(list(rows.columns)).reset_index(drop=True)
+            out.append((m, rows.to_dict("list")))
+        return out
+
+    got = run(tmp_path / "footer")
+    def ray_read(path, include_paths=False):
+        return ray.data.read_parquet(path, include_paths=include_paths)
+
+    with monkeypatch.context() as m:
+        m.setattr(readers, "read_parquet_dataset", ray_read)
+        want = run(tmp_path / "ray")
+    assert [m["valid"] for m, _ in want] == [False] * 3
+    assert all(rows["row_ref"] for _, rows in want)
+    assert got == want
+
+
+def test_hive_style_land_directory_adds_no_column(ray_session, tmp_path):
+    """A land file under a ``key=value`` directory is validated as the
+    file alone, as the footer grouping sees it: no ``dt`` column."""
+    from data_linter_ray.pipelines import run
+
+    land = tmp_path / "land"
+    for table, days in (("t1", ("2024-01-01", "2024-01-02")), ("t2", ("2024-01-01",))):
+        for day in days:
+            part = land / table / f"dt={day}"
+            part.mkdir(parents=True)
+            pq.write_table(pa.table({"a": pa.array([1, 2], pa.int64())}), part / "f.parquet")
+    meta = {"columns": [{"name": "a", "type": "int64", "minimum": 0}]}
+    cfg = {
+        "land-base-path": str(land) + "/",
+        "pass-base-path": str(tmp_path / "pass") + "/",
+        "fail-base-path": str(tmp_path / "fail") + "/",
+        "log-base-path": str(tmp_path / "log") + "/",
+        "tables": {t: {"metadata": {"name": t, **meta}} for t in ("t1", "t2")},
+    }
+    res = run.run_validation(cfg, raise_on_failure=False)
+    assert len(res.manifests) == 3
+    assert all(m.valid and m.row_count == 2 for m in res.manifests), [
+        m.response for m in res.manifests
+    ]

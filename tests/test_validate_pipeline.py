@@ -493,7 +493,7 @@ def test_stream_width_is_cluster_cpus(ray_session, simple_schema, monkeypatch, t
 
     monkeypatch.setattr(exchange, "exchange_width", record_width)
     monkeypatch.setattr(vmod, "_fold_count_partials", record_fold)
-    monkeypatch.setattr(vmod, "_detect_bucket", marked_detect)
+    monkeypatch.setattr(vmod, "_detect_task", ray.remote(num_returns=3)(marked_detect))
     res = validate_dataset(
         ray.data.from_arrow(_spanning_dup_blocks(20)), _with_unique(simple_schema, "k")
     )
@@ -628,7 +628,7 @@ def test_verdicts_do_not_depend_on_read_batch_size(
     import pyarrow.parquet as pq
 
     from data_linter_ray import exchange
-    from data_linter_ray.exchange import read_batch_rows
+    from data_linter_ray.exchange import parquet_footers, read_batch_rows
     from data_linter_ray.pipelines.validate import keep_violations, validate_units
     from data_linter_ray.sources.readers import read_table_dataset, row_path
     from data_linter_ray.state.sketches import TDigest
@@ -660,7 +660,7 @@ def test_verdicts_do_not_depend_on_read_batch_size(
         id_column="k", log_verbosity=log_verbosity, drift_baselines={"v": {"tdigest": td}}
     )
     monkeypatch.setattr(exchange, "cluster_cpus", lambda: 1)
-    assert read_batch_rows(paths) >= 25_000
+    assert read_batch_rows(parquet_footers(paths)) >= 25_000
 
     def summary(res, rows):
         out = res.response.get_result()
