@@ -241,13 +241,19 @@ def _decoded_bytes(files) -> int:
 
 
 def split_by_partition(t, part, num_partitions: int) -> list:
-    """Split table ``t`` by the int64 partition vector ``part`` (values
-    in [0, num_partitions)): a stable argsort, then one slice per
-    partition, so partition i holds the rows with ``part == i`` in table
-    order. The scatter side of every manual exchange."""
+    """Split table ``t`` by the int partition vector ``part`` (values in
+    [0, num_partitions)) so partition i holds the rows with ``part == i``
+    in table order. The scatter side of every manual exchange. One
+    partition is ``t`` itself; more take ``t`` in the stable order of
+    ``part``, as int16 below 2**15 partitions (numpy sorts that with a
+    radix sort), then slice it once per partition."""
     import numpy as np
     import pyarrow as pa
 
+    if num_partitions == 1:
+        return [t]
+    if num_partitions < 2**15:
+        part = part.astype(np.int16)
     order = np.argsort(part, kind="stable")
     bounds = np.searchsorted(part[order], np.arange(num_partitions + 1))
     st = t.take(pa.array(order))

@@ -180,11 +180,13 @@ class _FusedChecker:
             # uniques; factorize+bincount beats sort-based np.unique ~1.5×
             # and pa.repeat beats python-list constant columns ~8×
             h_all = hash_array(arr)
-            first_mask = (~pd.Series(h_all).duplicated()).to_numpy()
             codes, uniq_h = pd.factorize(h_all, sort=False)
             cnts = np.bincount(codes).astype(np.int64)
             k = len(uniq_h)
-            # first-occurrence filter yields values in factorize order
+            # factorize numbers keys by first sight, so a key's first row
+            # is the row whose code exceeds every earlier one; filtering
+            # those rows yields the values in factorize order
+            first_mask = np.diff(np.maximum.accumulate(codes), prepend=-1) > 0
             values = _stringify(arr.filter(pa.array(first_mask)))
             parts.append(
                 pa.Table.from_arrays(
@@ -241,11 +243,32 @@ def keep_violations(t: pa.Table) -> pa.Table:
 def _heads(t: pa.Table, n: int) -> pa.Table:
     """The first ``n`` rows of each (unit, column, test) of a violation
     table, in table order; ``n == 0`` keeps every row."""
+    import pyarrow.compute as pc
+
     if n == 0 or t.num_rows <= n:
         return t
-    keys = t.select(["cc", "column", "test"]).to_pandas()
-    rank = keys.groupby(["cc", "column", "test"], sort=False, dropna=False).cumcount()
-    return t.filter(pa.array(rank.to_numpy() < n))
+    key = 0
+    for name in ("cc", "column", "test"):
+        # null is a key of its own, as in groupby(dropna=False)
+        enc = pc.dictionary_encode(t[name].combine_chunks(), null_encoding="encode")
+        key = key * len(enc.dictionary) + enc.indices.to_numpy().astype("int64")
+    return t.filter(pa.array(_cumcount(key) < n))
+
+
+def _cumcount(key):
+    """Each row's rank among the earlier rows with its int ``key``
+    (pandas' ``groupby(sort=False).cumcount()``)."""
+    import numpy as np
+
+    if key.size and 0 <= key.min() and key.max() < 2**15:
+        key = key.astype(np.int16)  # numpy's stable sort is a radix sort here
+    order = np.argsort(key, kind="stable")
+    sk = key[order]
+    pos = np.arange(key.size)
+    start = np.maximum.accumulate(np.where(np.r_[True, sk[1:] != sk[:-1]], pos, 0))
+    rank = np.empty(key.size, np.int64)
+    rank[order] = pos - start
+    return rank
 
 
 _heads_task = ray.remote(_heads)
@@ -285,7 +308,7 @@ def _fold_block_group(num_parts: int, n: Optional[int], group: int, *blocks):
         return (counts, sketches), heads
 
     rows = np.flatnonzero(block["kind"].to_numpy(zero_copy_only=False) == 2)
-    sub = block.take(pa.array(rows)).select(["cc", "h", "n", "value"])
+    sub = block.select(["cc", "h", "n", "value"]).take(pa.array(rows))
     sub = sub.append_column("pos", pa.array((group << 40) | rows.astype(np.int64)))
     h = sub["h"].to_numpy(zero_copy_only=False)
     bucket = (h.astype(np.uint64) % np.uint64(num_parts)).astype(np.int64)
@@ -367,18 +390,21 @@ def _detect_bucket(
     import pyarrow.compute as pc
 
     t = pa.concat_tables(parts)
-    code = t["cc"].to_numpy(zero_copy_only=False).astype(np.int64)
+    cc = t["cc"].to_numpy(zero_copy_only=False)
     h = t["h"].to_numpy(zero_copy_only=False)
-    # stable: rows arrive in stream order, so each key's first row is its
-    # first sight
-    order = np.lexsort((h, code))
-    code, h = code[order], h[order]
+    # group rows by (cc, h): an unstable sort on h, then a stable one on
+    # the int16 cc, which numpy runs as a radix sort
+    by_h = np.argsort(h)
+    order = by_h[np.argsort(cc[by_h], kind="stable")]
+    code, h = cc[order].astype(np.int64), h[order]
     boundary = np.ones(len(h), dtype=bool)
     boundary[1:] = (h[1:] != h[:-1]) | (code[1:] != code[:-1])
     idx = np.flatnonzero(boundary)
     sums = np.add.reduceat(t["n"].to_numpy(zero_copy_only=False)[order], idx)
+    # rows arrive in stream order, so a key's first sight is its lowest row
+    first = np.minimum.reduceat(order, idx)
     dup = sums > 1
-    first, sums, code = order[idx][dup], sums[dup], code[idx][dup]
+    first, sums, code = first[dup], sums[dup], code[idx][dup]
     by_sight = np.argsort(first)
     first, sums, code = first[by_sight], sums[by_sight], code[by_sight]
     t = t.take(pa.array(first))
@@ -395,8 +421,7 @@ def _detect_bucket(
     )
     head = None if n is None else _heads(viol, n)
     if n == 0:
-        keys = head.select(["cc"]).to_pandas()
-        head = head.filter(pa.array(keys.groupby("cc").cumcount().to_numpy() < cap))
+        head = head.filter(pa.array(_cumcount(head["cc"].to_numpy()) < cap))
     col_counts = np.bincount(code, minlength=n_units * k).astype(np.int64)
     return viol.drop_columns(["pos"]).cast(UNIT_VIOLATION_SCHEMA), col_counts, head
 

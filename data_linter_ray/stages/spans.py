@@ -31,7 +31,7 @@ from ray.data import Dataset
 
 from data_linter_ray.checks import REFERENTIAL_TEST
 from data_linter_ray.stages.checker import Checker, _stringify
-from data_linter_ray.stages.referential import KeySetAntiJoin, distinct_key_set
+from data_linter_ray.stages.referential import KeySetAntiJoin
 
 KIND_ENUM = ["text", "image", "audio", "video"]
 MEDIA_REF_PATTERN = "^media://[a-z0-9/]+$"
@@ -182,13 +182,6 @@ class SpanChecker(Checker):
             yield self.spans_col, test, np.flatnonzero(mask), None
 
 
-def span_violations(ds: Dataset, spans_col: str = "spans", id_column: str | None = "doc_id") -> Dataset:
-    cols = [spans_col] + ([id_column] if id_column else [])
-    return ds.select_columns(cols).map_batches(
-        SpanChecker(spans_col, id_column), batch_format="pyarrow"
-    )
-
-
 class SpanMediaRefChecker(KeySetAntiJoin):
     """Per-batch: flattened spans.media_ref anti-joined against the
     broadcast catalog key set → violations attributed to the spans
@@ -201,17 +194,6 @@ class SpanMediaRefChecker(KeySetAntiJoin):
         dangling = self._dangling(media, ctx.media_dict(self.column))
         rows = parents[dangling.to_numpy(zero_copy_only=False)]
         yield self.column, REFERENTIAL_TEST, rows, _stringify(media.filter(dangling))
-
-
-def media_ref_violations(ds: Dataset, catalog: Dataset, spans_col: str = "spans", id_column: str | None = "doc_id") -> Dataset:
-    """Flattened spans.media_ref ⊆ media_catalog.media_ref (broadcast)."""
-    import ray
-
-    pk_ref = ray.put(distinct_key_set(catalog, "media_ref"))
-    cols = [spans_col] + ([id_column] if id_column else [])
-    return ds.select_columns(cols).map_batches(
-        SpanMediaRefChecker(spans_col, id_column, pk_ref), batch_format="pyarrow"
-    )
 
 
 def span_sequence_equality_mask(left, right, compare_offsets: bool = False) -> np.ndarray:

@@ -24,7 +24,7 @@ counts, row count, output paths, and timing; a grouped unit's
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from data_linter_ray import fs
@@ -72,7 +72,9 @@ class ManifestStore:
 
     def commit(self, m: UnitManifest) -> str:
         final = self._path(m.key())
-        fs.write_text(final, json.dumps(asdict(m)))
+        # the fields as they are: ``asdict`` would deep-copy the nested
+        # response (samples included) only for it to be dumped
+        fs.write_text(final, json.dumps({f.name: getattr(m, f.name) for f in fields(m)}))
         return final
 
     def all(self) -> list[UnitManifest]:

@@ -71,9 +71,9 @@ def test_lance_path_dispatches_to_read_lance(ray_session, tmp_path, monkeypatch)
     assert len(out) == 100
     assert list(out.columns) == ["doc_id", "spans"]
     # downstream stages consume the same Arrow batches regardless of source
-    from data_linter_ray.stages.spans import span_violations
+    from data_linter_ray.stages.spans import SpanChecker
 
-    viol = span_violations(ds).to_pandas()
+    viol = ds.map_batches(SpanChecker(), batch_format="pyarrow").to_pandas()
     assert len(viol) == 0  # all synthetic spans are well-formed
 
 

@@ -197,3 +197,40 @@ def test_run_and_table_paths_produce_the_same_unit(ray_session, tmp_path):
     assert (a.valid, a.row_count, a.counts, a.response) == (
         b.valid, b.row_count, b.counts, b.response
     )
+
+
+def test_manifest_commit_bytes_equal_asdict_dump(tmp_path):
+    """A committed manifest is ``json.dumps(asdict(m))`` byte for byte,
+    for a response with value samples, and loads back equal."""
+    import json
+    from dataclasses import asdict
+
+    from data_linter_ray.state.manifest import ManifestStore, UnitManifest
+
+    m = UnitManifest(
+        table="t1",
+        source_path=str(tmp_path / "land" / "t1.parquet"),
+        valid=False,
+        row_count=7,
+        counts={"a::min_max_test": 2},
+        response={
+            "valid": False,
+            "a": {
+                "valid": False,
+                "min_max_test": {
+                    "valid": False,
+                    "unexpected_values_sample": [101, -1],
+                    "unexpected_index_sample": [None, None],
+                    "test_inputs": {"column": "a", "minimum": 0, "maximum": 100},
+                },
+            },
+        },
+        violations_path=str(tmp_path / "log" / "violations"),
+        archived_path=None,
+        duration_s=0.25,
+    )
+    store = ManifestStore(str(tmp_path / "status"))
+    path = store.commit(m)
+    with open(path, "rb") as f:
+        assert f.read() == json.dumps(asdict(m)).encode()
+    assert store.load(m.key()) == m

@@ -4,6 +4,8 @@ stage end-to-end on real testdata."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from data_linter_ray.state.sketches import KLL, HyperLogLog, TDigest, hash_array
 
@@ -94,6 +96,59 @@ class _LoopTDigest(TDigest):
         out_m.append(acc_mean / acc_w)
         out_w.append(acc_w)
         self.means, self.weights = np.asarray(out_m), np.asarray(out_w)
+
+
+class _StableSortTDigest(TDigest):
+    """The compress without the unit-weight fast path: every compress
+    takes the centroids in stable argsort order. Kept as the byte
+    reference."""
+
+    def _compress(self) -> None:
+        if not self._buf_means and self.means.size <= 2 * self.delta:
+            return
+        means = np.concatenate([self.means] + self._buf_means)
+        weights = np.concatenate([self.weights] + self._buf_weights)
+        self._buf_means, self._buf_weights, self._buffered = [], [], 0
+        order = np.argsort(means, kind="stable")
+        means, weights = means[order], weights[order]
+        cum = np.cumsum(weights)
+        q = (cum - weights / 2) / cum[-1]
+        k = np.floor(self.K_UNIT * self.delta * np.log(q / (1.0 - q)))
+        start = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
+        self.weights = np.add.reduceat(weights, start)
+        self.means = np.add.reduceat(means * weights, start) / self.weights
+
+
+_EDGE_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 2.5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(-1e6, 1e6)), max_size=400
+    ),
+    st.lists(st.integers(0, 400), max_size=3),
+    st.sampled_from([1, 3, 100]),
+)
+def test_tdigest_unit_weight_compress_is_byte_identical(values, cuts, delta):
+    """±0.0 runs, ±inf, NaN, heavy ties, empty and single-value inputs,
+    added in up to four chunks (so later compresses merge centroids), one
+    digest merged into another, and through a serialization round trip:
+    ``to_bytes`` equals the stable-argsort compress's."""
+    x = np.array(values, dtype=np.float64)
+    chunks = np.split(x, sorted(c % (x.size + 1) for c in cuts))
+
+    def build(cls):
+        td = cls(delta)
+        for c in chunks:
+            td.add(c)
+        one = td.to_bytes()
+        acc = cls(delta)
+        acc.add(x[: x.size // 2])
+        acc.merge(cls.from_bytes(one))
+        return one, acc.to_bytes()
+
+    assert build(TDigest) == build(_StableSortTDigest)
 
 
 def _rank_errors(td: TDigest, x: np.ndarray, qs: np.ndarray) -> np.ndarray:

@@ -98,7 +98,7 @@ def test_synth_determinism(ray_session):
 
 def test_synth_violation_rates(ray_session):
     ds = synth.documents_dataset(20_000)
-    viol = sp.span_violations(ds).to_pandas()
+    viol = ds.map_batches(sp.SpanChecker(), batch_format="pyarrow").to_pandas()
     by_test = viol.groupby("test").size().to_dict()
     # ~2% of rows carry one bad span split over three modes
     total_bad = sum(by_test.values())
@@ -116,7 +116,10 @@ def test_synth_violation_rates(ray_session):
 def test_media_ref_integrity(ray_session):
     docs = synth.documents_dataset(5000)
     catalog = synth.media_catalog_dataset()
-    viol = sp.media_ref_violations(docs, catalog).to_pandas()
+    from data_linter_ray.stages.referential import distinct_key_set
+
+    checker = sp.SpanMediaRefChecker("spans", "doc_id", distinct_key_set(catalog, "media_ref"))
+    viol = docs.map_batches(checker, batch_format="pyarrow").to_pandas()
     assert len(viol) > 0
     assert viol["value"].str.startswith("media://missing/").all()
 

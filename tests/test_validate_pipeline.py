@@ -8,6 +8,8 @@ Mirrors the reference's end-to-end verdict expectations
 
 import pyarrow as pa
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ray
 from data_linter_ray.metadata import ColumnSpec, TableSchema
@@ -695,3 +697,180 @@ def test_verdicts_do_not_depend_on_read_batch_size(
         assert got[0] == want[0]
         assert got[2] == want[2]
         assert abs(got[1] - want[1]) <= 0.03
+
+
+_KEY_COLS = ["cc", "column", "test"]
+
+
+def _key_rows():
+    return st.lists(
+        st.tuples(
+            st.one_of(st.none(), st.integers(0, 3)),
+            st.sampled_from([None, "a", "b", "c"]),
+            st.sampled_from([None, "t", "u"]),
+        ),
+        max_size=60,
+    )
+
+
+def _key_table(rows):
+    cc, column, test = zip(*rows) if rows else ([], [], [])
+    return pa.table(
+        {
+            "cc": pa.array(cc, pa.int16()),
+            "column": pa.array(column, pa.string()),
+            "test": pa.array(test, pa.string()),
+            "row": pa.array(range(len(rows)), pa.int64()),
+        }
+    )
+
+
+def _pandas_cumcount(t: pa.Table, keys: list[str]):
+    """pandas' rank of each row within its key: the reference."""
+    df = t.select(keys).to_pandas()
+    return df.groupby(keys, sort=False, dropna=False).cumcount().to_numpy()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 40), max_size=60),
+        st.lists(st.integers(-(2**40), 2**40), max_size=60),
+        st.lists(st.sampled_from([-1, 2**15 - 1, 2**15]), max_size=60),
+    )
+)
+def test_cumcount_matches_pandas(keys):
+    """``_cumcount`` equals pandas' groupby cumcount on int keys, in and
+    out of the int16 range its radix sort takes."""
+    import numpy as np
+    import pandas as pd
+
+    from data_linter_ray.pipelines.validate import _cumcount
+
+    key = np.array(keys, dtype=np.int64)
+    want = pd.Series(key).groupby(key, sort=False).cumcount().to_numpy()
+    np.testing.assert_array_equal(_cumcount(key), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_key_rows(), st.integers(0, 4), st.integers(1, 4))
+def test_heads_match_pandas_cumcount(rows, n, chunks):
+    """``_heads`` keeps the rows whose pandas ``groupby(sort=False,
+    dropna=False).cumcount()`` over (cc, column, test) is below ``n``,
+    nulls in every key column included, on a chunked table."""
+    from data_linter_ray.pipelines.validate import _heads
+
+    t = _key_table(rows)
+    step = -(-max(1, t.num_rows) // chunks)
+    t = pa.concat_tables([t.slice(i, step) for i in range(0, t.num_rows, step)] or [t])
+    got = _heads(t, n)
+    want = t if n == 0 else t.filter(pa.array(_pandas_cumcount(t, _KEY_COLS) < n))
+    assert got.to_pylist() == want.to_pylist()
+
+
+_PART_SCHEMA = pa.schema(
+    [("cc", pa.int16()), ("h", pa.int64()), ("n", pa.int64()),
+     ("value", pa.string()), ("pos", pa.int64())]
+)
+
+
+def _ref_detect(unique_cols, n_units, n, cap, parts):
+    """Dict-based reference of ``_detect_bucket``: sum ``n`` per (cc, h)
+    in row order, report the keys summing past 1 by first sight, then
+    the first ``n`` per (unit, column) (every one, ``cap`` per unit, for
+    ``n == 0``)."""
+    from data_linter_ray import checks
+
+    rows = [r for p in parts for r in p.to_pylist()]
+    sums, first = {}, {}
+    for i, r in enumerate(rows):
+        key = (r["cc"], r["h"])
+        sums[key] = sums.get(key, 0) + r["n"]
+        first.setdefault(key, i)
+    k = len(unique_cols)
+    viol, counts = [], [0] * (n_units * k)
+    for i, (cc, h) in sorted((i, key) for key, i in first.items() if sums[key] > 1):
+        counts[cc] += 1
+        viol.append(
+            {"row_ref": rows[i]["value"], "column": unique_cols[cc % k],
+             "test": checks.UNIQUE_TEST, "value": str(sums[(cc, h)]),
+             "cc": cc // k, "pos": rows[i]["pos"]}
+        )
+    if n is None:
+        return viol, counts, None
+    seen, head = {}, []
+    for r in viol:
+        g = (r["cc"], r["column"])
+        seen[g] = seen.get(g, 0) + 1
+        if n == 0 or seen[g] <= n:
+            head.append(r)
+    if n == 0:
+        per_unit, capped = {}, []
+        for r in head:
+            per_unit[r["cc"]] = per_unit.get(r["cc"], 0) + 1
+            if per_unit[r["cc"]] <= cap:
+                capped.append(r)
+        head = capped
+    return viol, counts, head
+
+
+@st.composite
+def _detect_parts(draw):
+    """Up to four parts of kind-2 rows over up to three units and two
+    unique columns; hashes come from a small pool so keys repeat within
+    and across units and columns (a hash two units share is no
+    duplicate)."""
+    n_units = draw(st.integers(1, 3))
+    parts = []
+    for g in range(draw(st.integers(1, 4))):
+        rows = draw(
+            st.lists(
+                st.tuples(st.integers(0, 2 * n_units - 1), st.integers(-3, 5), st.integers(1, 3)),
+                max_size=25,
+            )
+        )
+        parts.append(
+            pa.table(
+                {
+                    "cc": [r[0] for r in rows],
+                    "h": [r[1] for r in rows],
+                    "n": [r[2] for r in rows],
+                    "value": [f"key{r[1]}" for r in rows],
+                    "pos": [(g << 40) | i for i in range(len(rows))],
+                },
+                schema=_PART_SCHEMA,
+            )
+        )
+    return n_units, parts
+
+
+_SHARED_HASH = (
+    2,
+    [
+        # h=7 once in unit 0 and once in unit 1 (cc 0 and 2: column k1 of
+        # each), so no duplicate; h=5 twice in unit 1's column k2
+        pa.table({"cc": [0, 3], "h": [7, 5], "n": [1, 1], "value": ["a", "b"],
+                  "pos": [0, 1]}, schema=_PART_SCHEMA),
+        pa.table({"cc": [2, 3], "h": [7, 5], "n": [1, 1], "value": ["a", "b"],
+                  "pos": [1 << 40, (1 << 40) | 1]}, schema=_PART_SCHEMA),
+    ],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_detect_parts(), st.sampled_from([None, 0, 3]), st.integers(1, 3))
+@example(_SHARED_HASH, 0, 1)
+def test_detect_bucket_matches_dict_reference(data, n, cap):
+    """``_detect_bucket``'s violation rows, per-(unit, column) counts and
+    sample head equal the dict-based reference."""
+    from data_linter_ray.pipelines.validate import _detect_bucket
+
+    n_units, parts = data
+    cols = ["k1", "k2"]
+    viol, counts, head = _detect_bucket(cols, n_units, n, cap, *parts)
+    want_viol, want_counts, want_head = _ref_detect(cols, n_units, n, cap, parts)
+    assert viol.to_pylist() == [{k: v for k, v in r.items() if k != "pos"} for r in want_viol]
+    assert counts.tolist() == want_counts
+    assert (head is None) == (want_head is None)
+    if head is not None:
+        assert head.to_pylist() == want_head
