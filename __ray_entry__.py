@@ -189,23 +189,27 @@ def q_unique_violations(sf_dir: str):
 
 
 def q_ref_violations(sf_dir: str):
-    """Dangling orders.o_custkey → customer.c_custkey (broadcast anti-join);
-    key-level output (o_custkey, n)."""
+    """Dangling orders.o_custkey → customer.c_custkey: ``validate_dataset``'s
+    referential check (the broadcast anti-join at this size), its
+    ``referential_test`` rows folded to key level (o_custkey, n)."""
     from ray.data.aggregate import Count
 
-    from data_linter_ray.stages.referential import referential_violations_broadcast
-
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"]
-    )
+    orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet", columns=["o_custkey"])
     customer = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey"]
     )
-    viol = referential_violations_broadcast(
-        orders, "o_custkey", customer, "c_custkey", id_column="o_orderkey"
+    schema = TableSchema(
+        name="orders",
+        columns=[
+            ColumnSpec(name="o_custkey", type="int64", references="customer.c_custkey")
+        ],
     )
+    viol = validate_dataset(
+        orders, schema, ref_tables={"customer.c_custkey": customer}
+    ).violations
 
     def native(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.equal(t["test"], checks.REFERENTIAL_TEST))
         return pa.Table.from_arrays(
             [pc.cast(t["value"].combine_chunks(), pa.int64())], names=["o_custkey"]
         )

@@ -1,12 +1,19 @@
-"""Fleet-wide exchange-width and read-width derivation.
+"""Fleet-wide exchange-width and read-width derivation, and the keyed
+exchange itself.
 
 Every manual exchange in the engine (the uniqueness pre-aggregation,
 dedup's bucketed pair generation, the as-of/range/session key-hash
 exchanges, validate's raw-task uniqueness exchange) keys rows into P
-coarse partitions. P used to be a single-node constant (32); at
-cluster scale it must grow with input size or per-partition memory
-explodes. :func:`exchange_width` derives P from the pipeline's input
-size using PLAN METADATA ONLY — it never executes the dataset:
+coarse partitions. A keyed operator names only its key columns:
+:func:`exchange_map_groups` hashes them in its scatter tasks with
+:func:`partition_of`, the one partition hash, at the width of its
+materialized input. Only a range splitter, or another placement an
+operator decides itself, passes partition ids and their count.
+
+P used to be a single-node constant (32); at cluster scale it must
+grow with input size or per-partition memory explodes.
+:func:`exchange_width` derives P from the pipeline's input size using
+PLAN METADATA ONLY — it never executes the dataset:
 
 * a dataset with file provenance (``read_parquet`` etc.) contributes
   its on-disk bytes × ``DECODE_INFLATION`` (decoded Arrow is ~4× a
@@ -31,19 +38,20 @@ parquet read takes both from one driver pass over its files,
 size and footer, which also plan the read itself
 (``sources.readers.read_parquet_dataset``).
 
-This module is the only place a keyed-exchange width *or a read's block
-count and batch size* is decided: no operator or reader takes a width
-argument. The one setting is the ``DATA_LINTER_RAY_SHUFFLE_PARTITIONS``
+This module is the only place a keyed-exchange width, a row's hash
+partition *or a read's block count and batch size* is decided: no
+operator or reader takes a width argument or hashes a key into a
+partition. The one setting is the ``DATA_LINTER_RAY_SHUFFLE_PARTITIONS``
 env var, which replaces the derivation for every exchange
 (:func:`join_width` still caps it at the cluster's CPUs) and leaves
 reads alone.
 
 It also holds the primitives every operator composes its passes from:
-:func:`keyed_scatter_gather` / :func:`exchange_map_groups` (the keyed
-exchange), :func:`fold_batches` (one partial per batch, folded on the
-driver), :func:`range_bounds` (equi-depth splitters for a range
-exchange, from one t-digest pass) and :func:`block_refs` (a
-materialized Dataset's object refs).
+:func:`exchange_map_groups` / :func:`keyed_scatter_gather` (the keyed
+exchange, hashing with :func:`partition_of`), :func:`fold_batches`
+(one partial per batch, folded on the driver), :func:`range_bounds`
+(equi-depth splitters for a range exchange, from one t-digest pass)
+and :func:`block_refs` (a materialized Dataset's object refs).
 """
 
 from __future__ import annotations
@@ -260,26 +268,58 @@ def split_by_partition(t, part, num_partitions: int) -> list:
     return [st.slice(bounds[i], bounds[i + 1] - bounds[i]) for i in range(num_partitions)]
 
 
+def partition_of(t, keys, num_partitions: int):
+    """Hash partition in [0, num_partitions) of each row of table ``t``
+    by its ``keys`` columns: the one partition hash of every keyed
+    exchange. Each column is hashed with
+    :func:`~data_linter_ray.state.sketches.hash_array` and the hashes
+    are combined in ``keys`` order. Equal values land together whatever
+    their physical type: a dictionary column is decoded first, integers
+    hash as int64 and floats as float64 (string, large_string and
+    string_view hash alike already), and every null hashes alike."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from data_linter_ray.state.sketches import hash_array
+
+    h = np.zeros(t.num_rows, np.uint64)
+    for k in keys:
+        col = t[k]
+        if pa.types.is_dictionary(col.type):
+            col = pc.cast(col, col.type.value_type)
+        if pa.types.is_integer(col.type) and col.type != pa.int64():
+            col = pc.cast(col, pa.int64(), safe=False)
+        elif pa.types.is_floating(col.type) and col.type != pa.float64():
+            col = pc.cast(col, pa.float64())
+        h = h * np.uint64(0x9E3779B97F4A7C15) + hash_array(col)
+    return (h % np.uint64(num_partitions)).astype(np.int64)
+
+
 def keyed_scatter_gather(
     mat,
-    part_col: str,
+    by,
     num_partitions: int,
     reduce_fn,
     *,
     empty_schema=None,
 ):
-    """Manual hash exchange: scatter a MATERIALIZED dataset's blocks by
-    an int64 partition column in [0, num_partitions), gather each
-    non-empty partition in one reduce task, return the reduced blocks as
-    a new Dataset (``from_arrow_refs`` — nothing lands on the driver).
+    """Manual keyed exchange: scatter a MATERIALIZED dataset's blocks
+    into ``num_partitions`` partitions, gather each non-empty partition
+    in one reduce task, return the reduced blocks as a new Dataset
+    (``from_arrow_refs`` — nothing lands on the driver). ``by`` is
+    either a list of key columns, which the scatter task hashes with
+    :func:`partition_of`, or the name of an int column of partition ids
+    in [0, num_partitions).
 
-    Why not ``groupby(part_col).map_groups``: Ray Data's sort-based
+    Why not ``groupby(col).map_groups``: Ray Data's sort-based
     groupby samples key values to pick reduce boundaries; any key
     holding more than 1/P of the mass duplicates a sampled boundary and
     yields empty, schema-less sort partitions (executor warns, dataset
     schema degrades) — and the sample+sort passes cost real time. This
-    exchange is deterministic: partition i IS key i. All tasks are pure
-    functions of their inputs, so lineage-based retry holds.
+    exchange is deterministic: partition i IS hash bucket (or id) i.
+    All tasks are pure functions of their inputs, so lineage-based
+    retry holds.
 
     ``reduce_fn(part_index, table) -> table`` runs once per NON-EMPTY
     partition: each scatter task also returns its per-partition row
@@ -305,7 +345,7 @@ def keyed_scatter_gather(
     # group blocks so scatter-task (and returned-ref) count stays ~2×P
     group = max(1, len(refs) // (2 * P))
     groups = [refs[i : i + group] for i in range(0, len(refs), group)]
-    per_block = [scatter.remote(part_col, P, *g) for g in groups]
+    per_block = [scatter.remote(by, P, *g) for g in groups]
     counts = np.sum([np.zeros(P, np.int64)] + ray.get([pb[P] for pb in per_block]), axis=0)
     live = [p for p in range(P) if counts[p] > 0]
     if not live:
@@ -319,22 +359,30 @@ def keyed_scatter_gather(
     return rd.from_arrow_refs(reduced)
 
 
-def _scatter(part_col: str, num_partitions: int, *tables):
+def _scatter(by, num_partitions: int, *tables):
     """Ray task: the scatter side of :func:`keyed_scatter_gather` — one
-    block group split into ``num_partitions`` tables by ``part_col``,
-    then their row counts."""
+    block group split into ``num_partitions`` tables by ``by``, then
+    their row counts."""
     import numpy as np
     import pyarrow as pa
 
     # Ray Data passes empty blocks through map_batches WITHOUT
     # calling the UDF, so an empty block can carry a stale upstream
-    # schema (even missing part_col). Empty parts are dropped by
-    # the reduce side regardless, so skip empty inputs wholesale.
-    tables = [t for t in tables if t.num_rows]
+    # schema (even missing the key columns). Empty parts are dropped by
+    # the reduce side regardless, so skip empty inputs wholesale. A
+    # pandas block (``from_pandas``) is scattered as Arrow.
+    tables = [
+        t if isinstance(t, pa.Table) else pa.Table.from_pandas(t, preserve_index=False)
+        for t in tables
+        if len(t)
+    ]
     if not tables:
         return tuple([pa.table({})] * num_partitions) + (np.zeros(num_partitions, np.int64),)
     t = tables[0] if len(tables) == 1 else pa.concat_tables(tables)
-    pv = t[part_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    if isinstance(by, str):
+        pv = t[by].to_numpy(zero_copy_only=False).astype(np.int64)
+    else:
+        pv = partition_of(t, by, num_partitions)
     out = split_by_partition(t, pv, num_partitions)
     return tuple(out) + (np.array([p.num_rows for p in out], np.int64),)
 
@@ -352,20 +400,27 @@ _reduce_task = ray.remote(_reduce)
 
 def exchange_map_groups(
     ds,
-    part_col: str,
-    num_partitions: int,
+    by,
     fn,
     *,
+    num_partitions: int | None = None,
     batch_format: str = "pandas",
     empty_schema=None,
 ):
-    """Drop-in replacement for ``ds.groupby(part_col).map_groups(fn,
-    batch_format=...)`` over a dense int partition column: one
-    deterministic :func:`keyed_scatter_gather` exchange, ``fn`` applied
-    to each non-empty partition as a pandas DataFrame (or a pyarrow
-    Table with ``batch_format="pyarrow"``; ``part_col`` still present,
-    as with map_groups). No boundary sampling, no sort, no empty
-    schema-less partitions."""
+    """Drop-in replacement for ``ds.groupby(by).map_groups(fn,
+    batch_format=...)``: one deterministic :func:`keyed_scatter_gather`
+    exchange, ``fn`` applied to each non-empty partition as a pandas
+    DataFrame (or a pyarrow Table with ``batch_format="pyarrow"``). No
+    boundary sampling, no sort, no empty schema-less partitions.
+
+    By default ``by`` is one key column or a list of them: rows are
+    hash-partitioned by :func:`partition_of` at
+    :func:`exchange_width` of the materialized input (its exact size,
+    free), so every row of one key reaches one ``fn`` call, which sees
+    the rows as they are. With ``num_partitions`` set, ``by`` is an int
+    column of partition ids in [0, num_partitions), still present in
+    what ``fn`` sees: for range splitters and other placements the
+    caller decides itself."""
     import pyarrow as pa
 
     def reduce(i, t):
@@ -377,8 +432,11 @@ def exchange_map_groups(
         return out.replace_schema_metadata(None)
 
     mat = ds if type(ds).__name__ == "MaterializedDataset" else ds.materialize()
+    if num_partitions is None:
+        by = [by] if isinstance(by, str) else list(by)
+        num_partitions = exchange_width(mat)
     return keyed_scatter_gather(
-        mat, part_col, num_partitions, reduce, empty_schema=empty_schema
+        mat, by, num_partitions, reduce, empty_schema=empty_schema
     )
 
 

@@ -7,12 +7,12 @@ active period (epoch time // period) and counts, for every
 Scale shape (one exchange, everything else is combiner/driver-fold):
 
   per batch: distinct (user, period) pairs — a combiner, so a user
-      with 10^6 events in a batch contributes ≤ one row per period —
-      plus ``_part = hash(user) % P``.
-  one :func:`~data_linter_ray.exchange.keyed_scatter_gather` exchange
-      co-locates each user's pairs; the reduce de-dupes pairs across
-      batches, derives the user's cohort (min period — co-located, so
-      exact), and emits per-(cohort, period) COUNT PARTIALS.
+      with 10^6 events in a batch contributes ≤ one row per period.
+  one :func:`~data_linter_ray.exchange.exchange_map_groups` exchange
+      on the user co-locates each user's pairs; the reduce de-dupes
+      pairs across batches, derives the user's cohort (min period —
+      co-located, so exact), and emits per-(cohort, period) COUNT
+      PARTIALS.
   driver: sums the partials (rows = cohorts × periods, KB scale).
 
 No driver-side user map, no broadcast: user cardinality can be 10^9+.
@@ -31,7 +31,7 @@ import pandas as pd
 import pyarrow as pa
 from ray.data import Dataset
 
-from data_linter_ray.exchange import exchange_width, keyed_scatter_gather
+from data_linter_ray.exchange import exchange_map_groups
 
 _PART_SCHEMA = pa.schema(
     [
@@ -52,20 +52,13 @@ def retention_matrix(
     """→ DataFrame(cohort_period, period, n_users), sorted; periods are
     ``epoch_seconds // period_s`` (epoch weeks by default). Null users
     and null timestamps are excluded."""
-    P = exchange_width(ds)
     period_us = np.int64(period_s) * np.int64(1_000_000)
 
     user_t = ds.schema().base_schema.field(user_col).type
 
     def pair_partial(t: pa.Table) -> pa.Table:
         df = t.select([user_col, ts_col]).to_pandas().dropna()
-        empty = pa.table(
-            {
-                "u": pa.array([], user_t),
-                "p": pa.array([], pa.int64()),
-                "_part": pa.array([], pa.int64()),
-            }
-        )
+        empty = pa.table({"u": pa.array([], user_t), "p": pa.array([], pa.int64())})
         if not len(df):
             return empty
         ts = df[ts_col].to_numpy("datetime64[us]").view(np.int64)
@@ -73,21 +66,15 @@ def retention_matrix(
         # hash-based pair dedupe: np.unique(axis=0) sort-unique
         # measured 5× slower on 10M-row batches
         pairs = pairs[~pairs.duplicated().to_numpy()]
-        # partition on a hash of the user VALUE (any key type)
-        part = (
-            pd.util.hash_pandas_object(pairs["u"], index=False).to_numpy(np.uint64)
-            % np.uint64(P)
-        )
         return pa.table(
             {
                 "u": pa.Array.from_pandas(pairs["u"], type=user_t),
                 "p": pa.array(pairs["p"].to_numpy(np.int64)),
-                "_part": pa.array(part.astype(np.int64)),
             }
         )
 
-    def reduce_cell_counts(i: int, t: pa.Table) -> pa.Table:
-        df = t.select(["u", "p"]).to_pandas().drop_duplicates()
+    def reduce_cell_counts(t: pa.Table) -> pa.Table:
+        df = t.to_pandas().drop_duplicates()
         cohort = df.groupby("u", sort=False)["p"].transform("min")
         cells = (
             pd.DataFrame({"cohort_period": cohort, "period": df["p"]})
@@ -97,13 +84,14 @@ def retention_matrix(
         )
         return pa.Table.from_pandas(cells, schema=_PART_SCHEMA, preserve_index=False)
 
-    mat = (
-        ds.select_columns([user_col, ts_col])
-        .map_batches(pair_partial, batch_format="pyarrow")
-        .materialize()
-    )
-    parts = keyed_scatter_gather(
-        mat, "_part", P, reduce_cell_counts, empty_schema=_PART_SCHEMA
+    parts = exchange_map_groups(
+        ds.select_columns([user_col, ts_col]).map_batches(
+            pair_partial, batch_format="pyarrow"
+        ),
+        "u",
+        reduce_cell_counts,
+        batch_format="pyarrow",
+        empty_schema=_PART_SCHEMA,
     )
     # all-null input lands no rows: the empty partial keeps the columns typed
     tables = list(parts.iter_batches(batch_format="pyarrow", batch_size=None))
@@ -141,7 +129,7 @@ def windowed_active_counts(
     and one cumsum yields every day's exact count.
 
     Scale shape: distinct (key, day) per-batch combiner → one key-hash
-    :func:`~data_linter_ray.exchange.keyed_scatter_gather` exchange
+    :func:`~data_linter_ray.exchange.exchange_map_groups` exchange
     (all of a key's days co-locate; partitions hold disjoint key sets)
     → per-partition interval merge → tiny (day, delta) partials. Null
     keys/times excluded.
@@ -153,10 +141,8 @@ def windowed_active_counts(
     import pandas as pd
     import pyarrow as pa
 
-    from data_linter_ray.exchange import exchange_map_groups, exchange_width
-    from data_linter_ray.state.sketches import hash_array
+    from data_linter_ray.exchange import exchange_map_groups
 
-    P = exchange_width(ds)
     N = int(window_days)
 
     def pair_partial(t: pa.Table) -> pa.Table:
@@ -164,9 +150,7 @@ def windowed_active_counts(
 
         t = t.select([key, time_col]).drop_null()
         days = pc.cast(pc.floor_temporal(t[time_col], unit="day"), pa.date32())
-        g = pa.table({"k": t[key], "d": days}).group_by(["k", "d"]).aggregate([])
-        h = hash_array(g["k"].combine_chunks()) % np.uint64(P)
-        return g.append_column("_part", pa.array(h.astype(np.int64)))
+        return pa.table({"k": t[key], "d": days}).group_by(["k", "d"]).aggregate([])
 
     def deltas(df: pd.DataFrame) -> pd.DataFrame:
         d = df.drop_duplicates(["k", "d"]).sort_values(
@@ -204,8 +188,7 @@ def windowed_active_counts(
         ds.select_columns([key, time_col]).map_batches(
             pair_partial, batch_format="pyarrow"
         ),
-        "_part",
-        P,
+        "k",
         deltas,
     ).to_pandas()
     if "day" not in parts.columns or not len(parts):

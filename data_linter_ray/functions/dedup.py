@@ -56,29 +56,21 @@ def exact_dedup(
 ) -> Dataset:
     """One survivor row (min id) per distinct content value.
 
-    Exchange is keyed on a COARSE bucket of the content hash (one Ray
-    group per bucket, pandas vectorized min-id inside), never one group
-    per distinct value — per-group Python dispatch is the measured
-    bottleneck at high-cardinality keys."""
+    The exchange is keyed on the content hash, and each of its coarse
+    partitions picks the min id per hash vectorized in pandas — never
+    one group per distinct value; per-group Python dispatch is the
+    measured bottleneck at high-cardinality keys."""
     extra = [c for c in (keep_cols or []) if c not in (text_col, id_col)]
     pruned = ds.select_columns(sorted({text_col, id_col, *extra}))
-    P = exchange_width(ds)
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        h = t["_h"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return t.append_column("_bucket", pa.array((h % P).astype(np.int64)))
-
     local = pruned.map_batches(
         _local_survivors(text_col, id_col, extra), batch_format="pyarrow"
-    ).map_batches(add_bucket, batch_format="pyarrow")
+    )
 
     def pick_min(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(id_col, kind="stable")
         return g.drop_duplicates(subset=["_h"], keep="first")
 
-    return exchange_map_groups(local, "_bucket", P, pick_min).drop_columns(
-        ["_h", "_bucket"]
-    )
+    return exchange_map_groups(local, "_h", pick_min).drop_columns(["_h"])
 
 
 def exact_duplicate_groups(ds: Dataset, text_col: str = "text", id_col: str = "doc_id") -> Dataset:
@@ -106,11 +98,10 @@ def _bucketed_pairs(
     key_cols: list[str],
     max_bucket: int,
     pair_fn,
-    width: int | None = None,
 ) -> Dataset:
     """Generate within-bucket pairs WITHOUT one Ray group per bucket.
 
-    Buckets are coarsely partitioned by a hash of the bucket key
+    Buckets are coarsely hash-partitioned on the bucket key
     (``groupby`` with one group per distinct (band,bucket) key means one
     Python map_groups call per group — pathological with 100k+ mostly-
     singleton buckets). Inside each coarse partition, rows are sorted by
@@ -120,18 +111,6 @@ def _bucketed_pairs(
     ``pair_fn(sub: pd.DataFrame) -> pd.DataFrame`` builds pairs for ONE
     real bucket (already capped to ``max_bucket`` rows).
     """
-    P = width or exchange_width(buckets)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        h = np.zeros(len(df), dtype=np.uint64)
-        for c in key_cols:
-            h ^= _splitmix(
-                pd.util.hash_pandas_object(df[c], index=False).to_numpy(np.uint64)
-            )
-        df["_part"] = (h % P).astype(np.int64)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
     def pairs_in_partition(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(key_cols + ["id"], kind="stable")
         sizes = g.groupby(key_cols, sort=False).size().to_numpy()
@@ -145,37 +124,25 @@ def _bucketed_pairs(
             return pair_fn(g.iloc[0:0], False)
         return pd.concat(outs, ignore_index=True)
 
-    return exchange_map_groups(
-        buckets.map_batches(add_part, batch_format="pyarrow"),
-        "_part",
-        P,
-        pairs_in_partition,
-    )
+    return exchange_map_groups(buckets, key_cols, pairs_in_partition)
 
 
-def _dedupe_pairs(cand: Dataset, agg: dict, width: int | None = None) -> Dataset:
+def _dedupe_pairs(cand: Dataset, agg: dict) -> Dataset:
     """Dedupe (id_a, id_b) pairs found via multiple buckets: per-batch
-    local dedupe, then a bucketed exchange keyed on a pair hash (same
-    two-level pattern as the uniqueness check)."""
+    local dedupe, then an exchange keyed on the pair (same two-level
+    pattern as the uniqueness check)."""
 
     cols = list(agg)
-    P = width or exchange_width(cand)
 
     def local(g: pa.Table) -> pa.Table:
-        df = g.to_pandas()
-        df = df.groupby(["id_a", "id_b"], as_index=False).agg(agg)
-        h = (
-            pd.util.hash_pandas_object(df["id_a"], index=False).to_numpy(np.uint64)
-            ^ pd.util.hash_pandas_object(df["id_b"], index=False).to_numpy(np.uint64)
-        )
-        df["_bucket"] = (h % P).astype(np.int64)
+        df = g.to_pandas().groupby(["id_a", "id_b"], as_index=False).agg(agg)
         return pa.Table.from_pandas(df, preserve_index=False)
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby(["id_a", "id_b"], as_index=False).agg(agg)
 
     return exchange_map_groups(
-        cand.map_batches(local, batch_format="pyarrow"), "_bucket", P, merge
+        cand.map_batches(local, batch_format="pyarrow"), ["id_a", "id_b"], merge
     ).select_columns(["id_a", "id_b"] + cols)
 
 
@@ -306,7 +273,6 @@ def minhash_lsh_candidates(
     buckets = ds.select_columns([id_col, text_col]).map_batches(
         emit_buckets, batch_format="pyarrow"
     )
-    P = exchange_width(ds)
 
     def pair_fn(sub: pd.DataFrame, truncated: bool) -> pd.DataFrame:
         ids = sub["id"].to_numpy()
@@ -321,13 +287,13 @@ def minhash_lsh_candidates(
         ia, ib = np.triu_indices(len(ids), k=1)
         return pd.DataFrame({"id_a": ids[ia], "id_b": ids[ib], "truncated": truncated})
 
-    cand = _bucketed_pairs(buckets, ["band", "bucket"], max_bucket, pair_fn, width=P)
+    cand = _bucketed_pairs(buckets, ["band", "bucket"], max_bucket, pair_fn)
     if not dedupe:
         # caller folds the cross-band dedupe into its own exchange (e.g.
         # verify_candidates_jaccard's bounded broadcast path) — saves a
         # whole pair-hash exchange
         return cand
-    return _dedupe_pairs(cand, agg={"truncated": "max"}, width=P)
+    return _dedupe_pairs(cand, agg={"truncated": "max"})
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +396,8 @@ def simhash_near_duplicates(
             }
         )
 
-    P = exchange_width(ds)
-    cand = _bucketed_pairs(buckets, ["chunk", "key"], max_bucket, pair_fn, width=P)
-    return _dedupe_pairs(cand, agg={"hamming": "min", "truncated": "max"}, width=P)
+    cand = _bucketed_pairs(buckets, ["chunk", "key"], max_bucket, pair_fn)
+    return _dedupe_pairs(cand, agg={"hamming": "min", "truncated": "max"})
 
 
 # ---------------------------------------------------------------------------
@@ -625,24 +590,19 @@ def drop_near_duplicates(
 
     # scale path: co-partition corpus rows and loser ids by id hash,
     # anti-filter inside each partition (the referential shuffle shape)
-    P = exchange_width(ds, losers_ds)
-
     def tag_corpus(t: pa.Table) -> pa.Table:
-        h = hash_array(t[id_col]) % np.uint64(P)
-        return t.append_column("_part", pa.array(h.astype(np.int64))).append_column(
+        return t.append_column(
             "_is_loser_row", pa.array(np.zeros(t.num_rows, dtype=bool))
         )
 
     def tag_losers(t: pa.Table) -> pa.Table:
-        h = hash_array(t["_loser"]) % np.uint64(P)
         out = pa.table({id_col: t["_loser"]})
         for c in ds.schema().names:
             if c != id_col:
                 out = out.append_column(
                     c, pa.nulls(t.num_rows, ds.schema().base_schema.field(c).type)
                 )
-        out = out.select(ds.schema().names)
-        return out.append_column("_part", pa.array(h.astype(np.int64))).append_column(
+        return out.select(ds.schema().names).append_column(
             "_is_loser_row", pa.array(np.ones(t.num_rows, dtype=bool))
         )
 
@@ -654,9 +614,9 @@ def drop_near_duplicates(
         loser_ids = set(g.loc[g["_is_loser_row"], id_col])
         rows = g[~g["_is_loser_row"]]
         rows = rows[~rows[id_col].isin(loser_ids)]
-        return rows.drop(columns=["_part", "_is_loser_row"])
+        return rows.drop(columns=["_is_loser_row"])
 
-    return exchange_map_groups(both, "_part", P, anti)
+    return exchange_map_groups(both, id_col, anti)
 
 
 # ---------------------------------------------------------------------------

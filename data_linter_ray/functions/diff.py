@@ -28,7 +28,7 @@ import pandas as pd
 import pyarrow as pa
 from ray.data import Dataset
 
-from data_linter_ray.exchange import exchange_map_groups, exchange_width
+from data_linter_ray.exchange import exchange_map_groups
 
 
 def snapshot_diff(
@@ -41,7 +41,6 @@ def snapshot_diff(
     'removed', 'changed'}; ``changed_cols`` is the comma-joined sorted
     list of differing compare columns for 'changed' rows, null
     otherwise. Equality is null-safe (null == null)."""
-    P = exchange_width(ds_a, ds_b)
     cols = [key] + list(compare_cols)
     key_type = ds_a.schema().base_schema.field(key).type
     ordered = sorted(compare_cols)
@@ -49,12 +48,7 @@ def snapshot_diff(
     def pad(side: int):
         def f(t: pa.Table) -> pa.Table:
             t = t.select(cols).filter(t[key].is_valid())
-            h = pd.util.hash_pandas_object(
-                t[key].to_pandas(), index=False
-            ).to_numpy(dtype=np.uint64)
             return t.append_column(
-                "_part", pa.array((h % np.uint64(P)).astype(np.int64))
-            ).append_column(
                 "_side", pa.array(np.full(t.num_rows, side, dtype=np.int8))
             )
 
@@ -101,4 +95,4 @@ def snapshot_diff(
             }
         )
 
-    return exchange_map_groups(unioned, "_part", P, diff_part)
+    return exchange_map_groups(unioned, key, diff_part)

@@ -24,7 +24,7 @@ import pandas as pd
 import pyarrow as pa
 from ray.data import Dataset
 
-from data_linter_ray.exchange import exchange_map_groups, exchange_width
+from data_linter_ray.exchange import exchange_map_groups
 
 
 def union_by_name(datasets: list[Dataset]) -> Dataset:
@@ -86,7 +86,6 @@ def apply_changes(
     types = {
         c: base.schema().base_schema.field(c).type for c in [key] + payload
     }
-    P = exchange_width(base, changes)
 
     def pad(side: int):
         def f(t: pa.Table) -> pa.Table:
@@ -101,10 +100,6 @@ def apply_changes(
             else:
                 cols["_seq"] = t[seq_col].cast(pa.int64())
                 cols["_op"] = t[op_col]
-            h = pd.util.hash_pandas_object(
-                t[key].to_pandas(), index=False
-            ).to_numpy(dtype=np.uint64)
-            cols["_part"] = pa.array((h % np.uint64(P)).astype(np.int64))
             return pa.table(cols)
 
         return f
@@ -129,4 +124,4 @@ def apply_changes(
             cols[c] = arr
         return pa.table(cols)
 
-    return exchange_map_groups(unioned, "_part", P, resolve)
+    return exchange_map_groups(unioned, key, resolve)

@@ -50,7 +50,7 @@ import pandas as pd
 import pyarrow as pa
 from ray.data import Dataset
 
-from data_linter_ray.exchange import exchange_map_groups, exchange_width
+from data_linter_ray.exchange import exchange_map_groups
 
 logger = logging.getLogger(__name__)
 
@@ -170,7 +170,6 @@ def fuzzy_key_pairs(
     """All (id_a < id_b) pairs whose ``name_col`` values are within
     Levenshtein distance 1 → Dataset (id_a, id_b, name_a, name_b,
     dist, truncated). Null ids/names are excluded."""
-    P = exchange_width(ds)
 
     def variants(t: pa.Table) -> pa.Table:
         t = t.drop_null()
@@ -193,7 +192,6 @@ def fuzzy_key_pairs(
                 "key": keys[keep].astype(np.int64),
                 "id": ids[keep],
                 "name": names.filter(pa.array(keep)),
-                "_part": (keys[keep] % np.uint64(P)).astype(np.int64),
             }
         )
 
@@ -237,7 +235,6 @@ def fuzzy_key_pairs(
         return pd.concat(outs, ignore_index=True)
 
     def dedupe_verify(g: pd.DataFrame) -> pa.Table:
-        g = g.drop(columns=["_p2"])
         g = g.sort_values(
             ["id_a", "id_b", "truncated"], kind="mergesort"
         ).drop_duplicates(["id_a", "id_b"], keep="last")
@@ -253,20 +250,7 @@ def fuzzy_key_pairs(
         ds.select_columns([id_col, name_col]).map_batches(
             variants, batch_format="pyarrow"
         ),
-        "_part",
-        P,
+        "key",
         bucket_pairs,
     )
-
-    def pair_part(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_pandas_object(
-            t.select(["id_a", "id_b"]).to_pandas(), index=False
-        ).to_numpy(dtype=np.uint64)
-        return t.append_column("_p2", pa.array((h % np.uint64(P)).astype(np.int64)))
-
-    return exchange_map_groups(
-        cands.map_batches(pair_part, batch_format="pyarrow"),
-        "_p2",
-        P,
-        dedupe_verify,
-    )
+    return exchange_map_groups(cands, ["id_a", "id_b"], dedupe_verify)

@@ -29,8 +29,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
 
-from data_linter_ray.exchange import exchange_map_groups, exchange_width
-from data_linter_ray.state.sketches import hash_array
+from data_linter_ray.exchange import exchange_map_groups
 
 KINDS = ("text", "image", "audio", "video")
 
@@ -199,7 +198,6 @@ def media_ref_counts(
     diffing against the catalog). Two-level count: per-batch distinct
     (ref, partial) combiner → ref-hash partitioned sum — a hot asset
     costs one row per batch through the exchange, never one per span."""
-    P = exchange_width(ds)
 
     def local_counts(t: pa.Table) -> pa.Table:
         flat, _parents, _lengths = _flat(t, spans_col)
@@ -209,19 +207,15 @@ def media_ref_counts(
                 {
                     "media_ref": pa.array([], pa.string()),
                     "n_refs": pa.array([], pa.int64()),
-                    "_part": pa.array([], pa.int64()),
                 }
             )
         vc = pa.table({"media_ref": refs}).group_by("media_ref").aggregate(
             [("media_ref", "count")]
         )
-        keys = vc["media_ref"].combine_chunks()
-        h = hash_array(keys) % np.uint64(P)
         return pa.table(
             {
-                "media_ref": keys,
+                "media_ref": vc["media_ref"],
                 "n_refs": vc["media_ref_count"].cast(pa.int64()),
-                "_part": pa.array(h.astype(np.int64)),
             }
         )
 
@@ -233,8 +227,7 @@ def media_ref_counts(
         ds.select_columns([spans_col]).map_batches(
             local_counts, batch_format="pyarrow"
         ),
-        "_part",
-        P,
+        "media_ref",
         final_sum,
     )
 

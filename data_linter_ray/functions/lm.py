@@ -42,8 +42,7 @@ import pyarrow.compute as pc
 import ray
 from ray.data import Dataset
 
-from data_linter_ray.exchange import exchange_map_groups, exchange_width
-from data_linter_ray.state.sketches import hash_array
+from data_linter_ray.exchange import exchange_map_groups
 
 
 def _doc_tokens(t: pa.Table, text_col: str):
@@ -69,19 +68,12 @@ def train_unigram_counts(
     """→ (DataFrame(token, c), total token count T). With
     ``vocab_size`` the frame holds the global top-V tokens by
     (count desc, token asc); T always counts EVERY token."""
-    P = exchange_width(ds)
 
     def local_counts(t: pa.Table) -> pa.Table:
         flat, _ = _doc_tokens(t, text_col)
         vc = flat.value_counts()
-        toks = vc.field("values")
-        h = hash_array(toks) % np.uint64(P)
         return pa.table(
-            {
-                "token": toks,
-                "c": pc.cast(vc.field("counts"), pa.int64()),
-                "_part": pa.array(h.astype(np.int64)),
-            }
+            {"token": vc.field("values"), "c": pc.cast(vc.field("counts"), pa.int64())}
         )
 
     def part_sum(g: pd.DataFrame) -> pd.DataFrame:
@@ -99,8 +91,7 @@ def train_unigram_counts(
         ds.select_columns([text_col]).map_batches(
             local_counts, batch_format="pyarrow"
         ),
-        "_part",
-        P,
+        "token",
         part_sum,
     ).to_pandas()
     totals = parts[parts["token"].isna()]

@@ -392,12 +392,12 @@ class FeatureExtractor:
             64: np.random.RandomState(42).randn(64, dim).astype(np.float32)
         }
 
-    def _projection(self, width: int) -> np.ndarray:
-        if width not in self._proj:
-            self._proj[width] = (
-                np.random.RandomState(42).randn(width, self.dim).astype(np.float32)
+    def _projection(self, n_in: int) -> np.ndarray:
+        if n_in not in self._proj:
+            self._proj[n_in] = (
+                np.random.RandomState(42).randn(n_in, self.dim).astype(np.float32)
             )
-        return self._proj[width]
+        return self._proj[n_in]
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         col = batch[self.pixels_col].combine_chunks()

@@ -20,15 +20,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
 
-from data_linter_ray.exchange import exchange_map_groups, exchange_width
-from data_linter_ray.state.sketches import hash_array
-
-
-def _with_key_part(t: pa.Table, key: str, P: int) -> pa.Table:
-    """Append ``_part = hash(key) % P``, the exchange partition column."""
-    return t.append_column(
-        "_part", pa.array((hash_array(t[key]) % np.uint64(P)).astype(np.int64))
-    )
+from data_linter_ray.exchange import exchange_map_groups
 
 
 def rollup_counts(
@@ -41,13 +33,12 @@ def rollup_counts(
     (k1, k2), (k1) and grand-total levels, rolled-up keys null.
 
     Scale shape: per-batch arrow ``group_by`` partials (the combiner) →
-    one ``hash(k1) % P`` exchange summing the FINEST level → subtotals
+    one exchange keyed on ``k1`` summing the FINEST level → subtotals
     derived from the finest result, which is |distinct (k1,k2)| rows — tiny by
     assumption (documented: group-key cardinality ≪ rows; a rollup over
     a high-cardinality key pair should instead keep only the finest
     level distributed). Subtotal derivation is a driver fold over that
     small table, never over input rows."""
-    P = exchange_width(ds)
     aggs = {"n": ("n", "sum")}
     if sum_col:
         aggs["s"] = ("s", "sum")
@@ -61,13 +52,13 @@ def rollup_counts(
         out = {k1: g[k1], k2: g[k2], "n": g["count_all"].cast(pa.int64())}
         if sum_col:
             out["s"] = g[f"{sum_col}_sum"].cast(pa.float64())
-        return _with_key_part(pa.table(out), k1, P)
+        return pa.table(out)
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby([k1, k2], as_index=False, dropna=False).agg(**aggs)
 
     finest = exchange_map_groups(
-        ds.map_batches(partial, batch_format="pyarrow"), "_part", P, merge
+        ds.map_batches(partial, batch_format="pyarrow"), k1, merge
     ).to_pandas()
     lvl1 = finest.groupby(k1, as_index=False, dropna=False).agg(**aggs)
     lvl1[k2] = None
@@ -98,9 +89,8 @@ def pivot_counts(
     ``unique`` query when needed).
 
     Scale shape: each batch crosstabs locally into |keys-in-batch| ×
-    |categories| partial rows (the combiner), then ONE ``hash(index_key)
-    % P`` exchange summing them per index key."""
-    P = exchange_width(ds)
+    |categories| partial rows (the combiner), then ONE exchange keyed on
+    ``index_key`` summing them per index key."""
     cats = list(categories)
     idx_type = ds.schema().base_schema.field(index_key).type
 
@@ -121,8 +111,7 @@ def pivot_counts(
             # null-dropping float-promoted the key in null-carrying
             # blocks; cast back so every partial shares one schema
             out[index_key] = out[index_key].astype(np.int64)
-        out = pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
-        return _with_key_part(out, index_key, P)
+        return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby(index_key, as_index=False)[cats].sum()
@@ -131,8 +120,7 @@ def pivot_counts(
         ds.select_columns([index_key, pivot_key]).map_batches(
             partial, batch_format="pyarrow"
         ),
-        "_part",
-        P,
+        index_key,
         merge,
     )
 

@@ -131,5 +131,5 @@ def pack_offsets(
         )
 
     return exchange_map_groups(
-        counted, "_bucket", K, scan_bucket, batch_format="pyarrow"
+        counted, "_bucket", scan_bucket, num_partitions=K, batch_format="pyarrow"
     )

@@ -101,21 +101,14 @@ def top_values(ds: Dataset, column: str, k: int = 10) -> "pa.Table":
     driver-side materialization."""
     import pandas as pd
 
-    from data_linter_ray.exchange import exchange_map_groups, exchange_width
-
-    P = exchange_width(ds)
+    from data_linter_ray.exchange import exchange_map_groups
 
     def local_counts(t: pa.Table) -> pa.Table:
         vc = t[column].drop_null().value_counts()
         if isinstance(vc, pa.ChunkedArray):
             vc = vc.combine_chunks()
-        vals = vc.field("values")
-        counts = vc.field("counts").cast(pa.int64())
-        import numpy as np
-
-        h = hash_array(vals) % np.uint64(P)
         return pa.table(
-            {"value": vals, "n": counts, "_part": h.astype(np.int64)}
+            {"value": vc.field("values"), "n": vc.field("counts").cast(pa.int64())}
         )
 
     def part_topk(g: pd.DataFrame) -> pd.DataFrame:
@@ -125,8 +118,7 @@ def top_values(ds: Dataset, column: str, k: int = 10) -> "pa.Table":
 
     parts = exchange_map_groups(
         ds.select_columns([column]).map_batches(local_counts, batch_format="pyarrow"),
-        "_part",
-        P,
+        "value",
         part_topk,
     )
     top = parts.to_pandas()

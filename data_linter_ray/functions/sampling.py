@@ -30,7 +30,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
 
-from data_linter_ray.exchange import exchange_map_groups, exchange_width
+from data_linter_ray.exchange import exchange_map_groups
 
 
 def sample_per_key(
@@ -48,7 +48,6 @@ def sample_per_key(
     per-batch top-n combiner, then one key-hash exchange with a final
     per-key top-n."""
     cols = sorted(set([key_col, order_col] + (columns or [])))
-    P = exchange_width(ds)
 
     def local_topn(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t[key_col]))
@@ -56,8 +55,6 @@ def sample_per_key(
         df = df.sort_values([key_col, order_col], kind="stable").groupby(
             key_col, sort=False
         ).head(n)
-        h = pd.util.hash_pandas_object(df[key_col], index=False).to_numpy(np.uint64)
-        df["_part"] = (h % P).astype(np.int64)
         return pa.Table.from_pandas(df, preserve_index=False)
 
     def final_topn(g: pd.DataFrame) -> pd.DataFrame:
@@ -68,8 +65,7 @@ def sample_per_key(
 
     return exchange_map_groups(
         ds.select_columns(cols).map_batches(local_topn, batch_format="pyarrow"),
-        "_part",
-        P,
+        key_col,
         final_topn,
     )
 
@@ -90,7 +86,6 @@ def group_topk(
     combiner → key-hash exchange → final per-key top-k."""
     tie = tie_col or value_col
     cols = sorted(set([key_col, value_col, tie] + (columns or [])))
-    P = exchange_width(ds)
 
     def topk(df: pd.DataFrame) -> pd.DataFrame:
         return (
@@ -103,8 +98,6 @@ def group_topk(
     def local(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t[key_col]))
         df = topk(t.select(cols).to_pandas())
-        h = pd.util.hash_pandas_object(df[key_col], index=False).to_numpy(np.uint64)
-        df["_part"] = (h % P).astype(np.int64)
         return pa.Table.from_pandas(df, preserve_index=False)
 
     def final(g: pd.DataFrame) -> pd.DataFrame:
@@ -112,8 +105,7 @@ def group_topk(
 
     return exchange_map_groups(
         ds.select_columns(cols).map_batches(local, batch_format="pyarrow"),
-        "_part",
-        P,
+        key_col,
         final,
     )
 

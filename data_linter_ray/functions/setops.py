@@ -6,9 +6,9 @@ set ops instead produce the DISTINCT row set relation).
 
 Scale shape (the engine's standard two-level pattern): each side is
 reduced per batch to its DISTINCT rows with a side tag (combiner — a
-hot row costs one exchange row per batch), keyed by a hash of the
-whole row tuple; one :func:`~data_linter_ray.exchange.
-keyed_scatter_gather` exchange co-locates equal rows from both sides,
+hot row costs one exchange row per batch); one
+:func:`~data_linter_ray.exchange.exchange_map_groups` exchange keyed
+on the whole row tuple co-locates equal rows from both sides,
 and the per-partition set logic (pandas drop_duplicates + membership
 masks) is then globally exact. Output rows are distinct, as SQL
 defines. NULLs compare as equal to each other (SQL set-operation
@@ -24,12 +24,10 @@ import pandas as pd
 import pyarrow as pa
 from ray.data import Dataset
 
-from data_linter_ray.exchange import exchange_map_groups, exchange_width
+from data_linter_ray.exchange import exchange_map_groups
 
 
-def _tagged(ds: Dataset, cols: list[str], side: int, P: int) -> Dataset:
-    from data_linter_ray.state.sketches import hash_array
-
+def _tagged(ds: Dataset, cols: list[str], side: int) -> Dataset:
     def f(t: pa.Table) -> pa.Table:
         # stay in Arrow: a pandas round-trip would float-promote
         # nullable int columns in null-carrying blocks only — mixed
@@ -37,18 +35,7 @@ def _tagged(ds: Dataset, cols: list[str], side: int, P: int) -> Dataset:
         # group keys (exactly the IS NOT DISTINCT FROM matching SQL
         # set ops use).
         g = t.select(cols).group_by(cols).aggregate([])
-        h = np.full(g.num_rows, np.uint64(0x9E3779B97F4A7C15))
-        for c in cols:
-            col = g[c].combine_chunks()
-            ch = hash_array(col)
-            # null slots must hash identically on both sides
-            ch = np.where(
-                np.asarray(col.is_null()), np.uint64(0xA5A5A5A5A5A5A5A5), ch
-            )
-            h = (h * np.uint64(1099511628211)) ^ ch
-        return g.append_column(
-            "_part", pa.array((h % np.uint64(P)).astype(np.int64))
-        ).append_column("_side", pa.array(np.full(g.num_rows, side, np.int8)))
+        return g.append_column("_side", pa.array(np.full(g.num_rows, side, np.int8)))
 
     return ds.select_columns(cols).map_batches(f, batch_format="pyarrow")
 
@@ -56,7 +43,6 @@ def _tagged(ds: Dataset, cols: list[str], side: int, P: int) -> Dataset:
 def _set_op(a: Dataset, b: Dataset, cols: list[str], op: str) -> Dataset:
     import ray.data as rd
 
-    P = exchange_width(a, b)
     # either side may be an empty dataset with no schema — fall back to
     # the other; both empty → an empty (zero-column) result is all we
     # can type
@@ -65,7 +51,7 @@ def _set_op(a: Dataset, b: Dataset, cols: list[str], op: str) -> Dataset:
         return rd.from_arrow(pa.table({}))
     types = {c: sch.base_schema.field(c).type for c in cols}
     out_schema = pa.schema([(c, types[c]) for c in cols])
-    both = _tagged(a, cols, 0, P).union(_tagged(b, cols, 1, P))
+    both = _tagged(a, cols, 0).union(_tagged(b, cols, 1))
 
     def resolve(g: pd.DataFrame) -> pa.Table:
         left = g[g["_side"] == 0][cols].drop_duplicates()
@@ -83,9 +69,7 @@ def _set_op(a: Dataset, b: Dataset, cols: list[str], op: str) -> Dataset:
             {c: pa.Array.from_pandas(out[c], type=types[c]) for c in cols}
         )
 
-    return exchange_map_groups(
-        both, "_part", P, resolve, empty_schema=out_schema
-    )
+    return exchange_map_groups(both, cols, resolve, empty_schema=out_schema)
 
 
 def intersect_distinct(a: Dataset, b: Dataset, cols: list[str]) -> Dataset:

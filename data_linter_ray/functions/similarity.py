@@ -24,7 +24,6 @@ from ray.data import Dataset
 import ray
 
 from data_linter_ray.exchange import exchange_map_groups, exchange_width, fold_batches
-from data_linter_ray.state.sketches import hash_array
 
 logger = logging.getLogger(__name__)
 
@@ -73,7 +72,6 @@ def knn_brute_force(
     q_ids = q_tbl[id_col].to_numpy()
     Q = _normalize(np.stack(q_tbl[emb_col].to_numpy()).astype(np.float64))
     q_ref = ray.put((q_ids, Q))
-    P = exchange_width(ds)
 
     def local_topk(t: pa.Table) -> pa.Table:
         qi, qm = ray.get(q_ref) if isinstance(q_ref, ray.ObjectRef) else q_ref
@@ -90,9 +88,7 @@ def knn_brute_force(
             rows["query_id"].extend([qid] * len(top))
             rows["neighbor_id"].extend(ids[top])
             rows["sim"].extend(s[top])
-        t = pa.table(rows)
-        part = hash_array(t["query_id"]) % np.uint64(P)
-        return t.append_column("_part", pa.array(part.astype(np.int64)))
+        return pa.table(rows)
 
     local = ds.select_columns([id_col, emb_col]).map_batches(
         local_topk, batch_format="pyarrow"
@@ -105,7 +101,7 @@ def knn_brute_force(
         g = g.assign(rank=g.groupby("query_id").cumcount() + 1)
         return g[["query_id", "neighbor_id", "rank"]]
 
-    return exchange_map_groups(local, "_part", P, merge)
+    return exchange_map_groups(local, "query_id", merge)
 
 
 #: corpora at or below this row count use the exact broadcast all-pairs
@@ -268,7 +264,7 @@ def ivf_near_duplicates(
             ignore_index=True,
         )
 
-    pairs = exchange_map_groups(assigned, "_part", P, bucket_pairs)
+    pairs = exchange_map_groups(assigned, "_part", bucket_pairs, num_partitions=P)
     # a pair can surface from several probe clusters — two-level
     # pair-hash exchange (never one Ray group per pair)
     return _dedupe_pairs(pairs, agg={"truncated": "max"})

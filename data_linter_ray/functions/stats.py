@@ -96,9 +96,9 @@ def group_count_distinct(
     """Exact ``count(DISTINCT value) GROUP BY group`` — the reach /
     cardinality report. Scale shape (same as cohort retention): per
     batch, DISTINCT (group, value) pairs (a combiner — a hot value
-    costs one row per batch, never one per occurrence) keyed by
-    ``hash(value) % P``; one :func:`~data_linter_ray.exchange.
-    keyed_scatter_gather` exchange co-locates equal values so the
+    costs one row per batch, never one per occurrence); one
+    :func:`~data_linter_ray.exchange.exchange_map_groups` exchange keyed
+    on the value co-locates equal values so the
     per-partition pair dedupe is globally exact; per-partition
     per-group counts are KB partials summed on the driver. Null groups
     and null values are excluded (SQL semantics).
@@ -107,16 +107,11 @@ def group_count_distinct(
     import pyarrow.compute as pc
     import ray  # noqa: F401  (exchange machinery)
 
-    from data_linter_ray.exchange import exchange_map_groups, exchange_width
-    from data_linter_ray.state.sketches import hash_array
-
-    P = exchange_width(ds)
+    from data_linter_ray.exchange import exchange_map_groups
 
     def pair_partial(t: pa.Table) -> pa.Table:
         t = t.select([group_col, value_col]).drop_null()
-        g = t.group_by([group_col, value_col]).aggregate([])
-        h = hash_array(g[value_col].combine_chunks()) % np.uint64(P)
-        return g.append_column("_part", pa.array(h.astype(np.int64)))
+        return t.group_by([group_col, value_col]).aggregate([])
 
     def count_part(df: pd.DataFrame) -> pd.DataFrame:
         d = df.drop_duplicates([group_col, value_col])
@@ -130,8 +125,7 @@ def group_count_distinct(
         ds.select_columns([group_col, value_col]).map_batches(
             pair_partial, batch_format="pyarrow"
         ),
-        "_part",
-        P,
+        value_col,
         count_part,
     ).to_pandas()
     return (
@@ -142,22 +136,19 @@ def group_count_distinct(
     )
 
 
-def _group_value_count_partial(group_col: str, value_col: str, P: int):
-    """Shared per-batch (group, value) exact-count combiner, keyed by
-    ``hash(group) % P`` — the front half of group_mode / group_entropy
-    (one row per distinct pair per batch enters the exchange)."""
-    from data_linter_ray.state.sketches import hash_array
+def _group_value_count_partial(group_col: str, value_col: str):
+    """Shared per-batch (group, value) exact-count combiner — the front
+    half of group_mode / group_entropy, whose exchange is keyed on the
+    group (one row per distinct pair per batch enters it)."""
 
     def count_partial(t: pa.Table) -> pa.Table:
         t = t.select([group_col, value_col]).drop_null()
         g = t.group_by([group_col, value_col]).aggregate([([], "count_all")])
-        h = hash_array(g[group_col].combine_chunks()) % np.uint64(P)
         return pa.table(
             {
                 group_col: g[group_col],
                 value_col: g[value_col],
                 "n": g["count_all"].cast(pa.int64()),
-                "_part": pa.array(h.astype(np.int64)),
             }
         )
 
@@ -173,10 +164,10 @@ def group_mode(
     smallest-value tie-break) — the dominant-category report a curation
     pipeline runs per shard ("dominant language per source", "top event
     per user"). Scale shape: per-batch (group, value) count combiner (a
-    hot pair costs one row per batch, never one per occurrence) keyed
-    by ``hash(group) % P`` → one deterministic
-    :func:`~data_linter_ray.exchange.keyed_scatter_gather` exchange
-    co-locating each group → per-partition exact count sum + argmax.
+    hot pair costs one row per batch, never one per occurrence) → one
+    deterministic :func:`~data_linter_ray.exchange.exchange_map_groups`
+    exchange keyed on the group, co-locating each group → per-partition
+    exact count sum + argmax.
     Only one row per group leaves the exchange; the full (group, value)
     domain never lands on the driver. Null groups / values are excluded
     (SQL semantics).
@@ -187,12 +178,9 @@ def group_mode(
     import pyarrow.compute as pc  # noqa: F401
     import ray  # noqa: F401  (exchange machinery)
 
-    from data_linter_ray.exchange import exchange_map_groups, exchange_width
-    from data_linter_ray.state.sketches import hash_array
+    from data_linter_ray.exchange import exchange_map_groups
 
-    P = exchange_width(ds)
-
-    count_partial = _group_value_count_partial(group_col, value_col, P)
+    count_partial = _group_value_count_partial(group_col, value_col)
 
     def part_mode(df: pd.DataFrame) -> pd.DataFrame:
         agg = df.groupby([group_col, value_col], as_index=False, sort=False)[
@@ -211,8 +199,7 @@ def group_mode(
         ds.select_columns([group_col, value_col]).map_batches(
             count_partial, batch_format="pyarrow"
         ),
-        "_part",
-        P,
+        group_col,
         part_mode,
     ).to_pandas()
     if group_col not in parts.columns:  # all rows null -> empty exchange
@@ -245,12 +232,9 @@ def group_entropy(
     is the group's row count. Null groups / values are excluded."""
     import ray  # noqa: F401  (exchange machinery)
 
-    from data_linter_ray.exchange import exchange_map_groups, exchange_width
-    from data_linter_ray.state.sketches import hash_array
+    from data_linter_ray.exchange import exchange_map_groups
 
-    P = exchange_width(ds)
-
-    count_partial = _group_value_count_partial(group_col, value_col, P)
+    count_partial = _group_value_count_partial(group_col, value_col)
 
     def part_entropy(df: pd.DataFrame) -> pd.DataFrame:
         agg = df.groupby([group_col, value_col], as_index=False, sort=False)[
@@ -276,8 +260,7 @@ def group_entropy(
         ds.select_columns([group_col, value_col]).map_batches(
             count_partial, batch_format="pyarrow"
         ),
-        "_part",
-        P,
+        group_col,
         part_entropy,
     ).to_pandas()
     if group_col not in parts.columns:  # all rows null -> empty exchange
@@ -308,13 +291,11 @@ def candidate_keys(
     → DataFrame(column, n_rows, n_non_null, n_distinct, is_unique)."""
     import pyarrow.compute as pc
 
-    from data_linter_ray.exchange import exchange_map_groups, exchange_width
+    from data_linter_ray.exchange import exchange_map_groups
     from data_linter_ray.state.sketches import hash_array
 
-    P = exchange_width(ds)
-
     def partials(t: pa.Table) -> pa.Table:
-        outs = {"col": [], "h": [], "h2": [], "_part": []}
+        outs = {"col": [], "h": [], "h2": []}
         n = t.num_rows
         nn = []
         for ci, c in enumerate(cols):
@@ -327,13 +308,13 @@ def candidate_keys(
             outs["col"].append(np.full(len(u), ci, np.int64))
             outs["h"].append(h.astype(np.int64))
             outs["h2"].append(h2.astype(np.int64))
-            outs["_part"].append(((h ^ np.uint64(ci * 0x9E37)) % np.uint64(P)).astype(np.int64))
+        # the row-count and non-null sentinel rows land in any partition:
+        # each partition sums its own and the driver sums the partitions
         meta = pa.table(
             {
                 "col": pa.array([-1], pa.int64()),
                 "h": pa.array([n], pa.int64()),
                 "h2": pa.array([0], pa.int64()),
-                "_part": pa.array([0], pa.int64()),
             }
         )
         # per-column non-null sentinel code = -2 - ci (never collides
@@ -343,17 +324,9 @@ def candidate_keys(
                 "col": pa.array(-2 - np.arange(len(cols)), pa.int64()),
                 "h": pa.array(np.array(nn, np.int64)),
                 "h2": pa.array(np.zeros(len(cols), np.int64)),
-                "_part": pa.array(np.zeros(len(cols), np.int64)),
             }
         )
-        data = pa.table(
-            {
-                "col": pa.array(np.concatenate(outs["col"])),
-                "h": pa.array(np.concatenate(outs["h"])),
-                "h2": pa.array(np.concatenate(outs["h2"])),
-                "_part": pa.array(np.concatenate(outs["_part"])),
-            }
-        )
+        data = pa.table({k: pa.array(np.concatenate(v)) for k, v in outs.items()})
         return pa.concat_tables([data, meta, nn_rows])
 
     def count_part(df: pd.DataFrame) -> pd.DataFrame:
@@ -371,8 +344,7 @@ def candidate_keys(
 
     parts = exchange_map_groups(
         ds.select_columns(cols).map_batches(partials, batch_format="pyarrow"),
-        "_part",
-        P,
+        ["col", "h"],
         count_part,
     ).to_pandas()
     dist = (
@@ -401,7 +373,7 @@ def source_vocab_overlap(
     intersection / union counts and their Jaccard ratio.
 
     Scale shape: per-batch DISTINCT (group, token) combiner → one
-    token-hash :func:`~data_linter_ray.exchange.keyed_scatter_gather`
+    token-hash :func:`~data_linter_ray.exchange.exchange_map_groups`
     exchange (tokens co-located, so the global dedupe and the
     per-token group sets are exact) → per-partition vectorized
     self-merge on token (a < b) → (pair, partial intersection) and
@@ -417,10 +389,7 @@ def source_vocab_overlap(
     import pyarrow.compute as pc
     import ray  # noqa: F401
 
-    from data_linter_ray.exchange import exchange_map_groups, exchange_width
-    from data_linter_ray.state.sketches import hash_array
-
-    P = exchange_width(ds)
+    from data_linter_ray.exchange import exchange_map_groups
 
     def pair_partial(t: pa.Table) -> pa.Table:
         from data_linter_ray.functions.text import flat_tokens
@@ -433,14 +402,12 @@ def source_vocab_overlap(
                 "tok": flat.to_pandas(),
             }
         ).drop_duplicates()
-        h = hash_array(pa.array(df["tok"], pa.string())) % np.uint64(P)
         # explicit types: an all-null/no-token batch must not emit
         # null-typed g/tok lanes (mixed-block-schema hazard)
         return pa.table(
             {
                 "g": pa.array(df["g"], pa.string()),
                 "tok": pa.array(df["tok"], pa.string()),
-                "_part": pa.array(h.astype(np.int64)),
             }
         )
 
@@ -473,8 +440,7 @@ def source_vocab_overlap(
         ds.select_columns([group_col, text_col]).map_batches(
             pair_partial, batch_format="pyarrow"
         ),
-        "_part",
-        P,
+        "tok",
         reduce_overlap,
     ).to_pandas()
     if "b" not in parts.columns:  # no qualifying rows -> empty exchange
@@ -590,11 +556,11 @@ def group_regression(
 
     Scale shape: per batch, a C-level groupby-sum collapses rows to ONE
     partial row per group per batch — (n, Σx, Σy, Σx², Σy², Σxy), the
-    six associative lanes — keyed by ``hash(group) % P``; one
-    :func:`~data_linter_ray.exchange.keyed_scatter_gather` exchange
-    co-locates each group's partials and the per-partition fold applies
-    the closed form. Only partial rows cross the wire (KB per batch,
-    never the raw pairs). Rows with a null group / x / y are excluded
+    six associative lanes; one
+    :func:`~data_linter_ray.exchange.exchange_map_groups` exchange keyed
+    on the group co-locates each group's partials and the per-partition
+    fold applies the closed form. Only partial rows cross the wire (KB
+    per batch, never the raw pairs). Rows with a null group / x / y are excluded
     (SQL ``regr_*`` pairwise deletion).
 
     NaN policy: a non-null NaN x or y is NOT deleted, and it does not
@@ -611,12 +577,7 @@ def group_regression(
 
     → DataFrame(group, n, slope, intercept, r2), sorted by group.
     """
-    from data_linter_ray.exchange import exchange_map_groups, exchange_width
-    from data_linter_ray.functions.timeseries import _schema_types
-    from data_linter_ray.state.sketches import hash_array
-
-    P = exchange_width(ds)
-    g_type = _schema_types(ds)[group_col]
+    from data_linter_ray.exchange import exchange_map_groups
 
     def partial(t: pa.Table) -> pa.Table:
         df = t.select([group_col, x_col, y_col]).drop_null().to_pandas()
@@ -634,8 +595,6 @@ def group_regression(
             }
         )
         agg = df.groupby("g", as_index=False, sort=False).sum()
-        h = hash_array(pa.array(agg["g"], g_type)) % np.uint64(P)
-        agg["_part"] = h.astype(np.int64)
         return pa.Table.from_pandas(agg, preserve_index=False)
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
@@ -669,8 +628,7 @@ def group_regression(
         ds.select_columns([group_col, x_col, y_col]).map_batches(
             partial, batch_format="pyarrow"
         ),
-        "_part",
-        P,
+        "g",
         fold,
     ).to_pandas()
     if group_col not in parts.columns:  # all rows null -> empty exchange
@@ -863,7 +821,7 @@ def mannwhitney_u(
         return pd.DataFrame(
             {"n_a": [n_a], "n_b": [n_b], "u_a": [np.nan], "u_b": [np.nan]}
         )
-    sums = exchange_map_groups(parts, "_part", P, ranksum).to_pandas()
+    sums = exchange_map_groups(parts, "_part", ranksum, num_partitions=P).to_pandas()
     r2a = sum(int(x) for x in sums["_r2a"])
     u_a = float(r2a - n_a * (n_a + 1)) / 2.0
     u_b = float(n_a) * float(n_b) - u_a
@@ -931,7 +889,7 @@ def ks_two_sample(
 
     if n_a == 0 or n_b == 0:
         return pd.DataFrame({"n_a": [n_a], "n_b": [n_b], "ks": [np.nan]})
-    sups = exchange_map_groups(parts, "_part", P, sup).to_pandas()
+    sups = exchange_map_groups(parts, "_part", sup, num_partitions=P).to_pandas()
     return pd.DataFrame(
         {"n_a": [n_a], "n_b": [n_b], "ks": [float(sups["_sup"].max())]}
     )
@@ -1258,7 +1216,7 @@ def gini(
 
     if n == 0:
         return pd.DataFrame({"n": [0], "gini": [np.nan]})
-    sums = exchange_map_groups(parts, "_part", P, ranksum).to_pandas()
+    sums = exchange_map_groups(parts, "_part", ranksum, num_partitions=P).to_pandas()
     s0 = sum(int(x) for x in sums["_s0"])
     s1 = sum(int(x) for x in sums["_s1"])
     denom = n * s0
@@ -1301,7 +1259,7 @@ def _attach_rank(rows_ds, col: str, out_col: str, P: int, *, part_col, offs):
         df[out_col] = np.repeat(r2, m)
         return df.drop(columns=[pcol])
 
-    out = exchange_map_groups(parts, pcol, P, attach)
+    out = exchange_map_groups(parts, pcol, attach, num_partitions=P)
     return out
 
 
@@ -1605,7 +1563,10 @@ def kendall_tau(
         )
 
     xres = exchange_map_groups(
-        rows.map_batches(part_x, batch_format="pyarrow"), "_part", P, reduce_x
+        rows.map_batches(part_x, batch_format="pyarrow"),
+        "_part",
+        reduce_x,
+        num_partitions=P,
     ).to_pandas()
 
     def part_y(t: pa.Table) -> pa.Table:
@@ -1631,7 +1592,10 @@ def kendall_tau(
         return pd.DataFrame({"_d": [str(d_cross)], "_n2": [str(n2_part)]})
 
     yres = exchange_map_groups(
-        rows.map_batches(part_y, batch_format="pyarrow"), "_part", P, reduce_y
+        rows.map_batches(part_y, batch_format="pyarrow"),
+        "_part",
+        reduce_y,
+        num_partitions=P,
     ).to_pandas()
 
     # driver: the cross-bucket matrix term over M[bx, by] (Python ints).
@@ -1885,7 +1849,7 @@ def ks_per_group(
             {"gi": np.arange(G, dtype=np.int64), "_sup": local}
         )
 
-    sups = exchange_map_groups(parts, "_part", P, sup).to_pandas()
+    sups = exchange_map_groups(parts, "_part", sup, num_partitions=P).to_pandas()
     best = sups.groupby("gi")["_sup"].max()
     return pd.DataFrame(
         {
@@ -1911,7 +1875,7 @@ def cooccurrence_lift(
     expression — identical doubles both sides, no rounding.
 
     Scale shape: per-batch DISTINCT (basket, item) combiner → one
-    basket-hash :func:`~data_linter_ray.exchange.keyed_scatter_gather`
+    basket-hash :func:`~data_linter_ray.exchange.exchange_map_groups`
     exchange (all of a basket's items co-locate, partitions hold
     DISJOINT basket sets) → per-partition globally-exact dedupe,
     vectorized per-basket pair generation (self-merge bounded by the
@@ -1925,16 +1889,11 @@ def cooccurrence_lift(
     Items must be STRINGS (the partial's pinned exchange schema —
     cast other types upstream).
     """
-    from data_linter_ray.exchange import exchange_map_groups, exchange_width
-    from data_linter_ray.state.sketches import hash_array
-
-    P = exchange_width(ds)
+    from data_linter_ray.exchange import exchange_map_groups
 
     def pair_partial(t: pa.Table) -> pa.Table:
         t = t.select([basket_col, item_col]).drop_null()
-        g = t.group_by([basket_col, item_col]).aggregate([])
-        h = hash_array(g[basket_col].combine_chunks()) % np.uint64(P)
-        return g.append_column("_part", pa.array(h.astype(np.int64)))
+        return t.group_by([basket_col, item_col]).aggregate([])
 
     def reduce_pairs(df: pd.DataFrame) -> pd.DataFrame:
         d = df.drop_duplicates([basket_col, item_col]).sort_values(
@@ -1981,8 +1940,7 @@ def cooccurrence_lift(
         ds.select_columns([basket_col, item_col]).map_batches(
             pair_partial, batch_format="pyarrow"
         ),
-        "_part",
-        P,
+        basket_col,
         reduce_pairs,
     ).to_pandas()
     if "a" not in parts.columns:

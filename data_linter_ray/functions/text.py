@@ -383,10 +383,7 @@ def token_doc_frequency(
     document — then a token-hash partitioned sum."""
     import pandas as pd
 
-    from data_linter_ray.exchange import exchange_map_groups, exchange_width
-    from data_linter_ray.state.sketches import hash_array
-
-    P = exchange_width(ds)
+    from data_linter_ray.exchange import exchange_map_groups
 
     def local_df(t: pa.Table) -> pa.Table:
         text = t[text_col]
@@ -405,12 +402,10 @@ def token_doc_frequency(
             {"tok": flat.to_pandas(), "doc": parents}
         ).drop_duplicates()
         vc = s.groupby("tok", as_index=False).size().rename(columns={"size": "df"})
-        h = hash_array(pa.array(vc["tok"])) % np.uint64(P)
         return pa.table(
             {
                 "token": pa.array(vc["tok"], pa.string()),
                 "df": pa.array(vc["df"].to_numpy(np.int64)),
-                "_part": pa.array(h.astype(np.int64)),
             }
         )
 
@@ -420,8 +415,7 @@ def token_doc_frequency(
 
     return exchange_map_groups(
         ds.select_columns([text_col]).map_batches(local_df, batch_format="pyarrow"),
-        "_part",
-        P,
+        "token",
         final_sum,
     )
 
@@ -444,10 +438,7 @@ def duplicate_sentences(
     two-level shape as :func:`token_doc_frequency`."""
     import pandas as pd
 
-    from data_linter_ray.exchange import exchange_map_groups, exchange_width
-    from data_linter_ray.state.sketches import hash_array
-
-    P = exchange_width(ds)
+    from data_linter_ray.exchange import exchange_map_groups
 
     def local(t: pa.Table) -> pa.Table:
         text = t[text_col]
@@ -461,12 +452,10 @@ def duplicate_sentences(
             {"sent": flat.filter(pa.array(keep)).to_pandas(), "doc": parents[keep]}
         ).drop_duplicates()
         vc = s.groupby("sent", as_index=False).size().rename(columns={"size": "n_docs"})
-        h = hash_array(pa.array(vc["sent"])) % np.uint64(P)
         return pa.table(
             {
                 "sentence": pa.array(vc["sent"], pa.string()),
                 "n_docs": pa.array(vc["n_docs"].to_numpy(np.int64)),
-                "_part": pa.array(h.astype(np.int64)),
             }
         )
 
@@ -476,8 +465,7 @@ def duplicate_sentences(
 
     return exchange_map_groups(
         ds.select_columns([text_col]).map_batches(local, batch_format="pyarrow"),
-        "_part",
-        P,
+        "sentence",
         final,
     )
 
@@ -652,18 +640,11 @@ def overlap_pairs(
     """
     import pandas as pd
 
-    from data_linter_ray.exchange import exchange_map_groups, exchange_width
+    from data_linter_ray.exchange import exchange_map_groups
 
-    P = exchange_width(ds)
     fps = with_modp_fingerprints(
         ds, id_col=id_col, text_col=text_col, k=k, mod_p=mod_p, hash=hash
     )
-
-    def fp_part(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_pandas_object(
-            t["fp"].to_pandas(), index=False
-        ).to_numpy(np.uint64)
-        return t.append_column("_part", pa.array((h % np.uint64(P)).astype(np.int64)))
 
     def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
         outs = []
@@ -683,15 +664,7 @@ def overlap_pairs(
             )
         return pd.concat(outs, ignore_index=True)
 
-    pairs = exchange_map_groups(
-        fps.map_batches(fp_part, batch_format="pyarrow"), "_part", P, bucket_pairs
-    )
-
-    def pair_part(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_pandas_object(
-            t.select(["id_a", "id_b"]).to_pandas(), index=False
-        ).to_numpy(np.uint64)
-        return t.append_column("_p2", pa.array((h % np.uint64(P)).astype(np.int64)))
+    pairs = exchange_map_groups(fps, "fp", bucket_pairs)
 
     def count_shared(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby(["id_a", "id_b"], as_index=False).size()
@@ -699,12 +672,7 @@ def overlap_pairs(
         agg["n_shared"] = agg["n_shared"].astype(np.int64)
         return agg[["id_a", "id_b", "n_shared"]]
 
-    return exchange_map_groups(
-        pairs.map_batches(pair_part, batch_format="pyarrow"),
-        "_p2",
-        P,
-        count_shared,
-    )
+    return exchange_map_groups(pairs, ["id_a", "id_b"], count_shared)
 
 
 def chunk_documents(
@@ -907,10 +875,7 @@ def bigram_collocations(
     import pandas as pd
     import ray
 
-    from data_linter_ray.exchange import exchange_map_groups, exchange_width
-    from data_linter_ray.state.sketches import hash_array
-
-    P = exchange_width(ds)
+    from data_linter_ray.exchange import exchange_map_groups
 
     def _tokens(t: pa.Table):
         return flat_tokens(t[text_col])
@@ -975,21 +940,18 @@ def bigram_collocations(
         if len(parents) < 2:
             return pa.table(
                 {"w1": pa.array([], pa.string()), "w2": pa.array([], pa.string()),
-                 "n": pa.array([], pa.int64()), "_part": pa.array([], pa.int64())}
+                 "n": pa.array([], pa.int64())}
             )
         idx = np.flatnonzero(parents[1:] == parents[:-1])
         w1 = flat.take(pa.array(idx))
         w2 = flat.take(pa.array(idx + 1))
         df = pd.DataFrame({"w1": w1.to_pandas(), "w2": w2.to_pandas()})
         cnt = df.groupby(["w1", "w2"], as_index=False, sort=False).size()
-        key = cnt["w1"] + "\x1f" + cnt["w2"]
-        h = hash_array(pa.array(key)) % np.uint64(P)
         return pa.table(
             {
                 "w1": pa.array(cnt["w1"], pa.string()),
                 "w2": pa.array(cnt["w2"], pa.string()),
                 "n": pa.array(cnt["size"].to_numpy(np.int64)),
-                "_part": pa.array(h.astype(np.int64)),
             }
         )
 
@@ -1017,8 +979,7 @@ def bigram_collocations(
         ds.select_columns([text_col]).map_batches(
             bigram_partial, batch_format="pyarrow"
         ),
-        "_part",
-        P,
+        ["w1", "w2"],
         reduce_pmi,
     )
 

@@ -6,9 +6,9 @@ time is ≤ (backward) / ≥ (forward) the left time. Expressed
 Ray-Data-first as a composition (no raw actors):
 
     pad both sides to a shared schema (typed nulls) → union
-    → coarse hash-partition on the key (``groupby("_part").map_groups``
-    — the repo's standard bounded exchange, one partition per hash
-    bucket, NOT one per key)
+    → coarse hash-partition on the key (``exchange_map_groups(ds, key,
+    fn)`` — the repo's standard bounded exchange, one partition per
+    hash bucket, NOT one per key)
     → inside each partition: ``pandas.merge_asof(..., by=key)`` —
     a single vectorized merge per partition covering all its keys.
 
@@ -29,7 +29,7 @@ import pandas as pd
 import pyarrow as pa
 from ray.data import Dataset
 
-from data_linter_ray.exchange import exchange_map_groups, exchange_width
+from data_linter_ray.exchange import exchange_map_groups
 
 #: int64 headroom cap for the key-banded time axis (tests shrink it
 #: to force the multi-block path on small inputs)
@@ -57,10 +57,10 @@ def asof_join(
     key hash, so this is exact and saves the caller a whole
     groupby-exchange.
 
-    ``exchange.exchange_width`` sizes the exchange from the inputs' file
-    sizes (≈ decoded bytes / 1 GiB, floored at 32). These operators
-    carry FULL rows through the exchange, so per-partition memory ≈
-    (|left|+|right|) / P."""
+    ``exchange.exchange_width`` sizes the key-hash exchange from the
+    padded union's bytes (≈ bytes / 1 GiB, floored at 32). These
+    operators carry FULL rows through the exchange, so per-partition
+    memory ≈ (|left|+|right|) / P."""
     def _arrow_types(schema) -> dict:
         base = schema.base_schema
         if isinstance(base, pa.Schema):
@@ -80,18 +80,13 @@ def asof_join(
     r_out = {c: c + right_suffix if c in l_types_all else c for c in r_payload}
     l_types = {c: l_types_all[c] for c in l_payload}
     r_types = {c: r_types_all[c] for c in r_payload}
-    P = exchange_width(left, right)
 
     def pad(side: int):
         def f(t: pa.Table) -> pa.Table:
             n = t.num_rows
-            h = pd.util.hash_pandas_object(
-                t[by].to_pandas(), index=False
-            ).to_numpy(dtype=np.uint64)
             cols = {
                 on: t[on],
                 by: t[by],
-                "_part": pa.array((h % P).astype(np.int64)),
                 "_side": pa.array(np.full(n, side, dtype=np.int8)),
             }
             for c in l_payload:
@@ -147,7 +142,7 @@ def asof_join(
         # (metadata stripped — it would resurrect the pandas Int64 dtype)
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
-    return exchange_map_groups(unioned, "_part", P, join_part)
+    return exchange_map_groups(unioned, by, join_part)
 
 
 #: per-partition intermediate-row budget for the plain merge fast path;
@@ -238,17 +233,12 @@ def range_join(
     l_payload = [c for c in l_types_all if c != by]
     r_payload = [c for c in r_types_all if c != by]
     r_out = {c: c + right_suffix if c in l_types_all else c for c in r_payload}
-    P = exchange_width(left, right)
 
     def pad(side: int):
         def f(t: pa.Table) -> pa.Table:
             n = t.num_rows
-            h = pd.util.hash_pandas_object(
-                t[by].to_pandas(), index=False
-            ).to_numpy(dtype=np.uint64)
             cols = {
                 by: t[by],
-                "_part": pa.array((h % P).astype(np.int64)),
                 "_side": pa.array(np.full(n, side, dtype=np.int8)),
             }
             for c in l_payload:
@@ -296,7 +286,7 @@ def range_join(
         # as in asof_join: plain-arrow blocks, one schema per run
         return pa.Table.from_pandas(res, preserve_index=False).replace_schema_metadata(None)
 
-    return exchange_map_groups(unioned, "_part", P, join_part)
+    return exchange_map_groups(unioned, by, join_part)
 
 
 def _schema_types(ds: Dataset) -> dict:
@@ -331,14 +321,6 @@ def sessionize(
     ({out_col: (src_col, fn)}).
     """
 
-    P = exchange_width(ds)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_pandas_object(
-            t[by].to_pandas(), index=False
-        ).to_numpy(dtype=np.uint64)
-        return t.append_column("_part", pa.array((h % P).astype(np.int64)))
-
     def islands(g: "pd.DataFrame") -> "pd.DataFrame":
         g = g.sort_values([by, time_col], kind="stable")
         new_key = g[by].ne(g[by].shift())
@@ -353,9 +335,7 @@ def sessionize(
         out = g.groupby([g[by], sid]).agg(**spec).reset_index(level=0)
         return out.reset_index(drop=True)
 
-    return exchange_map_groups(
-        ds.map_batches(add_part, batch_format="pyarrow"), "_part", P, islands
-    )
+    return exchange_map_groups(ds, by, islands)
 
 
 def resample_ffill(
@@ -392,7 +372,6 @@ def resample_ffill(
     rows — each partition emits only its own keys' slab, so the
     materialized grid never concentrates on one node.
     """
-    P = exchange_width(ds)
     sch = _schema_types(ds)
     key_t = sch[key]
     start64 = np.datetime64(start, "ns").astype(np.int64)
@@ -400,14 +379,6 @@ def resample_ffill(
     step = np.int64(step_us) * 1000
     grid = np.arange(start64, stop64 + 1, step, dtype=np.int64)
     G = len(grid)
-
-    def add_part(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_pandas_object(
-            t.select([key])[key].to_pandas(), index=False
-        ).to_numpy(dtype=np.uint64)
-        return t.select([key, time_col, tie, value]).append_column(
-            "_part", pa.array((h % P).astype(np.int64))
-        )
 
     def fill(g: pd.DataFrame) -> pa.Table:
         g = g.dropna(subset=[key, time_col]).sort_values(
@@ -474,6 +445,5 @@ def resample_ffill(
         )
 
     return exchange_map_groups(
-        ds.map_batches(add_part, batch_format="pyarrow"), "_part", P, fill,
-        batch_format="pandas",
+        ds.select_columns([key, time_col, tie, value]), key, fill
     )

@@ -7,7 +7,8 @@ product-analytics pipeline layers on the same events stream
 shared exchange shape).
 
 Scale shape (both ops): ONE coarse key-hash exchange
-(``exchange_width`` partitions — bytes-derived, see ``exchange.py``)
+(``exchange_map_groups(ds, key, fn)``; its width is bytes-derived, see
+``exchange.py``)
 puts every row of a key into exactly one partition; all window
 arithmetic inside the partition is vectorized pandas/numpy over the
 partition-locally sorted frame. Nothing materializes on the driver; the
@@ -27,25 +28,11 @@ import pandas as pd
 import pyarrow as pa
 from ray.data import Dataset
 
-from data_linter_ray.exchange import exchange_map_groups, exchange_width
+from data_linter_ray.exchange import exchange_map_groups
 
 #: int64 headroom cap for the key-banded time axis (tests shrink it
 #: to force the multi-block path on small inputs)
 _BAND_CAP = 1 << 62
-
-
-def _hash_partition(ds: Dataset, key: str, cols: list[str], P: int) -> Dataset:
-    """Attach ``_part = hash(key) % P`` — the manual exchange key."""
-
-    def part(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_pandas_object(
-            t[key].to_pandas(), index=False
-        ).to_numpy(dtype=np.uint64)
-        return t.select(cols).append_column(
-            "_part", pa.array((h % np.uint64(P)).astype(np.int64))
-        )
-
-    return ds.select_columns(cols).map_batches(part, batch_format="pyarrow")
 
 
 def keyed_window(
@@ -69,7 +56,6 @@ def keyed_window(
     stay bit-exact against the SQL oracle. Rows with null key / order /
     tie are dropped (mirrored by the oracle's WHERE clause).
     """
-    P = exchange_width(ds)
     cols = [key, order, tie] + ([max_col] if max_col else [])
     types = {c: ds.schema().base_schema.field(c).type for c in cols}
 
@@ -114,7 +100,7 @@ def keyed_window(
                 res[c] = res[c].astype(np.int64)
         return pa.Table.from_pandas(res, preserve_index=False).replace_schema_metadata(None)
 
-    return exchange_map_groups(_hash_partition(ds, key, cols, P), "_part", P, win)
+    return exchange_map_groups(ds.select_columns(cols), key, win)
 
 
 def funnel(
@@ -136,7 +122,6 @@ def funnel(
     i-1's per-key threshold, keep rows with ``order`` strictly greater,
     then a C-speed groupby-min — no Python row loops. Rows with null
     key / order are excluded (oracle mirrors)."""
-    P = exchange_width(ds)
     cols = [key, order, type_col]
     key_type = ds.schema().base_schema.field(key).type
 
@@ -167,7 +152,7 @@ def funnel(
             res[f"t{i + 1}"] = res[f"t{i + 1}"].astype("datetime64[us]")
         return pa.Table.from_pandas(res, preserve_index=False).replace_schema_metadata(None)
 
-    return exchange_map_groups(_hash_partition(ds, key, cols, P), "_part", P, fun)
+    return exchange_map_groups(ds.select_columns(cols), key, fun)
 
 
 def keyed_rolling(
@@ -199,7 +184,6 @@ def keyed_rolling(
     position); null VALUES keep their row in the frame but contribute
     nothing — SQL window-aggregate semantics. One key-hash exchange,
     pandas C rolling kernels per partition."""
-    P = exchange_width(ds)
     cols = [key, order, tie, value]
     sch = ds.schema().base_schema
     key_t, tie_t = sch.field(key).type, sch.field(tie).type
@@ -240,7 +224,7 @@ def keyed_rolling(
             }
         )
 
-    return exchange_map_groups(_hash_partition(ds, key, cols, P), "_part", P, roll)
+    return exchange_map_groups(ds.select_columns(cols), key, roll)
 
 
 def time_rolling(
@@ -285,7 +269,6 @@ def time_rolling(
     differences. Rows with null key / ts are dropped (no frame
     position); null values keep their row but contribute nothing.
     """
-    P = exchange_width(ds)
     cols = [key, ts, tie, value]
     from data_linter_ray.functions.timeseries import _schema_types
 
@@ -347,7 +330,7 @@ def time_rolling(
             }
         )
 
-    return exchange_map_groups(_hash_partition(ds, key, cols, P), "_part", P, roll)
+    return exchange_map_groups(ds.select_columns(cols), key, roll)
 
 
 def transition_counts(
@@ -371,7 +354,6 @@ def transition_counts(
     """
     from ray.data.aggregate import Sum
 
-    P = exchange_width(ds)
     cols = [c for c in [key, order, tie, type_col] if c is not None]
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
@@ -387,7 +369,7 @@ def transition_counts(
         agg = out.groupby(["from_type", "to_type"], as_index=False).size()
         return agg.rename(columns={"size": "n"})
 
-    parts = exchange_map_groups(_hash_partition(ds, key, cols, P), "_part", P, pairs)
+    parts = exchange_map_groups(ds.select_columns(cols), key, pairs)
     return parts.groupby(["from_type", "to_type"]).aggregate(Sum("n", alias_name="n"))
 
 
@@ -417,7 +399,6 @@ def sequence_order_violations(
     ``ts`` must be a tz-naive timestamp or a plain numeric column
     (tz-aware columns reach pandas as object arrays — normalize to
     UTC-naive upstream)."""
-    P = exchange_width(ds)
     cols = [key, seq, ts]
     types = {c: ds.schema().base_schema.field(c).type for c in cols}
 
@@ -470,9 +451,7 @@ def sequence_order_violations(
             }
         )
 
-    return exchange_map_groups(
-        _hash_partition(ds, key, cols, P), "_part", P, find
-    )
+    return exchange_map_groups(ds.select_columns(cols), key, find)
 
 
 def collapse_repeats(
@@ -495,7 +474,6 @@ def collapse_repeats(
     Scale shape: the module's ONE coarse key-hash exchange; inside each
     partition a mergesort by (key, seq) + vectorized shifted compare —
     no per-row Python, no driver materialization."""
-    P = exchange_width(ds)
     cols = [key, seq] + list(value_cols)
     types = {c: ds.schema().base_schema.field(c).type for c in cols}
 
@@ -521,9 +499,7 @@ def collapse_repeats(
             {c: pa.Array.from_pandas(sel[c], type=types[c]) for c in cols}
         )
 
-    return exchange_map_groups(
-        _hash_partition(ds, key, cols, P), "_part", P, compact
-    )
+    return exchange_map_groups(ds.select_columns(cols), key, compact)
 
 
 def lag_correlation(
@@ -556,7 +532,6 @@ def lag_correlation(
 
     → 1-row DataFrame(n_pairs, corr).
     """
-    P = exchange_width(ds)
     cols = [key, order, tie, value]
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
@@ -579,9 +554,7 @@ def lag_correlation(
             {"_s": [" ".join(repr(float(x)) for x in vals)]}
         )
 
-    parts = exchange_map_groups(
-        _hash_partition(ds, key, cols, P), "_part", P, pairs
-    ).to_pandas()
+    parts = exchange_map_groups(ds.select_columns(cols), key, pairs).to_pandas()
     tot = np.zeros(6, np.float64)
     for s in parts["_s"]:
         vals = [float(x) for x in s.split()]
@@ -629,7 +602,6 @@ def cusum_alarms(
 
     → Dataset(key, tie, order, cusum_cents) — alarm rows only.
     """
-    P = exchange_width(ds)
     cols = [key, order, tie, value]
     from data_linter_ray.functions.timeseries import _schema_types
 
@@ -683,4 +655,4 @@ def cusum_alarms(
             }
         )
 
-    return exchange_map_groups(_hash_partition(ds, key, cols, P), "_part", P, alarms)
+    return exchange_map_groups(ds.select_columns(cols), key, alarms)

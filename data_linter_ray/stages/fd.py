@@ -11,9 +11,8 @@ Scale shape — the engine's standard two-level exchange (same pattern
 as stages/uniqueness.py): a per-batch DISTINCT-pair combiner first, so
 only (det, dep) distinct pairs — never rows — enter the all-to-all
 exchange (a hot determinant costs at most one row per distinct dep per
-batch); pairs are bucketed by a 64-bit determinant hash into
-``exchange_width(ds)`` buckets so the global exchange moves small
-integers; each bucket then re-distincts and counts dependent values
+batch); the exchange hash-partitions the pairs on the determinant;
+each partition then re-distincts and counts dependent values
 vectorized in pandas. No driver-side collection: returns a Dataset of
 violating keys.
 
@@ -24,31 +23,23 @@ determines nothing), null dependents don't count as a value.
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
 
-from data_linter_ray.exchange import exchange_map_groups, exchange_width
+from data_linter_ray.exchange import exchange_map_groups
 
 
 def fd_violations(ds: Dataset, det: str, dep: str) -> Dataset:
     """→ Dataset of ``(det, n_values)`` rows where the determinant maps
     to ``n_values ≥ 2`` distinct non-null dependent values."""
-    P = exchange_width(ds)
 
     def local_pairs(t: pa.Table) -> pa.Table:
-        from data_linter_ray.state.sketches import hash_array
-
         t = t.select([det, dep]).filter(
             pc.and_(pc.is_valid(t[det]), pc.is_valid(t[dep]))
         )
         # distinct (det, dep) pairs via an Arrow group-by (vectorized)
-        pairs = t.group_by([det, dep]).aggregate([])
-        h = hash_array(pairs[det].combine_chunks())
-        return pairs.append_column(
-            "_bucket", pa.array((h % P).astype(np.int64))
-        )
+        return t.group_by([det, dep]).aggregate([])
 
     pre = ds.select_columns([det, dep]).map_batches(
         local_pairs, batch_format="pyarrow"
@@ -63,4 +54,4 @@ def fd_violations(ds: Dataset, det: str, dep: str) -> Dataset:
         )
         return s[s["n_values"] > 1]
 
-    return exchange_map_groups(pre, "_bucket", P, find)
+    return exchange_map_groups(pre, det, find)

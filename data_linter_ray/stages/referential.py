@@ -8,7 +8,7 @@ of two physical paths per reference (SURVEY.md §2.4, §7.3):
   object store, and :class:`_BroadcastAntiJoin` runs inside the fused
   check pass as a vectorized ``pc.is_in`` — no shuffle, and the set
   ships to each node once rather than per batch.
-- **shuffle** (larger dimensions): a hash-bucketed anti-join over a
+- **shuffle** (larger dimensions): a key-hash anti-join over a
   union of tagged partials — both sides are pre-aggregated per batch
   first so only (key, count/flag) pairs enter the exchange.
 """
@@ -91,24 +91,10 @@ def distinct_key_set(ref_ds: Dataset | pa.Array, pk: str) -> pa.Array:
     return parts[0] if len(parts) == 1 else pa.concat_arrays(parts).unique()
 
 
-def referential_violations_broadcast(
-    ds: Dataset,
-    fk: str,
-    ref_ds: Dataset | pa.Array,
-    pk: str,
-    id_column: str | None = None,
-) -> Dataset:
-    """Broadcast strategy: distinct PK values → object store → pc.is_in."""
-    pk_ref = ray.put(distinct_key_set(ref_ds, pk))
-    return ds.map_batches(
-        _BroadcastAntiJoin(fk, id_column, pk_ref), batch_format="pyarrow"
-    )
-
-
 def referential_violations_shuffle(
     ds: Dataset, fk: str, ref_ds: Dataset, pk: str
 ) -> Dataset:
-    """Shuffle strategy: pre-aggregated tagged union → bucketed anti-join.
+    """Shuffle strategy: pre-aggregated tagged union → key-hash anti-join.
 
     Emits one violation row per dangling FK row, like the broadcast path
     (a dangling key is repeated once per row that holds it), so the
@@ -116,34 +102,24 @@ def referential_violations_shuffle(
     ``row_ref``: row-level addressing would need a second join, which at
     dimension sizes that force this path is not worth its cost.
     """
-
     import numpy as np
     import pandas as pd
 
-    from data_linter_ray.exchange import exchange_map_groups, exchange_width
-
-    P = exchange_width(ds, ref_ds)
-
-    def bucket_of(vals: pa.Array) -> pa.Array:
-        from data_linter_ray.state.sketches import hash_array
-
-        return pa.array((hash_array(vals) % P).astype(np.int64))
+    from data_linter_ray.exchange import exchange_map_groups
 
     def fk_partials(t: pa.Table) -> pa.Table:
         vc = t[fk].combine_chunks().drop_null().value_counts()
         k = vc.field("values")
         return pa.Table.from_arrays(
-            [k, pc.cast(vc.field("counts"), pa.int64()),
-             pa.nulls(len(k), pa.int64()), bucket_of(k)],
-            names=["key", "n_fk", "has_pk", "_bucket"],
+            [k, pc.cast(vc.field("counts"), pa.int64()), pa.nulls(len(k), pa.int64())],
+            names=["key", "n_fk", "has_pk"],
         )
 
     def pk_partials(t: pa.Table) -> pa.Table:
         k = t[pk].combine_chunks().unique()
         return pa.Table.from_arrays(
-            [k, pa.nulls(len(k), pa.int64()),
-             pa.array([1] * len(k), type=pa.int64()), bucket_of(k)],
-            names=["key", "n_fk", "has_pk", "_bucket"],
+            [k, pa.nulls(len(k), pa.int64()), pa.array([1] * len(k), type=pa.int64())],
+            names=["key", "n_fk", "has_pk"],
         )
 
     tagged = ds.select_columns([fk]).map_batches(
@@ -167,4 +143,4 @@ def referential_violations_shuffle(
             }
         )
 
-    return exchange_map_groups(tagged, "_bucket", P, dangling)
+    return exchange_map_groups(tagged, "key", dangling)

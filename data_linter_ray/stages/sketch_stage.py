@@ -50,34 +50,25 @@ class SketchPartials:
         self,
         numeric_cols: list[str],
         key_cols: list[str],
-        delta: int = 100,
-        hll_p: int = 12,
         quantile_sketch: str = "tdigest",
-        kll_k: int = 200,
     ):
         self.numeric_cols = numeric_cols
         self.key_cols = key_cols
-        self.delta = delta
-        self.hll_p = hll_p
         if quantile_sketch not in ("tdigest", "kll"):
             raise ValueError(f"unknown quantile sketch: {quantile_sketch}")
         self.quantile_sketch = quantile_sketch
-        self.kll_k = kll_k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         cols, kinds, payloads = [], [], []
         for c in self.numeric_cols:
             arr = batch[c].to_numpy(zero_copy_only=False).astype(np.float64)
-            if self.quantile_sketch == "kll":
-                sk = KLL(self.kll_k)
-            else:
-                sk = TDigest(self.delta)
+            sk = KLL() if self.quantile_sketch == "kll" else TDigest()
             sk.add(arr)
             cols.append(c)
             kinds.append(self.quantile_sketch)
             payloads.append(sk.to_bytes())
         for c in self.key_cols:
-            hll = HyperLogLog(self.hll_p)
+            hll = HyperLogLog()
             hll.add_hashes(hash_array(batch[c]))
             cols.append(c)
             kinds.append("hll")

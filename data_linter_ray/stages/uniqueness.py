@@ -2,8 +2,8 @@
 
 Exact duplicate detection on a key column with two-level aggregation to
 keep the shuffle small: a per-batch local ``value_counts`` combiner first
-(so only (key, partial_count) pairs — not rows — enter the int-hash
-bucketed exchange), then a per-bucket sum. This is the explicit
+(so only (key, partial_count) pairs — not rows — enter the hash
+exchange), then a per-partition sum. This is the explicit
 partial-aggregation pattern SURVEY.md §2.5 calls for; skewed/hot keys cost
 only one small row per (batch, key) on the map side, which is itself the
 salting: the pre-aggregate bounds any single key's shuffle fan-in to the
@@ -14,33 +14,22 @@ No driver-side collection: returns a Dataset of duplicate keys.
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 from ray.data import Dataset
 
-from data_linter_ray.exchange import exchange_map_groups, exchange_width
+from data_linter_ray.exchange import exchange_map_groups
 
 
-def _local_counts(key: str, P: int):
-    """Per-batch combiner: (key, partial n, hash bucket). Bucketing by an
-    int64 hash makes the global exchange sort small integers instead of
-    raw keys — measured ~2.6× faster than a sort-aggregate on string keys
-    and far cheaper than Ray's hash-shuffle actors at this scale."""
+def _local_counts(key: str):
+    """Per-batch combiner: (key, partial n), one row per distinct key of
+    the batch."""
 
     def fn(batch: pa.Table) -> pa.Table:
-        from data_linter_ray.state.sketches import hash_array
-
         vc = batch[key].combine_chunks().value_counts()
-        vals = vc.field("values")
-        h = hash_array(vals)
         return pa.Table.from_arrays(
-            [
-                vals,
-                pc.cast(vc.field("counts"), pa.int64()),
-                pa.array((h % P).astype(np.int64)),
-            ],
-            names=[key, "n", "_bucket"],
+            [vc.field("values"), pc.cast(vc.field("counts"), pa.int64())],
+            names=[key, "n"],
         )
 
     return fn
@@ -49,17 +38,16 @@ def _local_counts(key: str, P: int):
 def duplicate_keys(ds: Dataset, key: str) -> Dataset:
     """Dataset of ``(key, n)`` rows where ``n > 1`` (global duplicates).
 
-    Two-level: per-batch value_counts combiner → bucketed exchange
-    (``exchange_width(ds)`` buckets) → per-bucket pandas sum. A
-    pathologically hot key costs one row per (batch, key) in the
-    exchange, so skew is bounded by block count."""
-    P = exchange_width(ds)
+    Two-level: per-batch value_counts combiner → hash exchange on the
+    key → per-partition pandas sum. A pathologically hot key costs one
+    row per (batch, key) in the exchange, so skew is bounded by block
+    count."""
     pre = ds.select_columns([key]).map_batches(
-        _local_counts(key, P), batch_format="pyarrow"
+        _local_counts(key), batch_format="pyarrow"
     )
 
     def find_dups(g):
         s = g.groupby(key, as_index=False)["n"].sum()
         return s[s["n"] > 1]
 
-    return exchange_map_groups(pre, "_bucket", P, find_dups)
+    return exchange_map_groups(pre, key, find_dups)

@@ -60,12 +60,15 @@ class TDigest:
     # -- building -------------------------------------------------------
     def add(self, values: np.ndarray, weights: np.ndarray | None = None) -> None:
         values = np.asarray(values, dtype=np.float64)
-        values = values[~np.isnan(values)]
+        keep = ~np.isnan(values)
+        values = values[keep]
         if values.size == 0:
             return
         self._buf_means.append(values)
         self._buf_weights.append(
-            np.ones_like(values) if weights is None else np.asarray(weights, np.float64)
+            np.ones_like(values)
+            if weights is None
+            else np.asarray(weights, np.float64)[keep]
         )
         self._buffered += values.size
         if self._buffered > 32 * self.delta:

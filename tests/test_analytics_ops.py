@@ -1313,8 +1313,8 @@ def test_kendall_driver_matrix_bounded(ray_session, monkeypatch):
     captured = []
     orig = exchange.exchange_map_groups
 
-    def spy(ds, part_col, num_partitions, fn, **kw):
-        out = orig(ds, part_col, num_partitions, fn, **kw).materialize()
+    def spy(ds, by, fn, *, num_partitions=None, **kw):
+        out = orig(ds, by, fn, num_partitions=num_partitions, **kw).materialize()
         captured.append((num_partitions, out.to_pandas()))
         return out
 

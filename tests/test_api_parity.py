@@ -209,17 +209,61 @@ def test_exchanges_and_folds_use_the_shared_primitives():
     once, in ``exchange.py``: no Ray sort-based ``.map_groups(`` call
     remains in the package, and no operator module builds a ``TDigest``
     or decodes an ``iter_batches`` payload with ``np.frombuffer``
-    (``exchange.fold_batches`` / ``range_bounds`` do that)."""
+    (``exchange.fold_batches`` / ``range_bounds`` do that). The hash
+    partition is ``exchange.partition_of``'s alone: outside
+    ``exchange.py`` no ``hash_array`` / ``hash_pandas_object`` result is
+    taken ``%`` anything, and no function under ``functions/`` takes a
+    ``width`` (the Count-Min sketch's width of ``approx_value_counts``
+    is the one such parameter, and it sizes no exchange)."""
     import ast
     import pathlib
 
     import data_linter_ray
 
+    hashes = ("hash_array", "hash_pandas_object")
+
+    def name_of(func):
+        return getattr(func, "attr", getattr(func, "id", None))
+
     def calls(node, name):
         return [
             c for c in ast.walk(node)
-            if isinstance(c, ast.Call)
-            and getattr(c.func, "attr", getattr(c.func, "id", None)) == name
+            if isinstance(c, ast.Call) and name_of(c.func) == name
+        ]
+
+    def hashed_modulo(fn):
+        """``%`` lines in ``fn`` whose left side holds a hash call or a
+        name bound in ``fn``, directly or through other names, to one."""
+
+        def hashed(expr, bound):
+            return any(
+                (isinstance(n, ast.Call) and name_of(n.func) in hashes)
+                or (isinstance(n, ast.Name) and n.id in bound)
+                for n in ast.walk(expr)
+            )
+
+        assigns = [
+            (a.targets if isinstance(a, ast.Assign) else [a.target], a.value)
+            for a in ast.walk(fn)
+            if isinstance(a, (ast.Assign, ast.AugAssign))
+        ]
+        bound: set = set()
+        while True:
+            more = {
+                t.id
+                for targets, value in assigns
+                if hashed(value, bound)
+                for t in targets
+                if isinstance(t, ast.Name)
+            }
+            if more <= bound:
+                break
+            bound |= more
+        return [
+            b.lineno
+            for b in ast.walk(fn)
+            if isinstance(b, ast.BinOp) and isinstance(b.op, ast.Mod)
+            and hashed(b.left, bound)
         ]
 
     root = pathlib.Path(data_linter_ray.__file__).parent
@@ -228,8 +272,24 @@ def test_exchanges_and_folds_use_the_shared_primitives():
         tree = ast.parse(path.read_text())
         rel = path.relative_to(root).as_posix()
         offenders += [f"{rel}:{c.lineno} map_groups" for c in calls(tree, "map_groups")]
+        if rel != "exchange.py":
+            offenders += sorted(
+                {
+                    f"{rel}:{line} hash %"
+                    for fn in ast.walk(tree)
+                    if isinstance(fn, (ast.FunctionDef, ast.Lambda))
+                    for line in hashed_modulo(fn)
+                }
+            )
         if not rel.startswith("functions/"):
             continue
+        offenders += [
+            f"{rel}:{fn.lineno} {fn.name}(width)"
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            and "width" in [a.arg for a in fn.args.args + fn.args.kwonlyargs]
+            and (rel, fn.name) != ("functions/profile.py", "approx_value_counts")
+        ]
         offenders += [f"{rel}:{c.lineno} TDigest" for c in calls(tree, "TDigest")]
         for loop in ast.walk(tree):
             if isinstance(loop, ast.For) and calls(loop.iter, "iter_batches"):

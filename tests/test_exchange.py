@@ -1,6 +1,7 @@
 """Direct tests for the deterministic manual exchange
 (exchange.keyed_scatter_gather / exchange_map_groups) — the primitive
-every engine exchange now routes through — and for the driver fold
+every engine exchange now routes through — for its one partition hash
+(exchange.partition_of), and for the driver fold
 (exchange.fold_batches) and range splitters (exchange.range_bounds)
 every operator's partials-as-data passes use."""
 
@@ -15,6 +16,7 @@ from data_linter_ray.exchange import (
     exchange_map_groups,
     fold_batches,
     keyed_scatter_gather,
+    partition_of,
     range_bounds,
 )
 
@@ -103,7 +105,7 @@ def test_exchange_map_groups_matches_sort_groupby(ray_session):
         return df.groupby("k", as_index=False)["x"].sum()
 
     got = (
-        exchange_map_groups(ds, "_part", P, per_key_sum)
+        exchange_map_groups(ds, "_part", per_key_sum, num_partitions=P)
         .to_pandas()
         .sort_values("k")
         .reset_index(drop=True)
@@ -128,13 +130,135 @@ def test_exchange_map_groups_pyarrow_mode(ray_session):
     out = exchange_map_groups(
         ray.data.from_arrow(t),
         "_part",
-        2,
         lambda tb: pa.table(
             {"s": pa.array([int(pa.compute.sum(tb["v"]).as_py())], pa.int64())}
         ),
+        num_partitions=2,
         batch_format="pyarrow",
     ).to_pandas()
     assert sorted(out["s"]) == [4, 6]  # {1,3} and {2,4}
+
+
+def test_partition_of_ignores_physical_type():
+    """Equal values land in one partition whatever their Arrow type: an
+    int32 side and an int64 side, string and large_string, a dictionary
+    column and its plain values (hash_array alone hashes a dictionary
+    array apart from its values)."""
+    P = 7
+    ints = [-3, 0, 1, 2**20, None]
+    strs = ["a", "", "é😀", None, "a"]
+    cases = [
+        (pa.array(ints, pa.int32()), pa.array(ints, pa.int64())),
+        (pa.array([-3, 0, 1, 100, None], pa.int8()), pa.array([-3, 0, 1, 100, None], pa.int16())),
+        (pa.array([1.5, None], pa.float32()), pa.array([1.5, None], pa.float64())),
+        (pa.array(strs, pa.string()), pa.array(strs, pa.large_string())),
+        (pa.array(strs).dictionary_encode(), pa.array(strs)),
+        (pa.array(ints, pa.int32()).dictionary_encode(), pa.array(ints, pa.int64())),
+    ]
+    for a, b in cases:
+        pa_ = partition_of(pa.table({"k": a}), ["k"], P)
+        pb = partition_of(pa.table({"k": b}), ["k"], P)
+        assert pa_.tolist() == pb.tolist(), (a.type, b.type)
+        assert pa_.dtype == np.int64 and ((pa_ >= 0) & (pa_ < P)).all()
+    # a dictionary column split over chunks with different dictionaries
+    chunked = pa.chunked_array(
+        [pa.array(["x", "y"]).dictionary_encode(), pa.array(["y", "x"]).dictionary_encode()]
+    )
+    got = partition_of(pa.table({"k": chunked}), ["k"], P)
+    assert got[0] == got[3] and got[1] == got[2]
+
+
+def test_partition_of_nulls_and_multi_column_keys():
+    P = 16
+    # every null hashes alike, whatever the column type
+    nulls = [
+        partition_of(pa.table({"k": pa.nulls(3, t)}), ["k"], P).tolist()
+        for t in (pa.int64(), pa.string(), pa.null(), pa.float64())
+    ]
+    assert all(n == [nulls[0][0]] * 3 for n in nulls)
+    t = pa.table(
+        {
+            "a": pa.array([1, 1, 2, 1, None, None], pa.int64()),
+            "b": pa.array(["x", "x", "x", "y", None, None]),
+        }
+    )
+    p = partition_of(t, ["a", "b"], P)
+    assert p[0] == p[1] and p[4] == p[5]
+    # one column keeps hash_array's own placement
+    from data_linter_ray.state.sketches import hash_array
+
+    one = partition_of(t, ["a"], P)
+    assert one.tolist() == (hash_array(t["a"]) % np.uint64(P)).astype(np.int64).tolist()
+    # the columns combine in order: (a, b) and (b, a) place rows apart
+    many = pa.table({"a": np.arange(64), "b": np.arange(64)[::-1].copy()})
+    assert partition_of(many, ["a", "b"], P).tolist() != partition_of(
+        many, ["b", "a"], P
+    ).tolist()
+
+
+def _groups_by_key(out: pd.DataFrame) -> dict:
+    """{key: the set of fn calls that saw it}."""
+    seen: dict = {}
+    for call, keys in zip(out["call"], out["keys"]):
+        for k in keys.split("|"):
+            seen.setdefault(k, set()).add(call)
+    return seen
+
+
+def test_exchange_map_groups_hashes_named_keys(ray_session, monkeypatch):
+    """The hashing form: every row of one key — nulls included, from any
+    block — reaches one ``fn`` call, which sees the input columns and no
+    partition column; with the env var set, it scatters at that width."""
+    rng = np.random.default_rng(11)
+    n = 3000
+    k1 = rng.integers(0, 50, n)
+    k2 = rng.integers(0, 3, n).astype(str).astype(object)
+    k2[::17] = None
+    t = pa.table({"k1": pa.array(k1), "k2": pa.array(k2, pa.string()), "v": np.arange(n)})
+    ds = ray.data.from_arrow(t).repartition(6)
+
+    widths = []
+    orig = exchange.keyed_scatter_gather
+
+    def spy(mat, by, num_partitions, reduce_fn, **kw):
+        widths.append(num_partitions)
+        return orig(mat, by, num_partitions, reduce_fn, **kw)
+
+    monkeypatch.setattr(exchange, "keyed_scatter_gather", spy)
+
+    def fn(df: pd.DataFrame) -> pd.DataFrame:
+        assert list(df.columns) == ["k1", "k2", "v"]
+        keys = sorted(set(df["k1"].astype(str) + ":" + df["k2"].fillna("<null>")))
+        return pd.DataFrame(
+            {"call": [int(df["v"].min())], "keys": ["|".join(keys)], "rows": [len(df)]}
+        )
+
+    for env in (None, "3"):
+        if env:
+            monkeypatch.setenv(exchange.ENV_VAR, env)
+        widths.clear()
+        out = exchange_map_groups(ds, ["k1", "k2"], fn).to_pandas()
+        assert out["rows"].sum() == n
+        assert all(len(calls) == 1 for calls in _groups_by_key(out).values())
+        assert widths == [int(env) if env else exchange.MIN_PARTITIONS]
+        if env:
+            assert len(out) <= 3
+    # one key column by name, as a string
+    monkeypatch.delenv(exchange.ENV_VAR)
+    out = exchange_map_groups(
+        ds, "k2", lambda df: pd.DataFrame({"k2": [df["k2"].isna().sum()]})
+    ).to_pandas()
+    assert sorted(out["k2"])[-1] == (k2 == None).sum()  # noqa: E711
+
+
+def test_exchange_map_groups_empty_input_keeps_schema(ray_session):
+    schema = pa.schema([("k", pa.string()), ("n", pa.int64())])
+    empty = ray.data.from_arrow(pa.table({"k": pa.array([], pa.string())}))
+    out = exchange_map_groups(
+        empty, "k", lambda df: df, empty_schema=schema
+    )
+    assert out.count() == 0
+    assert out.schema().base_schema == schema
 
 
 def _col_sum():

@@ -9,10 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ray
-from data_linter_ray.stages.referential import (
-    referential_violations_broadcast,
-    referential_violations_shuffle,
-)
+from data_linter_ray.stages.referential import referential_violations_shuffle
 
 
 def _orders_and_dim():
@@ -25,10 +22,19 @@ def _orders_and_dim():
 
 
 def test_shuffle_referential_matches_broadcast(ray_session):
+    from data_linter_ray import checks
+    from data_linter_ray.metadata import ColumnSpec, TableSchema
+    from data_linter_ray.pipelines import validate_dataset
+
     fk, orders, dim = _orders_and_dim()
 
     shuffled = referential_violations_shuffle(orders, "k", dim, "id").to_pandas()
-    broadcast = referential_violations_broadcast(orders, "k", dim, "id").to_pandas()
+    schema = TableSchema(
+        name="o", columns=[ColumnSpec(name="k", type="int64", references="dim.id")]
+    )
+    res = validate_dataset(orders, schema, ref_tables={"dim.id": dim})
+    broadcast = res.violations.to_pandas()
+    broadcast = broadcast[broadcast["test"] == checks.REFERENTIAL_TEST]
     # both paths report one row per dangling FK row
     assert sorted(shuffled["value"]) == sorted(broadcast["value"])
     expected = {str(v) for v in np.unique(fk[fk >= 1500])}
@@ -263,9 +269,9 @@ def test_exchange_width_env_override_invariant(ray_session, monkeypatch, sf_dir)
     widths = []
     orig = exchange.keyed_scatter_gather
 
-    def spy(mat, part_col, num_partitions, reduce_fn, **kw):
+    def spy(mat, by, num_partitions, reduce_fn, **kw):
         widths.append(num_partitions)
-        return orig(mat, part_col, num_partitions, reduce_fn, **kw)
+        return orig(mat, by, num_partitions, reduce_fn, **kw)
 
     monkeypatch.setattr(exchange, "keyed_scatter_gather", spy)
 

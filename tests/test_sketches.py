@@ -197,6 +197,20 @@ def test_tdigest_vectorized_compress_against_loop(kind, parts):
     assert np.all(np.diff(new.means) >= 0)
 
 
+def test_tdigest_weighted_add_drops_nan_weights():
+    """A NaN value is dropped together with its weight: the weights
+    that stay line up with the values that stay."""
+    td = TDigest()
+    td.add(np.array([1.0, np.nan, 2.0]), np.array([1.0, 5.0, 1.0]))
+    assert td.count == 2.0
+    td._compress()
+    assert td.means.tolist() == [1.0, 2.0]
+    assert td.weights.tolist() == [1.0, 1.0]
+    ref = TDigest()
+    ref.add(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
+    assert td.to_bytes() == ref.to_bytes()
+
+
 def test_hll_accuracy_and_merge():
     true_n = 50_000
     vals = np.array([f"key-{i}" for i in range(true_n)], dtype=object)
