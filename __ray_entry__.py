@@ -23,7 +23,6 @@ import ray.data
 from data_linter_ray import checks
 from data_linter_ray.metadata import ColumnSpec, TableSchema
 from data_linter_ray.pipelines import validate_dataset
-from data_linter_ray.stages.uniqueness import duplicate_keys
 
 EVENT_ENUM = ["click", "view", "purchase"]
 LANG_PATTERN = "^(?:en|es|de|fr)$"
@@ -182,10 +181,27 @@ def q_date_format_violations(sf_dir: str):
 
 
 def q_unique_violations(sf_dir: str):
-    """Duplicate user_ids — the two-level salted-aggregation uniqueness
-    shuffle from stages/uniqueness.py."""
+    """Duplicate user_ids: ``validate_dataset``'s uniqueness check (the
+    fused pass's per-batch pre-aggregates, one hash exchange), its
+    ``unique_test`` rows (key, row count) as (user_id, n)."""
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
-    return duplicate_keys(ds, "user_id")
+    schema = TableSchema(
+        name="events", columns=[ColumnSpec(name="user_id", type="int64", unique=True)]
+    )
+    viol = validate_dataset(ds, schema).violations
+
+    def native(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.equal(t["test"], checks.UNIQUE_TEST))
+        return pa.Table.from_arrays(
+            [pc.cast(t[c].combine_chunks(), pa.int64()) for c in ("row_ref", "value")],
+            names=["user_id", "n"],
+        )
+
+    # empty blocks pass map_batches unchanged, in another schema
+    out = viol.map_batches(native, batch_format="pyarrow")
+    batches = [b for b in out.iter_batches(batch_format="pyarrow") if b.num_rows]
+    target = pa.schema([("user_id", pa.int64()), ("n", pa.int64())])
+    return pa.concat_tables(batches) if batches else target.empty_table()
 
 
 def q_ref_violations(sf_dir: str):

@@ -1,10 +1,10 @@
 """Fleet-wide exchange-width and read-width derivation, and the keyed
 exchange itself.
 
-Every manual exchange in the engine (the uniqueness pre-aggregation,
+Every manual exchange in the engine (validate's raw-task uniqueness
+exchange and its shuffled referential check, fd's pre-aggregation,
 dedup's bucketed pair generation, the as-of/range/session key-hash
-exchanges, validate's raw-task uniqueness exchange) keys rows into P
-coarse partitions. A keyed operator names only its key columns:
+exchanges) keys rows into P coarse partitions. A keyed operator names only its key columns:
 :func:`exchange_map_groups` hashes them in its scatter tasks with
 :func:`partition_of`, the one partition hash, at the width of its
 materialized input. Only a range splitter, or another placement an

@@ -10,7 +10,8 @@ README.md:114-134), re-expressed Ray-Data-first:
     sketch partials, kind-2 rows split into P hash buckets ─► one reduce
     per bucket (_detect_bucket): duplicate-key rows, counts, heads ───────┐
     merged sketches vs baselines (drift_results): drift verdicts ─────────┤
-    ds ─► referential shuffle (oversized dims only) ──────────────────────┴─►
+    stream's kind-4 FK rows ∪ target PKs ─► referential shuffle, one      │
+    exchange per oversized dimension: dangling rows, counts ──────────────┴─►
     ValidatorResult
 
 :func:`validate_units` runs that one pass over several *units* (source
@@ -41,7 +42,7 @@ from data_linter_ray.metadata import TableSchema
 from data_linter_ray.result import ValidatorResult
 from data_linter_ray.sources.readers import PATH_COLUMN
 from data_linter_ray.stages.checker import (
-    VIOLATION_SCHEMA,
+    UNIT_VIOLATION_SCHEMA,
     BatchChecker,
     ColumnAlignmentError,
     _stringify,
@@ -51,8 +52,9 @@ from data_linter_ray.stages.checker import (
 # internal single-pass stream: violation rows (kind 0), per-batch count
 # partials (kind 1), uniqueness pre-aggregates (kind 2), drift sketch
 # partials (kind 3: column, test = the sketch kind, value = the base64
-# payload) — one schema so a single map_batches pass can emit all four
-# and be materialized once
+# payload), pre-aggregates of an FK column checked against an oversized
+# dimension (kind 4, built like kind 2) — one schema so a single
+# map_batches pass can emit all five and be materialized once
 INTERNAL_SCHEMA = pa.schema(
     [
         ("row_ref", pa.string()),
@@ -63,23 +65,25 @@ INTERNAL_SCHEMA = pa.schema(
         ("h", pa.int64()),  # 64-bit key hash (uniqueness pre-agg rows only)
         ("kind", pa.int8()),
         # the row's unit code; on kind-2 pre-agg rows unit × (number of
-        # unique columns) + the unique-column index (their column/test
-        # strings stay NULL: the pre-agg stream is ~input-sized for a
-        # unique id column, and two repeated-constant string columns cost
-        # ~17 bytes/row through the object store vs one int16 + bitmaps)
+        # unique columns) + the unique-column index, on kind-4 rows unit ×
+        # (number of shuffled FK columns) + the FK-column index (their
+        # column/test strings stay NULL: the pre-agg stream is
+        # ~input-sized for a unique id column, and two repeated-constant
+        # string columns cost ~17 bytes/row through the object store vs
+        # one int16 + bitmaps)
         ("cc", pa.int16()),
     ]
 )
 ROWS_KEY = "__rows__"
-#: violation rows inside one pass: :data:`VIOLATION_SCHEMA` plus the
-#: unit code ``cc``
-UNIT_VIOLATION_SCHEMA = VIOLATION_SCHEMA.append(pa.field("cc", pa.int16()))
 
 
 def max_units(schema: TableSchema) -> int:
     """The most units one :func:`validate_units` pass can tell apart:
-    kind-2 codes (unit × unique columns + column) must fit ``cc``."""
-    return 2**15 // max(1, sum(1 for c in schema.columns if c.unique))
+    kind-2 codes (unit × unique columns + column) and kind-4 codes (unit
+    × referenced columns + column) must fit ``cc``."""
+    unique = sum(1 for c in schema.columns if c.unique)
+    refs = sum(1 for c in schema.columns if c.references)
+    return 2**15 // max(1, unique, refs)
 
 
 def _const(v: int, k: int) -> pa.Array:
@@ -89,12 +93,13 @@ def _const(v: int, k: int) -> pa.Array:
 class _FusedChecker:
     """Single-pass emitter: every checker's findings, as violation rows
     (kind 0) and one count row per finding (kind 1), plus the uniqueness
-    pre-aggregates (kind 2) and, with a ``sketcher``
-    (:class:`~data_linter_ray.stages.sketch_stage.SketchPartials`), one
-    sketch partial per (column, sketch kind) (kind 3). With ``units``
-    (the :data:`PATH_COLUMN` value of each unit's rows) every run of one
-    unit's rows is emitted on its own, under that unit's code; without,
-    every row is unit 0."""
+    pre-aggregates (kind 2), with a ``sketcher``
+    (:class:`~data_linter_ray.stages.sketch_stage.SketchPartials`) one
+    sketch partial per (column, sketch kind) (kind 3), and the
+    pre-aggregates of each ``fk_cols`` column, its null keys left out
+    (kind 4). With ``units`` (the :data:`PATH_COLUMN` value of each
+    unit's rows) every run of one unit's rows is emitted on its own,
+    under that unit's code; without, every row is unit 0."""
 
     def __init__(
         self,
@@ -103,12 +108,14 @@ class _FusedChecker:
         id_column: Optional[str],
         sketcher=None,
         units: Optional[list[str]] = None,
+        fk_cols: tuple = (),
     ):
         self.checkers = checkers
         self.unique_cols = unique_cols
         self.id_column = id_column
         self.sketcher = sketcher
         self.units = units
+        self.fk_cols = fk_cols
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self.units is None or not batch.num_rows:
@@ -169,40 +176,11 @@ class _FusedChecker:
         )
 
         for i, col in enumerate(self.unique_cols):
-            import numpy as np
-            import pandas as pd
-
-            from data_linter_ray.state.sketches import hash_array
-
-            arr = batch[col].combine_chunks()
-            # hash once over ALL rows, then hash-dedupe — cheaper than a
-            # string-keyed value_counts hash table plus a re-hash of the
-            # uniques; factorize+bincount beats sort-based np.unique ~1.5×
-            # and pa.repeat beats python-list constant columns ~8×
-            h_all = hash_array(arr)
-            codes, uniq_h = pd.factorize(h_all, sort=False)
-            cnts = np.bincount(codes).astype(np.int64)
-            k = len(uniq_h)
-            # factorize numbers keys by first sight, so a key's first row
-            # is the row whose code exceeds every earlier one; filtering
-            # those rows yields the values in factorize order
-            first_mask = np.diff(np.maximum.accumulate(codes), prepend=-1) > 0
-            values = _stringify(arr.filter(pa.array(first_mask)))
-            parts.append(
-                pa.Table.from_arrays(
-                    [
-                        pa.nulls(k, pa.string()),
-                        pa.nulls(k, pa.string()),  # column → cc int16
-                        pa.nulls(k, pa.string()),  # test implied by kind
-                        values,
-                        pa.array(cnts),
-                        pa.array(uniq_h.astype(np.int64)),
-                        pa.repeat(pa.scalar(2, pa.int8()), k),
-                        _const(unit * len(self.unique_cols) + i, k),
-                    ],
-                    schema=INTERNAL_SCHEMA,
-                )
-            )
+            code = unit * len(self.unique_cols) + i
+            parts.append(_key_counts(batch[col].combine_chunks(), 2, code))
+        for i, col in enumerate(self.fk_cols):
+            code = unit * len(self.fk_cols) + i
+            parts.append(_key_counts(batch[col].combine_chunks().drop_null(), 4, code))
         if self.sketcher is not None:
             import base64
 
@@ -227,6 +205,59 @@ class _FusedChecker:
                 )
             )
         return pa.concat_tables(parts)
+
+
+def _key_counts(arr: pa.Array, kind: int, code: int) -> pa.Table:
+    """Pre-aggregate rows of a key column: one per distinct key of
+    ``arr``, its first-sight value stringified, row count ``n`` and hash
+    ``h``, in first-sight order, under stream ``kind`` and unit code
+    ``code``."""
+    import numpy as np
+    import pandas as pd
+
+    from data_linter_ray.state.sketches import hash_array
+
+    # hash once over ALL rows, then hash-dedupe — cheaper than a
+    # string-keyed value_counts hash table plus a re-hash of the
+    # uniques; factorize+bincount beats sort-based np.unique ~1.5×
+    # and pa.repeat beats python-list constant columns ~8×
+    h_all = hash_array(arr)
+    codes, uniq_h = pd.factorize(h_all, sort=False)
+    cnts = np.bincount(codes).astype(np.int64)
+    k = len(uniq_h)
+    # factorize numbers keys by first sight, so a key's first row
+    # is the row whose code exceeds every earlier one; filtering
+    # those rows yields the values in factorize order
+    first_mask = np.diff(np.maximum.accumulate(codes), prepend=-1) > 0
+    values = _stringify(arr.filter(pa.array(first_mask)))
+    return pa.Table.from_arrays(
+        [
+            pa.nulls(k, pa.string()),
+            pa.nulls(k, pa.string()),  # column → cc int16
+            pa.nulls(k, pa.string()),  # test implied by kind
+            values,
+            pa.array(cnts),
+            pa.array(uniq_h.astype(np.int64)),
+            pa.repeat(pa.scalar(kind, pa.int8()), k),
+            _const(code, k),
+        ],
+        schema=INTERNAL_SCHEMA,
+    )
+
+
+def _fk_keys(t: pa.Table, index: int, n_cols: int) -> pa.Table:
+    """The kind-4 rows of FK column ``index`` (of ``n_cols``) in a stream
+    block, as the ``(key, n, cc = unit)`` input of
+    :func:`~data_linter_ray.stages.referential.referential_violations_shuffle`."""
+    import pyarrow.compute as pc
+
+    t = t.filter(pc.equal(t["kind"], 4))
+    cc = t["cc"].to_numpy()
+    mine = cc % n_cols == index
+    t = t.filter(pa.array(mine))
+    return pa.table(
+        {"key": t["value"], "n": t["n"], "cc": pa.array(cc[mine] // n_cols, pa.int16())}
+    )
 
 
 def keep_violations(t: pa.Table) -> pa.Table:
@@ -702,17 +733,17 @@ def validate_units(
                 )
             )
             needed.add(ref_col)
-    shuffle_refs: dict[str, tuple] = {}  # fk col -> (target_ds, pk)
+    shuffle_refs: dict[str, tuple] = {}  # fk col -> (target_ds, pk), kind 4
     for spec in ref_specs:
         if spec in span_cols:  # SpanMediaRefChecker, above
             continue
         target = ref_tables[spec.references]
         pk = spec.references.split(".", 1)[1]
         if isinstance(target, Dataset) and target.count() > BROADCAST_ROW_THRESHOLD:
-            shuffle_refs[spec.name] = (target, pk)  # dedicated shuffle branch
-            continue
-        pk_ref = _ray.put(distinct_key_set(target, pk))
-        fused.append(_BroadcastAntiJoin(spec.name, id_column, pk_ref))
+            shuffle_refs[spec.name] = (target, pk)
+        else:
+            pk_ref = _ray.put(distinct_key_set(target, pk))
+            fused.append(_BroadcastAntiJoin(spec.name, id_column, pk_ref))
         needed.add(spec.name)
     if id_column:
         needed.add(id_column)
@@ -747,7 +778,7 @@ def validate_units(
     # Derived datasets share their source's context: set the option for
     # this one execution and give the caller's setting back.
     stream = checked.map_batches(
-        _FusedChecker(fused, unique_cols, id_column, sketcher, units),
+        _FusedChecker(fused, unique_cols, id_column, sketcher, units, tuple(shuffle_refs)),
         batch_format="pyarrow",
     )
     opts = stream.context.execution_options
@@ -769,16 +800,30 @@ def validate_units(
         counts.update(uniq_counts)
         if uniq_head is not None:
             heads.append(uniq_head)
+    # --- oversized dimensions: the stream's kind-4 rows, one exchange each
     ref_parts: list[Dataset] = []
-    for fk, (target, pk) in shuffle_refs.items():
+    for i, (fk, (target, pk)) in enumerate(shuffle_refs.items()):
+        import numpy as np
+
+        from data_linter_ray.exchange import fold_batches
         from data_linter_ray.stages.referential import referential_violations_shuffle
 
-        for u in range(n_units):
-            part = referential_violations_shuffle(
-                _unit_rows(ds, units, u), fk, target, pk
-            ).map_batches(_with_unit(u), batch_format="pyarrow").materialize()
-            counts[(u, fk, checks.REFERENTIAL_TEST)] = part.count()
-            ref_parts.append(part)
+        fk_keys = mat.map_batches(
+            _fk_keys,
+            fn_args=(i, len(shuffle_refs)),
+            batch_format="pyarrow",
+            batch_size=None,
+        )
+        part = referential_violations_shuffle(fk_keys, fk, target, pk)
+        per_unit = fold_batches(
+            part,
+            lambda t: np.bincount(t["cc"].to_numpy(), minlength=n_units),
+            np.add,
+            np.zeros(n_units, np.int64),
+        )
+        for u, v in enumerate(per_unit):
+            counts[(u, fk, checks.REFERENTIAL_TEST)] = int(v)
+        ref_parts.append(part)
 
     violations += ref_parts
 
@@ -828,25 +873,6 @@ def validate_units(
             )
         )
     return results, violations
-
-
-def _unit_rows(ds: Dataset, units: Optional[list[str]], u: int) -> Dataset:
-    """The rows of unit ``u`` of ``ds``, without the unit's path."""
-    if units is None:
-        return ds
-    import pyarrow.compute as pc
-
-    def keep(t: pa.Table, _path=units[u]) -> pa.Table:
-        return t.filter(pc.equal(t[PATH_COLUMN], _path)).drop_columns([PATH_COLUMN])
-
-    return ds.map_batches(keep, batch_format="pyarrow")
-
-
-def _with_unit(u: int):
-    def tag(t: pa.Table) -> pa.Table:
-        return t.append_column("cc", _const(u, t.num_rows)).cast(UNIT_VIOLATION_SCHEMA)
-
-    return tag
 
 
 #: driver-safety ceiling on sample rows kept by the driver merge, per

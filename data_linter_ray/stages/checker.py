@@ -45,6 +45,9 @@ VIOLATION_SCHEMA = pa.schema(
         ("value", pa.string()),
     ]
 )
+#: violation rows of several units in one pass: :data:`VIOLATION_SCHEMA`
+#: plus the unit code ``cc``
+UNIT_VIOLATION_SCHEMA = VIOLATION_SCHEMA.append(pa.field("cc", pa.int16()))
 
 
 @dataclass

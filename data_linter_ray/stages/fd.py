@@ -7,8 +7,8 @@ pandas_validator.py:84-138 is column-at-a-time) — e.g. "one country
 per postcode", "one currency per account". Violations are determinant
 values observed with ≥ 2 distinct dependent values.
 
-Scale shape — the engine's standard two-level exchange (same pattern
-as stages/uniqueness.py): a per-batch DISTINCT-pair combiner first, so
+Scale shape — the engine's standard two-level exchange (the pattern
+of validate's uniqueness pre-aggregates): a per-batch DISTINCT-pair combiner first, so
 only (det, dep) distinct pairs — never rows — enter the all-to-all
 exchange (a hot determinant costs at most one row per distinct dep per
 batch); the exchange hash-partitions the pairs on the determinant;

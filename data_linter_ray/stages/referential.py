@@ -1,16 +1,20 @@
 """Referential-integrity check (north-rule extension).
 
-FK column ⊆ PK set of a reference table. ``validate_dataset`` picks one
-of two physical paths per reference (SURVEY.md §2.4, §7.3):
+FK column ⊆ PK set of a reference table. ``validate_units`` picks one
+of two physical paths per reference by the target's size (SURVEY.md
+§2.4, §7.3); both read the FK column only in the fused check pass:
 
 - **broadcast** (dimension tables up to ``BROADCAST_ROW_THRESHOLD``
   rows): the distinct PK set is collected once, ``ray.put`` into the
   object store, and :class:`_BroadcastAntiJoin` runs inside the fused
   check pass as a vectorized ``pc.is_in`` — no shuffle, and the set
   ships to each node once rather than per batch.
-- **shuffle** (larger dimensions): a key-hash anti-join over a
-  union of tagged partials — both sides are pre-aggregated per batch
-  first so only (key, count/flag) pairs enter the exchange.
+- **shuffle** (larger dimensions): the fused pass emits the FK column's
+  pre-aggregates — one (unit, distinct key, row count) row per batch,
+  built like the uniqueness pre-aggregates — and
+  :func:`referential_violations_shuffle` anti-joins them against the
+  target's distinct PK values in one exchange keyed on the stringified
+  key, so only (key, count) pairs enter it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import ray
 from ray.data import Dataset
 
 from data_linter_ray.checks import REFERENTIAL_TEST
-from data_linter_ray.stages.checker import Checker, _stringify
+from data_linter_ray.stages.checker import UNIT_VIOLATION_SCHEMA, Checker, _stringify
 
 # dimension tables of at most this many rows are broadcast
 BROADCAST_ROW_THRESHOLD = 10_000_000
@@ -92,55 +96,55 @@ def distinct_key_set(ref_ds: Dataset | pa.Array, pk: str) -> pa.Array:
 
 
 def referential_violations_shuffle(
-    ds: Dataset, fk: str, ref_ds: Dataset, pk: str
+    fk_keys: Dataset, fk: str, ref_ds: Dataset, pk: str
 ) -> Dataset:
-    """Shuffle strategy: pre-aggregated tagged union → key-hash anti-join.
+    """Shuffle strategy: anti-join of FK pre-aggregates against the PK
+    set in one exchange keyed on the key.
 
-    Emits one violation row per dangling FK row, like the broadcast path
-    (a dangling key is repeated once per row that holds it), so the
-    count does not depend on which path ran. The rows carry no
-    ``row_ref``: row-level addressing would need a second join, which at
-    dimension sizes that force this path is not worth its cost.
+    ``fk_keys`` holds ``key`` (the FK value as :func:`_stringify`
+    renders it; no nulls), ``n`` (its row count) and ``cc`` (the unit)
+    rows, as the fused pass emits them; the target's distinct ``pk``
+    values are stringified the same way, so both paths render a value
+    alike. Returns :data:`UNIT_VIOLATION_SCHEMA` rows: one per dangling
+    FK row, like the broadcast path (a dangling key is repeated once per
+    row that holds it), so the count does not depend on which path ran.
+    The rows carry no ``row_ref``: row-level addressing would need a
+    second join, which at dimension sizes that force this path is not
+    worth its cost.
     """
     import numpy as np
-    import pandas as pd
 
     from data_linter_ray.exchange import exchange_map_groups
 
-    def fk_partials(t: pa.Table) -> pa.Table:
-        vc = t[fk].combine_chunks().drop_null().value_counts()
-        k = vc.field("values")
+    keys = pa.schema([("key", pa.string()), ("n", pa.int64()), ("cc", pa.int16())])
+
+    def pk_keys(t: pa.Table) -> pa.Table:
+        k = _stringify(t[pk].combine_chunks().drop_null().unique())
         return pa.Table.from_arrays(
-            [k, pc.cast(vc.field("counts"), pa.int64()), pa.nulls(len(k), pa.int64())],
-            names=["key", "n_fk", "has_pk"],
+            [k, pa.nulls(len(k), pa.int64()), pa.nulls(len(k), pa.int16())], schema=keys
         )
 
-    def pk_partials(t: pa.Table) -> pa.Table:
-        k = t[pk].combine_chunks().unique()
+    def dangling(t: pa.Table) -> pa.Table:
+        # PK rows carry no count
+        pk_set = t.filter(pc.is_null(t["n"]))["key"].combine_chunks()
+        t = t.filter(pc.is_valid(t["n"]))
+        t = t.filter(pc.invert(pc.is_in(t["key"], value_set=pk_set)))
+        t = t.take(pa.array(np.repeat(np.arange(t.num_rows), t["n"].to_numpy())))
+        m = t.num_rows
         return pa.Table.from_arrays(
-            [k, pa.nulls(len(k), pa.int64()), pa.array([1] * len(k), type=pa.int64())],
-            names=["key", "n_fk", "has_pk"],
+            [
+                pa.nulls(m, pa.string()),
+                pa.repeat(pa.scalar(fk, pa.string()), m),
+                pa.repeat(pa.scalar(REFERENTIAL_TEST, pa.string()), m),
+                t["key"].combine_chunks(),
+                t["cc"].combine_chunks(),
+            ],
+            schema=UNIT_VIOLATION_SCHEMA,
         )
 
-    tagged = ds.select_columns([fk]).map_batches(
-        fk_partials, batch_format="pyarrow"
-    ).union(
-        ref_ds.select_columns([pk]).map_batches(pk_partials, batch_format="pyarrow")
+    tagged = fk_keys.union(
+        ref_ds.select_columns([pk]).map_batches(pk_keys, batch_format="pyarrow")
     )
-
-    def dangling(g: pd.DataFrame) -> pd.DataFrame:
-        s = g.groupby("key", as_index=False).agg(
-            n_fk=("n_fk", "sum"), has_pk=("has_pk", "max")
-        )
-        bad = s[(s["has_pk"].fillna(0) == 0) & (s["n_fk"].fillna(0) > 0)]
-        bad = bad.loc[bad.index.repeat(bad["n_fk"].astype(np.int64))]
-        return pd.DataFrame(
-            {
-                "row_ref": pd.array([None] * len(bad), dtype="string"),
-                "column": fk,
-                "test": REFERENTIAL_TEST,
-                "value": bad["key"].astype(str),
-            }
-        )
-
-    return exchange_map_groups(tagged, "key", dangling)
+    return exchange_map_groups(
+        tagged, "key", dangling, batch_format="pyarrow", empty_schema=UNIT_VIOLATION_SCHEMA
+    )

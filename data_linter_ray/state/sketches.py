@@ -239,7 +239,10 @@ class KLL:
     promoted to level h+1. Normalized rank error is O(1/k) with high
     probability. Merge = levelwise concatenation + re-compaction —
     commutative and associative, so partials-as-data stay retry-safe.
-    ``seed`` pins the compaction coin for deterministic tests.
+    ``seed`` draws the compaction coin from a seeded generator; without
+    one, each coin is a mixing hash of the compacted level, the item
+    count and the level index, so the same values added and merged in
+    the same order give the same sketch and payload on every run.
     """
 
     C = 2.0 / 3.0  # level-capacity decay from the paper
@@ -248,7 +251,7 @@ class KLL:
         self.k = int(k)
         self.levels: list[np.ndarray] = [np.empty(0, np.float64)]
         self.n = 0
-        self._rng = np.random.RandomState(seed)
+        self._rng = None if seed is None else np.random.RandomState(seed)
 
     # -- internals ------------------------------------------------------
     def _cap(self, h: int) -> int:
@@ -266,7 +269,7 @@ class KLL:
             for h in range(len(self.levels)):
                 if self.levels[h].size > self._cap(h):
                     lv = np.sort(self.levels[h])
-                    off = int(self._rng.randint(2))
+                    off = self._coin(lv, h)
                     promoted = lv[off::2]
                     self.levels[h] = np.empty(0, np.float64)
                     if h + 1 == len(self.levels):
@@ -277,6 +280,16 @@ class KLL:
                     break
             else:
                 break  # no level over its own cap: grow tolerated
+
+    def _coin(self, lv: np.ndarray, h: int) -> int:
+        if self._rng is not None:
+            return int(self._rng.randint(2))
+        # splitmix64's finalizer over the level's bits, n and h
+        m = (1 << 64) - 1
+        z = (int(lv.view(np.uint64).sum()) + self.n * 0x9E3779B97F4A7C15 + h) & m
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & m
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & m
+        return (z ^ (z >> 31)) & 1
 
     # -- building -------------------------------------------------------
     def add(self, values: np.ndarray) -> None:

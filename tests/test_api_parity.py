@@ -404,3 +404,32 @@ def test_one_parquet_read_path():
         if reads_parquet(c)
     ]
     assert offenders == []
+
+
+def test_tracer_targets_resolve(monkeypatch):
+    """Every ``(module, attribute path)`` the benchmark's tracer wraps
+    (``perfbench/tracer.py`` ``TARGETS``) resolves the way the tracer
+    looks it up, ``vars(owner)[attr]``: deleting or renaming a traced
+    name fails here, not only in the benchmark's own slow test."""
+    import importlib
+    import importlib.util
+    import pathlib
+    import sys
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_traced_targets", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclasses look it up
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    missing = []
+    for modname, attr_path, *_ in tracer.TARGETS:
+        owner = importlib.import_module(modname)
+        *outer, attr = attr_path.split(".")
+        try:
+            for part in outer:
+                owner = getattr(owner, part)
+            vars(owner)[attr]
+        except (AttributeError, KeyError):
+            missing.append(f"{modname}:{attr_path}")
+    assert missing == []

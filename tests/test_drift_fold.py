@@ -223,3 +223,29 @@ def test_drift_edges_match_drift_check(ray_session):
             assert math.isnan(d) and math.isnan(want[c].distance)
         else:
             assert d == want[c].distance
+
+
+def test_kll_payloads_and_distances_repeat(ray_session):
+    """The KLL compaction coin is deterministic: two ``SketchPartials``
+    calls on one table give equal payloads, and a KLL-baseline
+    ``validate_dataset`` gives equal distances twice."""
+    t = _current()
+    first, second = (
+        sketch_stage.SketchPartials(["a", "b"], [], quantile_sketch="kll")(t)
+        for _ in range(2)
+    )
+    assert first["payload"].equals(second["payload"])
+
+    baselines = _baselines("kll")
+    ds = ray.data.from_arrow([t.slice(0, 15_000), t.slice(15_000)])
+    runs = [
+        {
+            c: e["test_inputs"]["distance"]
+            for c, e in _drift_entries(
+                validate_dataset(ds, SCHEMA, drift_baselines=baselines)
+            ).items()
+        }
+        for _ in range(2)
+    ]
+    assert set(runs[0]) == {"a", "b", "k", "k2"}
+    assert runs[0] == runs[1]

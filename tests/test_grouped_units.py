@@ -407,3 +407,82 @@ def test_fused_checker_splits_a_batch_by_unit():
     assert sorted(zip(twos["cc"].to_pylist(), twos["value"].to_pylist())) == [
         (0, "-1"), (0, "-4"), (0, "1"), (1, "-2"), (1, "3"),
     ]
+
+
+def _without_samples(response: dict):
+    """``response`` with its value samples taken out, and the samples as
+    {(column, test): Counter of (row_ref, value)}."""
+    import copy
+
+    response = copy.deepcopy(response)
+    samples = {}
+    for col, tests in response.items():
+        for test, entry in (tests.items() if isinstance(tests, dict) else ()):
+            if isinstance(entry, dict) and "unexpected_values_sample" in entry:
+                samples[col, test] = Counter(
+                    zip(entry.pop("unexpected_index_sample"),
+                        entry.pop("unexpected_values_sample"))
+                )
+    return response, samples
+
+
+def test_shuffled_dimension_group_reads_its_input_once(ray_session, tmp_path, monkeypatch):
+    """A 3-unit ``validate_units`` group whose FK column references a
+    dimension past the broadcast threshold reads its input once (one
+    ``map_batches`` call per input block, counted by marker files): the
+    shuffled referential check reads the fused pass's stream, not the
+    input per unit. Each unit's verdicts and counts equal validating it
+    alone, and its samples do as multisets at log_verbosity 0."""
+    import uuid
+
+    import ray
+
+    import data_linter_ray.stages.referential as R
+    from data_linter_ray.metadata import TableSchema
+    from data_linter_ray.pipelines.validate import validate_dataset, validate_units
+
+    monkeypatch.setattr(R, "BROADCAST_ROW_THRESHOLD", 10)
+    schema = TableSchema.from_dict({"name": "o", "columns": [
+        {"name": "k", "type": "int64", "unique": True, "references": "dim.id"},
+        {"name": "v", "type": "int64", "maximum": 5},
+    ]})
+    tables = [
+        pa.table({"k": pa.array([1, 2, 60, 60, None, 70], pa.int64()),
+                  "v": pa.array([1, 9, 2, 3, 4, 8], pa.int64())}),
+        pa.table({"k": pa.array([3, 80, 60, 4], pa.int64()),
+                  "v": pa.array([7, 1, 2, 3], pa.int64())}),
+        pa.table({"k": pa.array([5, 6], pa.int64()), "v": pa.array([1, 2], pa.int64())}),
+    ]
+    dim = ray.data.from_arrow(pa.table({"id": pa.array(range(50), pa.int64())}))
+    units = ["u0", "u1", "u2"]
+    marks = tmp_path / "reads"
+    marks.mkdir()
+
+    def read(t: pa.Table, _dir=str(marks)) -> pa.Table:
+        open(os.path.join(_dir, uuid.uuid4().hex), "w").close()
+        return t
+
+    group = ray.data.from_arrow(
+        [t.append_column("path", pa.array([u] * t.num_rows)) for t, u in zip(tables, units)]
+    ).map_batches(read, batch_format="pyarrow", batch_size=None)
+    group.schema()  # learning it executes the first block; Ray keeps it
+    for f in os.listdir(marks):
+        os.remove(marks / f)
+    grouped, _ = validate_units(
+        group, schema, units, ref_tables={"dim.id": dim}, log_verbosity=0
+    )
+    assert len(os.listdir(marks)) == len(tables)
+
+    dangling = []
+    for t, res in zip(tables, grouped):
+        alone = validate_dataset(
+            ray.data.from_arrow(t), schema, ref_tables={"dim.id": dim}, log_verbosity=0
+        )
+        assert (res.valid, res.row_count, res.counts) == (
+            alone.valid, alone.row_count, alone.counts
+        )
+        assert _without_samples(res.response.get_result()) == _without_samples(
+            alone.response.get_result()
+        )
+        dangling.append(res.counts.get(("k", "referential_test"), 0))
+    assert dangling == [3, 2, 0]

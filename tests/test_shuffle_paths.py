@@ -9,49 +9,69 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ray
-from data_linter_ray.stages.referential import referential_violations_shuffle
 
 
-def _orders_and_dim():
+def _orders_and_dim(cast=lambda v: v):
     rng = np.random.RandomState(0)
     fk = rng.randint(0, 2000, 5000)
     pk = np.arange(0, 1500)  # fk values >= 1500 dangle
-    orders = ray.data.from_arrow(pa.table({"k": fk}))
-    dim = ray.data.from_arrow(pa.table({"id": pk}))
+    orders = ray.data.from_arrow(pa.table({"k": cast(fk)}))
+    dim = ray.data.from_arrow(pa.table({"id": cast(pk)}))
     return fk, orders, dim
 
 
-def test_shuffle_referential_matches_broadcast(ray_session):
+def _shuffle_dims(monkeypatch, on: bool = True):
+    """Send every dimension of more than 10 rows through the shuffled
+    referential check (``on``), or back to the broadcast one."""
+    import data_linter_ray.stages.referential as R
+
+    monkeypatch.setattr(R, "BROADCAST_ROW_THRESHOLD", 10 if on else 10_000_000)
+
+
+def _ref_check(ds, dim, fk_type, **kw):
+    """``validate_dataset`` of ``k`` referencing ``dim.id``: the result
+    and its ``referential_test`` violation rows."""
     from data_linter_ray import checks
     from data_linter_ray.metadata import ColumnSpec, TableSchema
     from data_linter_ray.pipelines import validate_dataset
 
-    fk, orders, dim = _orders_and_dim()
-
-    shuffled = referential_violations_shuffle(orders, "k", dim, "id").to_pandas()
     schema = TableSchema(
-        name="o", columns=[ColumnSpec(name="k", type="int64", references="dim.id")]
+        name="o", columns=[ColumnSpec(name="k", type=fk_type, references="dim.id")]
     )
-    res = validate_dataset(orders, schema, ref_tables={"dim.id": dim})
-    broadcast = res.violations.to_pandas()
-    broadcast = broadcast[broadcast["test"] == checks.REFERENTIAL_TEST]
-    # both paths report one row per dangling FK row
-    assert sorted(shuffled["value"]) == sorted(broadcast["value"])
-    expected = {str(v) for v in np.unique(fk[fk >= 1500])}
-    assert set(shuffled["value"]) == expected
+    res = validate_dataset(ds, schema, ref_tables={"dim.id": dim}, **kw)
+    rows = res.violations.to_pandas()
+    return res, rows[rows["test"] == checks.REFERENTIAL_TEST]
+
+
+def test_shuffle_referential_matches_broadcast(ray_session, monkeypatch):
+    """Both paths report one row per dangling FK row, and render its
+    value alike (``_stringify``: a float key 1500.0 is "1500") for int,
+    float and string keys."""
+    cases = [
+        ("int64", lambda v: v, str),
+        ("float64", lambda v: v.astype(np.float64), str),
+        ("string", lambda v: pa.array([f"c{x}" for x in v]), lambda x: f"c{x}"),
+    ]
+    for fk_type, cast, render in cases:
+        fk, orders, dim = _orders_and_dim(cast)
+        out = {}
+        for shuffle in (True, False):
+            _shuffle_dims(monkeypatch, shuffle)
+            res, rows = _ref_check(orders, dim, fk_type, log_verbosity=0)
+            verdict = res.response.get_result()["k"]["referential_test"]
+            samples = sorted(verdict.pop("unexpected_values_sample"))
+            verdict.pop("unexpected_index_sample")
+            out[shuffle] = (res.counts, verdict, samples, sorted(rows["value"]))
+        assert out[True] == out[False], fk_type
+        expected = sorted(render(v) for v in fk[fk >= 1500])
+        assert out[True][3] == expected and out[True][2] == expected
 
 
 def test_validate_dataset_uses_shuffle_for_big_dims(ray_session, monkeypatch):
-    import data_linter_ray.pipelines.validate as V
     from data_linter_ray.metadata import ColumnSpec, TableSchema
     from data_linter_ray.pipelines import validate_dataset
 
-    monkeypatch.setattr(V, "BROADCAST_ROW_THRESHOLD", 10, raising=False)
-    # patch the imported constant in the validate module's function scope:
-    # validate re-imports from referential, so patch there too
-    import data_linter_ray.stages.referential as R
-
-    monkeypatch.setattr(R, "BROADCAST_ROW_THRESHOLD", 10)
+    _shuffle_dims(monkeypatch)
 
     schema = TableSchema(
         name="o", columns=[ColumnSpec(name="k", type="int64", references="dim.id")]
@@ -75,9 +95,35 @@ def test_validate_dataset_uses_shuffle_for_big_dims(ray_session, monkeypatch):
     # the shuffle path counts dangling ROWS, like the broadcast path:
     # 99 three times and 100 once
     assert shuffled == (4, 4 / 6 * 100, ["100", "99", "99", "99"])
-    monkeypatch.setattr(R, "BROADCAST_ROW_THRESHOLD", 10_000_000)
-    monkeypatch.setattr(V, "BROADCAST_ROW_THRESHOLD", 10_000_000, raising=False)
+    _shuffle_dims(monkeypatch, False)
     assert verdict() == shuffled
+
+
+def test_random_row_limit_checks_one_sample(ray_session, monkeypatch):
+    """An unseeded random ``row_limit`` draws its rows once: the shuffled
+    referential check sees the rows every other check sees. Every row
+    fails ``maximum`` and dangles, so both tests' values are the sampled
+    keys."""
+    from data_linter_ray import checks
+    from data_linter_ray.metadata import ColumnSpec, TableSchema
+    from data_linter_ray.pipelines import validate_dataset
+
+    _shuffle_dims(monkeypatch)
+    ds = ray.data.from_arrow(pa.table({"k": np.arange(1000, 3000)}))
+    dim = ray.data.from_arrow(pa.table({"id": np.arange(50)}))
+    schema = TableSchema(
+        name="o",
+        columns=[ColumnSpec(name="k", type="int64", maximum=-1, references="dim.id")],
+    )
+    res = validate_dataset(
+        ds, schema, ref_tables={"dim.id": dim}, row_limit=10,
+        row_sample="random", sample_seed=None, log_verbosity=0,
+    )
+    col = res.response.get_result()["k"]
+    maximum = col["min_max_test"]["unexpected_values_sample"]
+    # the Bernoulli sample may fall short of row_limit
+    assert 0 < res.row_count <= 10 and len(maximum) == res.row_count
+    assert sorted(col[checks.REFERENTIAL_TEST]["unexpected_values_sample"]) == sorted(maximum)
 
 
 # ---------------- hypothesis property tests ------------------------------
@@ -190,14 +236,16 @@ def test_date_format_mask_matches_strptime(dts, render_fmt, check_fmt):
 
 def test_uniqueness_exchange_survives_extreme_skew(ray_session):
     """One key owning 50% of all rows (the north-rule hot doc_id range):
-    per-block pre-aggregation collapses the hot key to one partial per
-    block BEFORE the exchange, so no partition ever receives the raw hot
-    rows. Counts must still be exact."""
+    per-batch pre-aggregation in the fused pass collapses the hot key to
+    one kind-2 row per batch BEFORE the exchange, so no partition ever
+    receives the raw hot rows. Counts must still be exact."""
     import numpy as np
     import pyarrow as pa
 
     import ray.data
-    from data_linter_ray.stages.uniqueness import duplicate_keys
+    from data_linter_ray import checks
+    from data_linter_ray.metadata import ColumnSpec, TableSchema
+    from data_linter_ray.pipelines import validate_dataset
 
     n = 200_000
     def gen(batch):
@@ -207,9 +255,12 @@ def test_uniqueness_exchange_survives_extreme_skew(ray_session):
         return pa.table({"k": keys})
 
     ds = ray.data.range(n, override_num_blocks=16).map_batches(gen, batch_format="numpy")
-    dup = duplicate_keys(ds, "k").to_pandas()
-    assert len(dup) == 1
-    assert dup.iloc[0]["k"] == 0 and dup.iloc[0]["n"] == n // 2
+    schema = TableSchema(name="t", columns=[ColumnSpec(name="k", type="int64", unique=True)])
+    res = validate_dataset(ds, schema)
+    dup = res.violations.to_pandas()
+    dup = dup[dup["test"] == checks.UNIQUE_TEST]
+    assert len(dup) == 1 and res.counts == {("k", checks.UNIQUE_TEST): 1}
+    assert dup.iloc[0]["row_ref"] == "0" and int(dup.iloc[0]["value"]) == n // 2
 
 
 def test_range_join_hot_key_bounded(ray_session):
@@ -259,12 +310,15 @@ def test_range_join_hot_key_bounded(ray_session):
 
 def test_exchange_width_env_override_invariant(ray_session, monkeypatch, sf_dir):
     """VERDICT r02 #9: the exchange width is a setting, not a semantic.
-    The env var reaches the exchanges of duplicate_keys, fd_violations
-    and the referential shuffle (each scatters at exactly that width),
-    and their verdicts are identical at width 4 and width 64."""
-    from data_linter_ray import exchange
+    The env var reaches validate's uniqueness buckets, the exchanges of
+    fd_violations and of validate's shuffled referential check (each at
+    exactly that width), and their verdicts are identical at width 4 and
+    width 64."""
+    import data_linter_ray.pipelines.validate as V
+    from data_linter_ray import checks, exchange
+    from data_linter_ray.metadata import ColumnSpec, TableSchema
+    from data_linter_ray.pipelines import validate_dataset
     from data_linter_ray.stages.fd import fd_violations
-    from data_linter_ray.stages.uniqueness import duplicate_keys
 
     widths = []
     orig = exchange.keyed_scatter_gather
@@ -274,27 +328,49 @@ def test_exchange_width_env_override_invariant(ray_session, monkeypatch, sf_dir)
         return orig(mat, by, num_partitions, reduce_fn, **kw)
 
     monkeypatch.setattr(exchange, "keyed_scatter_gather", spy)
+    buckets = []
+    fold = V._fold_count_partials
+
+    def bucket_spy(*args, **kw):
+        out = fold(*args, **kw)
+        buckets.append(len(out[2]))
+        return out
+
+    monkeypatch.setattr(V, "_fold_count_partials", bucket_spy)
+    _shuffle_dims(monkeypatch)
 
     def sorted_pandas(ds, by):
         return ds.to_pandas().sort_values(by).reset_index(drop=True)
 
+    def rows(res, test):
+        df = res.violations.to_pandas()
+        df = df[df["test"] == test]
+        return df.sort_values(["value", "row_ref"]).reset_index(drop=True)
+
     events = f"{sf_dir}/events.parquet"
+    unique = TableSchema(
+        name="e", columns=[ColumnSpec(name="user_id", type="int64", unique=True)]
+    )
     outs = {}
     for width in (4, 64):
         monkeypatch.setenv(exchange.ENV_VAR, str(width))
         assert exchange.exchange_width() == width
         widths.clear()
+        buckets.clear()
         ds = ray.data.read_parquet(events, columns=["user_id"])
-        dups = sorted_pandas(duplicate_keys(ds, "user_id"), "user_id")
+        dups = validate_dataset(ds, unique)
+        assert buckets == [width]
         ds = ray.data.read_parquet(events, columns=["user_id", "event_type"])
         fd = sorted_pandas(fd_violations(ds, "user_id", "event_type"), "user_id")
         _, orders, dim = _orders_and_dim()
-        ref = sorted_pandas(
-            referential_violations_shuffle(orders, "k", dim, "id"), "value"
+        ref, _ = _ref_check(orders, dim, "int64")
+        assert widths == [width] * 2
+        outs[width] = (
+            rows(dups, checks.UNIQUE_TEST), fd, rows(ref, checks.REFERENTIAL_TEST)
         )
-        assert widths == [width] * 3
-        outs[width] = (dups, fd, ref)
+        outs[width, "counts"] = (dups.counts, ref.counts)
     monkeypatch.delenv(exchange.ENV_VAR)
+    assert outs[4, "counts"] == outs[64, "counts"]
     for a, b in zip(outs[4], outs[64]):
         assert len(a) > 0
         assert a.equals(b)

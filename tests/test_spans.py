@@ -105,12 +105,16 @@ def test_synth_violation_rates(ray_session):
     assert 0.005 * 20_000 < total_bad < 0.05 * 20_000
     assert set(by_test) <= set(sp.SPAN_TESTS)
 
-    from data_linter_ray.stages.uniqueness import duplicate_keys
+    from data_linter_ray import checks
+    from data_linter_ray.metadata import ColumnSpec, TableSchema
+    from data_linter_ray.pipelines import validate_dataset
 
-    dups = duplicate_keys(ds.select_columns(["doc_id"]), "doc_id").to_pandas()
+    schema = TableSchema(name="d", columns=[ColumnSpec(name="doc_id", type="string", unique=True)])
+    dups = validate_dataset(ds.select_columns(["doc_id"]), schema).violations.to_pandas()
+    dups = dups[dups["test"] == checks.UNIQUE_TEST]
     assert len(dups) > 0
-    hot = dups[dups["doc_id"].str.startswith(synth.HOT_PREFIX)]
-    assert len(hot) > 0 and hot["n"].max() > 10  # hot-key skew present
+    hot = dups[dups["row_ref"].str.startswith(synth.HOT_PREFIX)]
+    assert len(hot) > 0 and hot["value"].astype(int).max() > 10  # hot-key skew present
 
 
 def test_media_ref_integrity(ray_session):
