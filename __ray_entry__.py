@@ -4063,7 +4063,8 @@ def oracle_sql() -> dict[str, str]:
                 f"count(*) AS n, sum({a}) AS sx, sum({b}) AS sy, "
                 f"sum({a}*{a}) AS sxx, sum({b}*{b}) AS syy, "
                 f"sum({a}*{b}) AS sxy FROM lineitem "
-                f"WHERE {a} IS NOT NULL AND {b} IS NOT NULL"
+                f"WHERE {a} IS NOT NULL AND {b} IS NOT NULL "
+                f"AND NOT isnan({a}) AND NOT isnan({b})"
                 for a, b in [
                     ("l_discount", "l_extendedprice"),
                     ("l_discount", "l_quantity"),
@@ -5040,7 +5041,8 @@ def oracle_sql() -> dict[str, str]:
             "sum(l_extendedprice*l_extendedprice) syy, "
             "sum(l_quantity*l_extendedprice) sxy FROM lineitem "
             "WHERE l_returnflag IS NOT NULL AND l_quantity IS NOT NULL "
-            "AND l_extendedprice IS NOT NULL GROUP BY l_returnflag) "
+            "AND l_extendedprice IS NOT NULL AND NOT isnan(l_quantity) "
+            "AND NOT isnan(l_extendedprice) GROUP BY l_returnflag) "
             "SELECT l_returnflag, n, "
             "round((n*sxy - sx*sy)/(n*sxx - sx*sx), 6) AS slope, "
             "round((sy - ((n*sxy - sx*sy)/(n*sxx - sx*sx))*sx)/n, 6) AS intercept, "

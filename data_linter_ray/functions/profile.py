@@ -33,7 +33,7 @@ def _lane(t: pa.DataType) -> str:
     return "str"
 
 
-def _profile_batch(t: pa.Table, columns: list[str], hll_p: int) -> pa.Table:
+def _profile_batch(t: pa.Table, columns: list[str]) -> pa.Table:
     rows: dict[str, list] = {
         "column": [], "n": [], "n_null": [],
         "min_int": [], "max_int": [], "min_num": [], "max_num": [],
@@ -71,7 +71,7 @@ def _profile_batch(t: pa.Table, columns: list[str], hll_p: int) -> pa.Table:
         rows["max_num"].append(hi if lane == "num" else None)
         rows["min_s"].append(str(lo) if lane == "str" and lo is not None else None)
         rows["max_s"].append(str(hi) if lane == "str" and hi is not None else None)
-        hll = HyperLogLog(hll_p)
+        hll = HyperLogLog()
         hll.add_hashes(hash_array(arr.drop_null()))
         rows["hll"].append(hll.to_bytes())
     return pa.table(
@@ -283,9 +283,7 @@ def heavy_hitters(
     )
 
 
-def profile_dataset(
-    ds: Dataset, columns: list[str] | None = None, hll_p: int = 12
-) -> pa.Table:
+def profile_dataset(ds: Dataset, columns: list[str] | None = None) -> pa.Table:
     """→ arrow table (column, n, n_null, min_str, max_str,
     approx_distinct), one row per column. min/max are rendered as
     strings in the result (heterogeneous column types in one table) but
@@ -293,10 +291,10 @@ def profile_dataset(
     columns = columns or ds.schema().names
     types = {c: ds.schema().base_schema.field(c).type for c in columns}
     partials = ds.select_columns(columns).map_batches(
-        lambda t: _profile_batch(t, columns, hll_p), batch_format="pyarrow"
+        lambda t: _profile_batch(t, columns), batch_format="pyarrow"
     )
     acc: dict[str, dict] = {
-        c: {"n": 0, "n_null": 0, "min": None, "max": None, "hll": HyperLogLog(hll_p)}
+        c: {"n": 0, "n_null": 0, "min": None, "max": None, "hll": HyperLogLog()}
         for c in columns
     }
     for row in partials.take_all():
@@ -343,12 +341,7 @@ def profile_dataset(
     )
 
 
-def profile_drift(
-    ds_a: Dataset,
-    ds_b: Dataset,
-    columns: list[str],
-    hll_p: int = 12,
-) -> pa.Table:
+def profile_drift(ds_a: Dataset, ds_b: Dataset, columns: list[str]) -> pa.Table:
     """Schema/stats drift between two snapshots of the same table —
     the reference's per-run profile (`data_linter`'s response-log column
     stats) extended to an A/B compare a user runs between yesterday's
@@ -361,8 +354,8 @@ def profile_drift(
     arithmetic, so the whole output is SQL-oracle hash-exact. The
     approximate HLL distinct counts are compared separately with
     :func:`state.sketches` drift verdicts (tolerance-based), not here."""
-    pa_a = profile_dataset(ds_a, columns, hll_p)
-    pa_b = profile_dataset(ds_b, columns, hll_p)
+    pa_a = profile_dataset(ds_a, columns)
+    pa_b = profile_dataset(ds_b, columns)
     a = {r["column"]: r for r in pa_a.to_pylist()}
     b = {r["column"]: r for r in pa_b.to_pylist()}
     rows = {
@@ -454,18 +447,15 @@ def approx_value_counts(
     ds: Dataset,
     column: str,
     probe_values: list,
-    *,
-    width: int = 1 << 14,
-    depth: int = 5,
 ) -> "pd.DataFrame":
     """ZERO-shuffle approximate frequencies for a PROBE SET of values —
     "how often do these specific ids / tokens / labels appear?" when
     the column's distinct domain is too large to exchange and the
     probes are known up front. One streaming scan of per-batch
-    Count-Min partials (width·depth int64 cells each, element-wise
-    added on the driver); estimates carry the sketch's ONE-SIDED
-    guarantee — never under the true count, over by at most ε·N
-    (ε = e/width) w.p. ≥ 1−δ (δ = e^−depth).
+    Count-Min partials (2^14 × 5 int64 cells each, element-wise added
+    on the driver); estimates carry the sketch's ONE-SIDED guarantee —
+    never under the true count, over by at most ε·N (ε = e/2^14) w.p.
+    ≥ 1−δ (δ = e^−5).
 
     Deliberately NOT a driver-contract query (approximate by design);
     the guarantee is tolerance-tested against exact counts in pytest.
@@ -481,16 +471,11 @@ def approx_value_counts(
         col = t[column].drop_null()
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
-        local = CountMin(width=width, depth=depth)
+        local = CountMin()
         local.add_hashes(hash_array(col))
         return local
 
-    cm = fold_batches(
-        ds.select_columns([column]),
-        partial,
-        CountMin.merge,
-        CountMin(width=width, depth=depth),
-    )
+    cm = fold_batches(ds.select_columns([column]), partial, CountMin.merge, CountMin())
 
     probes = pa.array(probe_values)
     est = cm.estimate_hashes(hash_array(probes))

@@ -698,27 +698,19 @@ def quantile_bucketize(
     return ds.select_columns(cols).map_batches(assign, batch_format="pyarrow")
 
 
-def grouped_quantiles_approx(
-    ds,
-    group_col: str,
-    value_col: str,
-    qs: list[float],
-    *,
-    k: int = 200,
-    seed: int = 7,
-):
+def grouped_quantiles_approx(ds, group_col: str, value_col: str, qs: list[float]):
     """ZERO-shuffle approximate per-group quantiles — the scale path of
     :func:`grouped_quantiles`, exactly as ``group_count_distinct_approx``
-    is to ``group_count_distinct``: per batch, one KLL sketch per group
-    present in the batch, serialized as data (retry-safe); driver merge
-    is groups-bounded (one O(k)-byte sketch per group), never
+    is to ``group_count_distinct``: per batch, one t-digest per group
+    present in the batch, serialized as data (retry-safe); the driver
+    merge (:func:`~data_linter_ray.exchange.fold_batches`) is
+    groups-bounded (one KB-sized digest per group), never
     value-bounded — where the exact operator's refinement scans re-read
-    the column, this reads it ONCE. Normalized rank error is O(1/k)
-    w.h.p. (Karnin-Lang-Liberty FOCS 2016); ``seed`` pins each
-    partial's compaction coin, but the driver merge folds sketches in
-    block-arrival order, which can vary across runs — the rank-error
-    guarantee holds for EVERY order (the sketch is mergeable);
-    byte-identical reruns are not promised.
+    the column, this reads it ONCE. The digest's rank error is largest
+    mid-distribution and shrinks toward the tails (Dunning & Ertl,
+    arXiv:1902.04023). The driver folds digests in block-arrival order,
+    which can vary across runs, so byte-identical reruns are not
+    promised.
 
     Deliberately NOT a driver-contract query (approximate by design —
     the oracle table stays fully exact); tolerance-tested against the
@@ -730,41 +722,24 @@ def grouped_quantiles_approx(
     import pandas as pd
     import pyarrow as pa
 
-    from data_linter_ray.functions.timeseries import _schema_types
-    from data_linter_ray.state.sketches import KLL
+    from data_linter_ray.exchange import fold_batches
+    from data_linter_ray.state.sketches import TDigest
 
-    g_type = _schema_types(ds)[group_col]
-
-    def partial(t: pa.Table) -> pa.Table:
-        t = t.select([group_col, value_col]).drop_null()
-        if not t.num_rows:
-            return pa.table(
-                {"g": pa.array([], g_type), "sk": pa.array([], pa.binary())}
-            )
-        df = t.to_pandas()
-        gs, sks = [], []
+    def partial(t: pa.Table) -> dict:
+        out = {}
+        df = t.select([group_col, value_col]).drop_null().to_pandas()
         for gval, vals in df.groupby(group_col, sort=False)[value_col]:
-            sk = KLL(k, seed=seed)
-            sk.add(vals.to_numpy(np.float64))
-            gs.append(gval)
-            sks.append(sk.to_bytes())
-        return pa.table(
-            {"g": pa.array(gs, g_type), "sk": pa.array(sks, pa.binary())}
-        )
+            td = TDigest()
+            td.add(vals.to_numpy(np.float64))
+            out[gval] = td.to_bytes()
+        return out
 
-    acc: dict = {}
-    for b in (
-        ds.select_columns([group_col, value_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow")
-    ):
-        for gval, blob in zip(b["g"].to_pylist(), b["sk"].to_pylist()):
-            sk = KLL.from_bytes(blob)
-            if gval in acc:
-                acc[gval].merge(sk)
-            else:
-                acc[gval] = sk
+    def merge(acc: dict, part: dict) -> dict:
+        for gval, blob in part.items():
+            acc.setdefault(gval, TDigest()).merge(TDigest.from_bytes(blob))
+        return acc
 
+    acc = fold_batches(ds.select_columns([group_col, value_col]), partial, merge, {})
     rows = []
     for gval in sorted(acc):
         vals = acc[gval].quantiles(qs)

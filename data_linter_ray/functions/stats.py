@@ -473,22 +473,20 @@ def group_count_distinct_approx(
     ds: Dataset,
     group_col: str,
     value_col: str,
-    *,
-    p: int = 12,
 ) -> pd.DataFrame:
     """Approximate ``count(DISTINCT value) GROUP BY group`` via
     per-group HyperLogLog — the ZERO-shuffle scale path of
     :func:`group_count_distinct` (exactly as ``heavy_hitters`` is to
     ``top_values``): when the value domain itself is too large to
-    exchange, ship 2^p-byte register partials instead of distinct
-    values.
+    exchange, ship 4 KB register partials (HLL p = 12) instead of
+    distinct values.
 
     Scale shape: per batch, one HLL register block per group present in
     the batch, emitted AS DATA (binary lane — retry-safe, the sketch
     stage's partials-as-data pattern) → driver fold does register-wise
-    max per group (groups × 2^p bytes; the documented bound is a
-    modest group domain, never the value domain). Error ≈ 1.04/√2^p
-    (±1.6% at p=12). Null groups / values excluded.
+    max per group (groups × 4 KB; the documented bound is a modest
+    group domain, never the value domain). Error ≈ 1.04/√4096 (±1.6%).
+    Null groups / values excluded.
 
     → DataFrame(group, n_distinct_approx[int64 rounded estimate]),
     sorted by group. No SQL oracle (approximate by design); pytest
@@ -515,7 +513,7 @@ def group_count_distinct_approx(
         for gval, idx in pd.Series(np.arange(len(gv))).groupby(
             gv.to_numpy(), sort=False
         ):
-            hll = HyperLogLog(p)
+            hll = HyperLogLog()
             hll.add_hashes(h[idx.to_numpy()])
             gs.append(gval)
             regs.append(hll.to_bytes())
@@ -563,11 +561,10 @@ def group_regression(
     per batch, never the raw pairs). Rows with a null group / x / y are excluded
     (SQL ``regr_*`` pairwise deletion).
 
-    NaN policy: a non-null NaN x or y is NOT deleted, and it does not
-    make the result NaN either. The row counts in ``n`` while the
-    skip-NaN pandas sums drop its NaN terms, so the group is fitted as
-    if that value were 0.0 (SQL ``regr_*`` returns NaN for the group).
-    Filter NaN upstream when that matters.
+    NaN policy (the one :func:`corr_matrix` keeps): a non-null NaN x or
+    y is deleted pairwise exactly like a null, so its row neither
+    counts in ``n`` nor reaches the sums. SQL ``regr_*`` differs here:
+    a NaN input makes its group's result NaN.
 
     Float parity: the oracle evaluates the SAME closed-form expression
     over SQL SUM aggregates, so only sum fold order differs —
@@ -583,6 +580,8 @@ def group_regression(
         df = t.select([group_col, x_col, y_col]).drop_null().to_pandas()
         x = df[x_col].to_numpy(np.float64)
         y = df[y_col].to_numpy(np.float64)
+        keep = ~(np.isnan(x) | np.isnan(y))
+        df, x, y = df[keep], x[keep], y[keep]
         df = pd.DataFrame(
             {
                 "g": df[group_col],

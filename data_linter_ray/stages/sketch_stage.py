@@ -16,9 +16,11 @@ the standalone form: :func:`compute_sketches` + :func:`drift_results`.
 
 The callable holds the compiled column plan; per-batch partials are
 *emitted as data*, never accumulated in worker state, so Ray task
-retries cannot double-count (SURVEY.md §7.4). t-digest, KLL and HLL
-are mergeable summaries, so combining the partials is a plain fold —
-a few KB per batch, negligible next to the scan.
+retries cannot double-count (SURVEY.md §7.4). t-digest (the one
+quantile sketch) and HLL are mergeable summaries, so combining the
+partials is a plain fold — a few KB per batch, negligible next to the
+scan. Both sketches have one size, their constructor default; a saved
+baseline of any other kind is rejected on load.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ import numpy as np
 import pyarrow as pa
 from ray.data import Dataset
 
-from data_linter_ray.state.sketches import KLL, HyperLogLog, TDigest, hash_array
+from data_linter_ray.state.sketches import HyperLogLog, TDigest, hash_array
 
 SKETCH_SCHEMA = pa.schema(
     [
         ("column", pa.string()),
-        ("kind", pa.string()),  # "tdigest" | "kll" | "hll"
+        ("kind", pa.string()),  # "tdigest" | "hll"
         ("payload", pa.binary()),
     ]
 )
@@ -46,27 +48,19 @@ class SketchPartials:
     """map_batches callable: per batch, one t-digest partial per numeric
     column and one HLL partial per key column."""
 
-    def __init__(
-        self,
-        numeric_cols: list[str],
-        key_cols: list[str],
-        quantile_sketch: str = "tdigest",
-    ):
+    def __init__(self, numeric_cols: list[str], key_cols: list[str]):
         self.numeric_cols = numeric_cols
         self.key_cols = key_cols
-        if quantile_sketch not in ("tdigest", "kll"):
-            raise ValueError(f"unknown quantile sketch: {quantile_sketch}")
-        self.quantile_sketch = quantile_sketch
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         cols, kinds, payloads = [], [], []
         for c in self.numeric_cols:
             arr = batch[c].to_numpy(zero_copy_only=False).astype(np.float64)
-            sk = KLL() if self.quantile_sketch == "kll" else TDigest()
-            sk.add(arr)
+            td = TDigest()
+            td.add(arr)
             cols.append(c)
-            kinds.append(self.quantile_sketch)
-            payloads.append(sk.to_bytes())
+            kinds.append("tdigest")
+            payloads.append(td.to_bytes())
         for c in self.key_cols:
             hll = HyperLogLog()
             hll.add_hashes(hash_array(batch[c]))
@@ -83,19 +77,16 @@ class SketchPartials:
         )
 
 
-_SKETCH_CLASSES = {"tdigest": TDigest, "kll": KLL, "hll": HyperLogLog}
+_SKETCH_CLASSES = {"tdigest": TDigest, "hll": HyperLogLog}
 
 
 def baseline_partials(baselines: dict[str, dict]) -> SketchPartials:
     """The per-batch builder of the sketches ``baselines`` is compared
-    against: a quantile sketch for every column with a t-digest or KLL
-    baseline, an HLL for every column with an HLL one. One quantile
-    sketch per job: KLL if any baseline is KLL, else t-digest."""
-    wants_kll = any("kll" in v for v in baselines.values())
+    against: a t-digest for every column with a t-digest baseline, an
+    HLL for every column with an HLL one."""
     return SketchPartials(
-        [c for c, v in baselines.items() if "tdigest" in v or "kll" in v],
+        [c for c, v in baselines.items() if "tdigest" in v],
         [c for c, v in baselines.items() if "hll" in v],
-        quantile_sketch="kll" if wants_kll else "tdigest",
     )
 
 
@@ -117,17 +108,14 @@ def compute_sketches(
     ds: Dataset,
     numeric_cols: list[str],
     key_cols: list[str] | None = None,
-    *,
-    quantile_sketch: str = "tdigest",
 ) -> dict[str, dict]:
     """Run the sketch stage; returns {column: {"tdigest": TDigest}} /
-    {"kll": KLL} / {"hll": HyperLogLog} merged results (KB-sized — safe
-    on the driver). ``quantile_sketch`` selects t-digest or KLL for the
-    numeric columns (both named by the north star)."""
+    {"hll": HyperLogLog} merged results (KB-sized — safe on the
+    driver)."""
     key_cols = key_cols or []
     needed = sorted(set(numeric_cols) | set(key_cols))
     partials = ds.select_columns(needed).map_batches(
-        SketchPartials(numeric_cols, key_cols, quantile_sketch=quantile_sketch),
+        SketchPartials(numeric_cols, key_cols),
         batch_format="pyarrow",
     )
     # one partial row per (batch, column): fold them as they stream in
@@ -148,11 +136,7 @@ def save_baselines(sketches: dict[str, dict], path: str) -> str:
     from data_linter_ray import fs
 
     out = {
-        col: {
-            kind: base64.b64encode(sk.to_bytes()).decode()
-            for kind, sk in entry.items()
-            if kind in _SKETCH_CLASSES
-        }
+        col: {kind: base64.b64encode(sk.to_bytes()).decode() for kind, sk in entry.items()}
         for col, entry in sketches.items()
     }
     fs.write_text(path, json.dumps(out))
@@ -160,17 +144,28 @@ def save_baselines(sketches: dict[str, dict], path: str) -> str:
 
 
 def load_baselines(path: str) -> dict[str, dict]:
+    """Read a :func:`save_baselines` file. A sketch kind other than
+    t-digest or HLL raises ``ValueError``: skipping it would silently
+    drop that column's drift verdict."""
     import base64
     import json
 
     from data_linter_ray import fs
 
     raw = json.loads(fs.read_text(path))
+    for col, e in raw.items():
+        for kind in e:
+            if kind not in _SKETCH_CLASSES:
+                raise ValueError(
+                    f"{path}: column {col!r} has a {kind!r} baseline, but "
+                    "baselines hold only 'tdigest' and 'hll' sketches (the "
+                    "'kll' quantile sketch is retired); rebuild the baseline "
+                    "with compute_sketches and save_baselines"
+                )
     return {
         col: {
             kind: _SKETCH_CLASSES[kind].from_bytes(base64.b64decode(b64))
             for kind, b64 in e.items()
-            if kind in _SKETCH_CLASSES
         }
         for col, e in raw.items()
     }
@@ -180,25 +175,24 @@ def load_baselines(path: str) -> dict[str, dict]:
 class DriftResult:
     column: str
     metric: str
-    distance: float
+    distance: float | None  # None: no distance exists (an empty t-digest)
     threshold: float
 
     @property
     def valid(self) -> bool:
-        return self.distance <= self.threshold
+        return self.distance is not None and self.distance <= self.threshold
 
 
 def quantile_drift(
-    current,
-    baseline,
+    current: TDigest,
+    baseline: TDigest,
     quantiles=DEFAULT_QUANTILES,
-) -> float:  # works on any sketch exposing quantile()/quantiles() (t-digest, KLL)
-    """Normalized max quantile shift: max_q |Q_cur(q) − Q_base(q)| / IQR_base.
-
-    Caveat: on small heavy-tailed columns the 1%/99% quantiles of a
-    randomized KLL sketch carry sampling noise — prefer t-digest (whose
-    centroids concentrate at the tails by design) for tail-sensitive
-    drift, or restrict ``quantiles`` to the dense central range."""
+) -> float | None:
+    """Normalized max quantile shift: max_q |Q_cur(q) − Q_base(q)| / IQR_base,
+    or None when either t-digest holds no value (an all-null or all-NaN
+    column), so the distance stays a JSON value and the verdict fails."""
+    if not (current.count and baseline.count):
+        return None
     qc = current.quantiles(quantiles)
     qb = baseline.quantiles(quantiles)
     iqr = baseline.quantile(0.75) - baseline.quantile(0.25)
@@ -219,22 +213,21 @@ def drift_results(
 ) -> list[DriftResult]:
     """The drift verdicts of merged sketches ``current`` against
     ``baselines``, column by column at that column's threshold: one
-    ``quantile_shift`` per quantile sketch both sides hold, one
+    ``quantile_shift`` when both hold a t-digest, one
     ``cardinality_shift`` when both hold an HLL. A column the data gave
     no sketch for (no batch reached the sketcher) gets no verdict."""
     results: list[DriftResult] = []
     for col, base in baselines.items():
         cur = current.get(col, {})
-        for qkind in ("tdigest", "kll"):
-            if qkind in base and qkind in cur:
-                results.append(
-                    DriftResult(
-                        col,
-                        "quantile_shift",
-                        quantile_drift(cur[qkind], base[qkind]),
-                        thresholds[col],
-                    )
+        if "tdigest" in base and "tdigest" in cur:
+            results.append(
+                DriftResult(
+                    col,
+                    "quantile_shift",
+                    quantile_drift(cur["tdigest"], base["tdigest"]),
+                    thresholds[col],
                 )
+            )
         if "hll" in base and "hll" in cur:
             results.append(
                 DriftResult(
@@ -257,7 +250,5 @@ def drift_check(
     every column the baselines name, in a Ray Data execution of its own
     (``validate_dataset`` folds the same sketches into its one pass)."""
     sp = baseline_partials(baselines)
-    current = compute_sketches(
-        ds, sp.numeric_cols, sp.key_cols, quantile_sketch=sp.quantile_sketch
-    )
+    current = compute_sketches(ds, sp.numeric_cols, sp.key_cols)
     return drift_results(current, baselines, dict.fromkeys(baselines, threshold))

@@ -1,4 +1,5 @@
-"""Mergeable sketches: t-digest (quantiles) and HyperLogLog (distinct).
+"""Mergeable sketches: t-digest (quantiles), HyperLogLog (distinct),
+Count-Min (frequencies) and Misra-Gries (frequent items).
 
 Public-knowledge algorithms: Dunning & Ertl, "Computing extremely
 accurate quantiles using t-digests" (arXiv:1902.04023) and Flajolet et
@@ -6,11 +7,19 @@ al., "HyperLogLog: the analysis of a near-optimal cardinality estimation
 algorithm" (AofA 2007), with the standard linear-counting small-range
 correction. Implemented from the papers on numpy — no external libs.
 
-Both are commutative, associative merges — safe under Ray task retries
-because the pipeline *emits partials as data* (one sketch row per batch)
-rather than mutating actor state (SURVEY.md §7.4 "prefer emit-as-rows").
-Serialization is a compact bytes payload so partial sketches travel as
-ordinary Arrow binary columns through a groupby merge.
+t-digest is the engine's one quantile sketch. The t-digest, HLL and
+Count-Min sizes are their constructor defaults (δ = 100, p = 12,
+2^14 × 5); no operator takes them as a parameter. Misra-Gries' ``m``
+sets the n/(m+1) frequency threshold a heavy-hitter operator reports
+at, so those operators take it. The size is written into every
+payload, so a payload decodes to the sketch that wrote it.
+
+All merges are commutative and associative — safe under Ray task
+retries because the pipeline *emits partials as data* (one sketch row
+per batch) rather than mutating actor state (SURVEY.md §7.4 "prefer
+emit-as-rows"). Serialization is a compact bytes payload so partial
+sketches travel as ordinary Arrow binary columns through a groupby
+merge.
 """
 
 from __future__ import annotations
@@ -228,142 +237,6 @@ def hash_array(values, seed: int = 42) -> np.ndarray:
         ).to_numpy(dtype=np.uint64)
 
 
-class KLL:
-    """KLL streaming quantile sketch (Karnin, Lang & Liberty, "Optimal
-    Quantile Approximation in Streams", FOCS 2016 — arXiv:1603.05346),
-    implemented from the paper on numpy.
-
-    A hierarchy of compactors: level h holds items each representing
-    2^h input values; when a level overflows its (geometrically
-    shrinking) capacity, it is sorted and a random odd/even half is
-    promoted to level h+1. Normalized rank error is O(1/k) with high
-    probability. Merge = levelwise concatenation + re-compaction —
-    commutative and associative, so partials-as-data stay retry-safe.
-    ``seed`` draws the compaction coin from a seeded generator; without
-    one, each coin is a mixing hash of the compacted level, the item
-    count and the level index, so the same values added and merged in
-    the same order give the same sketch and payload on every run.
-    """
-
-    C = 2.0 / 3.0  # level-capacity decay from the paper
-
-    def __init__(self, k: int = 200, seed: int | None = None):
-        self.k = int(k)
-        self.levels: list[np.ndarray] = [np.empty(0, np.float64)]
-        self.n = 0
-        self._rng = None if seed is None else np.random.RandomState(seed)
-
-    # -- internals ------------------------------------------------------
-    def _cap(self, h: int) -> int:
-        H = len(self.levels)
-        return max(2, int(np.ceil(self.k * (self.C ** (H - 1 - h)))))
-
-    def _total_cap(self) -> int:
-        return sum(self._cap(h) for h in range(len(self.levels)))
-
-    def _size(self) -> int:
-        return sum(lv.size for lv in self.levels)
-
-    def _compress(self) -> None:
-        while self._size() > self._total_cap():
-            for h in range(len(self.levels)):
-                if self.levels[h].size > self._cap(h):
-                    lv = np.sort(self.levels[h])
-                    off = self._coin(lv, h)
-                    promoted = lv[off::2]
-                    self.levels[h] = np.empty(0, np.float64)
-                    if h + 1 == len(self.levels):
-                        self.levels.append(np.empty(0, np.float64))
-                    self.levels[h + 1] = np.concatenate(
-                        [self.levels[h + 1], promoted]
-                    )
-                    break
-            else:
-                break  # no level over its own cap: grow tolerated
-
-    def _coin(self, lv: np.ndarray, h: int) -> int:
-        if self._rng is not None:
-            return int(self._rng.randint(2))
-        # splitmix64's finalizer over the level's bits, n and h
-        m = (1 << 64) - 1
-        z = (int(lv.view(np.uint64).sum()) + self.n * 0x9E3779B97F4A7C15 + h) & m
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & m
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & m
-        return (z ^ (z >> 31)) & 1
-
-    # -- building -------------------------------------------------------
-    def add(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=np.float64)
-        values = values[~np.isnan(values)]
-        if values.size == 0:
-            return
-        self.levels[0] = np.concatenate([self.levels[0], values])
-        self.n += values.size
-        self._compress()
-
-    def merge(self, other: "KLL") -> "KLL":
-        while len(self.levels) < len(other.levels):
-            self.levels.append(np.empty(0, np.float64))
-        for h, lv in enumerate(other.levels):
-            if lv.size:
-                self.levels[h] = np.concatenate([self.levels[h], lv])
-        self.n += other.n
-        self._compress()
-        return self
-
-    # -- queries --------------------------------------------------------
-    def count(self) -> int:
-        return self.n
-
-    def _weighted(self) -> tuple[np.ndarray, np.ndarray]:
-        vals = np.concatenate([lv for lv in self.levels if lv.size] or [np.empty(0)])
-        wts = np.concatenate(
-            [np.full(lv.size, 2.0**h) for h, lv in enumerate(self.levels) if lv.size]
-            or [np.empty(0)]
-        )
-        order = np.argsort(vals, kind="stable")
-        return vals[order], wts[order]
-
-    def quantile(self, q: float) -> float:
-        vals, wts = self._weighted()
-        if vals.size == 0:
-            return float("nan")
-        cum = np.cumsum(wts)
-        target = q * cum[-1]
-        return float(vals[np.searchsorted(cum, target, side="left").clip(0, vals.size - 1)])
-
-    def quantiles(self, qs) -> np.ndarray:
-        return np.array([self.quantile(q) for q in qs])
-
-    def rank(self, value: float) -> float:
-        """Approximate normalized rank of ``value`` (fraction ≤ value)."""
-        vals, wts = self._weighted()
-        if vals.size == 0:
-            return float("nan")
-        i = np.searchsorted(vals, value, side="right")
-        return float(wts[:i].sum() / wts.sum())
-
-    # -- serialization --------------------------------------------------
-    def to_bytes(self) -> bytes:
-        head = struct.pack("<qqq", self.k, self.n, len(self.levels))
-        sizes = struct.pack(f"<{len(self.levels)}q", *[lv.size for lv in self.levels])
-        body = b"".join(np.ascontiguousarray(lv).tobytes() for lv in self.levels)
-        return head + sizes + body
-
-    @classmethod
-    def from_bytes(cls, b: bytes) -> "KLL":
-        k, n, H = struct.unpack_from("<qqq", b, 0)
-        sizes = struct.unpack_from(f"<{H}q", b, 24)
-        out = cls(k=k)
-        out.n = n
-        out.levels = []
-        off = 24 + 8 * H
-        for s in sizes:
-            out.levels.append(np.frombuffer(b, np.float64, count=s, offset=off).copy())
-            off += 8 * s
-        return out
-
-
 class CountMin:
     """Count-Min sketch (Cormode & Muthukrishnan, "An improved data
     stream summary: the count-min sketch and its applications",
@@ -377,7 +250,7 @@ class CountMin:
     derive from one 64-bit input hash via splitmix re-mixing (the same
     double-hash recipe as the Bloom filter)."""
 
-    def __init__(self, width: int = 2048, depth: int = 5):
+    def __init__(self, width: int = 1 << 14, depth: int = 5):
         if width < 8 or depth < 1:
             raise ValueError("width must be ≥ 8 and depth ≥ 1")
         self.width = int(width)
@@ -427,79 +300,6 @@ class CountMin:
         cm.table = np.frombuffer(b[24:], dtype=np.int64).reshape(d, w).copy()
         cm.n = n
         return cm
-
-
-class ReservoirSample:
-    """Uniform fixed-size sample as a MERGEABLE sketch (Vitter,
-    "Random sampling with a reservoir", TOMS 1985; merge via the
-    standard weighted union: draw each slot from either side with
-    probability proportional to the streams' true counts).
-
-    Determinism: all randomness derives from a caller-provided seed +
-    the sketch's own counters, so identical inputs reproduce identical
-    samples; merge order changes which items survive (inherent to any
-    single-pass sample). Merge uniformity is exact while reservoirs
-    hold their full streams and the standard mergeable-summaries
-    approximation beyond that (see :meth:`merge`). Values are stored
-    as an object array — KB-scale for scalar columns."""
-
-    def __init__(self, k: int = 64, seed: int = 42):
-        if k < 1:
-            raise ValueError("k must be ≥ 1")
-        self.k = int(k)
-        self.seed = int(seed)
-        self.values: list = []
-        self.n = 0  # items seen
-
-    def add(self, vals) -> None:
-        rng = np.random.RandomState((self.seed ^ (self.n * 0x9E3779B9)) % (2**32))
-        for v in vals:
-            self.n += 1
-            if len(self.values) < self.k:
-                self.values.append(v)
-            else:
-                j = rng.randint(0, self.n)
-                if j < self.k:
-                    self.values[j] = v
-
-    def merge(self, other: "ReservoirSample") -> "ReservoirSample":
-        """Weighted without-replacement union: each draw takes from
-        side 1 with probability r1/(r1+r2) where r1, r2 are the sides'
-        REMAINING stream masses, and the consumed side's mass drops by
-        its per-item weight (n_i / len(reservoir_i)).  The fixed-
-        probability variant biases the merged sample (k=2, n1=n2=2:
-        P(both from side 1) would be 1/4 instead of the correct 1/6);
-        decrementing restores exact uniformity whenever the reservoirs
-        hold their full streams (n_i ≤ k) and the standard mergeable-
-        summaries approximation otherwise."""
-        if self.k != other.k:
-            raise ValueError("cannot merge reservoirs of different k")
-        total = self.n + other.n
-        if total == 0:
-            return self
-        rng = np.random.RandomState(
-            (self.seed ^ (total * 0x85EBCA6B) ^ other.n) % (2**32)
-        )
-        merged: list = []
-        mine, theirs = list(self.values), list(other.values)
-        rng.shuffle(mine)
-        rng.shuffle(theirs)
-        r1, r2 = float(self.n), float(other.n)
-        w1 = self.n / len(mine) if mine else 0.0
-        w2 = other.n / len(theirs) if theirs else 0.0
-        for _ in range(min(self.k, total)):
-            take_mine = mine and (
-                not theirs or rng.rand() < (r1 / (r1 + r2))
-            )
-            if take_mine:
-                merged.append(mine.pop())
-                r1 = max(0.0, r1 - w1)
-            else:
-                merged.append(theirs.pop())
-                r2 = max(0.0, r2 - w2)
-        self.values = merged
-        self.n = total
-        return self
 
 
 class MisraGries:

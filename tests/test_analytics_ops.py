@@ -1000,9 +1000,9 @@ def test_group_regression_all_null_empty(ray_session):
 
 
 def test_group_regression_nan_payload_pinned(ray_session):
-    """Pins today's NaN policy: a non-null NaN x is not deleted. Its row
-    counts in n while the skip-NaN sums drop its terms, so group q is
-    fitted as if that x were 0.0 (SQL ``regr_*`` would return NaN)."""
+    """Pins the NaN policy ``corr_matrix`` shares: a non-null NaN x is
+    deleted pairwise like a null, so group q is fitted on its two other
+    rows (SQL ``regr_*`` would return NaN)."""
     from data_linter_ray.functions.stats import group_regression
 
     nan = float("nan")
@@ -1014,11 +1014,11 @@ def test_group_regression_nan_payload_pinned(ray_session):
         }
     )
     out = group_regression(ray.data.from_arrow(t), "g", "x", "y", round_to=9)
-    assert out["n"].tolist() == [3, 3]
-    # q with x = (1, 0, 3): slope 6/14, intercept (6 - 4·slope)/3, r² 3/7
-    assert out["slope"].tolist() == [2.0, round(6 / 14, 9)]
-    assert out["intercept"].tolist() == [0.0, round(10 / 7, 9)]
-    assert out["r2"].tolist() == [1.0, round(3 / 7, 9)]
+    assert out["n"].tolist() == [3, 2]
+    # q keeps (1, 1) and (3, 3): slope 1, intercept 0, r² 1
+    assert out["slope"].tolist() == [2.0, 1.0]
+    assert out["intercept"].tolist() == [0.0, 0.0]
+    assert out["r2"].tolist() == [1.0, 1.0]
 
 
 def test_null_cooccurrence_exact(ray_session):

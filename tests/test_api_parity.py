@@ -172,7 +172,9 @@ def test_no_operator_takes_an_exchange_width():
     """Exchange width is decided in ``exchange.py`` only: no public
     operator or stage takes ``num_partitions`` / ``num_buckets``, and
     the width functions take no ``override`` (the env var is the one
-    setting)."""
+    setting). Sketch sizes and the quantile sketch are constants of
+    ``state/sketches.py`` the same way: none takes ``quantile_sketch``,
+    ``hll_p`` or ``depth``."""
     import importlib
     import inspect
     import pkgutil
@@ -196,7 +198,13 @@ def test_no_operator_takes_an_exchange_width():
                     continue
                 offenders += [
                     f"{mod.__name__}.{name}({p})"
-                    for p in ("num_partitions", "num_buckets")
+                    for p in (
+                        "num_partitions",
+                        "num_buckets",
+                        "quantile_sketch",
+                        "hll_p",
+                        "depth",
+                    )
                     if p in params
                 ]
     assert offenders == []
@@ -209,12 +217,13 @@ def test_exchanges_and_folds_use_the_shared_primitives():
     once, in ``exchange.py``: no Ray sort-based ``.map_groups(`` call
     remains in the package, and no operator module builds a ``TDigest``
     or decodes an ``iter_batches`` payload with ``np.frombuffer``
-    (``exchange.fold_batches`` / ``range_bounds`` do that). The hash
+    (``exchange.fold_batches`` / ``range_bounds`` do that). The one
+    ``TDigest`` an operator builds is ``grouped_quantiles_approx``'s:
+    its per-group digests are its result, not range splitters. The hash
     partition is ``exchange.partition_of``'s alone: outside
     ``exchange.py`` no ``hash_array`` / ``hash_pandas_object`` result is
     taken ``%`` anything, and no function under ``functions/`` takes a
-    ``width`` (the Count-Min sketch's width of ``approx_value_counts``
-    is the one such parameter, and it sizes no exchange)."""
+    ``width``."""
     import ast
     import pathlib
 
@@ -288,9 +297,18 @@ def test_exchanges_and_folds_use_the_shared_primitives():
             for fn in ast.walk(tree)
             if isinstance(fn, ast.FunctionDef)
             and "width" in [a.arg for a in fn.args.args + fn.args.kwonlyargs]
-            and (rel, fn.name) != ("functions/profile.py", "approx_value_counts")
         ]
-        offenders += [f"{rel}:{c.lineno} TDigest" for c in calls(tree, "TDigest")]
+        digest_op = [
+            (fn.lineno, fn.end_lineno)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            and (rel, fn.name) == ("functions/quantiles.py", "grouped_quantiles_approx")
+        ]
+        offenders += [
+            f"{rel}:{c.lineno} TDigest"
+            for c in calls(tree, "TDigest")
+            if not any(lo <= c.lineno <= hi for lo, hi in digest_op)
+        ]
         for loop in ast.walk(tree):
             if isinstance(loop, ast.For) and calls(loop.iter, "iter_batches"):
                 offenders += [

@@ -4,7 +4,7 @@ read or Ray Data execution of its own. The verdicts must equal the
 standalone ``drift_check`` on the same data, see exactly the rows the
 checks saw, and keep the edge behaviour of the standalone path."""
 
-import math
+import json
 
 import numpy as np
 import pyarrow as pa
@@ -15,9 +15,9 @@ from data_linter_ray import checks
 from data_linter_ray.metadata import ColumnSpec, TableSchema
 from data_linter_ray.pipelines import validate_dataset
 from data_linter_ray.stages import sketch_stage
-from data_linter_ray.state.sketches import KLL, HyperLogLog, TDigest, hash_array
+from data_linter_ray.state.sketches import HyperLogLog, TDigest, hash_array
 
-SKETCH_KINDS = {"tdigest", "kll", "hll"}
+SKETCH_KINDS = {"tdigest", "hll"}
 
 
 def _table(seed: int, n: int, shift: float, keys: int) -> pa.Table:
@@ -33,15 +33,15 @@ def _table(seed: int, n: int, shift: float, keys: int) -> pa.Table:
     )
 
 
-def _baselines(quantile_kind: str) -> dict:
+def _baselines() -> dict:
     """Baselines of one 20k-row sample: ``a`` and ``b`` uniform on
     [0, 100), ``k`` and ``k2`` with 500 distinct keys."""
     base = _table(1, 20_000, 0.0, 500)
     out = {}
     for c in ("a", "b"):
-        sk = KLL(200, seed=0) if quantile_kind == "kll" else TDigest()
-        sk.add(base[c].to_numpy())
-        out[c] = {quantile_kind: sk}
+        td = TDigest()
+        td.add(base[c].to_numpy())
+        out[c] = {"tdigest": td}
     for c in ("k", "k2"):
         h = HyperLogLog()
         h.add_hashes(hash_array(base[c]))
@@ -80,15 +80,14 @@ def _current(seed=2):
     return t.set_column(t.schema.get_field_index("k2"), "k2", wide["k2"])
 
 
-@pytest.mark.parametrize("quantile_kind", ["tdigest", "kll"])
 def test_validate_drift_equals_drift_check_without_second_execution(
-    ray_session, monkeypatch, quantile_kind
+    ray_session, monkeypatch
 ):
     """Same verdicts as the standalone ``drift_check``, distances within
     sketch error, and ``compute_sketches`` (the standalone execution) is
     never called by ``validate_dataset``. Kind-3 rows reach neither the
     violation Dataset nor the counts nor the samples."""
-    baselines = _baselines(quantile_kind)
+    baselines = _baselines()
     ds = ray.data.from_arrow([_current().slice(0, 15_000), _current().slice(15_000)])
 
     def no_second_execution(*a, **kw):
@@ -124,26 +123,10 @@ def test_validate_drift_equals_drift_check_without_second_execution(
     assert all(float(v) > 90.0 for v in sample)
 
 
-def test_mixed_quantile_baselines_follow_one_sketch_per_job(ray_session):
-    """With a t-digest and a KLL baseline in one job both paths sketch
-    every quantile column with KLL, so only the KLL column and the HLL
-    columns get a verdict, in ``validate_dataset`` as in ``drift_check``."""
-    baselines = _baselines("tdigest")
-    baselines["b"] = _baselines("kll")["b"]
-    ds = ray.data.from_arrow(_current())
-    res = validate_dataset(ds, SCHEMA, drift_baselines=baselines)
-    standalone = sketch_stage.drift_check(ds, baselines, threshold=0.1)
-    got = _drift_entries(res)
-    assert sorted(got) == sorted(r.column for r in standalone) == ["b", "k", "k2"]
-    assert {c: e["valid"] for c, e in got.items()} == {
-        r.column: r.valid for r in standalone
-    }
-
-
 def test_per_column_drift_threshold(ray_session):
     """``ColumnSpec.drift["threshold"]`` overrides ``drift_threshold``
     for its column, and ``test_inputs`` records the threshold applied."""
-    baselines = _baselines("tdigest")
+    baselines = _baselines()
     schema = TableSchema(
         "t",
         [
@@ -184,7 +167,7 @@ def test_drift_sketches_exactly_the_checked_rows(ray_session, monkeypatch):
         SCHEMA,
         row_limit=10_000,
         row_sample="random",
-        drift_baselines=_baselines("tdigest"),
+        drift_baselines=_baselines(),
     )
     assert 0 < res.row_count <= 10_000
     [current] = seen
@@ -194,9 +177,10 @@ def test_drift_sketches_exactly_the_checked_rows(ray_session, monkeypatch):
 
 def test_drift_edges_match_drift_check(ray_session):
     """An empty input gives no drift verdict. An all-null drift column
-    gives the standalone path's verdict: a NaN quantile distance, which
-    fails, and the HLL distance of one null key."""
-    baselines = _baselines("tdigest")
+    gives the standalone path's verdict: no quantile distance (``None``,
+    JSON ``null``), which fails, and the HLL distance of one null key.
+    The response stays strict JSON."""
+    baselines = _baselines()
     empty = _current().slice(0, 0)
     res = validate_dataset(ray.data.from_arrow(empty), SCHEMA, drift_baselines=baselines)
     assert _drift_entries(res) == {}
@@ -213,39 +197,45 @@ def test_drift_edges_match_drift_check(ray_session):
         }
     )
     ds = ray.data.from_arrow(nulls)
-    got = _drift_entries(validate_dataset(ds, SCHEMA, drift_baselines=baselines))
+    res = validate_dataset(ds, SCHEMA, drift_baselines=baselines)
+    got = _drift_entries(res)
     want = {r.column: r for r in sketch_stage.drift_check(ds, baselines)}
     assert set(got) == set(want) == {"a", "b", "k", "k2"}
     for c, e in got.items():
         assert e["valid"] is want[c].valid is False
         d = e["test_inputs"]["distance"]
         if c in ("a", "b"):
-            assert math.isnan(d) and math.isnan(want[c].distance)
+            assert d is None and want[c].distance is None
         else:
             assert d == want[c].distance
+    json.dumps(res.response.get_result(), allow_nan=False)
 
 
-def test_kll_payloads_and_distances_repeat(ray_session):
-    """The KLL compaction coin is deterministic: two ``SketchPartials``
-    calls on one table give equal payloads, and a KLL-baseline
-    ``validate_dataset`` gives equal distances twice."""
-    t = _current()
-    first, second = (
-        sketch_stage.SketchPartials(["a", "b"], [], quantile_sketch="kll")(t)
-        for _ in range(2)
-    )
-    assert first["payload"].equals(second["payload"])
+def test_baselines_round_trip_byte_identical(tmp_path):
+    """``save_baselines`` → ``load_baselines`` gives back t-digest and
+    HLL payloads byte-identical to the ones saved."""
+    baselines = _baselines()
+    path = sketch_stage.save_baselines(baselines, str(tmp_path / "base.json"))
+    loaded = sketch_stage.load_baselines(path)
+    assert {c: set(e) for c, e in loaded.items()} == {c: set(e) for c, e in baselines.items()}
+    for c, e in baselines.items():
+        for kind, sk in e.items():
+            assert loaded[c][kind].to_bytes() == sk.to_bytes()
 
-    baselines = _baselines("kll")
-    ds = ray.data.from_arrow([t.slice(0, 15_000), t.slice(15_000)])
-    runs = [
-        {
-            c: e["test_inputs"]["distance"]
-            for c, e in _drift_entries(
-                validate_dataset(ds, SCHEMA, drift_baselines=baselines)
-            ).items()
-        }
-        for _ in range(2)
-    ]
-    assert set(runs[0]) == {"a", "b", "k", "k2"}
-    assert runs[0] == runs[1]
+
+@pytest.mark.parametrize("kind", ["kll", "reservoir"])
+def test_load_baselines_rejects_other_sketch_kinds(tmp_path, kind):
+    """A baseline entry of a kind other than t-digest or HLL (the
+    retired KLL sketch, or any unknown kind) fails to load, naming the
+    file, the column and the kind, instead of silently dropping that
+    column's drift verdict."""
+    saved = tmp_path / "base.json"
+    sketch_stage.save_baselines(_baselines(), str(saved))
+    raw = json.loads(saved.read_text())
+    raw["b"] = {kind: "AAAA"}
+    saved.write_text(json.dumps(raw))
+    with pytest.raises(ValueError) as err:
+        sketch_stage.load_baselines(str(saved))
+    msg = str(err.value)
+    assert str(saved) in msg and "'b'" in msg and f"'{kind}'" in msg
+    assert "compute_sketches" in msg

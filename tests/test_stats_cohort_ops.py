@@ -1001,10 +1001,10 @@ def test_group_count_distinct_approx_tolerance(ray_session):
 
 
 def test_grouped_quantiles_approx_tolerance(ray_session, sf_dir):
-    """The KLL scale path must land within a rank-error envelope of the
-    exact per-group quantiles: for each (group, q), the approximate
-    value's true rank within the group must be within eps·n of q·n
-    (eps = 4/k, comfortably above the KLL constant)."""
+    """The t-digest scale path must land within a rank-error envelope
+    of the exact per-group quantiles: for each (group, q), the
+    approximate value's true rank within the group must be within eps·n
+    of q·n (eps = 0.02)."""
     import numpy as np
     import pandas as pd
     import pyarrow.parquet as pq
@@ -1013,16 +1013,15 @@ def test_grouped_quantiles_approx_tolerance(ray_session, sf_dir):
     from data_linter_ray.functions.quantiles import grouped_quantiles_approx
 
     qs = [0.1, 0.5, 0.9]
-    k = 200
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
     )
-    approx = grouped_quantiles_approx(ds, "event_type", "value", qs, k=k)
+    approx = grouped_quantiles_approx(ds, "event_type", "value", qs)
 
     raw = pq.read_table(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
     ).to_pandas().dropna()
-    eps = 4.0 / k
+    eps = 0.02
     checked = 0
     for (g, q), row in approx.set_index(["event_type", "q"]).iterrows():
         vals = np.sort(raw[raw["event_type"] == g]["value"].to_numpy())
