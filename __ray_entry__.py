@@ -3219,6 +3219,9 @@ def q_value_user_kendall(sf_dir: str):
     )
 
     def derive(t: pa.Table) -> pa.Table:
+        # a NaN value has no integer to round to: drop it, and the nulls
+        # with it, as kendall_tau's pairwise deletion would
+        t = t.filter(pc_.invert(pc_.is_nan(t["value"])))
         return pa.table(
             {
                 "x": pc_.round(
@@ -5116,7 +5119,7 @@ def oracle_sql() -> dict[str, str]:
         "value_distribution_ks": (
             "WITH u AS (SELECT value, "
             "CASE WHEN event_type='click' THEN 1 ELSE 0 END AS g "
-            "FROM events WHERE value IS NOT NULL "
+            "FROM events WHERE value IS NOT NULL AND NOT isnan(value) "
             "AND event_type IN ('click','view')), "
             "c AS (SELECT value, count_if(g=1) AS a, count_if(g=0) AS b "
             "FROM u GROUP BY value), "
@@ -5190,7 +5193,7 @@ def oracle_sql() -> dict[str, str]:
         "value_mannwhitney": (
             "WITH u AS (SELECT value, "
             "CASE WHEN event_type='click' THEN 1 ELSE 0 END AS g "
-            "FROM events WHERE value IS NOT NULL "
+            "FROM events WHERE value IS NOT NULL AND NOT isnan(value) "
             "AND event_type IN ('click','view')), "
             "r AS (SELECT g, CAST(2*rank() OVER (ORDER BY value) + "
             "count(*) OVER (PARTITION BY value) - 1 AS HUGEINT) AS r2 FROM u), "
@@ -5209,7 +5212,8 @@ def oracle_sql() -> dict[str, str]:
         "price_quantity_spearman": (
             "WITH p AS (SELECT l_quantity AS x, l_extendedprice AS y "
             "FROM lineitem WHERE l_quantity IS NOT NULL "
-            "AND l_extendedprice IS NOT NULL), "
+            "AND l_extendedprice IS NOT NULL "
+            "AND NOT isnan(l_quantity) AND NOT isnan(l_extendedprice)), "
             "r AS (SELECT CAST(2*rank() OVER (ORDER BY x) + "
             "count(*) OVER (PARTITION BY x) - 1 AS HUGEINT) AS rx, "
             "CAST(2*rank() OVER (ORDER BY y) + "
@@ -5226,7 +5230,7 @@ def oracle_sql() -> dict[str, str]:
         "value_user_kendall": (
             "WITH p AS (SELECT CAST(round(value) AS BIGINT) AS x, "
             "user_id AS y FROM events WHERE value IS NOT NULL "
-            "AND user_id IS NOT NULL), "
+            "AND NOT isnan(value) AND user_id IS NOT NULL), "
             "pr AS (SELECT x, y, row_number() OVER () AS rid FROM p), "
             "s AS (SELECT count_if((a.x - b.x)*(a.y - b.y) > 0) AS c, "
             "count_if((a.x - b.x)*(a.y - b.y) < 0) AS d, "
@@ -5288,7 +5292,8 @@ def oracle_sql() -> dict[str, str]:
         "price_quantity_heatmap": (
             "WITH p AS (SELECT l_quantity AS x, l_extendedprice AS y "
             "FROM lineitem WHERE l_quantity IS NOT NULL "
-            "AND l_extendedprice IS NOT NULL), "
+            "AND l_extendedprice IS NOT NULL "
+            "AND NOT isnan(l_quantity) AND NOT isnan(l_extendedprice)), "
             "b AS (SELECT quantile_disc(x, [i/6.0 for i in range(1,6)]) AS qx, "
             "quantile_disc(y, [i/6.0 for i in range(1,6)]) AS qy FROM p) "
             "SELECT len(list_filter(b.qx, q -> p.x >= q)) AS bin_x, "
@@ -5298,7 +5303,7 @@ def oracle_sql() -> dict[str, str]:
         # segment_drift_ks: per-group vs pooled CDF sup, one window
         # arm per group; identical divisions both sides — bit-exact
         "segment_drift_ks": (
-            "WITH u AS (SELECT value AS v, event_type AS g FROM events WHERE value IS NOT NULL AND event_type IS NOT NULL) SELECT 'click' AS event_type, CAST((SELECT count_if(g = 'click') FROM u) AS BIGINT) AS n, max(abs(cg/CAST((SELECT count_if(g='click') FROM u) AS DOUBLE) - ca/CAST((SELECT count(*) FROM u) AS DOUBLE))) AS ks FROM (SELECT sum(count_if(g = 'click')) OVER (ORDER BY v) AS cg, sum(count(*)) OVER (ORDER BY v) AS ca FROM u GROUP BY v) s UNION ALL SELECT 'error' AS event_type, CAST((SELECT count_if(g = 'error') FROM u) AS BIGINT) AS n, max(abs(cg/CAST((SELECT count_if(g='error') FROM u) AS DOUBLE) - ca/CAST((SELECT count(*) FROM u) AS DOUBLE))) AS ks FROM (SELECT sum(count_if(g = 'error')) OVER (ORDER BY v) AS cg, sum(count(*)) OVER (ORDER BY v) AS ca FROM u GROUP BY v) s UNION ALL SELECT 'purchase' AS event_type, CAST((SELECT count_if(g = 'purchase') FROM u) AS BIGINT) AS n, max(abs(cg/CAST((SELECT count_if(g='purchase') FROM u) AS DOUBLE) - ca/CAST((SELECT count(*) FROM u) AS DOUBLE))) AS ks FROM (SELECT sum(count_if(g = 'purchase')) OVER (ORDER BY v) AS cg, sum(count(*)) OVER (ORDER BY v) AS ca FROM u GROUP BY v) s UNION ALL SELECT 'signup' AS event_type, CAST((SELECT count_if(g = 'signup') FROM u) AS BIGINT) AS n, max(abs(cg/CAST((SELECT count_if(g='signup') FROM u) AS DOUBLE) - ca/CAST((SELECT count(*) FROM u) AS DOUBLE))) AS ks FROM (SELECT sum(count_if(g = 'signup')) OVER (ORDER BY v) AS cg, sum(count(*)) OVER (ORDER BY v) AS ca FROM u GROUP BY v) s UNION ALL SELECT 'view' AS event_type, CAST((SELECT count_if(g = 'view') FROM u) AS BIGINT) AS n, max(abs(cg/CAST((SELECT count_if(g='view') FROM u) AS DOUBLE) - ca/CAST((SELECT count(*) FROM u) AS DOUBLE))) AS ks FROM (SELECT sum(count_if(g = 'view')) OVER (ORDER BY v) AS cg, sum(count(*)) OVER (ORDER BY v) AS ca FROM u GROUP BY v) s ORDER BY event_type"
+            "WITH u AS (SELECT value AS v, event_type AS g FROM events WHERE value IS NOT NULL AND NOT isnan(value) AND event_type IS NOT NULL) SELECT 'click' AS event_type, CAST((SELECT count_if(g = 'click') FROM u) AS BIGINT) AS n, max(abs(cg/CAST((SELECT count_if(g='click') FROM u) AS DOUBLE) - ca/CAST((SELECT count(*) FROM u) AS DOUBLE))) AS ks FROM (SELECT sum(count_if(g = 'click')) OVER (ORDER BY v) AS cg, sum(count(*)) OVER (ORDER BY v) AS ca FROM u GROUP BY v) s UNION ALL SELECT 'error' AS event_type, CAST((SELECT count_if(g = 'error') FROM u) AS BIGINT) AS n, max(abs(cg/CAST((SELECT count_if(g='error') FROM u) AS DOUBLE) - ca/CAST((SELECT count(*) FROM u) AS DOUBLE))) AS ks FROM (SELECT sum(count_if(g = 'error')) OVER (ORDER BY v) AS cg, sum(count(*)) OVER (ORDER BY v) AS ca FROM u GROUP BY v) s UNION ALL SELECT 'purchase' AS event_type, CAST((SELECT count_if(g = 'purchase') FROM u) AS BIGINT) AS n, max(abs(cg/CAST((SELECT count_if(g='purchase') FROM u) AS DOUBLE) - ca/CAST((SELECT count(*) FROM u) AS DOUBLE))) AS ks FROM (SELECT sum(count_if(g = 'purchase')) OVER (ORDER BY v) AS cg, sum(count(*)) OVER (ORDER BY v) AS ca FROM u GROUP BY v) s UNION ALL SELECT 'signup' AS event_type, CAST((SELECT count_if(g = 'signup') FROM u) AS BIGINT) AS n, max(abs(cg/CAST((SELECT count_if(g='signup') FROM u) AS DOUBLE) - ca/CAST((SELECT count(*) FROM u) AS DOUBLE))) AS ks FROM (SELECT sum(count_if(g = 'signup')) OVER (ORDER BY v) AS cg, sum(count(*)) OVER (ORDER BY v) AS ca FROM u GROUP BY v) s UNION ALL SELECT 'view' AS event_type, CAST((SELECT count_if(g = 'view') FROM u) AS BIGINT) AS n, max(abs(cg/CAST((SELECT count_if(g='view') FROM u) AS DOUBLE) - ca/CAST((SELECT count(*) FROM u) AS DOUBLE))) AS ks FROM (SELECT sum(count_if(g = 'view')) OVER (ORDER BY v) AS cg, sum(count(*)) OVER (ORDER BY v) AS ca FROM u GROUP BY v) s ORDER BY event_type"
         ),
         # vocab_zipf_slope: same df SQL as "vocabulary", rank-OLS
         "vocab_zipf_slope": (
@@ -5360,7 +5365,7 @@ def oracle_sql() -> dict[str, str]:
         ),
         # weekly_drift_ks: per-week vs pooled CDF sup — bit-exact
         "weekly_drift_ks": (
-            'WITH u AS (SELECT value AS v, (day(ts)-1)//7 AS g FROM events WHERE value IS NOT NULL AND ts IS NOT NULL) SELECT CAST(0 AS BIGINT) AS week, CAST((SELECT count_if(g = 0) FROM u) AS BIGINT) AS n, max(abs(cg/CAST((SELECT count_if(g=0) FROM u) AS DOUBLE) - ca/CAST((SELECT count(*) FROM u) AS DOUBLE))) AS ks FROM (SELECT sum(count_if(g = 0)) OVER (ORDER BY v) AS cg, sum(count(*)) OVER (ORDER BY v) AS ca FROM u GROUP BY v) s UNION ALL SELECT CAST(1 AS BIGINT) AS week, CAST((SELECT count_if(g = 1) FROM u) AS BIGINT) AS n, max(abs(cg/CAST((SELECT count_if(g=1) FROM u) AS DOUBLE) - ca/CAST((SELECT count(*) FROM u) AS DOUBLE))) AS ks FROM (SELECT sum(count_if(g = 1)) OVER (ORDER BY v) AS cg, sum(count(*)) OVER (ORDER BY v) AS ca FROM u GROUP BY v) s UNION ALL SELECT CAST(2 AS BIGINT) AS week, CAST((SELECT count_if(g = 2) FROM u) AS BIGINT) AS n, max(abs(cg/CAST((SELECT count_if(g=2) FROM u) AS DOUBLE) - ca/CAST((SELECT count(*) FROM u) AS DOUBLE))) AS ks FROM (SELECT sum(count_if(g = 2)) OVER (ORDER BY v) AS cg, sum(count(*)) OVER (ORDER BY v) AS ca FROM u GROUP BY v) s UNION ALL SELECT CAST(3 AS BIGINT) AS week, CAST((SELECT count_if(g = 3) FROM u) AS BIGINT) AS n, max(abs(cg/CAST((SELECT count_if(g=3) FROM u) AS DOUBLE) - ca/CAST((SELECT count(*) FROM u) AS DOUBLE))) AS ks FROM (SELECT sum(count_if(g = 3)) OVER (ORDER BY v) AS cg, sum(count(*)) OVER (ORDER BY v) AS ca FROM u GROUP BY v) s UNION ALL SELECT CAST(4 AS BIGINT) AS week, CAST((SELECT count_if(g = 4) FROM u) AS BIGINT) AS n, max(abs(cg/CAST((SELECT count_if(g=4) FROM u) AS DOUBLE) - ca/CAST((SELECT count(*) FROM u) AS DOUBLE))) AS ks FROM (SELECT sum(count_if(g = 4)) OVER (ORDER BY v) AS cg, sum(count(*)) OVER (ORDER BY v) AS ca FROM u GROUP BY v) s ORDER BY week'
+            'WITH u AS (SELECT value AS v, (day(ts)-1)//7 AS g FROM events WHERE value IS NOT NULL AND NOT isnan(value) AND ts IS NOT NULL) SELECT CAST(0 AS BIGINT) AS week, CAST((SELECT count_if(g = 0) FROM u) AS BIGINT) AS n, max(abs(cg/CAST((SELECT count_if(g=0) FROM u) AS DOUBLE) - ca/CAST((SELECT count(*) FROM u) AS DOUBLE))) AS ks FROM (SELECT sum(count_if(g = 0)) OVER (ORDER BY v) AS cg, sum(count(*)) OVER (ORDER BY v) AS ca FROM u GROUP BY v) s UNION ALL SELECT CAST(1 AS BIGINT) AS week, CAST((SELECT count_if(g = 1) FROM u) AS BIGINT) AS n, max(abs(cg/CAST((SELECT count_if(g=1) FROM u) AS DOUBLE) - ca/CAST((SELECT count(*) FROM u) AS DOUBLE))) AS ks FROM (SELECT sum(count_if(g = 1)) OVER (ORDER BY v) AS cg, sum(count(*)) OVER (ORDER BY v) AS ca FROM u GROUP BY v) s UNION ALL SELECT CAST(2 AS BIGINT) AS week, CAST((SELECT count_if(g = 2) FROM u) AS BIGINT) AS n, max(abs(cg/CAST((SELECT count_if(g=2) FROM u) AS DOUBLE) - ca/CAST((SELECT count(*) FROM u) AS DOUBLE))) AS ks FROM (SELECT sum(count_if(g = 2)) OVER (ORDER BY v) AS cg, sum(count(*)) OVER (ORDER BY v) AS ca FROM u GROUP BY v) s UNION ALL SELECT CAST(3 AS BIGINT) AS week, CAST((SELECT count_if(g = 3) FROM u) AS BIGINT) AS n, max(abs(cg/CAST((SELECT count_if(g=3) FROM u) AS DOUBLE) - ca/CAST((SELECT count(*) FROM u) AS DOUBLE))) AS ks FROM (SELECT sum(count_if(g = 3)) OVER (ORDER BY v) AS cg, sum(count(*)) OVER (ORDER BY v) AS ca FROM u GROUP BY v) s UNION ALL SELECT CAST(4 AS BIGINT) AS week, CAST((SELECT count_if(g = 4) FROM u) AS BIGINT) AS n, max(abs(cg/CAST((SELECT count_if(g=4) FROM u) AS DOUBLE) - ca/CAST((SELECT count(*) FROM u) AS DOUBLE))) AS ks FROM (SELECT sum(count_if(g = 4)) OVER (ORDER BY v) AS cg, sum(count(*)) OVER (ORDER BY v) AS ca FROM u GROUP BY v) s ORDER BY week'
         ),
         # funnel_conversion: the funnel chain aggregated by level
         "funnel_conversion": (

@@ -174,13 +174,49 @@ def format_of(path: str) -> str:
     return "parquet"
 
 
-def _read_parquet_files(filesystem, paths, batch_rows, include_paths):
+#: the string fields of a span column's structs that the parquet read
+#: returns dictionary-encoded: they hold few distinct values, which the
+#: span checks test once each (``stages/spans.py``)
+SPAN_DICTIONARY_FIELDS = ("kind", "media_ref")
+
+
+def _dictionary_spans(footer, span_cols) -> tuple[pa.Schema, list[str]]:
+    """A footer's Arrow schema with the :data:`SPAN_DICTIONARY_FIELDS`
+    of each ``list<struct>`` column in ``span_cols`` typed
+    ``dictionary<int32, string>``, and those fields' parquet column
+    paths (``spans.list.element.kind``), as
+    ``ParquetReadOptions(dictionary_columns=...)`` names them."""
+    schema = footer.metadata.schema.to_arrow_schema()
+    if not set(span_cols) & set(schema.names):
+        return schema, []
+    paths = {tuple(c.path.split(".")): c.path for c in footer.metadata.schema}
+    dictionary_columns = []
+    fields = []
+    for f in schema:
+        t = f.type
+        if f.name in span_cols and pa.types.is_list(t) and pa.types.is_struct(t.value_type):
+            children = []
+            for c in t.value_type:
+                path = paths.get((f.name, "list", t.value_field.name, c.name))
+                if c.name in SPAN_DICTIONARY_FIELDS and c.type == pa.string() and path:
+                    c = c.with_type(pa.dictionary(pa.int32(), pa.string()))
+                    dictionary_columns.append(path)
+                children.append(c)
+            f = f.with_type(pa.list_(t.value_field.with_type(pa.struct(children))))
+        fields.append(f)
+    if not dictionary_columns:
+        return schema, []
+    return pa.schema(fields, metadata=schema.metadata), dictionary_columns
+
+
+def _read_parquet_files(filesystem, paths, batch_rows, include_paths, dictionary_columns):
     """A read task's body: each file's batches, as pyarrow's dataset
     fragment yields them (one per row group at most), empty ones
-    dropped, with :data:`PATH_COLUMN` under ``include_paths``."""
+    dropped, with :data:`PATH_COLUMN` under ``include_paths`` and the
+    ``dictionary_columns`` dictionary-encoded."""
     import pyarrow.dataset as pads
 
-    parquet = pads.ParquetFileFormat()
+    parquet = pads.ParquetFileFormat(dictionary_columns=dictionary_columns)
     for path in paths:
         fragment = parquet.make_fragment(path, filesystem)
         for batch in fragment.to_batches(batch_size=batch_rows, use_threads=False):
@@ -198,9 +234,11 @@ class _FooterParquetDatasource(Datasource):
     ``input_files``, and the first file's schema, so neither
     ``Dataset.count()`` nor ``Dataset.schema()`` executes anything.
     Files split over ``parallelism`` tasks in listing order, as Ray's
-    own parquet read splits them."""
+    own parquet read splits them. The span fields of ``span_cols`` read
+    as dictionary arrays (:func:`_dictionary_spans`), and the schema
+    says so."""
 
-    def __init__(self, footers: list, include_paths: bool):
+    def __init__(self, footers: list, include_paths: bool, span_cols=()):
         from data_linter_ray import fs as dlfs
 
         if include_paths:
@@ -213,7 +251,9 @@ class _FooterParquetDatasource(Datasource):
         self._footers = footers
         self._paths = [row_path(f.path) for f in footers]
         self._filesystem = dlfs.resolve(footers[0].path)[0] if footers else None
-        self._schema = footers[0].metadata.schema.to_arrow_schema() if footers else None
+        self._schema, self._dictionary_columns = (
+            _dictionary_spans(footers[0], span_cols) if footers else (None, [])
+        )
         self._batch_rows = read_batch_rows(footers)
         self._include_paths = include_paths
 
@@ -246,6 +286,7 @@ class _FooterParquetDatasource(Datasource):
                 paths,
                 self._batch_rows,
                 self._include_paths,
+                self._dictionary_columns,
             )
             tasks.append(ReadTask(read, meta, schema=self._schema))
         return tasks
@@ -263,11 +304,15 @@ def read_parquet_dataset(path: str | list[str], include_paths: bool = False) -> 
     :data:`PATH_COLUMN` to every row, and a file with a column of that
     name fails it. The parquet read of :func:`read_table_dataset` and of
     reference tables."""
+    return _read_footers(path, include_paths)
+
+
+def _read_footers(path, include_paths: bool, span_cols=()) -> Dataset:
     import ray.data
 
     footers = parquet_footers(path)
     return ray.data.read_datasource(
-        _FooterParquetDatasource(footers, include_paths),
+        _FooterParquetDatasource(footers, include_paths, span_cols),
         override_num_blocks=read_width(footers),
     )
 
@@ -293,7 +338,13 @@ def read_table_dataset(
     default, which splits a few small files into up to 200 blocks. ``pipelines.run.validate_group``
     (and so ``validate_phase`` and ``validate_table_checkpointed``)
     reads here once per group of units, with ``include_paths`` when the
-    group has more than one."""
+    group has more than one.
+
+    A parquet read returns the ``kind`` and ``media_ref`` fields of every
+    column the schema types ``spans``/``list<span>`` dictionary-encoded
+    (``dictionary<int32, string>``, in ``Dataset.schema()`` too), so the
+    span checks test each distinct value once; every other column, and
+    every other format, reads as stored."""
     import ray.data
 
     table_params = table_params or {}
@@ -302,7 +353,8 @@ def read_table_dataset(
     fmt = file_format or format_of(p0)
 
     if fmt == "parquet":
-        ds = read_parquet_dataset(path, include_paths)
+        span_cols = [c.name for c in schema.columns if c.type in ("spans", "list<span>")]
+        ds = _read_footers(path, include_paths, span_cols)
     elif fmt == "orc":
         ds = read_orc_dataset(path, include_paths=include_paths, **fs_kwargs)
     elif fmt == "feather":

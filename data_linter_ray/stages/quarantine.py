@@ -24,7 +24,7 @@ from ray.data import Dataset
 from data_linter_ray import checks
 from data_linter_ray.metadata import TableSchema
 from data_linter_ray.stages.checker import compile_plan
-from data_linter_ray.stages.spans import span_check_masks
+from data_linter_ray.stages.spans import SpanContext, span_check_masks
 
 
 def _bad_row_mask(batch: pa.Table, plan, span_cols: list[str]) -> np.ndarray:
@@ -32,9 +32,10 @@ def _bad_row_mask(batch: pa.Table, plan, span_cols: list[str]) -> np.ndarray:
     for col_name, test, spec in plan.tasks:
         m = checks.run_test(test, batch[col_name], spec)
         bad |= pc.fill_null(m, False).to_numpy(zero_copy_only=False)
+    ctx = SpanContext(batch)
     for c in span_cols:
-        for m in span_check_masks(batch[c]).values():
-            bad |= np.asarray(m, dtype=bool)
+        for m in span_check_masks(ctx, c).values():
+            bad |= m
     return bad
 
 

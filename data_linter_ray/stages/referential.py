@@ -42,18 +42,12 @@ class KeySetAntiJoin(Checker):
         self.pk_set_ref = pk_set_ref
         self._pk_set = None
 
-    def _dangling(self, values: pa.Array, encoded=None) -> pa.Array:
-        """Mask of the non-null ``values`` missing from the key set; with
-        ``encoded`` (``values`` dictionary-encoded) the lookup runs once
-        per distinct value."""
+    def _dangling(self, values: pa.Array) -> pa.Array:
+        """Mask of the non-null ``values`` missing from the key set."""
         if self._pk_set is None:
             obj = self.pk_set_ref
             self._pk_set = ray.get(obj) if isinstance(obj, ray.ObjectRef) else obj
-        if encoded is None:
-            member = pc.is_in(values, value_set=self._pk_set)
-        else:
-            member = pc.is_in(encoded.dictionary, value_set=self._pk_set)
-            member = pc.take(member, encoded.indices)
+        member = pc.is_in(values, value_set=self._pk_set)
         # null values are the nullable / presence tests' job
         return pc.and_(pc.is_valid(values), pc.invert(pc.fill_null(member, False)))
 

@@ -46,7 +46,8 @@ DEFAULT_QUANTILES = (0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99)
 
 class SketchPartials:
     """map_batches callable: per batch, one t-digest partial per numeric
-    column and one HLL partial per key column."""
+    column and one HLL partial per key column. A null key is not a
+    distinct key, as in SQL ``COUNT(DISTINCT)`` and the profile's HLL."""
 
     def __init__(self, numeric_cols: list[str], key_cols: list[str]):
         self.numeric_cols = numeric_cols
@@ -63,7 +64,7 @@ class SketchPartials:
             payloads.append(td.to_bytes())
         for c in self.key_cols:
             hll = HyperLogLog()
-            hll.add_hashes(hash_array(batch[c]))
+            hll.add_hashes(hash_array(batch[c].drop_null()))
             cols.append(c)
             kinds.append("hll")
             payloads.append(hll.to_bytes())

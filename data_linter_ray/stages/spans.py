@@ -2,10 +2,20 @@
 
 The reference engine is flat-relational; these checks are the engine's
 extension to interleaved text+media documents
-(``BASELINE.json:input_hint``). All kernels flatten the list column once
-per batch with ``pc.list_flatten`` / ``pc.list_parent_indices`` and work
-on the flat child arrays with vectorized Arrow/numpy ops — never a Python
-loop over rows (SURVEY.md §2.8).
+(``BASELINE.json:input_hint``). The kernel flattens each span column
+once per batch (``pc.list_flatten``, each row's span count from
+``pc.list_value_length``) and works on the flat child arrays in numpy —
+never a Python loop over rows (SURVEY.md §2.8).
+
+``kind`` and ``media_ref`` hold few distinct values (a four-word enum, a
+bounded asset catalog), so they are checked as dictionary codes (Column
+Sketches, SIGMOD 2018): each verdict — enum membership, is-text, the
+media pattern, catalog membership — is computed once per distinct value
+and gathered to the spans by code. The parquet read of a span column
+already yields both fields dictionary-encoded
+(:func:`~data_linter_ray.sources.readers.read_table_dataset`); a plain
+input is encoded once per batch. Element verdicts become row masks in
+one ``bincount`` over the violating spans' parent rows.
 
 Checks (FIXTURES.md F1 constraint set):
   - ``span_kind_enum``        kind ∈ {text, image, audio, video}
@@ -49,123 +59,137 @@ SPAN_TESTS = [
 
 
 def _flatten(spans: pa.ChunkedArray | pa.Array):
+    """(spans, flattened spans, ends): ``ends[r]`` is where row ``r``'s
+    spans end in the flattened array, a null list holding none, so the
+    row of flattened span ``i`` is ``np.searchsorted(ends, i, "right")``."""
     if isinstance(spans, pa.ChunkedArray):
-        spans = spans.combine_chunks()
-    flat = pc.list_flatten(spans)
-    parents = pc.list_parent_indices(spans).to_numpy(zero_copy_only=False)
-    return spans, flat, parents
+        spans = spans.chunk(0) if spans.num_chunks == 1 else spans.combine_chunks()
+    return spans, pc.list_flatten(spans), np.cumsum(_lengths(spans))
+
+
+def _lengths(spans: pa.Array) -> np.ndarray:
+    return pc.list_value_length(spans).fill_null(0).to_numpy(zero_copy_only=False)
+
+
+def _nulls(values: pa.Array) -> np.ndarray:
+    """uint8 per value: 1 where null, unpacked from the validity bitmap."""
+    if not values.null_count:
+        return np.zeros(len(values), np.uint8)
+    bitmap = np.frombuffer(values.buffers()[0], np.uint8)
+    valid = np.unpackbits(bitmap, count=values.offset + len(values), bitorder="little")
+    return valid[values.offset :] ^ 1
+
+
+def _codes(values: pa.Array) -> tuple[pa.Array, np.ndarray]:
+    """(dictionary, int32 codes with -1 for null) of a string array: its
+    own dictionary when it has one, else one ``dictionary_encode``."""
+    if not pa.types.is_dictionary(values.type):
+        values = values.dictionary_encode()
+    dictionary, indices = values.dictionary, values.indices.cast(pa.int32())
+    if not len(indices):
+        return dictionary, np.empty(0, np.int32)
+    codes = np.frombuffer(indices.buffers()[1], np.int32, len(indices), indices.offset * 4)
+    null = _nulls(indices)
+    if dictionary.null_count:  # a null dictionary entry is a null value
+        null |= _nulls(dictionary).take(codes, mode="clip")
+    # a null's code is all ones, -1
+    return dictionary, codes | -null.astype(np.int32) if null.any() else codes
+
+
+def _by_code(verdicts: dict[int, pa.Array], null: int, codes: np.ndarray) -> np.ndarray:
+    """Per-dictionary-entry boolean verdicts, keyed by bit, gathered to
+    every value by its code → uint8 per value: each bit whose verdict is
+    true for its entry, and ``null`` for code -1 (a null value). When no
+    entry has a bit, only the nulls have one, and nothing is gathered."""
+    n = len(next(iter(verdicts.values())))
+    table = np.zeros(n + 1, dtype=np.uint8)  # slot 0 is code -1's
+    for bit, verdict in verdicts.items():
+        table[1:] |= verdict.fill_null(False).to_numpy(zero_copy_only=False) * np.uint8(bit)
+    if not table.any():
+        return (codes < 0).view(np.uint8) * np.uint8(null)
+    table[0] = null
+    return pa.array(table).take(pa.array(codes + 1)).to_numpy()
 
 
 class SpanContext:
     """Per-batch memo shared by the span-family checkers: ONE
-    combine+flatten per span column and ONE dictionary-encode of the
-    flattened media_ref. The fused check pass always builds one per
-    batch (construction is free; nothing is computed until a span
-    checker asks). The media refs repeat heavily (a bounded asset
-    catalog), so both the media pattern regex and the catalog anti-join
-    run their kernel on the ~distinct dictionary and ``take`` the result
-    back — measured ~25% of the fused checker's per-batch CPU on the
-    interleaved corpus."""
+    combine+flatten per span column (:func:`_flatten`), and per span
+    column the (dictionary, codes) pair of its ``kind`` and of its
+    ``media_ref`` (:func:`_codes`; ``-1`` codes a null). The fused check
+    pass builds one per batch (construction is free; nothing is computed
+    until a span checker asks), so :func:`span_check_masks` and
+    :class:`SpanMediaRefChecker` share one flatten and one set of codes,
+    and every per-value verdict runs once per distinct value."""
 
     def __init__(self, table: pa.Table):
         self._table = table
         self._flat: dict = {}
-        self._media_dict: dict = {}
+        self._codes: dict = {}
 
     def flat(self, col: str):
         if col not in self._flat:
             self._flat[col] = _flatten(self._table[col])
         return self._flat[col]
 
-    def media_dict(self, col: str):
-        if col not in self._media_dict:
-            _spans, flat, _parents = self.flat(col)
-            self._media_dict[col] = flat.field("media_ref").dictionary_encode()
-        return self._media_dict[col]
+    def codes(self, col: str, field: str) -> tuple[pa.Array, np.ndarray]:
+        if (col, field) not in self._codes:
+            self._codes[col, field] = _codes(self.flat(col)[1].field(field))
+        return self._codes[col, field]
+
+    def media_dict(self, col: str) -> tuple[pa.Array, np.ndarray]:
+        return self.codes(col, "media_ref")
 
 
-def _on_dict(kernel, dict_array) -> pa.Array:
-    """Run a boolean kernel over a DictionaryArray's distinct values and
-    expand back through the indices (null index → null, caller fills)."""
-    small = kernel(dict_array.dictionary)
-    return pc.take(small, dict_array.indices)
+# the first six SPAN_TESTS as bits of one uint8 per span
+BAD_KIND, NO_TEXT, NO_MEDIA, BAD_MEDIA, NEG_OFFSET, OFFSET_DOWN = (1 << i for i in range(6))
 
 
-def span_check_masks(spans, ctx_pair=None) -> dict[str, np.ndarray]:
-    """All span checks in one flatten pass → {test: row-level bool mask}.
-
-    ``ctx_pair`` is an optional ``(flattened_triple, media_dict)`` from
-    :class:`SpanContext`; without it both are computed locally."""
-    if ctx_pair is not None:
-        (spans, flat, parents), media_dict = ctx_pair
-    else:
-        spans, flat, parents = _flatten(spans)
-        media_dict = flat.field("media_ref").dictionary_encode()
+def span_check_masks(ctx: SpanContext, col: str) -> dict[str, np.ndarray]:
+    """All span checks of ``col`` over the context's one flatten →
+    {test: row-level bool mask}, in :data:`SPAN_TESTS` order."""
+    spans, flat, ends = ctx.flat(col)
     n_rows = len(spans)
-    kind = flat.field("kind")
-    text = flat.field("text")
-    media = flat.field("media_ref")
-    offset = flat.field("offset")
+    kinds, kind = ctx.codes(col, "kind")
+    medias, media = ctx.codes(col, "media_ref")
 
-    def rowify(flat_mask) -> np.ndarray:
-        """element-level violation mask → row-level mask via parent index
-        (bincount of violating parents — ~10× faster than logical_or.at)."""
-        fm = (
-            pc.fill_null(flat_mask, False).to_numpy(zero_copy_only=False)
-            if not isinstance(flat_mask, np.ndarray)
-            else flat_mask
-        )
-        hits = parents[: len(fm)][fm]
-        return np.bincount(hits, minlength=n_rows).astype(bool)
+    # verdicts per distinct value, gathered by code: a kind's entry holds
+    # BAD_KIND and the presence test it is subject to; a media ref's
+    # holds BAD_MEDIA, and the null slot NO_MEDIA, so ANDing a kind's
+    # presence test with the span's missing fields finds the violations
+    kind_bits = _by_code(
+        {
+            BAD_KIND: pc.invert(pc.is_in(kinds, value_set=pa.array(KIND_ENUM))),
+            NO_TEXT: pc.equal(kinds, "text"),
+            NO_MEDIA: pc.not_equal(kinds, "text"),
+        },
+        BAD_KIND,
+        kind,
+    )
+    media_bits = _by_code(
+        {BAD_MEDIA: pc.invert(pc.match_substring_regex(medias, MEDIA_REF_PATTERN))},
+        NO_MEDIA,
+        media,
+    )
+    no_text = _nulls(flat.field("text")) * np.uint8(NO_TEXT)
+    bits = kind_bits & (BAD_KIND | no_text | media_bits) | media_bits & BAD_MEDIA
+    # a null offset is NaN here and fails neither offset test
+    off = flat.field("offset").to_numpy(zero_copy_only=False)
+    down = np.zeros(len(off), dtype=bool)
+    with np.errstate(invalid="ignore"):
+        bits |= (off < 0).view(np.uint8) * np.uint8(NEG_OFFSET)
+        down[1:] = off[1:] < off[:-1]
+    down[ends[ends < len(off)]] = False  # a row's first span has no predecessor
+    bits |= down.view(np.uint8) * np.uint8(OFFSET_DOWN)
 
-    out: dict[str, np.ndarray] = {}
-    is_text = pc.equal(kind, "text")
-    out["span_kind_enum"] = rowify(
-        pc.invert(pc.fill_null(pc.is_in(kind, value_set=pa.array(KIND_ENUM)), False))
-    )
-    out["span_text_presence"] = rowify(
-        pc.and_kleene(pc.fill_null(is_text, False), pc.is_null(text))
-    )
-    out["span_media_presence"] = rowify(
-        pc.and_kleene(
-            pc.invert(pc.fill_null(is_text, True)), pc.is_null(media)
-        )
-    )
-    out["span_media_pattern"] = rowify(
-        pc.and_kleene(
-            pc.invert(pc.is_null(media)),
-            pc.invert(
-                pc.fill_null(
-                    _on_dict(
-                        lambda d: pc.match_substring_regex(d, MEDIA_REF_PATTERN),
-                        media_dict,
-                    ),
-                    False,
-                )
-            ),
-        )
-    )
-    out["span_offset_min"] = rowify(pc.less(offset, 0))
+    bad = np.flatnonzero(bits != 0)
+    rows = np.searchsorted(ends, bad, side="right")
+    span, test = np.nonzero(np.unpackbits(bits[bad, None], axis=1, count=6, bitorder="little"))
+    # one bincount over (test, row) of every violating span
+    hits = np.bincount(test * n_rows + rows[span], minlength=6 * n_rows)
+    out = dict(zip(SPAN_TESTS, hits.reshape(6, n_rows).astype(bool)))
 
-    # offsets non-decreasing within each row: element i violates when it
-    # shares a parent with element i-1 and offset[i] < offset[i-1]
-    off = offset.to_numpy(zero_copy_only=False)
-    if len(off):
-        same_parent = np.empty(len(off), dtype=bool)
-        same_parent[0] = False
-        same_parent[1:] = parents[1:] == parents[:-1]
-        decreasing = np.empty(len(off), dtype=bool)
-        decreasing[0] = False
-        with np.errstate(invalid="ignore"):
-            decreasing[1:] = off[1:] < off[:-1]
-        out["span_offset_order"] = rowify(same_parent & decreasing)
-    else:
-        out["span_offset_order"] = np.zeros(n_rows, dtype=bool)
-
-    counts = pc.fill_null(pc.list_value_length(spans), 0)
-    out["span_count"] = pc.or_(
-        pc.less(counts, 1), pc.greater(counts, MAX_SPANS)
-    ).to_numpy(zero_copy_only=False)
+    counts = _lengths(spans)
+    out["span_count"] = (counts < 1) | (counts > MAX_SPANS)
     return out
 
 
@@ -177,23 +201,23 @@ class SpanChecker(Checker):
         self.id_column = id_column
 
     def findings(self, batch: pa.Table, ctx: SpanContext):
-        pair = (ctx.flat(self.spans_col), ctx.media_dict(self.spans_col))
-        for test, mask in span_check_masks(batch[self.spans_col], ctx_pair=pair).items():
+        for test, mask in span_check_masks(ctx, self.spans_col).items():
             yield self.spans_col, test, np.flatnonzero(mask), None
 
 
 class SpanMediaRefChecker(KeySetAntiJoin):
     """Per-batch: flattened spans.media_ref anti-joined against the
     broadcast catalog key set → violations attributed to the spans
-    column, one per dangling span. (Batch-level so it can be fused into
-    the single check pass.)"""
+    column, one per dangling span. The lookup runs once per distinct
+    media ref and is gathered by code. (Batch-level so it can be fused
+    into the single check pass.)"""
 
     def findings(self, batch: pa.Table, ctx: SpanContext):
-        _spans, flat, parents = ctx.flat(self.column)
-        media = flat.field("media_ref")
-        dangling = self._dangling(media, ctx.media_dict(self.column))
-        rows = parents[dangling.to_numpy(zero_copy_only=False)]
-        yield self.column, REFERENTIAL_TEST, rows, _stringify(media.filter(dangling))
+        ends = ctx.flat(self.column)[2]
+        medias, media = ctx.codes(self.column, "media_ref")
+        dangling = np.flatnonzero(_by_code({1: self._dangling(medias)}, 0, media).view(bool))
+        rows = np.searchsorted(ends, dangling, side="right")
+        yield self.column, REFERENTIAL_TEST, rows, _stringify(medias.take(media[dangling]))
 
 
 def span_sequence_equality_mask(left, right, compare_offsets: bool = False) -> np.ndarray:

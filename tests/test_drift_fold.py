@@ -178,8 +178,9 @@ def test_drift_sketches_exactly_the_checked_rows(ray_session, monkeypatch):
 def test_drift_edges_match_drift_check(ray_session):
     """An empty input gives no drift verdict. An all-null drift column
     gives the standalone path's verdict: no quantile distance (``None``,
-    JSON ``null``), which fails, and the HLL distance of one null key.
-    The response stays strict JSON."""
+    JSON ``null``), which fails, and the HLL distance of no key at all
+    (a null is not a distinct key), 1.0. The response stays strict
+    JSON."""
     baselines = _baselines()
     empty = _current().slice(0, 0)
     res = validate_dataset(ray.data.from_arrow(empty), SCHEMA, drift_baselines=baselines)
@@ -207,7 +208,7 @@ def test_drift_edges_match_drift_check(ray_session):
         if c in ("a", "b"):
             assert d is None and want[c].distance is None
         else:
-            assert d == want[c].distance
+            assert d == want[c].distance == 1.0
     json.dumps(res.response.get_result(), allow_nan=False)
 
 

@@ -352,3 +352,71 @@ def test_hive_style_land_directory_adds_no_column(ray_session, tmp_path):
     assert all(m.valid and m.row_count == 2 for m in res.manifests), [
         m.response for m in res.manifests
     ]
+
+
+def _span_files(tmp_path, n=3):
+    paths = []
+    for i in range(n):
+        paths.append(str(tmp_path / f"docs{i}.parquet"))
+        ids = np.arange(i * 500, i * 500 + 500 + i)
+        pq.write_table(synth.make_documents_batch({"id": ids}), paths[-1])
+    return paths
+
+
+def test_span_read_is_dictionary_encoded_and_schema_executes_nothing(
+    ray_session, tmp_path, monkeypatch
+):
+    """A table schema's span columns read with ``kind`` and
+    ``media_ref`` dictionary-encoded. ``Dataset.schema()`` says so
+    without running a read task (a spy that leaves a marker file), and
+    it is the schema of every block the read yields."""
+    from data_linter_ray.sources import readers
+
+    paths = _span_files(tmp_path)
+    marker = tmp_path / "read_ran"
+    read = readers._read_parquet_files
+
+    def spy(*args):
+        marker.touch()
+        yield from read(*args)
+
+    monkeypatch.setattr(readers, "_read_parquet_files", spy)
+    dict_str = pa.dictionary(pa.int32(), pa.string())
+    for include_paths in (False, True):
+        ds = read_table_dataset(paths, synth.documents_schema(), include_paths=include_paths)
+        schema = ds.schema().base_schema
+        assert not marker.exists()
+        span = schema.field("spans").type.value_type
+        assert [span.field(f).type for f in ("kind", "text", "media_ref")] == [
+            dict_str, pa.string(), dict_str
+        ]
+        blocks = [ray.get(r) for b in ds.iter_internal_ref_bundles() for r, _ in b.blocks]
+        assert marker.exists()
+        marker.unlink()
+        for t in blocks:
+            if include_paths:
+                t = t.drop_columns([readers.PATH_COLUMN])
+            assert t.schema == schema
+        assert sum(t.num_rows for t in blocks) == 1503
+
+
+def test_flat_and_reference_reads_keep_the_footer_schema(ray_session, tmp_path):
+    """Only span columns of a table schema read as dictionaries: a flat
+    table's read schema is the footer's, metadata included, and so is a
+    span file's read without a table schema (a reference table)."""
+    from data_linter_ray.sources.readers import read_parquet_dataset
+
+    flat = str(tmp_path / "flat.parquet")
+    pq.write_table(pa.table({"a": [1, 2], "kind": ["x", "y"]}), flat)
+    footer = parquet_footers(flat)[0].metadata.schema.to_arrow_schema()
+    schema = TableSchema("t", [ColumnSpec("a", "int64"), ColumnSpec("kind", "string")])
+    got = read_table_dataset(flat, schema).schema().base_schema
+    assert got.serialize().to_pybytes() == footer.serialize().to_pybytes()
+
+    [docs] = _span_files(tmp_path, 1)
+    footer = parquet_footers(docs)[0].metadata.schema.to_arrow_schema()
+    got = read_parquet_dataset(docs).schema().base_schema
+    assert got.serialize().to_pybytes() == footer.serialize().to_pybytes()
+    assert read_parquet_dataset(docs).take_all() == ray.data.from_arrow(
+        pq.read_table(docs)
+    ).take_all()

@@ -1109,3 +1109,41 @@ def test_windowed_active_counts_crafted(ray_session, monkeypatch):
     assert by_day[11] == 1          # user 1's second run (11..17)
     assert by_day[17] == 1          # last covered window-end
     assert 18 not in by_day
+
+
+RANK_FAMILY = [
+    ("value_distribution_ks", "events"),
+    ("value_mannwhitney", "events"),
+    ("segment_drift_ks", "events"),
+    ("weekly_drift_ks", "events"),
+    ("value_user_kendall", "events"),
+    ("price_quantity_spearman", "lineitem"),
+    ("price_quantity_heatmap", "lineitem"),
+]
+
+
+@pytest.fixture(scope="module")
+def nan_sf_dir(tmp_path_factory, sf_dir):
+    """events and lineitem with a non-null NaN in every 7th value of the
+    rank family's float columns (on top of their nulls)."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    out = tmp_path_factory.mktemp("nan_sf")
+    for table, cols in [("events", ["value"]), ("lineitem", ["l_quantity", "l_extendedprice"])]:
+        t = pq.read_table(f"{sf_dir}/{table}.parquet")
+        every7 = pa.array(np.arange(t.num_rows) % 7 == 3)
+        for c in cols:
+            i = t.schema.get_field_index(c)
+            t = t.set_column(i, c, pc.if_else(every7, float("nan"), t[c]))
+        pq.write_table(t, f"{out}/{table}.parquet")
+    return str(out)
+
+
+@pytest.mark.parametrize("name,table", RANK_FAMILY)
+def test_rank_family_oracle_excludes_nan(ray_session, nan_sf_dir, name, table):
+    """The rank family (Spearman, Kendall, KS, Mann-Whitney, the joint
+    histogram) drops a NaN value like a null, and its DuckDB oracle
+    states the same policy (``NOT isnan``), so both agree on NaN-bearing
+    data instead of DuckDB ranking NaN above every number."""
+    _oracle_check(name, nan_sf_dir, [table])
