@@ -63,6 +63,8 @@ SPAN_STRUCT = pa.struct(
     ]
 )
 SPANS_TYPE = pa.list_(SPAN_STRUCT)
+#: the type names of a span column
+SPAN_TYPE_NAMES = ("spans", "list<span>")
 
 
 def arrow_type_for(type_name: str) -> pa.DataType:
@@ -74,7 +76,7 @@ def arrow_type_for(type_name: str) -> pa.DataType:
         inner = type_name[type_name.index("(") + 1 : type_name.rindex(")")]
         p, s = (int(x) for x in inner.split(","))
         return pa.decimal128(p, s)
-    if type_name in ("spans", "list<span>"):
+    if type_name in SPAN_TYPE_NAMES:
         return SPANS_TYPE
     raise ValueError(f"unsupported type name: {type_name!r}")
 

@@ -38,7 +38,7 @@ import ray
 from ray.data import Dataset
 
 from data_linter_ray import checks
-from data_linter_ray.metadata import TableSchema
+from data_linter_ray.metadata import SPAN_TYPE_NAMES, TableSchema
 from data_linter_ray.result import ValidatorResult
 from data_linter_ray.sources.readers import PATH_COLUMN
 from data_linter_ray.stages.checker import (
@@ -689,7 +689,7 @@ def validate_units(
         c
         for c in schema.columns
         if c.name in data_schema.names
-        and (c.span_constraints is not None or c.type in ("spans", "list<span>"))
+        and (c.span_constraints is not None or c.type in SPAN_TYPE_NAMES)
     ]
     # a referential check runs only against a supplied table: a missing
     # one is a failed table-level test, for span and flat columns alike,

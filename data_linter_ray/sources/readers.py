@@ -45,7 +45,7 @@ from data_linter_ray.exchange import (
     read_batch_rows,
     read_width,
 )
-from data_linter_ray.metadata import TableSchema
+from data_linter_ray.metadata import SPAN_TYPE_NAMES, TableSchema
 
 # pandas default NA strings (public pandas docs) — used when
 # keep_default_na is true (the default), matching arrow_pd_parser reads
@@ -353,7 +353,7 @@ def read_table_dataset(
     fmt = file_format or format_of(p0)
 
     if fmt == "parquet":
-        span_cols = [c.name for c in schema.columns if c.type in ("spans", "list<span>")]
+        span_cols = [c.name for c in schema.columns if c.type in SPAN_TYPE_NAMES]
         ds = _read_footers(path, include_paths, span_cols)
     elif fmt == "orc":
         ds = read_orc_dataset(path, include_paths=include_paths, **fs_kwargs)

@@ -22,7 +22,7 @@ import pyarrow.compute as pc
 from ray.data import Dataset
 
 from data_linter_ray import checks
-from data_linter_ray.metadata import TableSchema
+from data_linter_ray.metadata import SPAN_TYPE_NAMES, TableSchema
 from data_linter_ray.stages.checker import compile_plan
 from data_linter_ray.stages.spans import SpanContext, span_check_masks
 
@@ -49,7 +49,7 @@ def split_valid_rows(ds: Dataset, schema: TableSchema) -> tuple[Dataset, Dataset
         c.name
         for c in schema.columns
         if c.name in data_schema.names
-        and (c.span_constraints is not None or c.type in ("spans", "list<span>"))
+        and (c.span_constraints is not None or c.type in SPAN_TYPE_NAMES)
     ]
 
     def keep(valid: bool):

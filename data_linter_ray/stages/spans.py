@@ -59,16 +59,13 @@ SPAN_TESTS = [
 
 
 def _flatten(spans: pa.ChunkedArray | pa.Array):
-    """(spans, flattened spans, ends): ``ends[r]`` is where row ``r``'s
+    """(flattened spans, ends): ``ends[r]`` is where row ``r``'s
     spans end in the flattened array, a null list holding none, so the
     row of flattened span ``i`` is ``np.searchsorted(ends, i, "right")``."""
     if isinstance(spans, pa.ChunkedArray):
         spans = spans.chunk(0) if spans.num_chunks == 1 else spans.combine_chunks()
-    return spans, pc.list_flatten(spans), np.cumsum(_lengths(spans))
-
-
-def _lengths(spans: pa.Array) -> np.ndarray:
-    return pc.list_value_length(spans).fill_null(0).to_numpy(zero_copy_only=False)
+    lengths = pc.list_value_length(spans).fill_null(0).to_numpy(zero_copy_only=False)
+    return pc.list_flatten(spans), np.cumsum(lengths)
 
 
 def _nulls(values: pa.Array) -> np.ndarray:
@@ -133,7 +130,7 @@ class SpanContext:
 
     def codes(self, col: str, field: str) -> tuple[pa.Array, np.ndarray]:
         if (col, field) not in self._codes:
-            self._codes[col, field] = _codes(self.flat(col)[1].field(field))
+            self._codes[col, field] = _codes(self.flat(col)[0].field(field))
         return self._codes[col, field]
 
     def media_dict(self, col: str) -> tuple[pa.Array, np.ndarray]:
@@ -147,8 +144,8 @@ BAD_KIND, NO_TEXT, NO_MEDIA, BAD_MEDIA, NEG_OFFSET, OFFSET_DOWN = (1 << i for i 
 def span_check_masks(ctx: SpanContext, col: str) -> dict[str, np.ndarray]:
     """All span checks of ``col`` over the context's one flatten →
     {test: row-level bool mask}, in :data:`SPAN_TESTS` order."""
-    spans, flat, ends = ctx.flat(col)
-    n_rows = len(spans)
+    flat, ends = ctx.flat(col)
+    n_rows = len(ends)
     kinds, kind = ctx.codes(col, "kind")
     medias, media = ctx.codes(col, "media_ref")
 
@@ -188,7 +185,7 @@ def span_check_masks(ctx: SpanContext, col: str) -> dict[str, np.ndarray]:
     hits = np.bincount(test * n_rows + rows[span], minlength=6 * n_rows)
     out = dict(zip(SPAN_TESTS, hits.reshape(6, n_rows).astype(bool)))
 
-    counts = _lengths(spans)
+    counts = np.diff(ends, prepend=0)
     out["span_count"] = (counts < 1) | (counts > MAX_SPANS)
     return out
 
@@ -213,7 +210,7 @@ class SpanMediaRefChecker(KeySetAntiJoin):
     into the single check pass.)"""
 
     def findings(self, batch: pa.Table, ctx: SpanContext):
-        ends = ctx.flat(self.column)[2]
+        ends = ctx.flat(self.column)[1]
         medias, media = ctx.codes(self.column, "media_ref")
         dangling = np.flatnonzero(_by_code({1: self._dangling(medias)}, 0, media).view(bool))
         rows = np.searchsorted(ends, dangling, side="right")

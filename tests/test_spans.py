@@ -1,14 +1,18 @@
 """Span-check kernels + interleaved-document synthesizer tests
 (north-rule payload: FIXTURES.md F1, BASELINE.json input_hint)."""
 
+import re
+
 import numpy as np
 import pyarrow as pa
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ray
+from data_linter_ray import checks, synth
 from data_linter_ray.metadata import SPANS_TYPE
 from data_linter_ray.stages import spans as sp
-from data_linter_ray import synth
 
 
 def spans_col(rows):
@@ -158,13 +162,6 @@ def test_synth_vectorized_matches_rowwise():
 
 # ---------------- the span kernel against a per-document oracle ---------
 
-import re
-
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
-
-from data_linter_ray import checks
-
 CATALOG = ["media://cat/1", "media://cat/2", "media://\U0001d538/3", "MEDIA://cat/4"]
 DICT_SPANS_TYPE = pa.list_(
     pa.struct(
@@ -307,7 +304,6 @@ def test_equality_and_quarantine_read_dictionary_spans_as_plain(ray_session, tmp
     valid, invalid = split_valid_rows(ray.data.from_arrow(plain), schema)
     assert doc_ids(got_valid) == doc_ids(valid)
     assert doc_ids(got_invalid) == doc_ids(invalid) != []
-
 
 
 def test_null_list_over_a_nonempty_range_holds_no_spans():
