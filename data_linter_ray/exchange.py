@@ -33,10 +33,10 @@ node P = 32). Reads are sized here too: :func:`read_width` derives a
 read's block count from the file listing and the same bytes estimate,
 and :func:`read_batch_rows` a parquet read's batch size from that
 estimate and the files' footer row counts, never executing anything. A
-parquet read takes both from one driver pass over its files,
-:func:`parquet_footers`: one listing, then one open per file for its
-size and footer, which also plan the read itself
-(``sources.readers.read_parquet_dataset``).
+file read takes both from one driver pass over its files,
+:func:`plan_files`: one listing, then one open per file for its size and
+its format's schema (a parquet file's footer, :func:`parquet_footers`),
+which also plan the read itself (``sources.readers``).
 
 This module is the only place a keyed-exchange width, a row's hash
 partition *or a read's block count and batch size* is decided: no
@@ -95,42 +95,27 @@ def cluster_cpus() -> int:
         return 8
 
 
-class Footer(NamedTuple):
-    """One parquet file of a read, as the driver's footer pass saw it."""
+class FilePlan(NamedTuple):
+    """One file of a read, as the driver's planning pass saw it."""
 
     path: str  #: as listed, the scheme kept
     size: int  #: on-disk bytes
-    metadata: Any  #: its ``pyarrow.parquet.FileMetaData``
+    schema: Any  #: its Arrow schema; None where only reading it all tells (JSONL)
+    num_rows: Any  #: its row count; None where the format records none
+    metadata: Any  #: a parquet file's ``pyarrow.parquet.FileMetaData``
 
 
 def _listed(paths) -> list:
-    """The files of ``paths`` (a file, a directory or a list of them); a
-    :class:`Footer` stands for its file."""
+    """The files of ``paths`` (a file, a directory or a list of them;
+    local or ``s3://``); a :class:`FilePlan` stands for its file. Under
+    a directory, a file any part of whose path below it starts with
+    ``.`` or ``_`` is no data, as pyarrow's dataset discovery has it
+    (Spark's ``_SUCCESS``, ``_metadata``)."""
     from data_linter_ray import fs
 
     files: list = []
     for p in [paths] if isinstance(paths, str) else paths:
-        if isinstance(p, Footer):
-            files.append(p)
-        else:
-            files += fs.list_files(p) or [p]  # a file lists as nothing
-    return files
-
-
-def parquet_footers(paths) -> list[Footer]:
-    """One pass over the parquet files of ``paths`` (a file, a directory
-    or a list of them; local or ``s3://``) on the driver: the listing,
-    then one open per file for its size and footer. A footer that cannot
-    be read raises. Under a directory, a file any part of whose path
-    below it starts with ``.`` or ``_`` is no data, as pyarrow's dataset
-    discovery has it (Spark's ``_SUCCESS``, ``_metadata``)."""
-    import pyarrow.parquet as pq
-
-    from data_linter_ray import fs
-
-    files = []
-    for p in [paths] if isinstance(paths, str) else paths:
-        listed = fs.list_files(p)
+        listed = [] if isinstance(p, FilePlan) else fs.list_files(p)
         if not listed:  # a file lists as nothing
             files.append(p)
             continue
@@ -140,18 +125,41 @@ def parquet_footers(paths) -> list[Footer]:
             for f in listed
             if not any(part.startswith((".", "_")) for part in f[below:].split("/"))
         ]
-    footers = []
-    for f in files:
+    return files
+
+
+def plan_files(paths, plan, options=None) -> list[FilePlan]:
+    """One pass over the files of ``paths`` (:func:`_listed`) on the
+    driver: the listing, then one open per file, from which
+    ``plan(src, options)`` reads the file's Arrow schema, row count and
+    format metadata. A file that cannot be planned raises."""
+    from data_linter_ray import fs
+
+    plans = []
+    for f in _listed(paths):
         filesystem, rel = fs.resolve(f)
         with filesystem.open_input_file(rel) as src:
-            footers.append(Footer(f, src.size(), pq.read_metadata(src)))
-    return footers
+            plans.append(FilePlan(f, src.size(), *plan(src, options)))
+    return plans
+
+
+def read_footer(src, options=None) -> tuple:
+    """A parquet file's plan (:func:`plan_files`): its footer."""
+    import pyarrow.parquet as pq
+
+    metadata = pq.read_metadata(src)
+    return metadata.schema.to_arrow_schema(), metadata.num_rows, metadata
+
+
+def parquet_footers(paths) -> list[FilePlan]:
+    """:func:`plan_files` of parquet files: one footer read per file."""
+    return plan_files(paths, read_footer)
 
 
 def read_width(paths) -> int:
     """Block count for one read of ``paths`` (a file, a directory or a
-    list of them; local or ``s3://``; or a read's
-    :func:`parquet_footers`, whose sizes it takes), from the file
+    list of them; local or ``s3://``; or a read's :func:`plan_files`,
+    whose sizes it takes), from the file
     listing only:
     max(2 × :func:`cluster_cpus`, decoded bytes /
     ``DataContext.target_max_block_size``).
@@ -178,7 +186,7 @@ def read_width(paths) -> int:
     return width
 
 
-def read_batch_rows(footers: list[Footer]) -> int:
+def read_batch_rows(footers: list[FilePlan]) -> int:
     """Rows per batch of one parquet read, from its
     :func:`parquet_footers`: the most rows that stay within
     ``DataContext.target_max_block_size`` in every file, at that file's
@@ -194,11 +202,11 @@ def read_batch_rows(footers: list[Footer]) -> int:
 
     block_bytes = DataContext.get_current().target_max_block_size
     bounds = [
-        max(1, block_bytes * f.metadata.num_rows // _decoded_bytes([f]))
+        max(1, block_bytes * f.num_rows // _decoded_bytes([f]))
         for f in footers
-        if block_bytes and f.metadata.num_rows and f.size
+        if block_bytes and f.num_rows and f.size
     ]
-    return min(bounds, default=max([f.metadata.num_rows for f in footers] + [1]))
+    return min(bounds, default=max([f.num_rows for f in footers] + [1]))
 
 
 def join_width(*datasets) -> int:
@@ -234,7 +242,7 @@ def _estimated_bytes(ds) -> int:
 
 def _decoded_bytes(files) -> int:
     """On-disk bytes of ``files`` × ``DECODE_INFLATION`` (a
-    :class:`Footer` carries its size; a file whose size cannot be read
+    :class:`FilePlan` carries its size; a file whose size cannot be read
     counts 0): the one bytes estimate behind every exchange width, read
     block count and read batch size."""
     from data_linter_ray import fs
@@ -242,7 +250,7 @@ def _decoded_bytes(files) -> int:
     total = 0
     for f in files:
         try:
-            total += f.size if isinstance(f, Footer) else fs.size(f)
+            total += f.size if isinstance(f, FilePlan) else fs.size(f)
         except Exception:
             pass
     return total * DECODE_INFLATION

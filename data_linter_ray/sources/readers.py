@@ -1,4 +1,5 @@
-"""Reader registry: parquet / CSV / JSONL (+ Lance when available).
+"""Reader registry: parquet / CSV / JSONL / ORC / Feather (+ Lance when
+available).
 
 Reference semantics re-created (NOT ported):
   - CSV ``expect-header`` false → column names come from the table schema
@@ -13,36 +14,41 @@ Reference semantics re-created (NOT ported):
     (``pandas_validator.py:480-481``); parquet is read as-encoded
     (``parquet_validator.py:49-53``).
 
-Casting happens inside a ``map_batches`` stage — distributed, per-batch,
-zero driver involvement. A cast failure raises ``CastError`` which
-``run_validation`` records as a table-level ``parse_data`` failure, the
-reference's ``parse_data_to_pandas`` behavior (``pandas_validator.py:65-75``).
-
-Parquet is read by this module's own Ray ``Datasource``, planned from
-one pass over the files' footers on the driver
-(:func:`exchange.parquet_footers`): a file's schema is its footer's, as
-the reference learns it from the file itself, so a hive-style
-``key=value`` directory adds no column. The footers also give the read
-its exact row count, block count and batch size, so ``Dataset.count()``
-and ``Dataset.schema()`` execute nothing, and no task samples the files
-to guess their size. CSV, JSONL, ORC and Feather still read through
-Ray's file-based datasources.
+Every file format reads through this module's one Ray ``Datasource``,
+planned on the driver by one pass over its files
+(:func:`exchange.plan_files`): one listing, then one open per file, in
+which the format's ``plan`` reads the file's Arrow schema and, where the
+format records one, its row count (:data:`FORMATS`). A file's schema is
+its own, as the reference learns it from the file itself, so a
+hive-style ``key=value`` directory adds no column. In the read task the
+format's ``batches`` yields the file's tables, and the rename, the
+CSV/JSONL cast and the :data:`PATH_COLUMN` tag run on each, so every
+block has the planned schema: ``Dataset.schema()`` executes nothing,
+nor does ``Dataset.count()`` for parquet and ORC, and no task samples
+the files to guess their size. A cast failure raises ``CastError``,
+which ``run_validation`` records as a table-level ``parse_data``
+failure, the reference's ``parse_data_to_pandas`` behavior
+(``pandas_validator.py:65-75``).
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import pyarrow as pa
 import pyarrow.csv as pacsv
+import pyarrow.dataset as pads
+import pyarrow.json as pajson
+import pyarrow.orc as paorc
 from ray.data import Dataset
 from ray.data.datasource import Datasource
 
 from data_linter_ray.exchange import (
     _decoded_bytes,
-    parquet_footers,
+    plan_files,
     read_batch_rows,
+    read_footer,
     read_width,
 )
 from data_linter_ray.metadata import SPAN_TYPE_NAMES, TableSchema
@@ -92,18 +98,6 @@ def normalized_names(names: list[str], ignore_case: bool = False) -> list[str]:
     return [n.lower() for n in fixed] if ignore_case else fixed
 
 
-def normalize_columns(ds: Dataset, ignore_case: bool = False) -> Dataset:
-    names = ds.schema().names
-    fixed = normalized_names(names, ignore_case)
-    if fixed != names:
-        new = dict(zip(names, fixed))
-        ds = ds.map_batches(
-            lambda t: t.rename_columns([new.get(n, n) for n in t.column_names]),
-            batch_format="pyarrow",
-        )
-    return ds
-
-
 def row_path(path: str) -> str:
     """The :data:`PATH_COLUMN` value of the rows read from ``path``: the
     path inside its filesystem, as Ray records it."""
@@ -112,52 +106,36 @@ def row_path(path: str) -> str:
     return dlfs.resolve(path)[1]
 
 
-def cast_to_schema(ds: Dataset, schema: TableSchema) -> Dataset:
-    """Cast the overlap columns to the schema's arrow types (CSV/JSONL
-    ingest normalizer). Failures surface as CastError on execution."""
-    targets = {c.name: c.arrow_type for c in schema.columns}
-
-    def cast(t: pa.Table) -> pa.Table:
-        arrays, names = [], []
-        for name in t.column_names:
-            col = t[name]
-            if name in targets and col.type != targets[name]:
-                try:
-                    col = col.cast(targets[name])
-                except (pa.ArrowInvalid, pa.ArrowNotImplementedError) as e:
-                    raise CastError(f"column {name}: {e}") from e
-            arrays.append(col)
-            names.append(name)
-        return pa.Table.from_arrays(arrays, names=names)
-
-    return ds.map_batches(cast, batch_format="pyarrow")
+def _cast(t: pa.Table, targets: dict) -> pa.Table:
+    """``t`` with the columns ``targets`` names cast to its arrow types
+    (the CSV/JSONL ingest normalizer); a failed cast raises
+    ``CastError``."""
+    arrays = []
+    for name in t.column_names:
+        col = t[name]
+        if name in targets and col.type != targets[name]:
+            try:
+                col = col.cast(targets[name])
+            except (pa.ArrowInvalid, pa.ArrowNotImplementedError) as e:
+                raise CastError(f"column {name}: {e}") from e
+        arrays.append(col)
+    return pa.Table.from_arrays(arrays, names=t.column_names)
 
 
-def _csv_options(table_params: dict, schema: TableSchema):
+def _csv_options(table_params: dict, schema: TableSchema) -> dict:
     expect_header = table_params.get("expect-header", True)
     pk = table_params.get("pandas-kwargs", {}) or {}
     na_values = list(pk.get("na_values", []))
     if pk.get("keep_default_na", True):
         na_values = PANDAS_DEFAULT_NA + na_values
-    elif not na_values:
-        na_values = []
-    read_opts = pacsv.ReadOptions(
-        column_names=None if expect_header else schema.column_names
+    return dict(
+        read_options=pacsv.ReadOptions(
+            column_names=None if expect_header else schema.column_names
+        ),
+        convert_options=pacsv.ConvertOptions(
+            null_values=na_values, strings_can_be_null=True, quoted_strings_can_be_null=False
+        ),
     )
-    convert_opts = pacsv.ConvertOptions(
-        null_values=na_values, strings_can_be_null=True, quoted_strings_can_be_null=False
-    )
-    return read_opts, convert_opts
-
-
-def _fs_kwargs(path) -> dict:
-    # For s3:// paths, hand Ray an explicit pyarrow S3FileSystem so the
-    # endpoint/credential configuration travels (serialized) with the scan
-    # tasks to remote workers — no env dependence worker-side.
-    from data_linter_ray import fs as dlfs
-
-    p0 = path if isinstance(path, str) else path[0]
-    return {"filesystem": dlfs.resolve(p0)[0]} if dlfs.is_s3(p0) else {}
 
 
 def format_of(path: str) -> str:
@@ -174,6 +152,83 @@ def format_of(path: str) -> str:
     return "parquet"
 
 
+def _parquet_batches(filesystem, path, options):
+    """The file's batches, as pyarrow's dataset fragment yields them (one
+    per row group at most), empty ones dropped, ``options`` = (batch
+    rows, the parquet paths of the columns read dictionary-encoded)."""
+    batch_rows, dictionary_columns = options
+    fragment = pads.ParquetFileFormat(dictionary_columns=dictionary_columns).make_fragment(
+        path, filesystem
+    )
+    for batch in fragment.to_batches(batch_size=batch_rows, use_threads=False):
+        if batch.num_rows:
+            yield pa.Table.from_batches([batch])
+
+
+def _plan_csv(src, options):
+    # reads the first block, as the read infers its types from it
+    return pacsv.open_csv(src, **options).schema, None, None
+
+
+def _csv_batches(filesystem, path, options):
+    with filesystem.open_input_stream(path) as src:
+        yield from (pa.Table.from_batches([b]) for b in pacsv.open_csv(src, **options))
+
+
+def _jsonl_batches(filesystem, path, options):
+    """The whole file as one table: its key set is the union over every
+    line. One block spans the file, so no line outgrows it."""
+    with filesystem.open_input_file(path) as src:
+        block = min(max(src.size(), 1 << 20), (1 << 31) - 1)
+        yield pajson.read_json(
+            src, read_options=pajson.ReadOptions(use_threads=False, block_size=block)
+        )
+
+
+def _plan_orc(src, options):
+    orc = paorc.ORCFile(src)
+    return orc.schema, orc.nrows, None
+
+
+def _orc_batches(filesystem, path, options):
+    with filesystem.open_input_file(path) as src:
+        orc = paorc.ORCFile(src)
+        yield from (pa.Table.from_batches([orc.read_stripe(i)]) for i in range(orc.nstripes))
+
+
+def _plan_feather(src, options):
+    return pa.ipc.open_file(src).schema, None, None
+
+
+def _feather_batches(filesystem, path, options):
+    with filesystem.open_input_file(path) as src:
+        ipc = pa.ipc.open_file(src)
+        for i in range(ipc.num_record_batches):
+            yield pa.Table.from_batches([ipc.get_batch(i)])
+
+
+class FileFormat(NamedTuple):
+    """``plan(src, options)`` reads a file opened on the driver for its
+    (Arrow schema, row count, metadata); ``batches(filesystem, path,
+    options)`` yields the file's tables in a read task. ORC and Feather
+    stream sub-file units (stripes, IPC record batches), so one huge
+    file never becomes one block; the reference reads csv/jsonl/parquet
+    only, and they extend its source matrix as the lance gate does."""
+
+    plan: Callable
+    batches: Callable
+
+
+#: every file format :func:`read_table_dataset` reads, by name
+FORMATS = {
+    "parquet": FileFormat(read_footer, _parquet_batches),
+    "csv": FileFormat(_plan_csv, _csv_batches),
+    "jsonl": FileFormat(lambda src, options: (None, None, None), _jsonl_batches),
+    "orc": FileFormat(_plan_orc, _orc_batches),
+    "feather": FileFormat(_plan_feather, _feather_batches),
+}
+
+
 #: the string fields of a span column's structs that the parquet read
 #: returns dictionary-encoded: they hold few distinct values, which the
 #: span checks test once each (``stages/spans.py``)
@@ -186,7 +241,7 @@ def _dictionary_spans(footer, span_cols) -> tuple[pa.Schema, list[str]]:
     ``dictionary<int32, string>``, and those fields' parquet column
     paths (``spans.list.element.kind``), as
     ``ParquetReadOptions(dictionary_columns=...)`` names them."""
-    schema = footer.metadata.schema.to_arrow_schema()
+    schema = footer.schema
     if not set(span_cols) & set(schema.names):
         return schema, []
     paths = {tuple(c.path.split(".")): c.path for c in footer.metadata.schema}
@@ -209,59 +264,94 @@ def _dictionary_spans(footer, span_cols) -> tuple[pa.Schema, list[str]]:
     return pa.schema(fields, metadata=schema.metadata), dictionary_columns
 
 
-def _read_parquet_files(filesystem, paths, batch_rows, include_paths, dictionary_columns):
-    """A read task's body: each file's batches, as pyarrow's dataset
-    fragment yields them (one per row group at most), empty ones
-    dropped, with :data:`PATH_COLUMN` under ``include_paths`` and the
-    ``dictionary_columns`` dictionary-encoded."""
-    import pyarrow.dataset as pads
-
-    parquet = pads.ParquetFileFormat(dictionary_columns=dictionary_columns)
+def _read_files(batches, filesystem, paths, options, ignore_case, targets, include_paths):
+    """A read task's body: each file's ``batches``, renamed when
+    ``ignore_case`` is not None (:func:`normalized_names`), cast to
+    ``targets`` when given, with :data:`PATH_COLUMN` under
+    ``include_paths``."""
     for path in paths:
-        fragment = parquet.make_fragment(path, filesystem)
-        for batch in fragment.to_batches(batch_size=batch_rows, use_threads=False):
-            if batch.num_rows:
-                t = pa.Table.from_batches([batch])
-                if include_paths:
-                    t = t.append_column(PATH_COLUMN, pa.repeat(pa.scalar(path), t.num_rows))
-                yield t
+        for t in batches(filesystem, path, options):
+            if ignore_case is not None:
+                names = normalized_names(t.column_names, ignore_case)
+                if names != t.column_names:
+                    t = t.rename_columns(names)
+            if targets:
+                t = _cast(t, targets)
+            if include_paths:
+                if PATH_COLUMN in t.column_names:
+                    raise ValueError(_path_column_taken(path))
+                t = t.append_column(PATH_COLUMN, pa.repeat(pa.scalar(path), t.num_rows))
+            yield t
 
 
-class _FooterParquetDatasource(Datasource):
-    """Parquet files planned from the driver's footer pass
-    (:func:`exchange.parquet_footers`): each read task carries its
-    files' exact row count and decoded-bytes estimate, their paths as
-    ``input_files``, and the first file's schema, so neither
-    ``Dataset.count()`` nor ``Dataset.schema()`` executes anything.
-    Files split over ``parallelism`` tasks in listing order, as Ray's
-    own parquet read splits them. The span fields of ``span_cols`` read
-    as dictionary arrays (:func:`_dictionary_spans`), and the schema
-    says so."""
+def _path_column_taken(path: str) -> str:
+    return f"{path} has a column {PATH_COLUMN!r}, the column an include_paths read adds"
 
-    def __init__(self, footers: list, include_paths: bool, span_cols=()):
+
+class _FileDatasource(Datasource):
+    """Files of one format, planned on the driver (:func:`plan_files`).
+    Each read task carries its files' row count (where each is known),
+    decoded-bytes estimate and listed paths (``input_files``), and the
+    read's schema: the first file's, renamed (:func:`normalized_names`)
+    and with the types of ``targets``, the columns to cast. Files split
+    over ``parallelism`` tasks in listing order, as Ray's own file reads
+    split them. ``options`` go to the format's :data:`FORMATS`
+    functions; a parquet read makes its own, batching by
+    :func:`exchange.read_batch_rows` and reading the span fields of
+    ``span_cols`` as dictionary arrays (:func:`_dictionary_spans`)."""
+
+    def __init__(
+        self,
+        fmt: str,
+        files: list,
+        include_paths: bool = False,
+        *,
+        options=None,
+        ignore_case: bool = False,
+        targets: Optional[dict] = None,
+        span_cols=(),
+    ):
         from data_linter_ray import fs as dlfs
 
-        if include_paths:
-            for f in footers:
-                if PATH_COLUMN in f.metadata.schema.to_arrow_schema().names:
-                    raise ValueError(
-                        f"{f.path} has a column {PATH_COLUMN!r}, the column an "
-                        "include_paths read adds"
-                    )
-        self._footers = footers
-        self._paths = [row_path(f.path) for f in footers]
-        self._filesystem = dlfs.resolve(footers[0].path)[0] if footers else None
-        self._schema, self._dictionary_columns = (
-            _dictionary_spans(footers[0], span_cols) if footers else (None, [])
+        schema = files[0].schema if files else None
+        if fmt == "parquet":
+            schema, dictionary_columns = (
+                _dictionary_spans(files[0], span_cols) if files else (None, [])
+            )
+            options = (read_batch_rows(files), dictionary_columns)
+        file_names = [
+            None if f.schema is None else normalized_names(f.schema.names, ignore_case)
+            for f in files
+        ]
+        for f, n in zip(files, file_names):
+            if include_paths and n and PATH_COLUMN in n:
+                raise ValueError(_path_column_taken(f.path))
+        renames = any(n is None or n != f.schema.names for f, n in zip(files, file_names))
+        if schema is not None:
+            names = normalized_names(schema.names, ignore_case)
+            types = targets or {}
+            schema = pa.schema(
+                [f.with_name(n).with_type(types.get(n, f.type)) for f, n in zip(schema, names)],
+                metadata=schema.metadata,
+            )
+        self._fmt = fmt
+        self._files = files
+        self._schema = schema
+        self._read = functools.partial(
+            _read_files,
+            FORMATS[fmt].batches,
+            dlfs.resolve(files[0].path)[0] if files else None,
+            options=options,
+            ignore_case=ignore_case if renames else None,
+            targets=targets,
+            include_paths=include_paths,
         )
-        self._batch_rows = read_batch_rows(footers)
-        self._include_paths = include_paths
 
     def get_name(self) -> str:
-        return "Parquet"
+        return self._fmt.capitalize()
 
     def estimate_inmemory_data_size(self) -> int:
-        return _decoded_bytes(self._footers)
+        return _decoded_bytes(self._files)
 
     def get_read_tasks(self, parallelism: int) -> list:
         import numpy as np
@@ -269,27 +359,30 @@ class _FooterParquetDatasource(Datasource):
         from ray.data.datasource import ReadTask
 
         tasks = []
-        for idx in np.array_split(np.arange(len(self._footers)), parallelism):
+        for idx in np.array_split(np.arange(len(self._files)), parallelism):
             if not len(idx):
                 continue
-            footers = [self._footers[i] for i in idx]
-            paths = [self._paths[i] for i in idx]
+            files = [self._files[i] for i in idx]
+            rows = [f.num_rows for f in files]
             meta = BlockMetadata(
-                num_rows=sum(f.metadata.num_rows for f in footers),
-                size_bytes=_decoded_bytes(footers),
-                input_files=paths,
+                num_rows=None if None in rows else sum(rows),
+                size_bytes=_decoded_bytes(files),
+                input_files=[f.path for f in files],
                 exec_stats=None,
             )
-            read = functools.partial(
-                _read_parquet_files,
-                self._filesystem,
-                paths,
-                self._batch_rows,
-                self._include_paths,
-                self._dictionary_columns,
-            )
+            read = functools.partial(self._read, [row_path(f.path) for f in files])
             tasks.append(ReadTask(read, meta, schema=self._schema))
         return tasks
+
+
+def _read(path, fmt: str, include_paths: bool = False, **kwargs) -> Dataset:
+    import ray.data
+
+    files = plan_files(path, FORMATS[fmt].plan, kwargs.get("options"))
+    return ray.data.read_datasource(
+        _FileDatasource(fmt, files, include_paths, **kwargs),
+        override_num_blocks=read_width(files),
+    )
 
 
 def read_parquet_dataset(path: str | list[str], include_paths: bool = False) -> Dataset:
@@ -304,17 +397,7 @@ def read_parquet_dataset(path: str | list[str], include_paths: bool = False) -> 
     :data:`PATH_COLUMN` to every row, and a file with a column of that
     name fails it. The parquet read of :func:`read_table_dataset` and of
     reference tables."""
-    return _read_footers(path, include_paths)
-
-
-def _read_footers(path, include_paths: bool, span_cols=()) -> Dataset:
-    import ray.data
-
-    footers = parquet_footers(path)
-    return ray.data.read_datasource(
-        _FooterParquetDatasource(footers, include_paths, span_cols),
-        override_num_blocks=read_width(footers),
-    )
+    return _read(path, "parquet", include_paths)
 
 
 def read_table_dataset(
@@ -327,10 +410,19 @@ def read_table_dataset(
     """Read one table's file(s) into a Dataset, applying the format's
     ingest normalization. ``file_format`` defaults from the path suffix.
     With ``include_paths`` every row carries its source file in
-    :data:`PATH_COLUMN`, and the read of a file that has a column of that
-    name fails. :func:`read_parquet_dataset` adds the column for parquet
-    and keeps it out of ``Dataset.schema()``; for the other formats it is
-    Ray's read option. Parquet reads no hive partition columns.
+    :data:`PATH_COLUMN`, kept out of ``Dataset.schema()``, and the read
+    of a file that has a column of that name fails. No format reads
+    hive partition columns.
+
+    Each format is planned on the driver from one open per file
+    (:data:`FORMATS`): a parquet, ORC or Feather file's footer, a CSV
+    file's first block (its header, or the schema's column names under
+    ``expect-header`` false). The schema is the first file's, after the
+    BOM strip and ``headers-ignore-case``, with the table schema's types
+    for CSV, whose blocks are cast to them, so ``Dataset.schema()``
+    executes nothing. A JSONL file's key set is the union over the whole
+    file, so its read runs to its end here and the Dataset returned is
+    materialized.
 
     Every format reads :func:`exchange.read_width` blocks — two per
     cluster CPU, more only for inputs past Ray's maximum block size, so
@@ -349,131 +441,29 @@ def read_table_dataset(
 
     table_params = table_params or {}
     p0 = path if isinstance(path, str) else path[0]
-    fs_kwargs = _fs_kwargs(path)
     fmt = file_format or format_of(p0)
-
-    if fmt == "parquet":
-        span_cols = [c.name for c in schema.columns if c.type in SPAN_TYPE_NAMES]
-        ds = _read_footers(path, include_paths, span_cols)
-    elif fmt == "orc":
-        ds = read_orc_dataset(path, include_paths=include_paths, **fs_kwargs)
-    elif fmt == "feather":
-        ds = read_feather_dataset(path, include_paths=include_paths, **fs_kwargs)
-    elif fmt == "lance":
+    if fmt == "lance":
         try:
             # requires lance in the env
-            ds = ray.data.read_lance(p0, override_num_blocks=read_width(p0))
+            return ray.data.read_lance(p0, override_num_blocks=read_width(p0))
         except (ImportError, AttributeError) as e:  # pragma: no cover
             raise ImportError(
                 "lance reader requested but lance is not installed"
             ) from e
-    elif fmt == "csv":
-        read_opts, convert_opts = _csv_options(table_params, schema)
-        ds = ray.data.read_csv(
-            path,
-            read_options=read_opts,
-            convert_options=convert_opts,
-            override_num_blocks=read_width(path),
-            include_paths=include_paths,
-            **fs_kwargs,
-        )
-    elif fmt == "jsonl":
-        ds = ray.data.read_json(
-            path,
-            override_num_blocks=read_width(path),
-            include_paths=include_paths,
-            **fs_kwargs,
-        )
-    else:
+    if fmt not in FORMATS:
         raise ValueError(f"unsupported file format: {fmt}")
 
-    ds = normalize_columns(ds, table_params.get("headers-ignore-case", False))
+    ignore_case = table_params.get("headers-ignore-case", False)
+    kwargs: dict = {"ignore_case": ignore_case}
+    if fmt == "parquet":
+        kwargs["span_cols"] = [c.name for c in schema.columns if c.type in SPAN_TYPE_NAMES]
+    if fmt == "csv":
+        kwargs["options"] = _csv_options(table_params, schema)
     if fmt in ("csv", "jsonl"):
-        use_schema = (
-            schema.lowercase_names()
-            if table_params.get("headers-ignore-case", False)
-            else schema
-        )
-        ds = cast_to_schema(ds, use_schema)
-    return ds
-
-
-# ---------------------------------------------------------------------------
-# Columnar source formats beyond Ray's built-ins: ORC and Feather (Arrow
-# IPC), as FileBasedDatasource subclasses — the idiomatic Ray Data
-# extension point. Both stream SUB-FILE units (ORC stripes / IPC record
-# batches) so one huge file never materializes as one block, and both
-# inherit the full path/filesystem/parallelism machinery (S3 included).
-# Reference provenance: the reference reads csv/jsonl/parquet only
-# (reference data_linter/validators); these extend §2.1's source matrix
-# the same way the lance gate does.
-# ---------------------------------------------------------------------------
-
-
-def _orc_datasource_cls():
-    from ray.data.datasource import FileBasedDatasource
-
-    class _OrcDatasource(FileBasedDatasource):
-        _FILE_EXTENSIONS = ["orc"]
-
-        def _open_input_source(self, filesystem, path, **open_args):
-            # ORC needs RANDOM ACCESS (footer + stripe index); the
-            # default opens a forward-only stream
-            return filesystem.open_input_file(path)
-
-        def _read_stream(self, f, path: str):
-            import pyarrow.orc as po
-
-            import pyarrow as _pa
-
-            reader = po.ORCFile(f)
-            for i in range(reader.nstripes):
-                stripe = reader.read_stripe(i)  # → RecordBatch
-                yield _pa.Table.from_batches([stripe])
-
-    return _OrcDatasource
-
-
-def _feather_datasource_cls():
-    from ray.data.datasource import FileBasedDatasource
-
-    class _FeatherDatasource(FileBasedDatasource):
-        _FILE_EXTENSIONS = ["feather", "arrow"]
-
-        def _open_input_source(self, filesystem, path, **open_args):
-            # the IPC FILE format reads its footer first — random access
-            return filesystem.open_input_file(path)
-
-        def _read_stream(self, f, path: str):
-            import pyarrow as _pa
-
-            reader = _pa.ipc.open_file(f)
-            for i in range(reader.num_record_batches):
-                b = reader.get_batch(i)
-                yield _pa.Table.from_batches([b])
-
-    return _FeatherDatasource
-
-
-def read_orc_dataset(path, **kwargs) -> "Dataset":
-    """ORC files → Dataset, one stripe per yielded block, over
-    :func:`exchange.read_width` read blocks."""
-    import ray.data
-
-    return ray.data.read_datasource(
-        _orc_datasource_cls()(path, **kwargs), override_num_blocks=read_width(path)
-    )
-
-
-def read_feather_dataset(path, **kwargs) -> "Dataset":
-    """Feather v2 / Arrow IPC files → Dataset, one record batch per
-    yielded block (zero-copy IPC decode), over
-    :func:`exchange.read_width` read blocks."""
-    import ray.data
-
-    return ray.data.read_datasource(
-        _feather_datasource_cls()(path, **kwargs), override_num_blocks=read_width(path)
-    )
+        use_schema = schema.lowercase_names() if ignore_case else schema
+        kwargs["targets"] = {c.name: c.arrow_type for c in use_schema.columns}
+    ds = _read(path, fmt, include_paths, **kwargs)
+    return ds.materialize() if fmt == "jsonl" else ds
 
 
 def write_orc_dataset(ds, path: str, **kwargs) -> None:

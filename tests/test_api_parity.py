@@ -397,29 +397,40 @@ def test_ray_tasks_are_defined_once():
 
 
 def test_one_parquet_read_path():
-    """Every parquet read of the package goes through
-    ``sources.readers.read_parquet_dataset`` (planned from the driver's
-    footer pass): no ``ray.data.read_parquet`` call remains."""
+    """Every file read of the package goes through the one datasource of
+    ``sources.readers`` (planned on the driver): no ``read_parquet``,
+    ``read_csv`` or ``read_json`` call of Ray's, no ``FileBasedDatasource``
+    and none of its private hooks. ``read_lance`` is the one Ray reader
+    left."""
     import ast
 
-    def reads_parquet(node) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        f = node.func
-        if isinstance(f, ast.Name):
-            return f.id == "read_parquet"
-        # pandas' reader is not Ray's
-        return (
-            isinstance(f, ast.Attribute)
-            and f.attr == "read_parquet"
-            and getattr(f.value, "id", None) not in ("pd", "pandas")
-        )
+    ray_readers = {"read_parquet", "read_csv", "read_json"}
+    private_hooks = {"_open_input_source", "_read_stream"}
+
+    def offends(node) -> bool:
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name):
+                return f.id in ray_readers
+            # pandas' and pyarrow's readers are not Ray's
+            return (
+                isinstance(f, ast.Attribute)
+                and f.attr in ray_readers
+                and ast.unparse(f.value) not in ("pd", "pandas", "pajson", "pyarrow.json")
+            )
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            return any(a.name.rsplit(".", 1)[-1] == "FileBasedDatasource" for a in node.names)
+        if isinstance(node, ast.Attribute):
+            return node.attr == "FileBasedDatasource"
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return node.name in private_hooks
+        return False
 
     offenders = [
         f"{rel}:{c.lineno}"
         for rel, tree in _package_trees()
         for c in ast.walk(tree)
-        if reads_parquet(c)
+        if offends(c)
     ]
     assert offenders == []
 

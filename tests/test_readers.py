@@ -206,7 +206,8 @@ def test_schema_and_count_launch_no_task(ray_session, tmp_path, monkeypatch):
     def no_read(*args):
         raise AssertionError("a read task ran")
 
-    monkeypatch.setattr(readers, "_read_parquet_files", no_read)
+    parquet = readers.FORMATS["parquet"]
+    monkeypatch.setitem(readers.FORMATS, "parquet", parquet._replace(batches=no_read))
     for include_paths in (False, True):
         ds = readers.read_parquet_dataset(paths, include_paths)
         assert ds.schema().base_schema == pq.read_schema(paths[0])
@@ -220,13 +221,13 @@ def test_a_batch_per_row_group(ray_session, tmp_path):
     """Row groups are never merged: 2,500 rows in 1,000-row groups read
     as three batches at a batch size past the file's rows."""
     from data_linter_ray.exchange import parquet_footers
-    from data_linter_ray.sources.readers import _FooterParquetDatasource
+    from data_linter_ray.sources.readers import _FileDatasource
 
     path = str(tmp_path / "groups.parquet")
     pq.write_table(pa.table({"a": np.arange(2_500)}), path, row_group_size=1_000)
     footers = parquet_footers(path)
     assert read_batch_rows(footers) >= 2_500
-    [task] = _FooterParquetDatasource(footers, False).get_read_tasks(1)
+    [task] = _FileDatasource("parquet", footers).get_read_tasks(1)
     assert task.metadata.num_rows == 2_500
     assert [t.num_rows for t in task()] == [1_000, 1_000, 500]
 
@@ -317,11 +318,12 @@ def test_group_validation_matches_ray_read(ray_session, tmp_path, monkeypatch):
         return out
 
     got = run(tmp_path / "footer")
-    def ray_read(path, include_paths=False):
+
+    def ray_read(path, fmt, include_paths=False, **kwargs):
         return ray.data.read_parquet(path, include_paths=include_paths)
 
     with monkeypatch.context() as m:
-        m.setattr(readers, "read_parquet_dataset", ray_read)
+        m.setattr(readers, "_read", ray_read)
         want = run(tmp_path / "ray")
     assert [m["valid"] for m, _ in want] == [False] * 3
     assert all(rows["row_ref"] for _, rows in want)
@@ -330,7 +332,8 @@ def test_group_validation_matches_ray_read(ray_session, tmp_path, monkeypatch):
 
 def test_hive_style_land_directory_adds_no_column(ray_session, tmp_path):
     """A land file under a ``key=value`` directory is validated as the
-    file alone, as the footer grouping sees it: no ``dt`` column."""
+    file alone, as the footer grouping sees it: no ``dt`` column, for
+    parquet, CSV and JSONL alike."""
     from data_linter_ray.pipelines import run
 
     land = tmp_path / "land"
@@ -339,16 +342,21 @@ def test_hive_style_land_directory_adds_no_column(ray_session, tmp_path):
             part = land / table / f"dt={day}"
             part.mkdir(parents=True)
             pq.write_table(pa.table({"a": pa.array([1, 2], pa.int64())}), part / "f.parquet")
+    for table, name, text in (("t3", "f.csv", "a\n1\n2\n"), ("t4", "f.jsonl", '{"a": 1}\n{"a": 2}\n')):
+        part = land / table / "dt=2024-01-01"
+        part.mkdir(parents=True)
+        (part / name).write_text(text)
     meta = {"columns": [{"name": "a", "type": "int64", "minimum": 0}]}
+    tables = ("t1", "t2", "t3", "t4")
     cfg = {
         "land-base-path": str(land) + "/",
         "pass-base-path": str(tmp_path / "pass") + "/",
         "fail-base-path": str(tmp_path / "fail") + "/",
         "log-base-path": str(tmp_path / "log") + "/",
-        "tables": {t: {"metadata": {"name": t, **meta}} for t in ("t1", "t2")},
+        "tables": {t: {"metadata": {"name": t, **meta}} for t in tables},
     }
     res = run.run_validation(cfg, raise_on_failure=False)
-    assert len(res.manifests) == 3
+    assert sorted(m.table for m in res.manifests) == ["t1", "t1", "t2", "t3", "t4"]
     assert all(m.valid and m.row_count == 2 for m in res.manifests), [
         m.response for m in res.manifests
     ]
@@ -374,13 +382,13 @@ def test_span_read_is_dictionary_encoded_and_schema_executes_nothing(
 
     paths = _span_files(tmp_path)
     marker = tmp_path / "read_ran"
-    read = readers._read_parquet_files
+    parquet = readers.FORMATS["parquet"]
 
     def spy(*args):
         marker.touch()
-        yield from read(*args)
+        yield from parquet.batches(*args)
 
-    monkeypatch.setattr(readers, "_read_parquet_files", spy)
+    monkeypatch.setitem(readers.FORMATS, "parquet", parquet._replace(batches=spy))
     dict_str = pa.dictionary(pa.int32(), pa.string())
     for include_paths in (False, True):
         ds = read_table_dataset(paths, synth.documents_schema(), include_paths=include_paths)
@@ -420,3 +428,131 @@ def test_flat_and_reference_reads_keep_the_footer_schema(ray_session, tmp_path):
     assert read_parquet_dataset(docs).take_all() == ray.data.from_arrow(
         pq.read_table(docs)
     ).take_all()
+
+
+# ---------------------------------------------------------------------------
+# Every file format is planned on the driver: ``Dataset.schema()`` knows a
+# read's schema, renamed and cast, without running it.
+# ---------------------------------------------------------------------------
+
+AB = TableSchema("t", [ColumnSpec("a", "int64"), ColumnSpec("b", "string")])
+AB_ROWS = 900
+
+
+def _ab_values(na: bool) -> list:
+    return [None if na and i % 10 == 0 else str(i) for i in range(AB_ROWS)]
+
+
+def _write_ab(path, header=("a", "b"), na=False) -> str:
+    """Columns ``a`` (0..899) and ``b`` (their strings, ``-`` for every
+    tenth with ``na``) under ``header`` (None: no header line), in the
+    format ``path``'s suffix names."""
+    import json
+
+    import pyarrow.feather as pf
+    import pyarrow.orc as po
+
+    a, b = list(range(AB_ROWS)), ["-" if v is None else v for v in _ab_values(na)]
+    path = str(path)
+    t = pa.table({"a": pa.array(a, pa.int64()), "b": b}).rename_columns(header or ("a", "b"))
+    if path.endswith(".parquet"):
+        pq.write_table(t, path)
+    elif path.endswith(".orc"):
+        po.write_table(t, path)
+    elif path.endswith(".feather"):
+        pf.write_feather(t, path)
+    elif path.endswith(".jsonl"):
+        with open(path, "w") as f:
+            f.writelines(json.dumps(dict(zip(header, row))) + "\n" for row in zip(a, b))
+    else:
+        with open(path, "w") as f:
+            f.write("" if header is None else ",".join(header) + "\n")
+            f.writelines(f"{x},{y}\n" for x, y in zip(a, b))
+    return path
+
+
+PLANNED = [
+    ("plain.parquet", {}, {}),
+    ("bom.parquet", {}, {"header": ("\ufeffa", "b")}),
+    ("upper.parquet", {"headers-ignore-case": True}, {"header": ("A", "B")}),
+    ("plain.csv", {}, {}),
+    ("headerless.csv", {"expect-header": False}, {"header": None}),
+    ("upper.csv", {"headers-ignore-case": True}, {"header": ("A", "B")}),
+    (
+        "na.csv",
+        {"pandas-kwargs": {"keep_default_na": False, "na_values": ["-"]}},
+        {"na": True},
+    ),
+    ("plain.orc", {}, {}),
+    ("plain.feather", {}, {}),
+    ("plain.jsonl", {}, {}),
+]
+
+
+@pytest.mark.parametrize("name, params, written", PLANNED, ids=[c[0] for c in PLANNED])
+def test_every_format_plans_its_schema(ray_session, tmp_path, monkeypatch, name, params, written):
+    """With every format's ``batches`` raising, ``Dataset.schema()``
+    runs no read task (nor does ``Dataset.count()`` for parquet and
+    ORC, whose files record their row count). A JSONL read has run to
+    its end when it is returned. Every block has the planned schema,
+    renamed and, for CSV and JSONL, cast to the table schema's types."""
+    from data_linter_ray.sources import readers
+
+    path = _write_ab(tmp_path / name, **written)
+    fmt = readers.format_of(path)
+    if fmt != "jsonl":
+
+        def no_read(*args):
+            raise AssertionError("a read task ran")
+
+        with monkeypatch.context() as m:
+            for f, spec in readers.FORMATS.items():
+                m.setitem(readers.FORMATS, f, spec._replace(batches=no_read))
+            ds = read_table_dataset(path, AB, params)
+            assert ds.schema(fetch_if_missing=False) is not None
+            ds.schema()
+            if fmt in ("parquet", "orc"):
+                assert ds.count() == AB_ROWS
+    ds = read_table_dataset(path, AB, params)
+    planned = ds.schema(fetch_if_missing=False).base_schema
+    assert planned.names == ["a", "b"]
+    assert planned.types == [pa.int64(), pa.string()]
+    blocks = _blocks(ds)
+    assert all(t.schema == planned for t in blocks)
+    got = pa.concat_tables(blocks).sort_by("a")
+    assert got["a"].to_pylist() == list(range(AB_ROWS))
+    assert got["b"].to_pylist() == _ab_values(written.get("na", False))
+
+
+def test_jsonl_key_in_the_last_line_reaches_the_alignment_check(ray_session, tmp_path):
+    """A JSONL key first seen in the last line, past pyarrow's first
+    1 MiB block, is a column of the read: it fails the column alignment
+    without ``allow_unexpected_data`` and passes with it."""
+    import json
+
+    from data_linter_ray.pipelines.validate import validate_dataset
+
+    path = tmp_path / "late.jsonl"
+    rows = 50_000
+    with open(path, "w") as f:
+        f.writelines(json.dumps({"a": i, "b": str(i)}) + "\n" for i in range(rows - 1))
+        f.write(json.dumps({"a": rows, "b": "x", "late": 1}) + "\n")
+    assert path.stat().st_size > 1 << 20
+    ds = read_table_dataset(str(path), AB)
+    assert "late" in ds.schema(fetch_if_missing=False).names
+    res = validate_dataset(ds, AB)
+    assert not res.valid
+    assert res.response.get_result()["overall_validation"]["valid"] is False
+    res = validate_dataset(ds, AB, allow_unexpected_data=True)
+    assert res.valid and res.row_count == rows
+
+
+def test_jsonl_line_longer_than_a_block_reads(ray_session, tmp_path):
+    """A line past pyarrow's default 1 MiB block still reads."""
+    import json
+
+    long = "x" * (3 << 19)
+    path = tmp_path / "long.jsonl"
+    path.write_text(json.dumps({"a": 0, "b": long}) + "\n" + json.dumps({"a": 1, "b": "y"}) + "\n")
+    got = pa.concat_tables(_blocks(read_table_dataset(str(path), AB))).sort_by("a")
+    assert got["b"].to_pylist() == [long, "y"]

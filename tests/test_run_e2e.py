@@ -385,7 +385,8 @@ def test_cast_failure_recorded_not_raised(ray_session, tmp_path):
     assert not res.all_tables_passed
     r = res.manifests[0].response
     assert r["valid"] is False
-    assert "parse_data" in r or "overall_validation" in r
+    assert "CastError" in r["parse_data"]["traceback"]
+    assert "column my_int" in r["parse_data"]["traceback"]
 
 
 def test_validator_engine_params_passthrough(ray_session, tmp_path):
@@ -476,8 +477,9 @@ def test_config_schema_shape_errors(tmp_path):
 
 def test_orc_and_feather_sources_roundtrip(ray_session, tmp_path):
     """ORC and Feather land files validate identically to the same data
-    as parquet: stripe/record-batch streaming datasources, suffix
-    dispatch, multi-stripe files stay sub-file-granular."""
+    as parquet: suffix dispatch, and a read task yields one table per
+    ORC stripe and per Feather record batch, as it yields one per
+    parquet row group."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.feather as pf
@@ -496,9 +498,11 @@ def test_orc_and_feather_sources_roundtrip(ray_session, tmp_path):
         }
     )
     orc_path = str(tmp_path / "events.orc")
-    po.write_table(t, orc_path, stripe_size=4096)  # forces several stripes
+    with po.ORCWriter(orc_path, stripe_size=1) as w:  # a stripe per write
+        for i in range(3):
+            w.write(t.slice(i * 334, 334))
     fe_path = str(tmp_path / "events.feather")
-    pf.write_feather(t, fe_path, chunksize=200)   # several IPC batches
+    pf.write_feather(t, fe_path, chunksize=334)  # three IPC batches
 
     schema = TableSchema(
         name="events",
@@ -520,10 +524,14 @@ def test_orc_and_feather_sources_roundtrip(ray_session, tmp_path):
         got = {k: v for k, v in counts.items() if v > 0}
         assert got == expect, (path, got)
 
-    # sub-file streaming is real: several blocks per file
-    from data_linter_ray.sources.readers import read_orc_dataset
+    # sub-file streaming is real: a table per stripe / record batch
+    from data_linter_ray.exchange import plan_files
+    from data_linter_ray.sources.readers import FORMATS, _FileDatasource
 
-    assert read_orc_dataset(orc_path).materialize().num_blocks() >= 1
+    for fmt, path in (("orc", orc_path), ("feather", fe_path)):
+        files = plan_files(path, FORMATS[fmt].plan)
+        [task] = _FileDatasource(fmt, files).get_read_tasks(1)
+        assert [b.num_rows for b in task()] == [334, 334, 332], fmt
 
 
 def test_orc_feather_sink_roundtrip(ray_session, tmp_path):
@@ -531,9 +539,9 @@ def test_orc_feather_sink_roundtrip(ray_session, tmp_path):
     and round-trip through the matching readers losslessly."""
     import ray as _ray
 
+    from data_linter_ray.metadata import ColumnSpec, TableSchema
     from data_linter_ray.sources.readers import (
-        read_feather_dataset,
-        read_orc_dataset,
+        read_table_dataset,
         write_feather_dataset,
         write_orc_dataset,
     )
@@ -545,8 +553,9 @@ def test_orc_feather_sink_roundtrip(ray_session, tmp_path):
     fe_dir = str(tmp_path / "fe_out")
     write_orc_dataset(ds, orc_dir)
     write_feather_dataset(ds, fe_dir)
-    back_o = read_orc_dataset(orc_dir)
-    back_f = read_feather_dataset(fe_dir)
+    schema = TableSchema("t", [ColumnSpec("id", "int64")])
+    back_o = read_table_dataset(orc_dir, schema, file_format="orc")
+    back_f = read_table_dataset(fe_dir, schema, file_format="feather")
     assert back_o.count() == back_f.count() == 5000
     assert sorted(back_o.to_pandas()["id"]) == list(range(5000))
     assert sorted(back_f.to_pandas()["id"]) == list(range(5000))

@@ -5,8 +5,8 @@ Mirrors the reference's local/S3 path-combination matrix
 path in the config — land / pass / fail / log — may independently be a
 local directory or an ``s3://`` URI. A real moto server runs on
 localhost; pyarrow reads and boto3 writes both hit it, including the
-Ray scan tasks (the endpoint rides inside the serialized pyarrow
-S3FileSystem handed to ``ray.data.read_csv``/``read_parquet``) and the
+Ray read tasks (the endpoint rides inside the serialized pyarrow
+S3FileSystem handed to them by ``sources.readers``) and the
 violations-parquet write tasks.
 """
 
@@ -414,9 +414,9 @@ def test_profile_flag_writes_to_s3_log(ray_session, moto_s3, tmp_path):
 
 
 def test_s3_orc_source_reads(ray_session, moto_s3, tmp_path):
-    """The ORC FileBasedDatasource inherits the explicit S3 filesystem
-    (endpoint + credentials travel with the scan tasks): an ORC object
-    in the moto store reads back through read_table_dataset."""
+    """The ORC read carries the explicit S3 filesystem (endpoint +
+    credentials travel with the scan tasks): an ORC object in the moto
+    store reads back through read_table_dataset."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.orc as po
@@ -473,3 +473,26 @@ def test_s3_jsonl_shard_sink(ray_session, moto_s3, tmp_path):
         assert len(lines) <= 100
         rows.extend(lines)
     assert sorted(r["doc_id"] for r in rows) == list(range(500))
+
+
+def test_s3_read_is_sized_from_its_uris(ray_session, moto_s3):
+    """A lazy ``s3://`` read lists its objects with the scheme kept as
+    its ``input_files``, so the exchange width estimate sizes the
+    objects rather than counting 0."""
+    import io
+
+    import pyarrow.parquet as pq
+
+    from data_linter_ray.exchange import _decoded_bytes, _estimated_bytes
+    from data_linter_ray.metadata import TableSchema
+    from data_linter_ray.sources.readers import read_table_dataset
+
+    buf = io.BytesIO()
+    pq.write_table(pa.table({"my_int": [10, 15, 20]}), buf)
+    fs.write_bytes("s3://land/sized/table1.parquet", buf.getvalue())
+    _plant("s3://land/sized/", "table1.csv", CSV_PASS)
+    schema = TableSchema.from_dict(TABLE1_META)
+    for uri in ("s3://land/sized/table1.parquet", "s3://land/sized/table1.csv"):
+        ds = read_table_dataset(uri, schema)
+        assert ds.input_files() == [uri]
+        assert _estimated_bytes(ds) == _decoded_bytes([uri]) > 0
